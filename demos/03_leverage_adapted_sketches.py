@@ -22,8 +22,8 @@ scores = ss.exact_leverage(A)
 print(f"leverage scores: sum = {scores.z.sum():.6f} (= d = {d})")
 print(f"top-10 rows hold {scores.z[:10].sum() / d:.1%} of the total\n")
 
-spec = ss.LessIcSpec(m=256, p=0.125, scores=scores, seed=1)
-s_cols = spec.column_sparsities()
+spec = ss.SketchSpec(kind="less-ic", m=256, p=0.125, scores=scores, seed=1)
+s_cols = ss.column_sparsities(spec)
 print("per-column nonzeros track the scores:")
 print(f"  dominant rows (z ~ {scores.z[:10].mean():.2f}): "
       f"{s_cols[:10].tolist()}")

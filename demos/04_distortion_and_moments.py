@@ -9,7 +9,7 @@ sketches, whose second moment has a closed form: 2 p^2 m (d + 1).
 import numpy as np
 
 import subsketch as ss
-from subsketch.experiments import oblivious_builder
+from subsketch.experiments import builder as trial_builder
 
 rng = np.random.default_rng(0)
 n, d, m, s = 1024, 8, 128, 16
@@ -38,10 +38,10 @@ print(f"i.i.d. model for comparison: ||energy term|| = "
 expected = 2 * p**2 * m * (d + 1)
 print(f"decoupled trace moment at q=1, expected {expected}:")
 builders = {
-    "blocked": oblivious_builder(spec),
-    "i.i.d.": oblivious_builder(
+    "blocked": trial_builder(spec),
+    "i.i.d.": trial_builder(
         ss.SketchSpec(kind="ose-ie", m=m, n=n, p=p, family="independent")),
-    "gaussian": oblivious_builder(
+    "gaussian": trial_builder(
         ss.SketchSpec(kind="gaussian-dense", m=m, n=n, p=p,
                       family="independent")),
 }

@@ -39,9 +39,10 @@ from .leverage import (
     validate_scores,
 )
 from .less import (
-    LessIcSpec,
+    block_heights,
     build_less_ic,
     build_less_ie,
+    column_sparsities,
     less_default_parameters,
     less_sparsity_target,
     subcolumn_layout,
@@ -91,7 +92,8 @@ __all__ = [
     "exact_leverage",
     "approx_leverage",
     "validate_scores",
-    "LessIcSpec",
+    "block_heights",
+    "column_sparsities",
     "subcolumn_layout",
     "build_less_ic",
     "build_less_ie",

@@ -15,47 +15,26 @@ the delta the acceptance experiments assert.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .calibration import REFERENCE, Constants
-from .diagnostics import SAMPLERS, embedding_trial
-from .experiments import less_ic_builder, oblivious_builder
+from .experiments import grid_spec, sweep_row
 from .kwise import derive_seed
-from .oblivious import SketchSpec, independence_degree
+from .less import less_dimension_target, less_sparsity_target
+from .oblivious import (
+    SketchSpec,
+    build,
+    default_parameters,
+    independence_degree,
+    oseie_sparsity_target,
+    osnap_sparsity_target,
+    round_parameters,
+)
 
 _POW2 = tuple(2.0**k for k in range(-6, 5))
-
-
-def _osnap_target(d, eps, delta, c_s):
-    L = math.log(max(d / (eps * delta), math.e))
-    return c_s * (L**2 / eps + L**3)
-
-
-def _oseie_extra(d, eps, delta, c_e):
-    L = math.log(max(d / (eps * delta), math.e))
-    return c_e * L / eps**2
-
-
-def _failure(kind, m, s, n, d, eps, delta, trials, seed, sampler):
-    if kind == "less-ic":
-        builder = less_ic_builder(m, s, independence_degree(d, eps, delta, s))
-    else:
-        family = "kwise" if kind == "osnap" else "independent"
-        spec = SketchSpec(
-            kind=kind, m=m, n=n, p=s / m,
-            degree_k=independence_degree(d, eps, delta, s), seed=seed,
-            family=family,
-        )
-        builder = oblivious_builder(spec)
-    sampler_fn = lambda rng: SAMPLERS[sampler](n, d, rng)  # noqa: E731
-    return embedding_trial(builder, sampler_fn, trials, eps, seed).failure_fraction
-
-
-def _anchor_m(c_m, d, eps, delta):
-    return math.ceil(c_m * (d + math.log(1.0 / delta)) / eps**2)
 
 
 def _grid_m(c_m, d, eps):
@@ -80,9 +59,9 @@ class _Sweep:
             print(msg)
 
     def measure(self, label, kind, m, s, n, eps, sampler, salt, trials=None):
-        frac = _failure(kind, m, s, n, self.d, eps, self.delta,
-                        trials or self.trials, derive_seed(self.seed, salt),
-                        sampler)
+        frac = sweep_row(grid_spec(kind, m, s, n, self.d, eps, self.delta), self.d, eps,
+                         trials or self.trials, derive_seed(self.seed, salt),
+                         sampler)["failure_fraction"]
         self.rows.append(
             {"stage": label, "kind": kind, "m": m, "s": s, "n": n, "eps": eps,
              "sampler": sampler, "failure_fraction": frac}
@@ -100,14 +79,7 @@ class _Sweep:
     def grid_ok(self, label, kind, c_m, sparsity_of_eps, salt):
         n = 8192
         for k, eps in enumerate(e for e in self.eps_grid if e != self.eps_anchor):
-            m0 = _grid_m(c_m, self.d, eps)
-            s = max(1, math.ceil(sparsity_of_eps(eps)))
-            if s >= m0:
-                s, m = m0, m0
-            elif kind == "osnap":
-                m = math.ceil(m0 / s) * s
-            else:
-                m = m0
+            m, s = round_parameters(kind, _grid_m(c_m, self.d, eps), sparsity_of_eps(eps))
             if m >= n:
                 return False
             frac = self.measure(label, kind, m, s, n, eps, "coordinate",
@@ -120,8 +92,8 @@ class _Sweep:
 def _pipeline_surface_ok(sweep, c_m_less, c_pm_less, runs=25):
     """Criterion-12-shaped check: coarse scores, sparse 1e5 x 32 input."""
     from .leverage import approx_leverage
-    from .less import LessIcSpec, build_less_ic
     from .apply import apply as _apply
+    from .pipeline import _r_factor, _validate_distortion
 
     n, d, eps, delta, gamma = 100_000, 32, 0.5, 0.05, 0.25
     rng = np.random.default_rng(derive_seed(sweep.seed, 0xF1FE))
@@ -130,23 +102,20 @@ def _pipeline_surface_ok(sweep, c_m_less, c_pm_less, runs=25):
         (rng.uniform(1.0, 2.0, d), (np.arange(d), np.arange(d))), shape=(n, d)
     )
     A = (A + lift).tocsr()
-    R = np.linalg.qr(A.toarray(), mode="r")
-    Ld = math.log(max(d / delta, math.e))
-    L = math.log(max(d / (eps * delta), math.e))
-    m = math.ceil(c_m_less * ((d + Ld**2) / eps**2 + Ld**3 / eps))
-    pm = max(1, math.ceil(c_pm_less * max(L**2.5 / eps, L**3)))
+    m = math.ceil(less_dimension_target(d, eps, delta, c_m_less))
+    pm = max(1, math.ceil(less_sparsity_target(d, eps, delta, c_pm_less)))
     if pm >= m:
         return False
+    spec = SketchSpec(kind="less-ic", m=m, n=n, p=pm / m,
+                      degree_k=independence_degree(d, eps, delta, pm))
+    R = _r_factor(A)
     good = 0
     for run in range(runs):
         scores = approx_leverage(A, gamma, seed=derive_seed(sweep.seed, run))
-        spec = LessIcSpec(m=m, p=pm / m, scores=scores,
-                          degree_k=independence_degree(d, eps, delta, pm),
-                          seed=derive_seed(sweep.seed, 7000 + run))
-        A_tilde = _apply(build_less_ic(spec), A)
-        Y = scipy.linalg.solve_triangular(R, A_tilde.T, lower=False, trans="T").T
-        svals = np.linalg.svd(Y, compute_uv=False)
-        good += (1 - eps) <= svals[-1] and svals[0] <= (1 + eps)
+        sketch = build(replace(spec, scores=scores,
+                               seed=derive_seed(sweep.seed, 7000 + run)))
+        band = _validate_distortion(R, _apply(sketch, A))
+        good += 1 - eps <= band["s_min"] and band["s_max"] <= 1 + eps
     frac_bad = 1.0 - good / runs
     sweep.rows.append(
         {"stage": f"c_less=({c_m_less},{c_pm_less})", "kind": "less-ic-pipeline",
@@ -167,7 +136,7 @@ def run(trials, seed, verbose=True):
     for cand in _POW2:
         if cand < 1:
             continue
-        m = _anchor_m(cand, d, eps, delta)
+        m = default_parameters(d, sw.n_anchor, eps, delta, "gaussian-dense", c_m=cand).m
         if m >= sw.n_anchor:
             break
         ok = sw.anchor_ok(f"c_m={cand}", "gaussian-dense", m, m, int(cand * 64))
@@ -179,16 +148,15 @@ def run(trials, seed, verbose=True):
             break
     c_m = c_m or 4.0
 
-    m0 = _anchor_m(c_m, d, eps, delta)
+    m0 = default_parameters(d, sw.n_anchor, eps, delta, "gaussian-dense", c_m=c_m).m
     c_s = None
     for cand in _POW2:
-        s = max(1, math.ceil(_osnap_target(d, eps, delta, cand)))
+        m, s = round_parameters("osnap", m0, osnap_sparsity_target(d, eps, delta, cand))
         if s >= m0:
             break
-        m = math.ceil(m0 / s) * s
         ok = sw.anchor_ok(f"c_s={cand}", "osnap", m, s, int(cand * 1024))
         ok = ok and sw.grid_ok(f"c_s={cand}", "osnap", c_m,
-                               lambda e, c=cand: _osnap_target(d, e, delta, c),
+                               lambda e, c=cand: osnap_sparsity_target(d, e, delta, c),
                                int(cand * 1024))
         if ok:
             c_s = cand
@@ -197,15 +165,13 @@ def run(trials, seed, verbose=True):
 
     c_e = None
     for cand in _POW2:
-        s = max(1, math.ceil(_osnap_target(d, eps, delta, c_s)
-                             + _oseie_extra(d, eps, delta, cand)))
+        s = max(1, math.ceil(oseie_sparsity_target(d, eps, delta, c_s, cand)))
         if s >= m0:
             break
         ok = sw.anchor_ok(f"c_e={cand}", "ose-ie", m0, s, int(cand * 4096))
         ok = ok and sw.grid_ok(
             f"c_e={cand}", "ose-ie", c_m,
-            lambda e, c=cand: (_osnap_target(d, e, delta, c_s)
-                               + _oseie_extra(d, e, delta, c)),
+            lambda e, c=cand: oseie_sparsity_target(d, e, delta, c_s, c),
             int(cand * 4096),
         )
         if ok:
@@ -213,16 +179,14 @@ def run(trials, seed, verbose=True):
             break
     c_e = c_e or 1.0
 
-    Ld = math.log(max(d / delta, math.e))
-    L = math.log(max(d / (eps * delta), math.e))
     c_m_less = c_pm_less = None
     for cand_m in (0.25, 0.5, 1.0, 2.0):
-        m = math.ceil(cand_m * ((d + Ld**2) / eps**2 + Ld**3 / eps))
+        m = math.ceil(less_dimension_target(d, eps, delta, cand_m))
         if m >= sw.n_anchor:
             break
         found = False
         for cand_pm in (0.0625, 0.125, 0.25, 0.5, 1.0):
-            pm = max(1, math.ceil(cand_pm * max(L**2.5 / eps, L**3)))
+            pm = max(1, math.ceil(less_sparsity_target(d, eps, delta, cand_pm)))
             if pm >= m:
                 break
             label = f"c_less=({cand_m},{cand_pm})"

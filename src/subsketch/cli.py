@@ -1,21 +1,18 @@
 """Command-line surface.
 
 Commands: ``sketch``, ``apply``, ``leverage``, ``verify``, ``bench``,
-``pipeline``.  Every command takes ``--seed``, ``--threads`` and (where it
-writes something) ``--out``.  Computation is deterministic for a fixed
-seed regardless of the thread count; ``--threads 1`` is the reference
-mode.
+``pipeline``.  Every command takes ``--seed`` and (where it writes
+something) ``--out``.  Computation is deterministic for a fixed seed.
 
 Exit codes: 0 success, 2 parameter error, 3 IO/parse error,
 4 verification failure.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
-
-import numpy as np
 
 from . import __version__
 from .apply import apply as _apply
@@ -23,9 +20,8 @@ from .apply import load_matrix, save_matrix
 from .errors import FormatError, ParameterError
 from .experiments import eps_sweep, m_sweep, nnz_sweep, run_config, s_sweep
 from .leverage import LeverageScores, approx_leverage, exact_leverage
-from .less import LessIcSpec, build_less_ic, build_less_ie
-from .oblivious import SketchSpec, build
-from .pipeline import Overrides, PipelineConfig, fast_subspace_embed
+from .oblivious import LESS_KINDS, SketchSpec, build
+from .pipeline import PIPELINE_KINDS, Overrides, PipelineConfig, fast_subspace_embed
 from .sketch import load_sketch
 
 EXIT_OK = 0
@@ -36,9 +32,6 @@ EXIT_VERIFY = 4
 
 def _add_common(p, out_required=False):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface stability; results are "
-                        "thread-count independent")
     p.add_argument("--out", required=out_required, help="output path")
 
 
@@ -91,8 +84,7 @@ def _build_parser():
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--gamma", type=float, default=0.25)
-    p.add_argument("--kind", default="less-ic",
-                   choices=["osnap", "ose-ie", "less-ic", "less-ie", "gaussian-dense"])
+    p.add_argument("--kind", default="less-ic", choices=PIPELINE_KINDS)
     p.add_argument("--m", type=int, help="override embedding dimension")
     p.add_argument("--pm", type=int, help="override sparsity p*m")
     p.add_argument("--validate", action="store_true",
@@ -111,29 +103,19 @@ def _load_scores(path):
 def _cmd_sketch(args):
     if args.p is None and args.s is None:
         raise ParameterError("give either --p or --s")
-    if args.kind in ("osnap", "ose-ie"):
-        if args.n is None:
-            raise ParameterError(f"{args.kind} needs --n")
-        p = args.p if args.p is not None else args.s / args.m
-        spec = SketchSpec(
-            kind=args.kind, m=args.m, n=args.n, p=p,
-            degree_k=args.degree_k, seed=args.seed,
-            family=args.family or ("kwise" if args.kind == "osnap" else "independent"),
-        )
-        sk = build(spec)
-    else:
-        if not args.scores:
-            raise ParameterError(f"{args.kind} needs --scores")
-        scores = _load_scores(args.scores)
-        p = args.p if args.p is not None else args.s / args.m
-        if args.kind == "less-ic":
-            spec = LessIcSpec(
-                m=args.m, p=p, scores=scores, degree_k=args.degree_k,
-                seed=args.seed, family=args.family or "kwise",
-            )
-            sk = build_less_ic(spec)
-        else:
-            sk = build_less_ie(scores, p, args.m, seed=args.seed)
+    less = args.kind in LESS_KINDS
+    if less and not args.scores:
+        raise ParameterError(f"{args.kind} needs --scores")
+    if not less and args.n is None:
+        raise ParameterError(f"{args.kind} needs --n")
+    spec = SketchSpec(
+        kind=args.kind, m=args.m, n=args.n,
+        p=args.p if args.p is not None else args.s / args.m,
+        degree_k=args.degree_k, seed=args.seed,
+        family=args.family or ("independent" if args.kind.endswith("-ie") else "kwise"),
+        scores=_load_scores(args.scores) if less else None,
+    )
+    sk = build(spec)
     sk.save(args.out)
     print(f"wrote {args.out}: kind={sk.spec.kind} m={sk.m} n={sk.n} nnz={sk.nnz}")
     return EXIT_OK
@@ -181,16 +163,10 @@ def _cmd_verify(args):
 def _write_csv(path, rows):
     if not rows:
         return
-    fields = list(rows[0].keys())
-    def emit(fh):
-        w = csv.DictWriter(fh, fieldnames=fields)
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
         w.writerows(rows)
-    if path:
-        with open(path, "w", newline="") as fh:
-            emit(fh)
-    else:
-        emit(sys.stdout)
 
 
 def _cmd_bench(args):
@@ -251,10 +227,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ParameterError as exc:

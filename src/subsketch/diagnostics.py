@@ -7,7 +7,7 @@ are order-independent.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,13 +29,7 @@ class DistortionReport:
     passed: bool
 
     def to_dict(self):
-        return {
-            "s_min": self.s_min,
-            "s_max": self.s_max,
-            "opnorm_err": self.opnorm_err,
-            "eps_target": self.eps_target,
-            "pass": self.passed,
-        }
+        return {"pass" if k == "passed" else k: v for k, v in asdict(self).items()}
 
 
 @dataclass
@@ -60,12 +54,13 @@ class MomentProbe:
         return self.estimate ** (1.0 / (2 * self.q))
 
     def to_dict(self):
-        return {
-            "q": self.q,
-            "trials": self.trials,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-        }
+        return asdict(self)
+
+    @classmethod
+    def from_samples(cls, q, samples):
+        trials = samples.size
+        se = float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        return cls(q=q, trials=trials, estimate=float(samples.mean()), std_error=se)
 
 
 @dataclass
@@ -211,12 +206,7 @@ def trace_moment(builder, U, q, trials, seed):
         E = X.T @ X - np.eye(d)
         w = np.linalg.eigvalsh(E)
         samples[i] = _moment_samples(w, q)
-    return MomentProbe(
-        q=q,
-        trials=trials,
-        estimate=float(samples.mean()),
-        std_error=float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
-    )
+    return MomentProbe.from_samples(q, samples)
 
 
 def decoupled_gamma_moment(builder, U, q, trials, seed):
@@ -236,12 +226,7 @@ def decoupled_gamma_moment(builder, U, q, trials, seed):
         gamma = M.T @ N + N.T @ M
         w = np.linalg.eigvalsh(gamma)
         samples[i] = _moment_samples(w, q)
-    return MomentProbe(
-        q=q,
-        trials=trials,
-        estimate=float(samples.mean()),
-        std_error=float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
-    )
+    return MomentProbe.from_samples(q, samples)
 
 
 def diagonal_offdiagonal_split(sketch, U):

@@ -20,102 +20,42 @@ leverage scores of the sampled basis.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import ParameterError
 from .kwise import derive_seed
 from .leverage import LeverageScores, exact_leverage
-from .less import LessIcSpec, build_less_ic, build_less_ie
+from .less import less_default_parameters
 from .oblivious import (
+    LESS_KINDS,
     SketchSpec,
     build,
     default_parameters,
+    independence_degree,
     oseie_sparsity_target,
     osnap_sparsity_target,
-    independence_degree,
+    round_parameters,
 )
 from .diagnostics import SAMPLERS, decoupled_gamma_moment, embedding_trial, trace_moment
 
 SCHEMA_VERSION = 1
 
 
-def oblivious_builder(spec):
-    """builder(seed, U) ignoring U, rebuilding ``spec`` with a fresh seed."""
+def builder(spec):
+    """builder(seed, U) rebuilding ``spec`` with a fresh seed.
+
+    The less kinds swap in the exact leverage scores of the trial basis U;
+    the other kinds ignore U.
+    """
 
     def _build(seed, U):
-        fresh = SketchSpec(
-            kind=spec.kind, m=spec.m, n=spec.n, p=spec.p,
-            degree_k=spec.degree_k, seed=seed, family=spec.family,
-        )
-        return build(fresh)
+        if spec.kind in LESS_KINDS:
+            return build(replace(spec, seed=seed, scores=exact_leverage(U)))
+        return build(replace(spec, seed=seed))
 
     return _build
-
-
-def less_ic_builder(m, pm, degree_k=None, beta1=1.0):
-    """builder(seed, U) adapting block sizes to U's exact leverage scores."""
-
-    def _build(seed, U):
-        scores = exact_leverage(U)
-        if beta1 != 1.0:
-            scores = LeverageScores(
-                z=np.minimum(scores.z * beta1, 1.0), beta1=beta1, beta2=beta1
-            )
-        spec = LessIcSpec(
-            m=m, p=pm / m, scores=scores,
-            degree_k=degree_k or 8, seed=seed,
-        )
-        return build_less_ic(spec)
-
-    return _build
-
-
-def less_ie_builder(m, pm):
-    """builder(seed, U) keeping entries with probability z_j * pm / m."""
-
-    def _build(seed, U):
-        scores = exact_leverage(U)
-        return build_less_ie(scores, pm / m, m, seed=seed)
-
-    return _build
-
-
-def builder_for(kind, spec=None, *, m=None, pm=None, degree_k=None):
-    if kind in ("osnap", "ose-ie", "gaussian-dense", "rademacher-dense"):
-        return oblivious_builder(spec)
-    if kind == "less-ic":
-        return less_ic_builder(m, pm, degree_k)
-    if kind == "less-ie":
-        return less_ie_builder(m, pm)
-    raise ParameterError(f"unknown kind {kind!r}")
-
-
-def _spec_from_config(cfg):
-    kind = cfg["kind"]
-    d, n = int(cfg["d"]), int(cfg["n"])
-    eps = float(cfg.get("eps", 0.5))
-    delta = float(cfg.get("delta", 0.05))
-    seed = int(cfg.get("seed", 0))
-    if kind in ("less-ic", "less-ie"):
-        from .less import less_default_parameters
-
-        uniform = LeverageScores(z=np.full(n, min(1.0, 2.0 * d / n)))
-        base = less_default_parameters(d, eps, delta, uniform, seed=seed)
-        m = int(cfg.get("m") or base.m)
-        pm = int(cfg.get("s") or round(base.p * base.m))
-        return None, {"m": m, "pm": pm, "degree_k": base.degree_k}
-    spec = default_parameters(d, n, eps, delta, kind, seed=seed)
-    if cfg.get("m") or cfg.get("s"):
-        m = int(cfg.get("m") or spec.m)
-        s = min(int(cfg.get("s") or spec.s), m)
-        if kind == "osnap" and m % s:
-            m = math.ceil(m / s) * s
-        spec = SketchSpec(
-            kind=kind, m=m, n=n, p=s / m, degree_k=spec.degree_k,
-            seed=seed, family=spec.family,
-        )
-    return spec, {"m": spec.m, "pm": spec.s, "degree_k": spec.degree_k}
 
 
 def run_config(cfg):
@@ -132,18 +72,28 @@ def run_config(cfg):
     d, n = int(cfg["d"]), int(cfg["n"])
     seed = int(cfg.get("seed", 0))
     trials = int(cfg.get("trials", 100))
-    spec, dims = _spec_from_config(cfg)
-    builder = builder_for(kind, spec, **dims)
+    eps = float(cfg.get("eps", 0.5))
+    delta = float(cfg.get("delta", 0.05))
+    if kind in LESS_KINDS:
+        # placeholder scores fix n; every trial swaps in the exact ones
+        uniform = LeverageScores(z=np.full(n, min(1.0, 2.0 * d / n)))
+        spec = less_default_parameters(d, eps, delta, uniform, kind=kind, seed=seed)
+    else:
+        spec = default_parameters(d, n, eps, delta, kind, seed=seed)
+    if cfg.get("m") or cfg.get("s"):
+        m, s = round_parameters(kind, int(cfg.get("m") or spec.m), int(cfg.get("s") or spec.s))
+        spec = replace(spec, m=m, p=s / m)
+    dims = {"m": spec.m, "pm": spec.s, "degree_k": spec.degree_k}
+    build_trial = builder(spec)
 
     if experiment == "embedding":
         if "eps" not in cfg or "delta" not in cfg:
             raise ParameterError("embedding experiments need eps and delta")
-        eps = float(cfg["eps"])
         sampler_name = cfg.get("sampler", "haar")
         if sampler_name not in SAMPLERS:
             raise ParameterError(f"unknown sampler {sampler_name!r}")
         sampler = lambda rng: SAMPLERS[sampler_name](n, d, rng)  # noqa: E731
-        summary = embedding_trial(builder, sampler, trials, eps, seed)
+        summary = embedding_trial(build_trial, sampler, trials, eps, seed)
         target = float(cfg.get("target") or cfg["delta"])
         report = {
             "experiment": "embedding",
@@ -159,7 +109,7 @@ def run_config(cfg):
         rng = np.random.default_rng(derive_seed(seed, 0xBA5E))
         U = SAMPLERS[cfg.get("sampler", "haar")](n, d, rng)
         probe_fn = trace_moment if experiment == "trace_moment" else decoupled_gamma_moment
-        probe = probe_fn(builder, U, q, trials, seed)
+        probe = probe_fn(build_trial, U, q, trials, seed)
         report = {
             "experiment": experiment,
             "kind": kind,
@@ -183,49 +133,20 @@ def eps_sweep(kind, d=16, delta=0.05, eps_grid=(0.5, 0.25, 0.125), n=8192,
 
     c_m = CONSTANTS.c_m_oblivious if c_m is None else c_m
     rows = []
+    if kind not in ("osnap", "ose-ie"):
+        raise ParameterError(f"eps sweep supports sparse kinds, got {kind!r}")
     for eps in eps_grid:
-        m0 = math.ceil(c_m * d / eps**2)
         if kind == "osnap":
             target = osnap_sparsity_target(d, eps, delta)
-        elif kind == "ose-ie":
+        else:
             target = oseie_sparsity_target(d, eps, delta)
-        else:
-            raise ParameterError(f"eps sweep supports sparse kinds, got {kind!r}")
-        s = max(1, math.ceil(target))
-        if s >= m0:
-            s = m0
-            m = m0
-        elif kind == "osnap":
-            m = math.ceil(m0 / s) * s
-        else:
-            m = m0
+        m, s = round_parameters(kind, math.ceil(c_m * d / eps**2), target)
         if m >= n:
             raise ParameterError(
                 f"sweep point eps={eps} needs m={m} >= n={n}; raise n"
             )
-        spec = SketchSpec(
-            kind=kind, m=m, n=n, p=s / m,
-            degree_k=independence_degree(d, eps, delta, s),
-            seed=seed,
-            family="kwise" if kind == "osnap" else "independent",
-        )
-        builder = oblivious_builder(spec)
-        sampler_fn = lambda rng: SAMPLERS[sampler](n, d, rng)  # noqa: E731
-        summary = embedding_trial(
-            builder, sampler_fn, trials, eps, derive_seed(seed, round(1 / eps))
-        )
-        rows.append(
-            {
-                "kind": kind,
-                "eps": eps,
-                "m": m,
-                "s": s,
-                "s_target": target,
-                "trials": trials,
-                "failure_fraction": summary.failure_fraction,
-                "q95_distortion": summary.quantiles["0.95"],
-            }
-        )
+        rows.append(sweep_row(grid_spec(kind, m, s, n, d, eps, delta), d, eps, trials,
+                              derive_seed(seed, round(1 / eps)), sampler, s_target=target))
     return rows
 
 
@@ -237,25 +158,8 @@ def m_sweep(kind, d=16, n=4096, eps=0.5, delta=0.05, factors=(1, 2, 4),
     rows = []
     for f in factors:
         m = spec0.m * f
-        spec = SketchSpec(
-            kind=kind, m=m, n=n, p=s / m, degree_k=spec0.degree_k,
-            seed=seed, family=spec0.family,
-        )
-        builder = oblivious_builder(spec)
-        sampler_fn = lambda rng: SAMPLERS[sampler](n, d, rng)  # noqa: E731
-        summary = embedding_trial(builder, sampler_fn, trials, eps,
-                                  derive_seed(seed, f))
-        rows.append(
-            {
-                "kind": kind,
-                "eps": eps,
-                "m": m,
-                "s": s,
-                "trials": trials,
-                "failure_fraction": summary.failure_fraction,
-                "q95_distortion": summary.quantiles["0.95"],
-            }
-        )
+        rows.append(sweep_row(replace(spec0, m=m, p=s / m), d, eps, trials,
+                              derive_seed(seed, f), sampler))
     return rows
 
 
@@ -296,24 +200,24 @@ def s_sweep(kind="osnap", d=16, n=4096, eps=0.5, delta=0.05,
     spec0 = default_parameters(d, n, eps, delta, kind, seed=seed)
     rows = []
     for s in s_grid:
-        m = math.ceil(spec0.m / s) * s if kind == "osnap" else spec0.m
-        spec = SketchSpec(
-            kind=kind, m=m, n=n, p=s / m, degree_k=spec0.degree_k,
-            seed=seed, family=spec0.family,
-        )
-        builder = oblivious_builder(spec)
-        sampler_fn = lambda rng: SAMPLERS[sampler](n, d, rng)  # noqa: E731
-        summary = embedding_trial(builder, sampler_fn, trials, eps,
-                                  derive_seed(seed, s))
-        rows.append(
-            {
-                "kind": kind,
-                "eps": eps,
-                "m": m,
-                "s": s,
-                "trials": trials,
-                "failure_fraction": summary.failure_fraction,
-                "q95_distortion": summary.quantiles["0.95"],
-            }
-        )
+        m, s = round_parameters(kind, spec0.m, s)
+        rows.append(sweep_row(replace(spec0, m=m, p=s / m), d, eps, trials,
+                              derive_seed(seed, s), sampler))
     return rows
+
+
+def grid_spec(kind, m, s, n, d, eps, delta):
+    """Spec of one (m, s) sweep point: the degree for (d, eps, delta), the
+    K-wise family for the blocked kinds and the independent one otherwise."""
+    return SketchSpec(kind=kind, m=m, n=n, p=s / m,
+                      degree_k=independence_degree(d, eps, delta, s),
+                      family="kwise" if kind in ("osnap", "less-ic") else "independent")
+
+
+def sweep_row(spec, d, eps, trials, seed, sampler, **extra):
+    """Failure fraction and q95 distortion of ``spec`` on ``sampler`` bases."""
+    sampler_fn = lambda rng: SAMPLERS[sampler](spec.n, d, rng)  # noqa: E731
+    summary = embedding_trial(builder(spec), sampler_fn, trials, eps, seed)
+    return {"kind": spec.kind, "eps": eps, "m": spec.m, "s": spec.s, **extra,
+            "trials": trials, "failure_fraction": summary.failure_fraction,
+            "q95_distortion": summary.quantiles["0.95"]}

@@ -1,7 +1,9 @@
 """Score-adapted sketches: independent-column and independent-entry kinds.
 
-The ``less-ic`` kind reuses the blocked one-hot layout but lets the block height vary
-per column with the leverage score of the matching row:
+Both kinds take a :class:`~subsketch.oblivious.SketchSpec` that carries
+leverage scores.  The ``less-ic`` kind reuses the blocked one-hot layout
+but lets the block height vary per column with the leverage score of the
+matching row:
 
     b_j = max(floor(1 / (beta1 * p * z_j)), 1)      block height
     s_j = ceil(m / b_j)                             blocks in column j
@@ -19,69 +21,36 @@ at magnitude 1/sqrt(beta1 * z_j), giving every entry variance p.
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._field import scale_to_range
 from .calibration import CONSTANTS
 from .errors import ParameterError
-from .kwise import IndependentFamily, KWiseFamily, M61
-from .leverage import LeverageScores
-from .oblivious import independence_degree
+from .oblivious import SketchSpec, _bernoulli_sketch, independence_degree, make_family
 from .sketch import SparseSketch
 
 
-@dataclass(frozen=True)
-class LessIcSpec:
-    """Parameters of a score-adapted independent-column sketch."""
+def _scores(spec, kind):
+    """The leverage scores of a ``kind`` spec, which a build needs."""
+    if spec.kind != kind:
+        raise ParameterError(f"need kind {kind!r}, got {spec.kind!r}")
+    if spec.scores is None:
+        raise ParameterError(f"building a {kind} sketch needs leverage scores")
+    return spec.scores
 
-    m: int
-    p: float
-    scores: LeverageScores
-    degree_k: int = 8
-    seed: int = 0
-    family: str = "kwise"
-    kind: str = field(default="less-ic", init=False)
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ParameterError("m must be >= 1")
-        if not 0.0 < self.p <= 1.0:
-            raise ParameterError(f"p must be in (0, 1], got {self.p}")
-        if self.p >= 1.0:
-            warnings.warn(
-                "p = 1 spec: builders reject it; use a dense baseline instead",
-                stacklevel=2,
-            )
-        if self.degree_k < 1:
-            raise ParameterError("degree_k must be >= 1")
-        if self.family not in ("kwise", "independent"):
-            raise ParameterError(f"unknown family mode {self.family!r}")
+def block_heights(spec):
+    """b_j per column; values above m behave identically to m."""
+    scores = _scores(spec, "less-ic")
+    denom = scores.beta1 * spec.p * scores.z
+    raw = np.floor(1.0 / np.maximum(denom, 1.0 / (4.0 * spec.m)))
+    return np.minimum(np.maximum(raw, 1.0), spec.m).astype(np.int64)
 
-    @property
-    def n(self):
-        return self.scores.n
 
-    @property
-    def pm(self):
-        return self.p * self.m
-
-    def block_heights(self):
-        """b_j per column; values above m behave identically to m."""
-        z = self.scores.z
-        denom = self.scores.beta1 * self.p * z
-        with np.errstate(divide="ignore"):
-            raw = np.floor(1.0 / np.maximum(denom, 1.0 / (4.0 * self.m)))
-        return np.minimum(np.maximum(raw, 1.0), self.m).astype(np.int64)
-
-    def column_sparsities(self):
-        """s_j = ceil(m / b_j) per column."""
-        b = self.block_heights()
-        return -(-self.m // b)
-
-    @property
-    def nnz(self):
-        return int(self.column_sparsities().sum())
+def column_sparsities(spec):
+    """s_j = ceil(m / b_j) per column."""
+    return -(-spec.m // block_heights(spec))
 
 
 def subcolumn_layout(spec, j):
@@ -92,7 +61,7 @@ def subcolumn_layout(spec, j):
     """
     if not 0 <= j < spec.n:
         raise ParameterError(f"column index {j} out of range [0, {spec.n})")
-    b = int(spec.block_heights()[j])
+    b = int(block_heights(spec)[j])
     s_j = -(-spec.m // b)
     out = []
     for gamma in range(1, s_j + 1):
@@ -102,12 +71,6 @@ def subcolumn_layout(spec, j):
     return out
 
 
-def _default_family(spec):
-    if spec.family == "independent":
-        return IndependentFamily(seed=spec.seed)
-    return KWiseFamily(seed=spec.seed, degree_k=spec.degree_k, field_modulus=M61)
-
-
 def build_less_ic(spec, family=None):
     """Sample an independent-column score-adapted sketch for ``spec``.
 
@@ -115,15 +78,16 @@ def build_less_ic(spec, family=None):
     2*(offset_l + gamma) + 1 for sign and in-block position, where
     offset_l counts blocks of earlier columns.
     """
+    b = block_heights(spec)
     if spec.p >= 1.0:
         raise ParameterError(
             "the independent-column construction requires p < 1; use a dense baseline for p = 1"
         )
-    if spec.pm < 1.0:
-        raise ParameterError(f"need p*m >= 1, got {spec.pm}")
-    family = family or _default_family(spec)
+    pm = spec.p * spec.m
+    if pm < 1.0:
+        raise ParameterError(f"need p*m >= 1, got {pm}")
+    family = family or make_family(spec)
     m = spec.m
-    b = spec.block_heights()
     s_cols = -(-m // b)
     indptr = np.zeros(spec.n + 1, dtype=np.int64)
     np.cumsum(s_cols, out=indptr[1:])
@@ -137,43 +101,31 @@ def build_less_ic(spec, family=None):
 
     idx = np.arange(nnz, dtype=np.uint64)
     signs = family.rademacher(idx * np.uint64(2))
-    offsets = _uniform_in_blocks(family, idx * np.uint64(2) + np.uint64(1), width)
-    rows = lo + offsets
-    values = signs * np.sqrt(spec.p * width)
+    offsets = scale_to_range(
+        family.evaluate(idx * np.uint64(2) + np.uint64(1)),
+        width.astype(np.uint64), family.field_modulus,
+    ).astype(np.int64)
     return SparseSketch(
         spec=spec,
         indptr=indptr,
-        rows=rows,
-        values=values,
-        scale=1.0 / math.sqrt(spec.pm),
+        rows=lo + offsets,
+        values=signs * np.sqrt(spec.p * width),
+        scale=1.0 / math.sqrt(pm),
     )
 
 
-def _uniform_in_blocks(family, points, widths):
-    """Per-point uniform draw on [0, width_i), widths varying per point."""
-    from ._field import scale_to_range
-
-    v = family.evaluate(points)
-    return scale_to_range(v, np.asarray(widths, dtype=np.uint64), family.field_modulus).astype(
-        np.int64
-    )
-
-
-def build_less_ie(scores, p, m, family=None, *, seed=0):
+def build_less_ie(spec, family=None):
     """Sample an independent-entry score-adapted sketch: entry (i, j) kept w.p. beta1 * z_j * p.
 
     Kept entries carry value +-1/sqrt(beta1 * z_j) (unscaled), so every
     entry has variance p.  Columns whose keep-probability exceeds 1 are
-    clamped with a warning.  Generation scans the m*n grid.
+    clamped with a warning.  The cells are drawn by the ``ose-ie`` sampler
+    with per-column keep probabilities: in O(nnz + n) with the independent
+    family (the default for ``less-ie`` specs), by a scan of the whole m*n
+    grid with a K-wise one.
     """
-    if not 0.0 < p <= 1.0:
-        raise ParameterError(f"p must be in (0, 1], got {p}")
-    if m < 1:
-        raise ParameterError("m must be >= 1")
-    family = family or IndependentFamily(seed=seed)
-    z = scores.z
-    n = z.size
-    prob = scores.beta1 * z * p
+    scores = _scores(spec, "less-ie")
+    prob = scores.beta1 * scores.z * spec.p
     clamped = int(np.sum(prob > 1.0))
     if clamped:
         warnings.warn(
@@ -181,64 +133,23 @@ def build_less_ie(scores, p, m, family=None, *, seed=0):
             stacklevel=2,
         )
         prob = np.minimum(prob, 1.0)
-    with np.errstate(divide="ignore"):
-        mag = 1.0 / np.sqrt(scores.beta1 * np.maximum(z, 1e-300))
-
-    cells = np.arange(m * n, dtype=np.uint64)
-    cols = (cells // np.uint64(m)).astype(np.int64)
-    q = family.field_modulus
-    threshold = np.floor(prob * q).astype(np.uint64)
-    keep = family.evaluate(cells * np.uint64(2) + np.uint64(1)) < threshold[cols]
-    flat = np.nonzero(keep)[0]
-    kept_cols = cols[flat]
-    rows = (flat % m).astype(np.int64)
-    signs = family.rademacher(flat.astype(np.uint64) * np.uint64(2))
-    values = signs * mag[kept_cols]
-
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, kept_cols + 1, 1)
-    indptr = np.cumsum(indptr)
-    spec = _LessIeSpec(m=m, n=n, p=p, scores=scores, seed=seed,
-                       family="independent" if isinstance(family, IndependentFamily) else "kwise")
-    return SparseSketch(
-        spec=spec,
-        indptr=indptr,
-        rows=rows,
-        values=values,
-        scale=1.0 / math.sqrt(p * m),
-    )
+    mag = 1.0 / np.sqrt(scores.beta1 * np.maximum(scores.z, 1e-300))
+    return _bernoulli_sketch(spec, family or make_family(spec), prob, mag)
 
 
-@dataclass(frozen=True)
-class _LessIeSpec:
-    m: int
-    n: int
-    p: float
-    scores: LeverageScores
-    seed: int = 0
-    family: str = "independent"
-    degree_k: int = 8
-    kind: str = field(default="less-ie", init=False)
+def less_default_parameters(d, eps, delta, scores, *, kind="less-ic", seed=0,
+                            c_m=None, c_pm=None):
+    """Calibrated score-adapted spec for the given approximate scores.
 
-
-def less_default_parameters(d, eps, delta, scores, *, seed=0, c_m=None, c_pm=None):
-    """Calibrated independent-column spec for the given approximate scores.
-
-    m = ceil(C_m * ((d + ln^2(d/delta))/eps^2 + ln^3(d/delta)/eps)) and
-    pm = ceil(C_pm * max(ln^2.5(d/(eps*delta))/eps, ln^3(d/(eps*delta)))),
-    capped at m.  When the cap binds the result has p = 1, which
-    LessIcSpec warns about and build_less_ic rejects; use a dense baseline
-    in that regime.
+    m = ceil(:func:`less_dimension_target`) and
+    pm = ceil(:func:`less_sparsity_target`), capped at m.  When the cap
+    binds the result has p = 1, which build_less_ic rejects; use a dense
+    baseline in that regime.
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ParameterError("eps and delta must lie in (0, 1)")
-    c_m = CONSTANTS.c_m_less if c_m is None else c_m
-    c_pm = CONSTANTS.c_pm_less if c_pm is None else c_pm
-    Ld = math.log(max(d / delta, math.e))
-    L = math.log(max(d / (eps * delta), math.e))
-    m = max(math.ceil(c_m * ((d + Ld**2) / eps**2 + Ld**3 / eps)), 1)
-    pm_raw = c_pm * max(L**2.5 / eps, L**3)
-    pm = math.ceil(pm_raw)
+    m = max(math.ceil(less_dimension_target(d, eps, delta, c_m)), 1)
+    pm = math.ceil(less_sparsity_target(d, eps, delta, c_pm))
     if pm >= m:
         warnings.warn(
             f"required sparsity p*m = {pm} reaches m = {m}; capping at p = 1",
@@ -246,10 +157,17 @@ def less_default_parameters(d, eps, delta, scores, *, seed=0, c_m=None, c_pm=Non
         )
         pm = m
     pm = max(pm, 1)
-    degree_k = independence_degree(d, eps, delta, pm)
-    return LessIcSpec(
-        m=m, p=pm / m, scores=scores, degree_k=degree_k, seed=seed
+    return SketchSpec(
+        kind=kind, m=m, p=pm / m, scores=scores, seed=seed,
+        degree_k=independence_degree(d, eps, delta, pm),
     )
+
+
+def less_dimension_target(d, eps, delta, c_m=None):
+    """Continuous m target C_m * ((d + Ld^2)/eps^2 + Ld^3/eps), Ld = ln(d/delta)."""
+    c_m = CONSTANTS.c_m_less if c_m is None else c_m
+    Ld = math.log(max(d / delta, math.e))
+    return c_m * ((d + Ld**2) / eps**2 + Ld**3 / eps)
 
 
 def less_sparsity_target(d, eps, delta, c_pm=None):

@@ -6,7 +6,7 @@ one-sided overestimates: z_i >= l_i / beta1 with sum(z) <= beta2 * d.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -29,6 +29,8 @@ class LeverageScores:
         self.z = np.asarray(self.z, dtype=np.float64)
         if self.z.ndim != 1:
             raise ParameterError("scores must be a 1-D vector")
+        if not (np.isfinite(self.z).all() and np.isfinite([self.beta1, self.beta2]).all()):
+            raise ParameterError("scores, beta1 and beta2 must be finite")
         if np.any(self.z < -1e-12) or np.any(self.z > 1.0 + 1e-12):
             raise ParameterError("scores must lie in [0, 1]")
         self.z = np.clip(self.z, 0.0, 1.0)
@@ -150,14 +152,7 @@ class ScoreValidation:
     violating_indices: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "pass": self.passed,
-            "lower_ok": self.lower_ok,
-            "sum_ok": self.sum_ok,
-            "lower_margin": self.lower_margin,
-            "sum_margin": self.sum_margin,
-            "violating_indices": self.violating_indices,
-        }
+        return {"pass" if k == "passed" else k: v for k, v in asdict(self).items()}
 
 
 def validate_scores(A, scores):

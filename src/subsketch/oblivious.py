@@ -1,4 +1,4 @@
-"""Oblivious sketch constructions and their parameter defaults.
+"""Sketch specifications, the oblivious constructions and the build registry.
 
 Kinds:
 
@@ -10,12 +10,15 @@ Kinds:
   and carries an independent sign.
 * ``gaussian-dense`` / ``rademacher-dense`` -- dense comparison models
   with matching entry variance p.
+* ``less-ic`` / ``less-ie`` -- the leverage-score-adapted kinds built in
+  :mod:`subsketch.less`; their spec carries the scores.
 
 All builders return the unscaled matrix S with the global scale
 1/sqrt(p*m) attached; they are pure functions of (spec, family) and
 deterministic for a fixed seed regardless of execution environment.
 """
 
+import importlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,33 +32,70 @@ from .errors import ParameterError
 from .kwise import IndependentFamily, KWiseFamily
 from .sketch import DenseSketch, SparseSketch
 
-KINDS = ("osnap", "ose-ie", "gaussian-dense", "rademacher-dense")
+# kind -> (module, builder); looked up at call time, so a wrapper installed
+# on the module attribute sees every build
+_BUILDERS = {
+    "osnap": ("oblivious", "build_osnap"),
+    "ose-ie": ("oblivious", "build_ose_ie"),
+    "gaussian-dense": ("oblivious", "build_dense_baseline"),
+    "rademacher-dense": ("oblivious", "build_dense_baseline"),
+    "less-ic": ("less", "build_less_ic"),
+    "less-ie": ("less", "build_less_ie"),
+}
+KINDS = tuple(_BUILDERS)
+LESS_KINDS = ("less-ic", "less-ie")
 FAMILY_MODES = ("kwise", "independent")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SketchSpec:
-    """Embedding parameters; ``s = p*m`` is the per-column sparsity."""
+    """Embedding parameters; ``s = p*m`` is the (mean) per-column sparsity.
+
+    The less kinds adapt to leverage ``scores``; n then defaults to
+    ``scores.n``.  A spec without scores (say, one read back from a file)
+    describes a less sketch but cannot build one.  ``family`` defaults to
+    the independent model for ``less-ie`` (a K-wise family scans the whole
+    m*n grid) and to the K-wise model otherwise.
+    """
 
     kind: str
     m: int
-    n: int
+    n: int = None
     p: float
     degree_k: int = 8
     seed: int = 0
-    family: str = "kwise"
+    family: str = None
+    scores: object = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown sketch kind {self.kind!r}")
+        if self.family is None:
+            object.__setattr__(self, "family", "independent" if self.kind == "less-ie" else "kwise")
         if self.family not in FAMILY_MODES:
             raise ParameterError(f"unknown family mode {self.family!r}")
+        if self.scores is not None:
+            if self.kind not in LESS_KINDS:
+                raise ParameterError(f"{self.kind} takes no leverage scores")
+            if self.n is None:
+                object.__setattr__(self, "n", self.scores.n)
+            elif self.n != self.scores.n:
+                raise ParameterError(
+                    f"n = {self.n} but the scores cover {self.scores.n} rows"
+                )
+        if self.n is None:
+            raise ParameterError(f"{self.kind} needs n")
         if self.m < 1 or self.n < 1:
             raise ParameterError("m and n must be >= 1")
         if not 0.0 < self.p <= 1.0:
             raise ParameterError(f"p must be in (0, 1], got {self.p}")
         if self.degree_k < 1:
             raise ParameterError("degree_k must be >= 1")
+        if self.kind == "less-ic" and self.p >= 1.0:
+            warnings.warn(
+                "p = 1 spec: builders reject it; use a dense baseline instead",
+                stacklevel=3,
+            )
         if self.kind == "osnap":
             s = self.p * self.m
             s_int = round(s)
@@ -111,65 +151,89 @@ def build_osnap(spec, family=None):
     )
 
 
-def _bernoulli_grid_positions(rng, cells, p):
-    """Sorted flat positions of an exact Bernoulli(p) process on [0, cells).
-
-    Walks the grid by geometric gaps, which reproduces i.i.d. per-cell
-    inclusion without touching all cells.
-    """
+def _geometric_walk(rng, cells, p):
+    """Sorted positions of an exact Bernoulli(p) process on [0, cells),
+    drawn by geometric gaps without touching the other cells."""
     if p >= 1.0:
         return np.arange(cells, dtype=np.int64)
-    out = []
-    pos = -1
-    expect = cells * p
-    while True:
-        budget = int(expect - sum(len(o) for o in out)) + 1
-        draw = max(64, int(budget + 6.0 * math.sqrt(max(expect, 1.0))))
-        gaps = rng.geometric(p, size=draw).astype(np.int64)
-        pts = pos + np.cumsum(gaps)
-        out.append(pts)
-        pos = int(pts[-1])
-        if pos >= cells - 1:
-            break
+    out, pos, drawn, expect = [], -1, 0, cells * p
+    while pos < cells - 1:
+        draw = max(64, int(int(expect - drawn) + 1 + 6.0 * math.sqrt(max(expect, 1.0))))
+        # a gap past the end ends the walk; capping it keeps cumsum from overflowing
+        out.append(pos + np.cumsum(np.minimum(rng.geometric(p, size=draw), cells + 1)))
+        pos, drawn = int(out[-1][-1]), drawn + draw
     flat = np.concatenate(out)
     return flat[flat < cells]
+
+
+def _bernoulli_grid_positions(rng, m, q):
+    """Sorted flat positions j*m + i of an m x n grid whose cell (i, j) is
+    kept independently with probability q[j], in O(nnz + n).
+
+    Columns are grouped by the binade [2^(e-1), 2^e) of q_j.  Each group is
+    one geometric walk over its concatenated columns at the group's largest
+    q, thinned to q_j, so at least half the walked cells are kept.  A
+    constant q is a single unthinned walk over the whole grid.
+    """
+    live = np.flatnonzero(q > 0)
+    binade = np.frexp(q[live])[1]
+    found = []
+    for e in np.unique(binade):
+        cols = live[binade == e]
+        top = q[cols].max()
+        walk = _geometric_walk(rng, m * cols.size, top)
+        if q[cols].min() < top:
+            walk = walk[rng.random(walk.size) * top < q[cols[walk // m]]]
+        if cols[-1] >= cols.size:  # other columns lie between: lift to grid positions
+            walk += (cols - np.arange(cols.size))[walk // m] * m
+        found.append(walk)
+    flat = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
+    return np.sort(flat) if len(found) > 1 else flat  # merges sorted runs
+
+
+def _bernoulli_sketch(spec, family, q, magnitude):
+    """Sketch whose cell (i, j) is kept with probability q[j] and holds
+    +-magnitude[j]; the sampler for ``ose-ie`` and ``less-ie``.
+
+    K-wise family: cell c = j*m + i is kept when evaluate(2c + 1) <
+    floor(q_j * modulus), and its sign comes from point 2c.  Independent
+    family: the per-column geometric walk, then the signs, from one
+    seeded generator.
+    """
+    m, n = spec.m, spec.n
+    if isinstance(family, IndependentFamily):
+        rng = np.random.default_rng(derive_seed(family.seed, 0x05E1E))
+        flat = _bernoulli_grid_positions(rng, m, q)
+        signs = rng.integers(0, 2, size=flat.size).astype(np.float64) * 2.0 - 1.0
+    else:
+        cells = np.arange(m * n, dtype=np.uint64)
+        threshold = np.floor(q * family.field_modulus).astype(np.uint64)
+        v = family.evaluate(cells * np.uint64(2) + np.uint64(1))
+        flat = np.flatnonzero(v.reshape(n, m) < threshold[:, None])
+        signs = family.rademacher(flat.astype(np.uint64) * np.uint64(2))
+    cols = flat // m
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    return SparseSketch(
+        spec=spec,
+        indptr=indptr,
+        rows=flat % m,
+        values=signs * magnitude[cols],
+        scale=1.0 / math.sqrt(spec.p * m),
+    )
 
 
 def build_ose_ie(spec, family=None):
     """Sample an i.i.d.-entry sketch: each cell kept with probability p.
 
-    With an independent-mode family the Bernoulli process is generated by
-    geometric gap-sampling in O(nnz); a K-wise family forces a full scan of
-    the m*n grid (kept for A/B testing at small sizes).
+    With an independent-mode family the cells are drawn by geometric gaps
+    in O(nnz + n); a K-wise family forces a full scan of the m*n grid
+    (kept for A/B testing at small sizes).
     """
     if spec.kind != "ose-ie":
         raise ParameterError(f"build_ose_ie needs kind 'ose-ie', got {spec.kind!r}")
-    family = family or make_family(spec)
-    m, n, p = spec.m, spec.n, spec.p
-    if isinstance(family, IndependentFamily):
-        rng = np.random.default_rng(derive_seed(family.seed, 0x05E1E))
-        flat = _bernoulli_grid_positions(rng, m * n, p)
-        rows = flat % m
-        cols = flat // m
-        signs = rng.integers(0, 2, size=flat.size).astype(np.float64) * 2.0 - 1.0
-    else:
-        cells = np.arange(m * n, dtype=np.uint64)
-        threshold = np.uint64(int(p * family.field_modulus))
-        keep = family.evaluate(cells * np.uint64(2) + np.uint64(1)) < threshold
-        flat = np.nonzero(keep)[0]
-        rows = flat % m
-        cols = flat // m
-        signs = family.rademacher(flat.astype(np.uint64) * np.uint64(2))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, cols + 1, 1)
-    indptr = np.cumsum(indptr)
-    return SparseSketch(
-        spec=spec,
-        indptr=indptr,
-        rows=rows.astype(np.int64),
-        values=np.asarray(signs, dtype=np.float64),
-        scale=1.0 / math.sqrt(p * m),
-    )
+    ones = np.ones(spec.n)
+    return _bernoulli_sketch(spec, family or make_family(spec), spec.p * ones, ones)
 
 
 def build_dense_baseline(spec, family=None):
@@ -195,12 +259,9 @@ def build_dense_baseline(spec, family=None):
 
 
 def build(spec, family=None):
-    """Dispatch to the builder for ``spec.kind``."""
-    if spec.kind == "osnap":
-        return build_osnap(spec, family)
-    if spec.kind == "ose-ie":
-        return build_ose_ie(spec, family)
-    return build_dense_baseline(spec, family)
+    """Build ``spec`` with the builder registered for its kind."""
+    module, name = _BUILDERS[spec.kind]
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)(spec, family)
 
 
 def _log_term(x):
@@ -226,6 +287,20 @@ def independence_degree(d, eps, delta, pm):
     return 8 * math.ceil(_log_term(max(d / (eps * delta), pm)))
 
 
+def round_parameters(kind, m0, s_raw):
+    """(m, s) from a target dimension m0 and a continuous sparsity target.
+
+    s = ceil(s_raw), capped at m0 (p = 1); osnap rounds m up to a multiple
+    of s.
+    """
+    s = max(1, math.ceil(s_raw))
+    if s >= m0:
+        return m0, m0
+    if kind == "osnap":
+        return math.ceil(m0 / s) * s, s
+    return m0, s
+
+
 def default_parameters(d, n, eps, delta, kind, *, seed=0, c_m=None, c_s=None, c_e=None):
     """Calibrated spec for a (eps, delta, d)-embedding of subspaces of R^n.
 
@@ -238,36 +313,26 @@ def default_parameters(d, n, eps, delta, kind, *, seed=0, c_m=None, c_s=None, c_
         raise ParameterError("eps and delta must lie in (0, 1)")
     if not 1 <= d <= n:
         raise ParameterError("need 1 <= d <= n")
-    if kind not in KINDS:
-        raise ParameterError(f"unknown sketch kind {kind!r}")
+    if kind not in KINDS or kind in LESS_KINDS:
+        raise ParameterError(f"unknown oblivious sketch kind {kind!r}")
     c_m = CONSTANTS.c_m_oblivious if c_m is None else c_m
     m0 = math.ceil(c_m * (d + math.log(1.0 / delta)) / eps**2)
     m0 = max(m0, 1)
-    if kind in ("gaussian-dense", "rademacher-dense"):
-        degree_k = independence_degree(d, eps, delta, m0)
-        return SketchSpec(
-            kind=kind, m=m0, n=n, p=1.0, degree_k=degree_k, seed=seed,
-            family="independent",
-        )
-    if kind == "osnap":
+    dense = kind in ("gaussian-dense", "rademacher-dense")
+    if dense:
+        s_raw = m0
+    elif kind == "osnap":
         s_raw = osnap_sparsity_target(d, eps, delta, c_s)
-        family = "kwise"
     else:
         s_raw = oseie_sparsity_target(d, eps, delta, c_s, c_e)
-        family = "independent"
-    s = math.ceil(s_raw)
-    if s >= m0:
+    m, s = round_parameters(kind, m0, s_raw)
+    if s == m and not dense:
         warnings.warn(
-            f"required sparsity {s} reaches m = {m0}; falling back to p = 1",
+            f"required sparsity reaches m = {m0}; falling back to p = 1",
             stacklevel=2,
         )
-        s = m0
-        m = m0
-    elif kind == "osnap":
-        m = math.ceil(m0 / s) * s
-    else:
-        m = m0
     degree_k = independence_degree(d, eps, delta, s)
     return SketchSpec(
-        kind=kind, m=m, n=n, p=s / m, degree_k=degree_k, seed=seed, family=family
+        kind=kind, m=m, n=n, p=s / m, degree_k=degree_k, seed=seed,
+        family="kwise" if kind == "osnap" else "independent",
     )

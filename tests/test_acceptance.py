@@ -13,12 +13,8 @@ import pytest
 import scipy.sparse
 
 import subsketch as ss
-from subsketch.experiments import (
-    builder_for,
-    eps_sweep,
-    less_ic_builder,
-    oblivious_builder,
-)
+from subsketch.experiments import builder as trial_builder
+from subsketch.experiments import eps_sweep
 
 _t0 = None
 
@@ -71,7 +67,7 @@ def test_criterion_02_less_ic_structural_exactness():
         z = np.clip(rng.dirichlet(np.ones(n)) * d, 0.0, 1.0)
         scores = ss.LeverageScores(z=z, beta1=1.0, beta2=1.0)
         p = float(rng.uniform(2.0 / m, 0.9))
-        spec = ss.LessIcSpec(m=m, p=p, scores=scores, seed=trial)
+        spec = ss.SketchSpec(kind="less-ic", m=m, p=p, scores=scores, seed=trial)
         covered = set()
         for lo, hi, alpha in ss.subcolumn_layout(spec, int(rng.integers(n))):
             covered.update(range(lo, hi + 1))
@@ -84,7 +80,7 @@ def test_criterion_02_less_ic_structural_exactness():
         assert sk.nnz <= n + 4 * 1 * 1 * (p * m) * d, "nnz bound violated"
     # the reference truncated layout: m = 70 with height-15 blocks
     p = 0.2
-    spec = ss.LessIcSpec(m=70, p=p,
+    spec = ss.SketchSpec(kind="less-ic", m=70, p=p,
                          scores=ss.LeverageScores(z=np.full(3, 1 / (15.5 * p))),
                          seed=0)
     layout = ss.subcolumn_layout(spec, 0)
@@ -106,7 +102,7 @@ def test_criterion_03_diagonal_term():
         _, _, norms = ss.diagonal_offdiagonal_split(ss.build_osnap(spec), U)
         worst = max(worst, norms["diag"])
         z = np.clip(rng.uniform(0, 1, 256), 1e-3, 1.0)
-        lspec = ss.LessIcSpec(m=64, p=0.25, scores=ss.LeverageScores(z=z),
+        lspec = ss.SketchSpec(kind="less-ic", m=64, p=0.25, scores=ss.LeverageScores(z=z),
                               seed=trial)
         _, _, norms = ss.diagonal_offdiagonal_split(ss.build_less_ic(lspec), U)
         worst = max(worst, norms["diag"])
@@ -153,7 +149,7 @@ def test_criterion_04_oracle_equivalence():
             sk = ss.build_ose_ie(spec)
         else:
             z = np.clip(rng.uniform(0, 1, n), 0.0, 1.0)
-            spec = ss.LessIcSpec(m=m, p=float(rng.uniform(2.0 / m, 0.5)),
+            spec = ss.SketchSpec(kind="less-ic", m=m, p=float(rng.uniform(2.0 / m, 0.5)),
                                  scores=ss.LeverageScores(z=z), seed=trial)
             sk = ss.build_less_ic(spec)
         A = rng.standard_normal((n, d))
@@ -173,14 +169,14 @@ def test_criterion_05_second_moment_identity():
     rng = np.random.default_rng(505)
     U = ss.haar_basis(n, d, rng)
     builders = {
-        "osnap": oblivious_builder(
+        "osnap": trial_builder(
             ss.SketchSpec.from_sparsity("osnap", m=m, n=n, s=s, degree_k=8)
         ),
-        "ose-ie": oblivious_builder(
+        "ose-ie": trial_builder(
             ss.SketchSpec(kind="ose-ie", m=m, n=n, p=p, family="independent")
         ),
-        "less-ic": less_ic_builder(m, s),
-        "gaussian": oblivious_builder(
+        "less-ic": trial_builder(ss.SketchSpec(kind="less-ic", m=m, n=n, p=s / m)),
+        "gaussian": trial_builder(
             ss.SketchSpec(kind="gaussian-dense", m=m, n=n, p=p,
                           family="independent")
         ),
@@ -191,9 +187,9 @@ def test_criterion_05_second_moment_identity():
         if name == "less-ic":
             # uniform scores keep every column at the same block height
             uniform = ss.LeverageScores(z=np.full(n, 0.5))
-            spec = ss.LessIcSpec(m=m, p=p, scores=uniform, degree_k=8, seed=0)
+            spec = ss.SketchSpec(kind="less-ic", m=m, p=p, scores=uniform, degree_k=8, seed=0)
             builder = lambda seed, U, _spec=spec: ss.build_less_ic(  # noqa: E731
-                ss.LessIcSpec(m=m, p=p, scores=uniform, degree_k=8, seed=seed)
+                ss.SketchSpec(kind="less-ic", m=m, p=p, scores=uniform, degree_k=8, seed=seed)
             )
         probe = ss.decoupled_gamma_moment(builder, U, q=1, trials=trials,
                                           seed=1000 + i)
@@ -222,10 +218,11 @@ def test_criterion_06_entry_moments():
                                      family="independent")
                 sk = ss.build_ose_ie(spec)
             elif kind == "less-ic":
-                spec = ss.LessIcSpec(m=m, p=p, scores=uniform, seed=t)
+                spec = ss.SketchSpec(kind="less-ic", m=m, p=p, scores=uniform, seed=t)
                 sk = ss.build_less_ic(spec)
             else:
-                sk = ss.build_less_ie(uniform, p=p, m=m, seed=t)
+                sk = ss.build_less_ie(ss.SketchSpec(kind="less-ie", m=m, p=p, scores=uniform,
+                                                    seed=t))
             vals[t] = sk.materialize() / sk.scale
         return vals
 
@@ -275,7 +272,7 @@ def test_criterion_08_embedding_guarantee_calibrated():
     _start()
     d, n, eps, delta, trials = 16, 4096, 0.5, 0.05, 200
     spec = ss.default_parameters(d, n, eps, delta, "osnap", seed=0)
-    builder = oblivious_builder(spec)
+    builder = trial_builder(spec)
     results = {}
     for name in ("haar", "coordinate"):
         sampler = lambda rng, _f=ss.haar_basis if name == "haar" else ss.coordinate_basis: _f(n, d, rng)  # noqa: E731
@@ -288,7 +285,7 @@ def test_criterion_08_embedding_guarantee_calibrated():
                           degree_k=spec.degree_k, seed=0, family="kwise")
     sampler = lambda rng: ss.haar_basis(n, d, rng)  # noqa: E731
     base_q95 = results["haar"].quantiles["0.95"]
-    doubled = ss.embedding_trial(oblivious_builder(spec2), sampler, trials, eps,
+    doubled = ss.embedding_trial(trial_builder(spec2), sampler, trials, eps,
                                  seed=12345)
     ratio = base_q95 / doubled.quantiles["0.95"]
     ok &= ratio >= 1.2
@@ -341,7 +338,7 @@ def test_criterion_09_sparsity_eps_trend():
         family="independent",
     )
     sampler = lambda rng: ss.coordinate_basis(n, d, rng)  # noqa: E731
-    without = ss.embedding_trial(oblivious_builder(spec_without), sampler, 50,
+    without = ss.embedding_trial(trial_builder(spec_without), sampler, 50,
                                  eps_small, seed=911)
     with_q95 = oseie_rows[-1]["q95_distortion"]
     term_matters = without.quantiles["0.95"] > with_q95

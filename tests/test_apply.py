@@ -1,5 +1,6 @@
 """Application kernel: dense-oracle equivalence, linearity, IO round trips."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ import scipy.sparse
 
 from subsketch import (
     FormatError,
-    LessIcSpec,
     LeverageScores,
     ParameterError,
     SketchSpec,
@@ -37,7 +37,7 @@ def random_sketch(kind, rng, m, n, seed):
                                        family="independent"))
     z = np.clip(rng.uniform(0.0, 1.0, n), 0.0, 1.0)
     p = float(rng.uniform(2.0 / m, 0.5))
-    spec = LessIcSpec(m=m, p=p, scores=LeverageScores(z=z), seed=seed)
+    spec = SketchSpec(kind="less-ic", m=m, p=p, scores=LeverageScores(z=z), seed=seed)
     return build_less_ic(spec)
 
 
@@ -198,8 +198,11 @@ class TestSketchFileFormat:
         path = tmp_path / "s.skt"
         sk.save(path)
         back = load_sketch(path)
-        assert back.spec.extras["beta1"] == sk.spec.scores.beta1
-        assert back.spec.extras["scores_sha256"] == sk.spec.scores.digest()
+        assert back.extras["beta1"] == sk.spec.scores.beta1
+        assert back.extras["scores_sha256"] == sk.spec.scores.digest()
+        # a loaded sketch has no scores but writes the same header back
+        back.save(tmp_path / "again.skt")
+        assert (tmp_path / "again.skt").read_bytes() == path.read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.skt"
@@ -214,3 +217,99 @@ class TestSketchFileFormat:
         path = tmp_path / "s.skt"
         sk.save(path)
         np.testing.assert_array_equal(apply(load_sketch(path), A), apply(sk, A))
+
+
+def _skt_parts(path):
+    """(header dict, indptr, rows, values) of a saved sketch file."""
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + hlen])
+    n, nnz = header["n"], header["nnz"]
+    arrays = np.frombuffer(raw, dtype="<i8", offset=16 + hlen, count=n + 1 + nnz)
+    values = np.frombuffer(raw, dtype="<f8", offset=16 + hlen + 8 * (n + 1 + nnz))
+    return header, arrays[:n + 1].copy(), arrays[n + 1:].copy(), values.copy()
+
+
+def _write_skt(path, header, indptr, rows, values, tail=b""):
+    h = json.dumps(header).encode()
+    path.write_bytes(b"SKCHv001" + len(h).to_bytes(8, "little") + h + indptr.tobytes()
+                     + rows.tobytes() + values.tobytes() + tail)
+
+
+def _corrupt(header, indptr, rows, values, case):
+    """Apply one named corruption in place; returns trailing bytes to append."""
+    header_edits = {
+        "unknown-kind": ("kind", "fft"), "zero-m": ("m", 0), "string-m": ("m", "16"),
+        "float-m": ("m", 16.0), "p-above-one": ("p", 1.5), "p-zero": ("p", 0.0),
+        "wrong-scale": ("scale", 2 * header["scale"]), "negative-nnz": ("nnz", -1),
+        "unknown-family": ("family", "lcg"),
+    }
+    if case in header_edits:
+        key, value = header_edits[case]
+        header[key] = value
+    elif case == "missing-key":
+        del header["degree_k"]
+    elif case == "indptr-start":
+        indptr[0] = 1
+    elif case == "indptr-non-monotone":
+        indptr[3], indptr[4] = indptr[4], indptr[3]
+    elif case == "indptr-end":
+        indptr[-1] = 5
+    elif case == "row-too-large":
+        rows[7] = 999
+    elif case == "row-negative":
+        rows[0] = -1
+    elif case == "rows-not-increasing":
+        rows[0], rows[1] = rows[1], rows[0]
+    elif case == "nan-value":
+        values[2] = np.nan
+    elif case == "inf-value":
+        values[2] = np.inf
+    elif case == "trailing-bytes":
+        return b"\0" * 8
+    return b""
+
+
+SKT_CORRUPTIONS = [
+    "unknown-kind", "zero-m", "string-m", "float-m", "p-above-one", "p-zero",
+    "wrong-scale", "negative-nnz", "unknown-family", "missing-key", "indptr-start",
+    "indptr-non-monotone", "indptr-end", "row-too-large", "row-negative",
+    "rows-not-increasing", "nan-value", "inf-value", "trailing-bytes",
+]
+
+
+class TestSketchFileBoundary:
+    @pytest.fixture
+    def valid(self, tmp_path):
+        path = tmp_path / "ok.skt"
+        build_osnap(SketchSpec(kind="osnap", m=16, n=50, p=0.25, seed=1)).save(path)
+        return path
+
+    @pytest.mark.parametrize("case", SKT_CORRUPTIONS)
+    def test_corruption_rejected(self, valid, tmp_path, case):
+        header, indptr, rows, values = _skt_parts(valid)
+        tail = _corrupt(header, indptr, rows, values, case)
+        bad = tmp_path / f"{case}.skt"
+        _write_skt(bad, header, indptr, rows, values, tail)
+        with pytest.raises(FormatError):
+            load_sketch(bad)
+
+    def test_truncated_payload_rejected(self, valid, tmp_path):
+        bad = tmp_path / "short.skt"
+        bad.write_bytes(valid.read_bytes()[:-3])
+        with pytest.raises(FormatError):
+            load_sketch(bad)
+
+    def test_truncated_header_rejected(self, valid, tmp_path):
+        bad = tmp_path / "short-header.skt"
+        bad.write_bytes(valid.read_bytes()[:20])
+        with pytest.raises(FormatError):
+            load_sketch(bad)
+
+    def test_rewritten_valid_file_still_loads(self, valid, tmp_path):
+        # the corruption helpers themselves leave a valid file valid
+        header, indptr, rows, values = _skt_parts(valid)
+        again = tmp_path / "again.skt"
+        _write_skt(again, header, indptr, rows, values)
+        assert again.read_bytes() == valid.read_bytes()
+        assert load_sketch(again).nnz == 200

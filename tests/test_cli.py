@@ -1,6 +1,10 @@
 """CLI surface: command round trips, library equivalence, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,7 +62,7 @@ class TestSketchCommand:
         assert rc == EXIT_OK
         sk = load_sketch(tmp_path / "s.skt")
         assert sk.spec.kind == "less-ic"
-        assert "scores_sha256" in sk.spec.extras
+        assert "scores_sha256" in sk.extras
 
     def test_structural_error_exit_code(self, tmp_path):
         rc = main(["sketch", "--kind", "osnap", "--m", "4", "--n", "3",
@@ -97,6 +101,36 @@ class TestApplyCommand:
               "--p", "0.25", "--out", str(skt)])
         rc = main(["apply", str(skt), str(mpath), "--out", str(tmp_path / "o.mtx")])
         assert rc == EXIT_PARAMETER
+
+    @pytest.mark.parametrize("field,index,value", [("rows", 7, 999), ("indptr", -1, 5)])
+    def test_corrupt_sketch_exits_3_in_subprocess(self, tmp_path, field, index, value):
+        # both files once crashed the sparse product with a segfault
+        skt = tmp_path / "s.skt"
+        main(["sketch", "--kind", "osnap", "--m", "16", "--n", "50",
+              "--p", "0.25", "--out", str(skt)])
+        raw = bytearray(skt.read_bytes())
+        start = 16 + int.from_bytes(raw[8:16], "little")
+        offset = start + 8 * (51 + index) if field == "rows" else start + 8 * 50
+        raw[offset:offset + 8] = int(value).to_bytes(8, "little")
+        skt.write_bytes(bytes(raw))
+        A = tmp_path / "A.mtx"
+        save_matrix(A, np.ones((50, 3)))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "subsketch.cli", "apply", str(skt), str(A),
+             "--out", str(tmp_path / "o.mtx")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_IO, proc.stderr
+        assert "error:" in proc.stderr
+
+    def test_threads_flag_removed(self, tmp_path, matrix_file):
+        mpath, _ = matrix_file
+        with pytest.raises(SystemExit):
+            main(["leverage", str(mpath), "--exact", "--threads", "2",
+                  "--out", str(tmp_path / "z.json")])
 
     def test_malformed_matrix_is_io_error(self, tmp_path):
         skt = tmp_path / "s.skt"

@@ -20,7 +20,7 @@ from subsketch import (
     spiked_basis,
     trace_moment,
 )
-from subsketch.experiments import less_ic_builder, oblivious_builder
+from subsketch.experiments import builder
 
 
 def identity_sketch(n):
@@ -31,12 +31,12 @@ def identity_sketch(n):
 
 def gaussian_builder(m, n, p=1.0):
     spec = SketchSpec(kind="gaussian-dense", m=m, n=n, p=p, family="independent")
-    return oblivious_builder(spec)
+    return builder(spec)
 
 
 def osnap_builder(m, n, s, degree_k=8):
     spec = SketchSpec.from_sparsity("osnap", m=m, n=n, s=s, degree_k=degree_k)
-    return oblivious_builder(spec)
+    return builder(spec)
 
 
 class TestDistortion:
@@ -194,11 +194,11 @@ class TestDiagonalSplit:
         assert norms["diag"] <= 1e-10
 
     def test_less_ic_diag_vanishes(self):
-        from subsketch import LessIcSpec, LeverageScores, build_less_ic
+        from subsketch import LeverageScores, build_less_ic
 
         rng = np.random.default_rng(9)
         z = np.clip(rng.uniform(0, 1, 256), 1e-3, 1.0)
-        spec = LessIcSpec(m=64, p=0.25, scores=LeverageScores(z=z), seed=3)
+        spec = SketchSpec(kind="less-ic", m=64, p=0.25, scores=LeverageScores(z=z), seed=3)
         sk = build_less_ic(spec)
         U = haar_basis(256, 8, rng)
         _, _, norms = diagonal_offdiagonal_split(sk, U)

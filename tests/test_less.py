@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsketch import (
-    LessIcSpec,
     LeverageScores,
     ParameterError,
+    SketchSpec,
     build_less_ic,
     build_less_ie,
+    column_sparsities,
     less_default_parameters,
     subcolumn_layout,
 )
@@ -29,7 +30,7 @@ class TestSubcolumnLayout:
         # m=70 with block height 15: five blocks, the last cut to width 10
         p = 0.2
         z = 1.0 / (15.5 * p)  # floor(1/(p z)) = 15
-        spec = LessIcSpec(m=70, p=p, scores=uniform_scores(3, z), seed=0)
+        spec = SketchSpec(kind="less-ic", m=70, p=p, scores=uniform_scores(3, z), seed=0)
         layout = subcolumn_layout(spec, 0)
         bounds = [(lo, hi) for lo, hi, _ in layout]
         assert bounds == [(1, 15), (16, 30), (31, 45), (46, 60), (61, 70)]
@@ -38,13 +39,13 @@ class TestSubcolumnLayout:
         np.testing.assert_allclose(alphas[4], math.sqrt(10 * p))
 
     def test_tiny_score_single_block(self):
-        spec = LessIcSpec(m=50, p=0.1, scores=uniform_scores(2, 1e-6), seed=0)
+        spec = SketchSpec(kind="less-ic", m=50, p=0.1, scores=uniform_scores(2, 1e-6), seed=0)
         layout = subcolumn_layout(spec, 0)
         assert layout == [(1, 50, pytest.approx(math.sqrt(0.1 * 50)))]
 
     def test_saturated_score_densest_column(self):
         # beta1 * p * z >= 1 forces unit blocks
-        spec = LessIcSpec(m=12, p=0.5, scores=uniform_scores(2, 1.0, beta1=2.0),
+        spec = SketchSpec(kind="less-ic", m=12, p=0.5, scores=uniform_scores(2, 1.0, beta1=2.0),
                           seed=0)
         layout = subcolumn_layout(spec, 0)
         assert len(layout) == 12
@@ -57,7 +58,7 @@ class TestSubcolumnLayout:
             m = int(rng.integers(3, 200))
             z = float(rng.uniform(1e-6, 1.0))
             p = float(rng.uniform(0.05, 0.95))
-            spec = LessIcSpec(m=m, p=p, scores=uniform_scores(1, z), seed=trial)
+            spec = SketchSpec(kind="less-ic", m=m, p=p, scores=uniform_scores(1, z), seed=trial)
             layout = subcolumn_layout(spec, 0)
             covered = []
             for lo, hi, _ in layout:
@@ -65,12 +66,12 @@ class TestSubcolumnLayout:
             assert covered == list(range(1, m + 1))
 
     def test_energy_identity_per_layout(self):
-        spec = LessIcSpec(m=70, p=0.2, scores=uniform_scores(1, 0.3), seed=0)
+        spec = SketchSpec(kind="less-ic", m=70, p=0.2, scores=uniform_scores(1, 0.3), seed=0)
         alphas = np.array([a for _, _, a in subcolumn_layout(spec, 0)])
         assert abs((alphas**2).sum() - 0.2 * 70) < 1e-12 * 14
 
     def test_column_index_range(self):
-        spec = LessIcSpec(m=10, p=0.5, scores=uniform_scores(4, 0.5), seed=0)
+        spec = SketchSpec(kind="less-ic", m=10, p=0.5, scores=uniform_scores(4, 0.5), seed=0)
         with pytest.raises(ParameterError):
             subcolumn_layout(spec, 4)
 
@@ -83,7 +84,7 @@ class TestSubcolumnLayout:
     beta1=st.floats(1.0, 50.0),
 )
 def test_blocks_always_partition(m, z, p, beta1):
-    spec = LessIcSpec(m=m, p=p, scores=uniform_scores(1, z, beta1=beta1), seed=0)
+    spec = SketchSpec(kind="less-ic", m=m, p=p, scores=uniform_scores(1, z, beta1=beta1), seed=0)
     layout = subcolumn_layout(spec, 0)
     expect = 1
     total_energy = 0.0
@@ -98,7 +99,7 @@ def test_blocks_always_partition(m, z, p, beta1):
 class TestBuildLessIc:
     def test_tiny_scores_one_nonzero_per_column(self):
         n = 37
-        spec = LessIcSpec(m=64, p=0.25, scores=uniform_scores(n, 1e-9), seed=3)
+        spec = SketchSpec(kind="less-ic", m=64, p=0.25, scores=uniform_scores(n, 1e-9), seed=3)
         sk = build_less_ic(spec)
         assert sk.nnz == n
         np.testing.assert_allclose(np.abs(sk.values), math.sqrt(0.25 * 64))
@@ -106,7 +107,7 @@ class TestBuildLessIc:
     def test_column_energy_pm(self):
         rng = np.random.default_rng(4)
         z = np.clip(rng.uniform(0, 1, 40), 1e-4, 1.0)
-        spec = LessIcSpec(m=128, p=0.125, scores=LeverageScores(z=z), seed=5)
+        spec = SketchSpec(kind="less-ic", m=128, p=0.125, scores=LeverageScores(z=z), seed=5)
         sk = build_less_ic(spec)
         np.testing.assert_allclose(sk.column_energy(), 16.0, rtol=1e-12)
 
@@ -115,19 +116,19 @@ class TestBuildLessIc:
         d = 8
         z = np.clip(rng.dirichlet(np.ones(64)) * d, 0.0, 1.0)
         scores = LeverageScores(z=z, beta1=1.0, beta2=1.0)
-        spec = LessIcSpec(m=128, p=0.125, scores=scores, seed=7)
+        spec = SketchSpec(kind="less-ic", m=128, p=0.125, scores=scores, seed=7)
         sk = build_less_ic(spec)
         assert sk.nnz <= 64 + 4 * 1 * 1 * 16 * d
 
     def test_monotone_adaptivity(self):
         z = np.array([1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0])
-        spec = LessIcSpec(m=256, p=0.25, scores=LeverageScores(z=z), seed=8)
-        s_cols = spec.column_sparsities()
+        spec = SketchSpec(kind="less-ic", m=256, p=0.25, scores=LeverageScores(z=z), seed=8)
+        s_cols = column_sparsities(spec)
         assert np.all(np.diff(s_cols) >= 0)
 
     def test_rows_within_blocks_and_increasing(self):
         z = np.array([0.02, 0.4, 0.9])
-        spec = LessIcSpec(m=70, p=0.2, scores=LeverageScores(z=z), seed=9)
+        spec = SketchSpec(kind="less-ic", m=70, p=0.2, scores=LeverageScores(z=z), seed=9)
         sk = build_less_ic(spec)
         for j in range(3):
             rows = sk.rows[sk.indptr[j]:sk.indptr[j + 1]] + 1  # 1-based
@@ -138,7 +139,7 @@ class TestBuildLessIc:
                 assert lo <= r <= hi
 
     def test_determinism(self):
-        spec = LessIcSpec(m=64, p=0.25, scores=uniform_scores(10, 0.3), seed=11)
+        spec = SketchSpec(kind="less-ic", m=64, p=0.25, scores=uniform_scores(10, 0.3), seed=11)
         a, b = build_less_ic(spec), build_less_ic(spec)
         assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.values, b.values)
@@ -146,12 +147,12 @@ class TestBuildLessIc:
     def test_p_one_rejected_with_dense_hint(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            spec = LessIcSpec(m=8, p=1.0, scores=uniform_scores(4, 0.5), seed=0)
+            spec = SketchSpec(kind="less-ic", m=8, p=1.0, scores=uniform_scores(4, 0.5), seed=0)
         with pytest.raises(ParameterError, match="dense"):
             build_less_ic(spec)
 
     def test_pm_below_one_rejected(self):
-        spec = LessIcSpec(m=8, p=0.05, scores=uniform_scores(4, 0.5), seed=0)
+        spec = SketchSpec(kind="less-ic", m=8, p=0.05, scores=uniform_scores(4, 0.5), seed=0)
         with pytest.raises(ParameterError):
             build_less_ic(spec)
 
@@ -160,22 +161,47 @@ class TestBuildLessIe:
     def test_uniform_scores_reduce_to_iid_shape(self):
         # z_j = 1/beta1: keep-probability p, magnitude exactly 1
         scores = uniform_scores(30, 0.5, beta1=2.0)
-        sk = build_less_ie(scores, p=0.3, m=40, seed=1)
+        sk = build_less_ie(SketchSpec(kind="less-ie", m=40, p=0.3, scores=scores, seed=1))
         assert np.all(np.abs(sk.values) == 1.0)
         frac = sk.nnz / (40 * 30)
         assert abs(frac - 0.3) <= 4 * math.sqrt(0.3 * 0.7 / (40 * 30))
 
     def test_zero_score_empty_column(self):
         z = np.array([0.5, 0.0, 0.5])
-        sk = build_less_ie(LeverageScores(z=z), p=0.9, m=30, seed=2)
+        sk = build_less_ie(SketchSpec(kind="less-ie", m=30, p=0.9, scores=LeverageScores(z=z),
+                                       seed=2))
         assert sk.indptr[2] == sk.indptr[1]
 
     def test_clamped_probability_warns(self):
         scores = uniform_scores(4, 1.0, beta1=3.0)
         with pytest.warns(UserWarning, match="clamped"):
-            sk = build_less_ie(scores, p=0.9, m=16, seed=3)
+            sk = build_less_ie(SketchSpec(kind="less-ie", m=16, p=0.9, scores=scores, seed=3))
         # clamped columns are fully dense
         assert sk.nnz == 4 * 16
+
+    def test_family_defaults_to_independent(self):
+        scores = uniform_scores(4, 0.5)
+        assert SketchSpec(kind="less-ie", m=8, p=0.5, scores=scores).family == "independent"
+        assert SketchSpec(kind="less-ic", m=8, p=0.5, scores=scores).family == "kwise"
+        assert SketchSpec(kind="less-ie", m=8, p=0.5, scores=scores,
+                          family="kwise").family == "kwise"
+
+    def test_independent_build_does_no_grid_work(self):
+        # n = 16384, m = 1000, p = 0.02, z = 32/n keeps ~650 of 1.6e7 cells;
+        # a scan of the m*n grid needs hundreds of MB
+        import tracemalloc
+
+        n = 16384
+        spec = SketchSpec(kind="less-ie", m=1000, p=0.02, scores=uniform_scores(n, 32 / n),
+                          seed=4)
+        tracemalloc.start()
+        try:
+            sk = build_less_ie(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(sk.nnz - 640) <= 5 * math.sqrt(640)
+        assert peak < 16 * 2**20
 
     def test_entry_variance_is_p(self):
         rng = np.random.default_rng(10)
@@ -185,7 +211,8 @@ class TestBuildLessIe:
         acc = 0.0
         count = 0
         for t in range(reps):
-            sk = build_less_ie(scores, p=p, m=m, seed=100 + t)
+            sk = build_less_ie(SketchSpec(kind="less-ie", m=m, p=p, scores=scores,
+                                           seed=100 + t))
             dense = sk.materialize() / sk.scale
             acc += (dense**2).sum()
             count += dense.size

@@ -134,3 +134,12 @@ class TestValidateScores:
             LeverageScores(z=np.array([1.5]), beta1=1.0, beta2=1.0)
         with pytest.raises(ParameterError):
             LeverageScores(z=np.array([0.5]), beta1=0.5, beta2=1.0)
+
+    @pytest.mark.parametrize("field", ["z", "beta1", "beta2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_rejected(self, field, bad):
+        # NaN once slipped past the range check and gave block height -2^63
+        fields = {"z": np.array([0.5, 0.25]), "beta1": 2.0, "beta2": 2.0}
+        fields[field] = np.array([0.5, bad]) if field == "z" else bad
+        with pytest.raises(ParameterError):
+            LeverageScores(**fields)

@@ -87,6 +87,43 @@ class TestOsnapStructure:
 
 
 class TestOseIe:
+    def test_per_column_walk_is_bernoulli(self):
+        # cell (i, j) kept independently w.p. q_j: every cell's frequency,
+        # and each column's count variance m q (1 - q).  0.3, 0.26, 0.45
+        # share a binade, so their walk is thinned and skips the 0.7 column
+        from subsketch.oblivious import _bernoulli_grid_positions
+
+        m, reps = 12, 3000
+        q = np.array([0.0, 1e-3, 0.05, 0.3, 0.7, 0.26, 0.45, 0.3, 1.0])
+        rng = np.random.default_rng(42)
+        hits = np.zeros((q.size, m))
+        counts = np.zeros((reps, q.size))
+        for t in range(reps):
+            flat = _bernoulli_grid_positions(rng, m, q)
+            assert np.all(np.diff(flat) > 0)
+            hits += np.bincount(flat, minlength=q.size * m).reshape(q.size, m)
+            counts[t] = np.bincount(flat // m, minlength=q.size)
+        se = np.sqrt(q * (1 - q) / reps)[:, None]
+        assert np.all(np.abs(hits / reps - q[:, None]) <= 4 * se)
+        want = m * q * (1 - q)
+        np.testing.assert_allclose(counts.var(axis=0)[2:-1], want[2:-1], rtol=0.15)
+        assert counts[:, 0].max() == 0 and np.all(counts[:, -1] == m)
+
+    def test_independent_build_is_linear_in_nnz(self):
+        # a 16384 x 1000 grid at p = 0.002 keeps ~33k cells; no m*n array
+        import tracemalloc
+
+        spec = SketchSpec(kind="ose-ie", m=1000, n=16384, p=0.002, seed=3,
+                          family="independent")
+        tracemalloc.start()
+        try:
+            sk = build_ose_ie(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(sk.nnz - 0.002 * 1000 * 16384) <= 5 * math.sqrt(0.002 * 1000 * 16384)
+        assert peak < 16 * 2**20
+
     def test_p_one_is_dense_rademacher(self):
         spec = SketchSpec(kind="ose-ie", m=8, n=6, p=1.0, seed=4, family="independent")
         sk = build_ose_ie(spec)

@@ -104,3 +104,27 @@ class TestFastSubspaceEmbed:
         config = PipelineConfig(eps=0.5, delta=0.05, kind="less-ic")
         with pytest.raises(ParameterError):
             fast_subspace_embed(np.ones((4, 8)), config)
+
+
+@pytest.mark.parametrize("kind", ["less-ic", "less-ie", "osnap"])
+def test_overrides_reach_the_built_sketch(sparse_tall, monkeypatch, kind):
+    import subsketch.less
+    import subsketch.oblivious
+
+    module = subsketch.oblivious if kind == "osnap" else subsketch.less
+    name = f"build_{kind.replace('-', '_')}"
+    built = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(module, name, recording)
+    # the pipeline may also hold its own reference to the builder
+    monkeypatch.setattr(subsketch.pipeline, name, recording, raising=False)
+    config = PipelineConfig(eps=0.5, delta=0.05, seed=12, kind=kind,
+                            overrides=Overrides(m=256, pm=32, degree_k=24))
+    _, report = fast_subspace_embed(sparse_tall, config)
+    assert [sk.spec.degree_k for sk in built] == [24]
+    assert (built[0].m, built[0].spec.s, report.m) == (256, 32, 256)
