@@ -47,7 +47,7 @@ from .less import (
     less_sparsity_target,
     subcolumn_layout,
 )
-from .apply import apply, apply_to_vector, load_matrix, materialize_dense, save_matrix
+from .apply import apply, apply_to_vector, load_matrix, materialize_dense, save_matrix, touched_rows
 from .diagnostics import (
     DistortionReport,
     MomentProbe,
@@ -104,6 +104,7 @@ __all__ = [
     "materialize_dense",
     "load_matrix",
     "save_matrix",
+    "touched_rows",
     "DistortionReport",
     "MomentProbe",
     "TrialSummary",

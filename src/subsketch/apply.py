@@ -17,21 +17,50 @@ from .errors import FormatError, ParameterError
 from .sketch import DenseSketch
 
 
+def touched_rows(A):
+    """Sorted indices of the rows of a scipy.sparse ``A`` that hold a stored
+    entry, explicit zeros and NaNs included; None for a dense ``A``."""
+    if not scipy.sparse.issparse(A):
+        return None
+    return np.flatnonzero(np.diff(A.tocsr().indptr))
+
+
 def apply(sketch, A):
-    """(scale * S) @ A as a dense (m x d) array."""
+    """(scale * S) @ A as a dense (m x d) array.
+
+    ParameterError if A holds NaN or Inf, or if the sketch was built on a
+    subset of columns and A has a stored entry in a row outside it.
+    """
     A_rows = A.shape[0]
     if A_rows != sketch.n:
         raise ParameterError(
             f"dimension mismatch: sketch has n = {sketch.n} columns, "
             f"input has {A_rows} rows"
         )
+    if not np.isfinite(A.data if scipy.sparse.issparse(A) else A).all():
+        raise ParameterError("input matrix holds NaN or Inf entries")
     if isinstance(sketch, DenseSketch):
         out = sketch.matrix @ A
     else:
+        if sketch.columns is not None:
+            _check_support(sketch, A)
         out = sketch.tocsc() @ A
     if scipy.sparse.issparse(out):
         out = out.toarray()
     return sketch.scale * np.asarray(out)
+
+
+def _check_support(sketch, A):
+    """ParameterError unless every row A touches is a built sketch column."""
+    rows = touched_rows(A)
+    if rows is None:
+        rows = np.flatnonzero(A if A.ndim == 1 else np.any(A, axis=1))
+    outside = np.ones(sketch.n, dtype=bool)
+    outside[sketch.columns] = False
+    if outside[rows].any():
+        raise ParameterError(
+            "input touches a row outside the columns the sketch was built on"
+        )
 
 
 def apply_to_vector(sketch, x):

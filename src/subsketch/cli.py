@@ -96,8 +96,14 @@ def _build_parser():
 
 
 def _load_scores(path):
+    """Scores from a JSON file; FormatError if it is not a scores object."""
     with open(path) as fh:
-        return LeverageScores.from_dict(json.load(fh))
+        try:
+            return LeverageScores.from_dict(json.load(fh))
+        except ParameterError:
+            raise
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: invalid scores file: {exc!r}") from exc
 
 
 def _cmd_sketch(args):

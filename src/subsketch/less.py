@@ -27,7 +27,13 @@ import numpy as np
 from ._field import scale_to_range
 from .calibration import CONSTANTS
 from .errors import ParameterError
-from .oblivious import SketchSpec, _bernoulli_sketch, independence_degree, make_family
+from .oblivious import (
+    SketchSpec,
+    _bernoulli_sketch,
+    column_points,
+    independence_degree,
+    make_family,
+)
 from .sketch import SparseSketch
 
 
@@ -71,12 +77,14 @@ def subcolumn_layout(spec, j):
     return out
 
 
-def build_less_ic(spec, family=None):
+def build_less_ic(spec, family=None, columns=None):
     """Sample an independent-column score-adapted sketch for ``spec``.
 
     Sub-stream (l, gamma) uses hash points 2*(offset_l + gamma) and
     2*(offset_l + gamma) + 1 for sign and in-block position, where
-    offset_l counts blocks of earlier columns.
+    offset_l counts blocks of earlier columns.  With ``columns`` only
+    those columns are hashed (offsets still count every column); they
+    equal the full build's and every other column is empty.
     """
     b = block_heights(spec)
     if spec.p >= 1.0:
@@ -88,18 +96,13 @@ def build_less_ic(spec, family=None):
         raise ParameterError(f"need p*m >= 1, got {pm}")
     family = family or make_family(spec)
     m = spec.m
-    s_cols = -(-m // b)
-    indptr = np.zeros(spec.n + 1, dtype=np.int64)
-    np.cumsum(s_cols, out=indptr[1:])
-    nnz = int(indptr[-1])
-
-    col = np.repeat(np.arange(spec.n, dtype=np.int64), s_cols)
-    gamma = np.arange(nnz, dtype=np.int64) - np.repeat(indptr[:-1], s_cols)
-    b_entry = b[col]
+    indptr, idx, columns = column_points(-(-m // b), columns)
+    kept = np.diff(indptr)
+    gamma = np.arange(indptr[-1], dtype=np.int64) - np.repeat(indptr[:-1], kept)
+    b_entry = np.repeat(b, kept)
     lo = b_entry * gamma  # 0-based block start
     width = np.minimum(b_entry * (gamma + 1), m) - lo
 
-    idx = np.arange(nnz, dtype=np.uint64)
     signs = family.rademacher(idx * np.uint64(2))
     offsets = scale_to_range(
         family.evaluate(idx * np.uint64(2) + np.uint64(1)),
@@ -111,6 +114,7 @@ def build_less_ic(spec, family=None):
         rows=lo + offsets,
         values=signs * np.sqrt(spec.p * width),
         scale=1.0 / math.sqrt(pm),
+        columns=columns,
     )
 
 

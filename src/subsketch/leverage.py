@@ -13,6 +13,7 @@ import scipy.linalg
 import scipy.sparse
 
 from ._field import derive_seed
+from .apply import touched_rows
 from .errors import ParameterError, RankDeficiencyError
 from .sketch import scores_digest
 
@@ -67,12 +68,14 @@ def exact_leverage(A):
 
     Singular values below max(n, d) * eps * s_max count as zero; a
     deficient matrix raises :class:`RankDeficiencyError` naming the
-    numerical rank.
+    numerical rank, and NaN or Inf entries raise ParameterError.
     """
     A = _dense(A)
     n, d = A.shape
     if n < d:
         raise ParameterError(f"need a tall matrix, got shape {n}x{d}")
+    if not np.isfinite(A).all():
+        raise ParameterError("input matrix holds NaN or Inf entries")
     U, svals, _ = np.linalg.svd(A, full_matrices=False)
     tol = max(n, d) * np.finfo(np.float64).eps * (svals[0] if svals.size else 0.0)
     rank = int(np.sum(svals > tol))
@@ -84,8 +87,12 @@ def exact_leverage(A):
     return LeverageScores(z=z, beta1=1.0, beta2=1.0)
 
 
-def _sketch_r_factor(A, d, n, seed, attempt):
-    """R from a QR of a blocked sketch of A; None when numerically singular."""
+def _sketch_r_factor(A, d, n, seed, attempt, columns):
+    """R from a QR of a blocked sketch of A; None when numerically singular.
+
+    ``columns``, the rows a sparse A touches (None for a dense A),
+    restricts the build to them.
+    """
     from .apply import apply as _apply
     from .oblivious import SketchSpec, build_osnap
 
@@ -96,7 +103,7 @@ def _sketch_r_factor(A, d, n, seed, attempt):
         "osnap", m=rows, n=n, s=s0, degree_k=16,
         seed=derive_seed(seed, 0x1E7 + attempt),
     )
-    SA = _apply(build_osnap(spec), A)
+    SA = _apply(build_osnap(spec, columns=columns), A)
     R = np.linalg.qr(SA, mode="r")
     diag = np.abs(np.diag(R))
     if diag.min() <= max(rows, d) * np.finfo(np.float64).eps * max(diag.max(), 1e-300):
@@ -107,9 +114,10 @@ def _sketch_r_factor(A, d, n, seed, attempt):
 def approx_leverage(A, gamma, *, seed=0, safety=2.0):
     """Coarse scores with beta1 = O(n^gamma), beta2 = O(1).
 
-    Sketch A, take R from a QR of the sketch, and estimate the row norms
-    of A R^-1 with ceil(4/gamma) Gaussian test vectors; estimates are
-    inflated by ``safety`` and clamped to [0, 1].  The claimed beta1 is
+    Sketch A (for a scipy.sparse A, hashing only the sketch columns of
+    the rows A touches), take R from a QR of the sketch, and estimate the
+    row norms of A R^-1 with ceil(4/gamma) Gaussian test vectors;
+    estimates are inflated by ``safety`` and clamped to [0, 1].  The claimed beta1 is
     max(2 n^gamma, 4); beta2 is reported as measured, max(1, sum(z)/d).
     """
     if not 0.0 < gamma < 1.0:
@@ -117,9 +125,10 @@ def approx_leverage(A, gamma, *, seed=0, safety=2.0):
     n, d = A.shape
     if n < d:
         raise ParameterError(f"need a tall matrix, got shape {n}x{d}")
+    columns = touched_rows(A)
     R = None
     for attempt in range(3):
-        R = _sketch_r_factor(A, d, n, seed, attempt)
+        R = _sketch_r_factor(A, d, n, seed, attempt, columns)
         if R is not None:
             break
     if R is None:

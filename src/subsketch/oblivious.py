@@ -44,6 +44,8 @@ _BUILDERS = {
 }
 KINDS = tuple(_BUILDERS)
 LESS_KINDS = ("less-ic", "less-ie")
+# kinds whose column j hashes only its own points, so a build can skip columns
+COLUMN_KINDS = ("osnap", "less-ic")
 FAMILY_MODES = ("kwise", "independent")
 
 
@@ -125,29 +127,62 @@ def make_family(spec):
     return KWiseFamily(seed=spec.seed, degree_k=spec.degree_k, field_modulus=M61)
 
 
-def build_osnap(spec, family=None):
+def column_points(counts, columns):
+    """Layout of a sketch whose column j holds counts[j] hashed entries.
+
+    Entry gamma of column j is hash sub-stream offset_j + gamma, where
+    offset is the exclusive cumsum of ``counts`` over all n columns, so a
+    column's entries do not depend on which other columns are built.
+    Only ``columns`` (all when None) are laid out; they must be strictly
+    increasing integers in [0, n), or ParameterError.  Returns the n + 1
+    column pointers, the sub-stream index of each built entry, and
+    ``columns`` as int64 (or None).
+    """
+    kept = counts
+    if columns is not None:
+        bad = ParameterError(f"columns must be strictly increasing integers in [0, {counts.size})")
+        cols = np.asarray(columns)
+        if cols.ndim != 1 or not (cols.size == 0 or np.issubdtype(cols.dtype, np.integer)):
+            raise bad
+        columns = cols.astype(np.int64)  # before diff: unsigned differences wrap
+        if columns.size and (np.any(np.diff(columns) <= 0) or columns[0] < 0
+                             or columns[-1] >= counts.size):
+            raise bad
+        kept = np.zeros(counts.size, dtype=np.int64)
+        kept[columns] = counts[columns]
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(kept, out=indptr[1:])
+    idx = np.arange(indptr[-1], dtype=np.uint64)
+    if columns is not None:  # shift each column's run from indptr_j to offset_j
+        shift = np.cumsum(counts) - counts - indptr[:-1]
+        idx += np.repeat(shift.astype(np.uint64), kept)
+    return indptr, idx, columns
+
+
+def build_osnap(spec, family=None, columns=None):
     """Sample a blocked one-hot sketch: s one-hot blocks per column.
 
     Sub-stream (l, gamma) uses hash points 2*(l*s + gamma) for the sign and
-    2*(l*s + gamma) + 1 for the in-block position.
+    2*(l*s + gamma) + 1 for the in-block position.  With ``columns`` (a
+    strictly increasing index array) only those columns are hashed; they
+    equal the full build's and every other column is empty.
     """
     if spec.kind != "osnap":
         raise ParameterError(f"build_osnap needs kind 'osnap', got {spec.kind!r}")
     family = family or make_family(spec)
     s = spec.s
     block = spec.m // s
-    idx = np.arange(spec.n * s, dtype=np.uint64)
+    indptr, idx, columns = column_points(np.full(spec.n, s, dtype=np.int64), columns)
     signs = family.rademacher(idx * np.uint64(2))
     offsets = family.uniform_range(idx * np.uint64(2) + np.uint64(1), 0, block - 1)
-    gamma = (np.arange(spec.n * s, dtype=np.int64)) % s
-    rows = gamma * block + offsets
-    indptr = np.arange(0, spec.n * s + 1, s, dtype=np.int64)
+    gamma = (idx % np.uint64(s)).astype(np.int64)  # block of each entry
     return SparseSketch(
         spec=spec,
         indptr=indptr,
-        rows=rows,
+        rows=gamma * block + offsets,
         values=signs,
         scale=1.0 / math.sqrt(spec.p * spec.m),
+        columns=columns,
     )
 
 
@@ -258,10 +293,20 @@ def build_dense_baseline(spec, family=None):
     return DenseSketch(spec=spec, matrix=matrix, scale=1.0 / math.sqrt(p * m))
 
 
-def build(spec, family=None):
-    """Build ``spec`` with the builder registered for its kind."""
+def build(spec, family=None, columns=None):
+    """Build ``spec`` with the builder registered for its kind.
+
+    ``columns`` restricts the build to those columns (see
+    :func:`build_osnap`); only the kinds in ``COLUMN_KINDS`` address their
+    hash points by column, so any other kind raises ParameterError.
+    """
     module, name = _BUILDERS[spec.kind]
-    return getattr(importlib.import_module(f"{__package__}.{module}"), name)(spec, family)
+    builder = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    if columns is None:
+        return builder(spec, family)
+    if spec.kind not in COLUMN_KINDS:
+        raise ParameterError(f"a {spec.kind} build cannot be restricted to columns")
+    return builder(spec, family, columns=columns)
 
 
 def _log_term(x):

@@ -15,10 +15,11 @@ import scipy.sparse
 
 from ._field import derive_seed
 from .apply import apply as _apply
+from .apply import touched_rows
 from .errors import ParameterError
 from .leverage import approx_leverage
-from .less import build_less_ic, less_default_parameters
-from .oblivious import LESS_KINDS, build, default_parameters
+from .less import build_less_ic, column_sparsities, less_default_parameters
+from .oblivious import COLUMN_KINDS, LESS_KINDS, build, default_parameters
 
 PIPELINE_KINDS = ("osnap", "ose-ie", "less-ic", "less-ie", "gaussian-dense")
 
@@ -98,7 +99,10 @@ def _validate_distortion(R, A_tilde):
 def fast_subspace_embed(A, config):
     """Compute A_tilde = Pi A with the score-adapted pipeline.
 
-    Returns (A_tilde, PipelineReport).  Stage names in the report:
+    For a scipy.sparse A, the osnap and less-ic sketches are built only
+    on the columns of the rows A touches; ``nnz_sketch`` in the report
+    still counts the full sketch.  Returns (A_tilde, PipelineReport).
+    Stage names in the report:
     ``leverage``, ``parameters``, ``build``, ``apply`` and optionally
     ``validate``.
     """
@@ -128,9 +132,11 @@ def fast_subspace_embed(A, config):
     timings["parameters"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    # a sparse A needs only the sketch columns of the rows it touches
+    columns = touched_rows(A) if spec.kind in COLUMN_KINDS else None
     # less-ic goes through this module's name for it, which per-layer
     # tracing wraps; every other kind through the registry
-    sketch = build_less_ic(spec) if spec.kind == "less-ic" else build(spec)
+    sketch = (build_less_ic if spec.kind == "less-ic" else build)(spec, columns=columns)
     timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -145,6 +151,8 @@ def fast_subspace_embed(A, config):
 
     total = time.perf_counter() - t_total
     nnz_sketch = sketch.nnz
+    if columns is not None:  # count the full sketch without hashing it
+        nnz_sketch = spec.n * spec.s if spec.kind == "osnap" else column_sparsities(spec).sum()
     report = PipelineReport(
         kind=config.kind,
         m=spec.m,

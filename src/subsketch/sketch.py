@@ -75,6 +75,9 @@ class SparseSketch(_Sketch):
     scale: float
     # the score fields of a loaded file, whose spec holds no scores
     extras: dict = field(default_factory=dict)
+    # sorted indices of the built columns when the build skipped the rest
+    # (empty here, unlike the full sketch); None for a full sketch
+    columns: np.ndarray = None
 
     def __post_init__(self):
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -125,6 +128,10 @@ class SparseSketch(_Sketch):
         return header
 
     def save(self, path):
+        if self.columns is not None:
+            raise ParameterError(
+                "a sketch built on a subset of columns cannot be saved; build it in full"
+            )
         header = json.dumps(self._header()).encode()
         with open(path, "wb") as fh:
             fh.write(_MAGIC)

@@ -92,6 +92,16 @@ class TestOracleEquivalence:
         with pytest.raises(ParameterError):
             apply(sk, np.ones((33, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_finite_input_rejected(self, bad, sparse):
+        rng = np.random.default_rng(7)
+        sk = random_sketch("osnap", rng, 8, 32, seed=2)
+        A = np.ones((32, 3))
+        A[5, 1] = bad
+        with pytest.raises(ParameterError, match="NaN or Inf"):
+            apply(sk, scipy.sparse.csr_matrix(A) if sparse else A)
+
 
 class TestVectorApply:
     def test_basis_vector_picks_column(self):

@@ -1,0 +1,28 @@
+"""Smoke test of the traced benchmark on its sparse workload.
+
+The traced run wraps the builders at the names the library resolves at
+call time.  Column-restricted builds must still go through those names,
+so every sketch entry built is one the input uses.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_embed_sparse_builds_only_touched_columns():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "embed-sparse", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=170,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    assert result["correct"]
+    assert metrics["leverage.useful_frac"] == 1.0
+    assert metrics["less.useful_frac"] == 1.0
+    assert metrics["less.build_less_ic_s"] > 0

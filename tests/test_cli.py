@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from subsketch import (
     SketchSpec,
@@ -63,6 +64,19 @@ class TestSketchCommand:
         sk = load_sketch(tmp_path / "s.skt")
         assert sk.spec.kind == "less-ic"
         assert "scores_sha256" in sk.extras
+
+    @pytest.mark.parametrize("payload", [
+        "{not json",
+        json.dumps({"beta1": 1.0, "beta2": 1.0, "z": ["x"] * 200}),
+        json.dumps({"beta1": 1.0, "z": [0.5] * 200}),
+    ], ids=["malformed-json", "non-numeric-score", "missing-key"])
+    def test_bad_scores_file_is_io_error(self, tmp_path, payload):
+        scores = tmp_path / "scores.json"
+        scores.write_text(payload)
+        rc = main(["sketch", "--kind", "less-ic", "--m", "64", "--s", "8",
+                   "--scores", str(scores), "--out", str(tmp_path / "s.skt")])
+        assert rc == EXIT_IO
+        assert not (tmp_path / "s.skt").exists()
 
     def test_structural_error_exit_code(self, tmp_path):
         rc = main(["sketch", "--kind", "osnap", "--m", "4", "--n", "3",
@@ -140,6 +154,43 @@ class TestApplyCommand:
         bad.write_text("not a matrix market file\n")
         rc = main(["apply", str(skt), str(bad), "--out", str(tmp_path / "o.mtx")])
         assert rc == EXIT_IO
+
+
+class TestNonFiniteInput:
+    """One NaN in a 2000x8 CSR input: a typed error (exit 2), no output."""
+
+    @pytest.fixture
+    def nan_matrix(self, tmp_path):
+        A = scipy.sparse.random(2000, 8, density=0.05, random_state=3, format="csr")
+        A = (A + scipy.sparse.eye(2000, 8, format="csr")).tocsr()
+        A.data[A.data.size // 2] = np.nan
+        path = tmp_path / "nan.mtx"
+        save_matrix(path, A)
+        return path
+
+    @pytest.mark.parametrize("kind", ["osnap", "less-ic"])
+    def test_pipeline(self, tmp_path, nan_matrix, kind):
+        out = tmp_path / "o.mtx"
+        rc = main(["pipeline", str(nan_matrix), "--eps", "0.5", "--kind", kind,
+                   "--out", str(out)])
+        assert rc == EXIT_PARAMETER
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", [["--exact"], ["--gamma", "0.5"]])
+    def test_leverage(self, tmp_path, nan_matrix, mode):
+        out = tmp_path / "z.json"
+        rc = main(["leverage", str(nan_matrix), *mode, "--out", str(out)])
+        assert rc == EXIT_PARAMETER
+        assert not out.exists()
+
+    def test_apply(self, tmp_path, nan_matrix):
+        skt = tmp_path / "s.skt"
+        main(["sketch", "--kind", "osnap", "--m", "16", "--n", "2000",
+              "--p", "0.25", "--out", str(skt)])
+        out = tmp_path / "o.mtx"
+        rc = main(["apply", str(skt), str(nan_matrix), "--out", str(out)])
+        assert rc == EXIT_PARAMETER
+        assert not out.exists()
 
 
 class TestVerifyCommand:

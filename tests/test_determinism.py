@@ -7,12 +7,18 @@ every existing seed produces, so it has to be a deliberate, documented
 format or sampling change.  Independent-family ``less-ie`` is left out:
 its sampler changed when these digests were recorded, and that draw
 change is documented rather than pinned.
+
+The pipeline digests pin ``fast_subspace_embed`` on a sparse input that
+touches under 4% of its rows.  They were recorded while every build still
+hashed all n columns, so they hold the column-restricted builds the
+pipeline makes for sparse inputs to the full build's output.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import subsketch as ss
 
@@ -61,3 +67,33 @@ def test_golden_digest(name, tmp_path):
         sk.save(tmp_path / "s.skt")
         payload = (tmp_path / "s.skt").read_bytes()
     assert hashlib.sha256(payload).hexdigest() == digest
+
+
+def _touched_input():
+    """8192x8 CSR: ~300 random nonzeros plus a diagonal for full rank."""
+    rng = np.random.default_rng(2024)
+    n, d = 8192, 8
+    A = scipy.sparse.random(n, d, density=300 / (n * d), random_state=rng, format="csr")
+    lift = scipy.sparse.csr_matrix(
+        (rng.uniform(1, 2, d), (np.arange(d), np.arange(d))), shape=(n, d)
+    )
+    return (A + lift).tocsr()
+
+
+PIPELINE_CASES = {
+    # kind: (output digest, nnz of the full sketch)
+    "less-ic": ("c93ae4bb39750314df8787522f6f49f90b7d595de6b2298d5c8785c94eecfe99", 12447),
+    "osnap": ("e38d18d9f8cea1e7e368e2b77b74ec8a9e3bcef1860607072a3e600b9757afef", 40960),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PIPELINE_CASES))
+def test_golden_pipeline_digest(kind):
+    digest, nnz_sketch = PIPELINE_CASES[kind]
+    A = _touched_input()
+    assert np.mean(np.diff(A.indptr) > 0) < 0.1
+    out, report = ss.fast_subspace_embed(A, ss.PipelineConfig(eps=0.5, delta=0.05,
+                                                              seed=21, kind=kind))
+    out = np.ascontiguousarray(out, dtype=np.float64)
+    assert hashlib.sha256(repr(out.shape).encode() + out.tobytes()).hexdigest() == digest
+    assert report.nnz_sketch == nnz_sketch

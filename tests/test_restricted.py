@@ -1,0 +1,166 @@
+"""Column-restricted builds: hash only the sketch columns an input touches.
+
+A build given ``columns=J`` must equal the full build on J, byte for
+byte, and be empty elsewhere; the restricted sketch is never saved and
+refuses an input that touches a row outside J.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subsketch import (
+    LeverageScores,
+    ParameterError,
+    PipelineConfig,
+    SketchSpec,
+    apply,
+    approx_leverage,
+    build,
+    build_less_ic,
+    build_osnap,
+    fast_subspace_embed,
+)
+
+N = 60
+
+
+def osnap_spec(seed):
+    return SketchSpec(kind="osnap", m=24, n=N, p=0.25, degree_k=8, seed=seed)
+
+
+def less_spec(seed):
+    z = (np.arange(N) % 9 + 1) / 10.0
+    return SketchSpec(kind="less-ic", m=32, p=0.25, scores=LeverageScores(z=z, beta1=2.0),
+                      degree_k=12, seed=seed)
+
+
+BUILDERS = {"osnap": (build_osnap, osnap_spec), "less-ic": (build_less_ic, less_spec)}
+
+
+def assert_restricted_equals_full(full, part, J):
+    np.testing.assert_array_equal(part.columns, J)
+    assert part.indptr.shape == full.indptr.shape
+    counts = np.diff(part.indptr)
+    off = np.ones(full.n, dtype=bool)
+    off[J] = False
+    assert not counts[off].any()
+    for j in J:
+        a, b = full.indptr[j], full.indptr[j + 1]
+        c, d = part.indptr[j], part.indptr[j + 1]
+        assert full.rows[a:b].tobytes() == part.rows[c:d].tobytes()
+        assert full.values[a:b].tobytes() == part.values[c:d].tobytes()
+    assert part.scale == full.scale
+    assert part.nnz == int(np.diff(full.indptr)[J].sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(BUILDERS)),
+    seed=st.integers(0, 2**31),
+    J=st.one_of(
+        st.just([]),
+        st.integers(0, N - 1).map(lambda j: [j]),
+        st.just(list(range(N))),
+        st.sets(st.integers(0, N - 1)).map(sorted),
+    ),
+)
+def test_restricted_build_equals_full_on_columns(kind, seed, J):
+    builder, make_spec = BUILDERS[kind]
+    spec = make_spec(seed)
+    J = np.asarray(J, dtype=np.int64)
+    full = builder(spec)
+    part = builder(spec, columns=J)
+    assert_restricted_equals_full(full, part, J)
+    via_registry = build(spec, columns=J)
+    assert via_registry.rows.tobytes() == part.rows.tobytes()
+    assert via_registry.indptr.tobytes() == part.indptr.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_all_columns_equals_full_product(kind):
+    builder, make_spec = BUILDERS[kind]
+    spec = make_spec(3)
+    A = np.random.default_rng(0).standard_normal((N, 4))
+    full = builder(spec)
+    part = builder(spec, columns=np.arange(N))
+    assert apply(part, A).tobytes() == apply(full, A).tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+@pytest.mark.parametrize("J", [[3, 1], [2, 2, 5], [-1, 4], [0, N], [[1, 2]], [0.0, 1.0],
+                               [True, False], np.array([3, 1], dtype=np.uint64),
+                               np.array([2**63 + 1], dtype=np.uint64)])
+def test_bad_columns_rejected(kind, J):
+    builder, make_spec = BUILDERS[kind]
+    with pytest.raises(ParameterError):
+        builder(make_spec(0), columns=J)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(kind="ose-ie", m=16, n=N, p=0.25, family="independent"),
+    dict(kind="ose-ie", m=16, n=N, p=0.25, family="kwise"),
+    dict(kind="less-ie", m=16, p=0.25, scores=LeverageScores(z=np.full(N, 0.1))),
+    dict(kind="gaussian-dense", m=8, n=N, p=1.0),
+    dict(kind="rademacher-dense", m=8, n=N, p=0.5),
+])
+def test_registry_rejects_columns_for_other_kinds(fields):
+    with pytest.raises(ParameterError):
+        build(SketchSpec(**fields), columns=[0, 1])
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_restricted_sketch_is_never_saved(kind, tmp_path):
+    builder, make_spec = BUILDERS[kind]
+    part = builder(make_spec(1), columns=[0, 5])
+    with pytest.raises(ParameterError):
+        part.save(tmp_path / "s.skt")
+    assert not (tmp_path / "s.skt").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_apply_refuses_rows_outside_columns(kind):
+    builder, make_spec = BUILDERS[kind]
+    part = builder(make_spec(2), columns=[1, 4, 7])
+    inside = scipy.sparse.csr_matrix(([1.0, 2.0], ([1, 7], [0, 1])), shape=(N, 2))
+    full = builder(make_spec(2))
+    assert apply(part, inside).tobytes() == apply(full, inside).tobytes()
+    # an explicit zero is a stored entry too
+    outside = scipy.sparse.csr_matrix(([1.0, 0.0], ([1, 8], [0, 1])), shape=(N, 2))
+    with pytest.raises(ParameterError):
+        apply(part, outside)
+    dense = np.zeros((N, 2))
+    dense[9, 0] = 1.0
+    with pytest.raises(ParameterError):
+        apply(part, dense)
+
+
+def _touched_input(n=6000, d=6, seed=5):
+    rng = np.random.default_rng(seed)
+    A = scipy.sparse.random(n, d, density=150 / (n * d), random_state=rng, format="csr")
+    lift = scipy.sparse.csr_matrix(
+        (rng.uniform(1, 2, d), (np.arange(d), np.arange(d))), shape=(n, d)
+    )
+    return (A + lift).tocsr()
+
+
+@pytest.mark.parametrize("kind", ["osnap", "less-ic"])
+def test_sparse_input_embeds_like_dense_and_reports_full_nnz(kind):
+    # a dense input builds the full sketch; a sparse one only its touched columns
+    A = _touched_input(seed=9)
+    config = PipelineConfig(eps=0.5, delta=0.05, seed=8, kind=kind)
+    sparse_out, sparse_report = fast_subspace_embed(A, config)
+    dense_out, dense_report = fast_subspace_embed(A.toarray(), config)
+    np.testing.assert_allclose(sparse_out, dense_out, rtol=1e-12, atol=1e-12)
+    assert sparse_report.nnz_sketch == dense_report.nnz_sketch
+    assert sparse_report.nnz_sketch > 10 * sparse_report.nnz_input
+
+
+def test_leverage_restricted_to_touched_rows():
+    A = _touched_input(seed=11)
+    sparse = approx_leverage(A, 0.25, seed=4)
+    dense = approx_leverage(A.toarray(), 0.25, seed=4)
+    np.testing.assert_allclose(sparse.z, dense.z, rtol=1e-10, atol=1e-14)
+    assert sparse.beta1 == dense.beta1
