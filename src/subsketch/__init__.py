@@ -27,7 +27,6 @@ from .oblivious import (
     build_osnap,
     default_parameters,
     independence_degree,
-    make_family,
     oseie_sparsity_target,
     osnap_sparsity_target,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "build_ose_ie",
     "build_dense_baseline",
     "default_parameters",
-    "make_family",
     "independence_degree",
     "osnap_sparsity_target",
     "oseie_sparsity_target",

@@ -2,20 +2,12 @@
 
 The default field is GF(M61) with M61 = 2^61 - 1.  Hot paths run on numpy
 uint64 arrays; 61x61-bit products are computed exactly through 32-bit limb
-splitting, so no intermediate ever exceeds 64 bits.  A numba kernel covers
-the polynomial-evaluation inner loop when numba is importable; the numpy
-fallback produces bit-identical results.
+splitting, so no intermediate ever exceeds 64 bits.  The only other
+fields are those of a prime below 2^32, whose products fit in uint64
+directly (the tiny fields of the enumeration tests).
 """
 
 import numpy as np
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    _HAVE_NUMBA = False
 
 M61 = (1 << 61) - 1
 
@@ -71,80 +63,26 @@ def mulmod_m61(a, b):
     return acc - (acc >= _M61).astype(np.uint64) * _M61
 
 
-def _poly_eval_m61_numpy(coeffs, points):
-    acc = np.full(points.shape, coeffs[-1], dtype=np.uint64)
-    for c in coeffs[-2::-1]:
-        acc = mulmod_m61(acc, points)
-        acc += c
-        acc -= (acc >= _M61).astype(np.uint64) * _M61
-    return acc
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _poly_eval_m61_kernel(coeffs, points, out):  # pragma: no cover
-        mask32 = np.uint64(0xFFFFFFFF)
-        mask29 = np.uint64((1 << 29) - 1)
-        m61 = np.uint64((1 << 61) - 1)
-        k = coeffs.shape[0]
-        for i in range(points.shape[0]):
-            x = points[i]
-            acc = coeffs[k - 1]
-            for t in range(k - 2, -1, -1):
-                a1 = acc >> np.uint64(32)
-                a0 = acc & mask32
-                b1 = x >> np.uint64(32)
-                b0 = x & mask32
-                mid = a1 * b0 + a0 * b1
-                lo = a0 * b0
-                s = (a1 * b1) * np.uint64(8)
-                s += mid >> np.uint64(29)
-                s += (mid & mask29) << np.uint64(32)
-                s += lo >> np.uint64(61)
-                s += lo & m61
-                s = (s >> np.uint64(61)) + (s & m61)
-                if s >= m61:
-                    s -= m61
-                s += coeffs[t]
-                if s >= m61:
-                    s -= m61
-                acc = s
-            out[i] = acc
-
-
-def poly_eval(coeffs, points, modulus, *, force_numpy=False):
+def poly_eval(coeffs, points, modulus):
     """Evaluate sum_t coeffs[t] * x^t mod ``modulus`` at every x in ``points``.
 
-    coeffs are field elements (low-to-high degree); points must be < modulus.
+    ``modulus`` is M61 or a prime below 2^32; coeffs are field elements
+    (low-to-high degree) and points must be < modulus.
     """
     points = np.atleast_1d(np.asarray(points, dtype=np.uint64))
     coeffs = np.asarray(coeffs, dtype=np.uint64)
-    if coeffs.size == 1:
-        return np.full(points.shape, coeffs[0], dtype=np.uint64)
+    acc = np.full(points.shape, coeffs[-1], dtype=np.uint64)
     if modulus == M61:
-        if _HAVE_NUMBA and not force_numpy and points.size >= 256:
-            out = np.empty_like(points)
-            _poly_eval_m61_kernel(coeffs, points, out)
-            return out
-        return _poly_eval_m61_numpy(coeffs, points)
-    if modulus < (1 << 32):
-        # products of two elements < 2^32 fit exactly in uint64
-        q = _U(modulus)
-        acc = np.full(points.shape, coeffs[-1], dtype=np.uint64)
         for c in coeffs[-2::-1]:
-            acc = (acc * points + c) % q
+            acc = mulmod_m61(acc, points)
+            acc += c
+            acc -= (acc >= _M61).astype(np.uint64) * _M61
         return acc
-    # arbitrary large modulus: exact Python-int path (test-scale only)
-    cs = [int(c) for c in coeffs]
-    out = np.empty(points.shape, dtype=np.uint64)
-    for i, x in enumerate(points):
-        acc = cs[-1]
-        xi = int(x)
-        for c in cs[-2::-1]:
-            acc = (acc * xi + c) % modulus
-        out[i] = acc
-    return out
+    # products of two elements < 2^32 fit exactly in uint64
+    q = _U(modulus)
+    for c in coeffs[-2::-1]:
+        acc = (acc * points + c) % q
+    return acc
 
 
 def _mul128(v, w):
@@ -154,18 +92,22 @@ def _mul128(v, w):
     w1 = w >> _U(32)
     w0 = w & _MASK32
     ll = v0 * w0
-    mid = v1 * w0 + v0 * w1  # < 2^63
-    lo = ll + ((mid & _MASK32) << _U(32))
-    carry = (lo < ll).astype(np.uint64)
-    hi = v1 * w1 + (mid >> _U(32)) + carry
-    return hi, lo
+    mid = v1 * w0
+    mid += v0 * w1  # < 2^63
+    hi = v1 * w1
+    hi += mid >> _U(32)
+    mid &= _MASK32
+    mid <<= _U(32)
+    mid += ll  # the low word
+    hi += mid < ll  # carry
+    return hi, mid
 
 
 def scale_to_range(values, width, modulus):
     """floor(values * width / modulus), exact; maps field elements onto [0, width).
 
-    ``width`` may be a scalar or a per-value array.  When width == modulus
-    this is the identity map.
+    ``width`` may be a scalar or a per-value array.  ``modulus`` is M61 or
+    a prime below 2^32.  When width == modulus this is the identity map.
     """
     values = np.atleast_1d(np.asarray(values, dtype=np.uint64))
     w = np.asarray(width, dtype=np.uint64)
@@ -176,13 +118,7 @@ def scale_to_range(values, width, modulus):
         # v*w = a*2^61 + b = a*M61 + (a + b); a + b < 2^62 so one more
         # division finishes the reduction.
         return a + (a + b) // _M61
-    if modulus < (1 << 32):
-        return (values * w) // _U(modulus)
-    wb = np.broadcast_to(w, values.shape)
-    out = np.empty(values.shape, dtype=np.uint64)
-    for i, v in enumerate(values):
-        out[i] = int(v) * int(wb[i]) // modulus
-    return out
+    return (values * w) // _U(modulus)
 
 
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15

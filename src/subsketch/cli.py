@@ -155,7 +155,7 @@ def _cmd_verify(args):
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{args.config}: invalid JSON: {exc}") from exc
-    if "seed" not in cfg:
+    if isinstance(cfg, dict) and "seed" not in cfg:
         cfg["seed"] = args.seed
     report, passed = run_config(cfg)
     payload = json.dumps(report, indent=2)

@@ -20,11 +20,12 @@ leverage scores of the sampled basis.
 """
 
 import math
+import numbers
 from dataclasses import replace
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import FormatError, ParameterError
 from .kwise import derive_seed
 from .leverage import LeverageScores, exact_leverage
 from .less import less_default_parameters
@@ -58,22 +59,45 @@ def builder(spec):
     return _build
 
 
+_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}  # numpy scalars pass too
+
+
+def _get(cfg, key, cast, default=None):
+    """``cfg[key]`` as ``cast`` (int, float or str), or ``default`` when
+    absent or null; FormatError when the value has another type."""
+    value = cfg.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, _TYPES[cast]):
+        raise FormatError(f"config field {key!r} must be {cast.__name__}, got {value!r}")
+    return cast(value)
+
+
 def run_config(cfg):
-    """Dispatch one experiment config; returns (report_dict, passed)."""
+    """Dispatch one experiment config; returns (report_dict, passed).
+
+    A non-object config or a field of the wrong type raises FormatError;
+    a bad or missing value (an unknown sampler, say) raises ParameterError.
+    """
+    if not isinstance(cfg, dict):
+        raise FormatError(f"an experiment config is a JSON object, got {type(cfg).__name__}")
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ParameterError(
             f"unsupported schema_version {cfg.get('schema_version')!r}"
         )
-    experiment = cfg.get("experiment")
-    missing = [k for k in ("kind", "d", "n") if k not in cfg]
+    experiment = _get(cfg, "experiment", str)
+    missing = [k for k in ("kind", "d", "n") if cfg.get(k) is None]
     if missing:
         raise ParameterError(f"experiment config is missing keys: {missing}")
-    kind = cfg["kind"]
-    d, n = int(cfg["d"]), int(cfg["n"])
-    seed = int(cfg.get("seed", 0))
-    trials = int(cfg.get("trials", 100))
-    eps = float(cfg.get("eps", 0.5))
-    delta = float(cfg.get("delta", 0.05))
+    kind = _get(cfg, "kind", str)
+    d, n = _get(cfg, "d", int), _get(cfg, "n", int)
+    seed = _get(cfg, "seed", int, 0)
+    trials = _get(cfg, "trials", int, 100)
+    eps = _get(cfg, "eps", float, 0.5)
+    delta = _get(cfg, "delta", float, 0.05)
+    sampler_name = _get(cfg, "sampler", str, "haar")
+    if sampler_name not in SAMPLERS:
+        raise ParameterError(f"unknown sampler {sampler_name!r}")
     if kind in LESS_KINDS:
         # placeholder scores fix n; every trial swaps in the exact ones
         uniform = LeverageScores(z=np.full(n, min(1.0, 2.0 * d / n)))
@@ -81,20 +105,17 @@ def run_config(cfg):
     else:
         spec = default_parameters(d, n, eps, delta, kind, seed=seed)
     if cfg.get("m") or cfg.get("s"):
-        m, s = round_parameters(kind, int(cfg.get("m") or spec.m), int(cfg.get("s") or spec.s))
+        m, s = round_parameters(kind, _get(cfg, "m", int) or spec.m, _get(cfg, "s", int) or spec.s)
         spec = replace(spec, m=m, p=s / m)
     dims = {"m": spec.m, "pm": spec.s, "degree_k": spec.degree_k}
     build_trial = builder(spec)
 
     if experiment == "embedding":
-        if "eps" not in cfg or "delta" not in cfg:
+        if cfg.get("eps") is None or cfg.get("delta") is None:
             raise ParameterError("embedding experiments need eps and delta")
-        sampler_name = cfg.get("sampler", "haar")
-        if sampler_name not in SAMPLERS:
-            raise ParameterError(f"unknown sampler {sampler_name!r}")
         sampler = lambda rng: SAMPLERS[sampler_name](n, d, rng)  # noqa: E731
         summary = embedding_trial(build_trial, sampler, trials, eps, seed)
-        target = float(cfg.get("target") or cfg["delta"])
+        target = _get(cfg, "target", float) or delta
         report = {
             "experiment": "embedding",
             "kind": kind,
@@ -105,9 +126,9 @@ def run_config(cfg):
         return report, summary.failure_fraction <= target
 
     if experiment in ("trace_moment", "gamma_moment"):
-        q = int(cfg.get("q", 1))
+        q = _get(cfg, "q", int, 1)
         rng = np.random.default_rng(derive_seed(seed, 0xBA5E))
-        U = SAMPLERS[cfg.get("sampler", "haar")](n, d, rng)
+        U = SAMPLERS[sampler_name](n, d, rng)
         probe_fn = trace_moment if experiment == "trace_moment" else decoupled_gamma_moment
         probe = probe_fn(build_trial, U, q, trials, seed)
         report = {

@@ -88,7 +88,7 @@ class _SignRangeMixin:
 
 @dataclass(frozen=True)
 class KWiseFamily(_SignRangeMixin):
-    """Degree-(degree_k - 1) polynomial hash over GF(field_modulus)."""
+    """Degree-(degree_k - 1) polynomial hash over GF(field_modulus), M61 or a prime < 2^32."""
 
     seed: int
     degree_k: int
@@ -98,21 +98,19 @@ class KWiseFamily(_SignRangeMixin):
     def __post_init__(self):
         if self.degree_k < 1:
             raise ParameterError("degree_k must be >= 1")
-        if self.field_modulus < 2 or not is_prime(self.field_modulus):
-            raise ParameterError(
-                f"field_modulus must be a prime >= 2, got {self.field_modulus}"
-            )
+        q = self.field_modulus
+        if q != M61 and not (q < 1 << 32 and is_prime(q)):
+            raise ParameterError(f"field_modulus must be M61 or a prime below 2^32, got {q}")
         if self.coefficients is None:
             raw = splitmix_stream(self.seed, np.arange(self.degree_k, dtype=np.uint64))
             coeffs = tuple(int(c) % self.field_modulus for c in raw)
-            object.__setattr__(self, "coefficients", coeffs)
         else:
             coeffs = tuple(int(c) for c in self.coefficients)
             if len(coeffs) != self.degree_k:
                 raise ParameterError("need exactly degree_k coefficients")
             if any(c < 0 or c >= self.field_modulus for c in coeffs):
                 raise ParameterError("coefficients must be field elements")
-            object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
     def from_coefficients(cls, coefficients, field_modulus=M61):
@@ -139,7 +137,7 @@ class IndependentFamily(_SignRangeMixin):
     """
 
     seed: int
-    field_modulus: int = M61
+    field_modulus = M61  # fixed: a class attribute, not a field
 
     def evaluate(self, points):
         points = _check_points(points, 1 << 62)

@@ -24,16 +24,9 @@ import warnings
 
 import numpy as np
 
-from ._field import scale_to_range
 from .calibration import CONSTANTS
 from .errors import ParameterError
-from .oblivious import (
-    SketchSpec,
-    _bernoulli_sketch,
-    column_points,
-    independence_degree,
-    make_family,
-)
+from .oblivious import SketchSpec, _bernoulli_sketch, blocked_entries, independence_degree
 from .sketch import SparseSketch
 
 
@@ -77,14 +70,14 @@ def subcolumn_layout(spec, j):
     return out
 
 
-def build_less_ic(spec, family=None, columns=None):
+def build_less_ic(spec, columns=None):
     """Sample an independent-column score-adapted sketch for ``spec``.
 
-    Sub-stream (l, gamma) uses hash points 2*(offset_l + gamma) and
-    2*(offset_l + gamma) + 1 for sign and in-block position, where
-    offset_l counts blocks of earlier columns.  With ``columns`` only
-    those columns are hashed (offsets still count every column); they
-    equal the full build's and every other column is empty.
+    The entries come from :func:`~subsketch.oblivious.blocked_entries`
+    with block heights b_j (when every b_j is m/s, the ``osnap`` rows and
+    signs), each scaled by sqrt(p * width).  With ``columns`` only those
+    columns are hashed; they equal the full build's and every other
+    column is empty.
     """
     b = block_heights(spec)
     if spec.p >= 1.0:
@@ -94,31 +87,18 @@ def build_less_ic(spec, family=None, columns=None):
     pm = spec.p * spec.m
     if pm < 1.0:
         raise ParameterError(f"need p*m >= 1, got {pm}")
-    family = family or make_family(spec)
-    m = spec.m
-    indptr, idx, columns = column_points(-(-m // b), columns)
-    kept = np.diff(indptr)
-    gamma = np.arange(indptr[-1], dtype=np.int64) - np.repeat(indptr[:-1], kept)
-    b_entry = np.repeat(b, kept)
-    lo = b_entry * gamma  # 0-based block start
-    width = np.minimum(b_entry * (gamma + 1), m) - lo
-
-    signs = family.rademacher(idx * np.uint64(2))
-    offsets = scale_to_range(
-        family.evaluate(idx * np.uint64(2) + np.uint64(1)),
-        width.astype(np.uint64), family.field_modulus,
-    ).astype(np.int64)
+    indptr, rows, signs, width, columns = blocked_entries(spec, b, columns)
     return SparseSketch(
         spec=spec,
         indptr=indptr,
-        rows=lo + offsets,
+        rows=rows,
         values=signs * np.sqrt(spec.p * width),
         scale=1.0 / math.sqrt(pm),
         columns=columns,
     )
 
 
-def build_less_ie(spec, family=None):
+def build_less_ie(spec):
     """Sample an independent-entry score-adapted sketch: entry (i, j) kept w.p. beta1 * z_j * p.
 
     Kept entries carry value +-1/sqrt(beta1 * z_j) (unscaled), so every
@@ -138,7 +118,7 @@ def build_less_ie(spec, family=None):
         )
         prob = np.minimum(prob, 1.0)
     mag = 1.0 / np.sqrt(scores.beta1 * np.maximum(scores.z, 1e-300))
-    return _bernoulli_sketch(spec, family or make_family(spec), prob, mag)
+    return _bernoulli_sketch(spec, prob, mag)
 
 
 def less_default_parameters(d, eps, delta, scores, *, kind="less-ic", seed=0,

@@ -14,7 +14,7 @@ Kinds:
   :mod:`subsketch.less`; their spec carries the scores.
 
 All builders return the unscaled matrix S with the global scale
-1/sqrt(p*m) attached; they are pure functions of (spec, family) and
+1/sqrt(p*m) attached; they are pure functions of the spec and
 deterministic for a fixed seed regardless of execution environment.
 """
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from ._field import M61, derive_seed
+from ._field import M61, derive_seed, scale_to_range
 from .calibration import CONSTANTS
 from .errors import ParameterError
 from .kwise import IndependentFamily, KWiseFamily
@@ -120,24 +120,29 @@ class SketchSpec:
         return cls(kind=kind, m=m, n=n, p=s / m, **kwargs)
 
 
-def make_family(spec):
-    """The hash family a builder uses when none is supplied."""
+def _family(spec):
+    """The hash family of ``spec``; each build makes exactly one."""
     if spec.family == "independent":
         return IndependentFamily(seed=spec.seed)
-    return KWiseFamily(seed=spec.seed, degree_k=spec.degree_k, field_modulus=M61)
+    return KWiseFamily(seed=spec.seed, degree_k=spec.degree_k)
 
 
-def column_points(counts, columns):
-    """Layout of a sketch whose column j holds counts[j] hashed entries.
+def blocked_entries(spec, heights, columns=None):
+    """Hashed entries of a blocked one-hot sketch; the sampler of ``osnap``
+    and ``less-ic``.
 
-    Entry gamma of column j is hash sub-stream offset_j + gamma, where
-    offset is the exclusive cumsum of ``counts`` over all n columns, so a
+    Column j is cut from the top into blocks of height heights[j], the
+    last one truncated at m, and each block holds one entry.  Block gamma
+    of column j is entry t = offset_j + gamma, with offset the exclusive
+    cumsum of the block counts over all n columns; its sign comes from
+    hash point 2t and its row within the block from point 2t + 1, so a
     column's entries do not depend on which other columns are built.
-    Only ``columns`` (all when None) are laid out; they must be strictly
+    Only ``columns`` (all when None) are hashed; they must be strictly
     increasing integers in [0, n), or ParameterError.  Returns the n + 1
-    column pointers, the sub-stream index of each built entry, and
-    ``columns`` as int64 (or None).
+    column pointers, the rows, the signs and the block width of each
+    built entry, and ``columns`` as int64 (or None).
     """
+    counts = -(-spec.m // heights)
     kept = counts
     if columns is not None:
         bad = ParameterError(f"columns must be strictly increasing integers in [0, {counts.size})")
@@ -152,34 +157,37 @@ def column_points(counts, columns):
         kept[columns] = counts[columns]
     indptr = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(kept, out=indptr[1:])
-    idx = np.arange(indptr[-1], dtype=np.uint64)
+    t = np.arange(indptr[-1], dtype=np.uint64)
     if columns is not None:  # shift each column's run from indptr_j to offset_j
         shift = np.cumsum(counts) - counts - indptr[:-1]
-        idx += np.repeat(shift.astype(np.uint64), kept)
-    return indptr, idx, columns
+        t += np.repeat(shift.astype(np.uint64), kept)
+    family = _family(spec)
+    signs = family.rademacher(t * np.uint64(2))
+    field = family.evaluate(t * np.uint64(2) + np.uint64(1))
+    # laid out after the hashing, so these arrays do not add to its peak memory
+    lo = np.arange(indptr[-1], dtype=np.int64) - np.repeat(indptr[:-1], kept)  # block gamma
+    width = np.repeat(heights, kept)
+    lo *= width  # 0-based block start
+    width = np.minimum(lo + width, spec.m) - lo
+    rows = lo + scale_to_range(field, width.view(np.uint64), M61).astype(np.int64)
+    return indptr, rows, signs, width, columns
 
 
-def build_osnap(spec, family=None, columns=None):
-    """Sample a blocked one-hot sketch: s one-hot blocks per column.
+def build_osnap(spec, columns=None):
+    """Sample a blocked one-hot sketch: s blocks of height m/s per column.
 
-    Sub-stream (l, gamma) uses hash points 2*(l*s + gamma) for the sign and
-    2*(l*s + gamma) + 1 for the in-block position.  With ``columns`` (a
+    The entries come from :func:`blocked_entries`.  With ``columns`` (a
     strictly increasing index array) only those columns are hashed; they
     equal the full build's and every other column is empty.
     """
     if spec.kind != "osnap":
         raise ParameterError(f"build_osnap needs kind 'osnap', got {spec.kind!r}")
-    family = family or make_family(spec)
-    s = spec.s
-    block = spec.m // s
-    indptr, idx, columns = column_points(np.full(spec.n, s, dtype=np.int64), columns)
-    signs = family.rademacher(idx * np.uint64(2))
-    offsets = family.uniform_range(idx * np.uint64(2) + np.uint64(1), 0, block - 1)
-    gamma = (idx % np.uint64(s)).astype(np.int64)  # block of each entry
+    heights = np.full(spec.n, spec.m // spec.s, dtype=np.int64)
+    indptr, rows, signs, _, columns = blocked_entries(spec, heights, columns)
     return SparseSketch(
         spec=spec,
         indptr=indptr,
-        rows=gamma * block + offsets,
+        rows=rows,
         values=signs,
         scale=1.0 / math.sqrt(spec.p * spec.m),
         columns=columns,
@@ -226,7 +234,7 @@ def _bernoulli_grid_positions(rng, m, q):
     return np.sort(flat) if len(found) > 1 else flat  # merges sorted runs
 
 
-def _bernoulli_sketch(spec, family, q, magnitude):
+def _bernoulli_sketch(spec, q, magnitude):
     """Sketch whose cell (i, j) is kept with probability q[j] and holds
     +-magnitude[j]; the sampler for ``ose-ie`` and ``less-ie``.
 
@@ -236,13 +244,14 @@ def _bernoulli_sketch(spec, family, q, magnitude):
     seeded generator.
     """
     m, n = spec.m, spec.n
+    family = _family(spec)
     if isinstance(family, IndependentFamily):
         rng = np.random.default_rng(derive_seed(family.seed, 0x05E1E))
         flat = _bernoulli_grid_positions(rng, m, q)
         signs = rng.integers(0, 2, size=flat.size).astype(np.float64) * 2.0 - 1.0
     else:
         cells = np.arange(m * n, dtype=np.uint64)
-        threshold = np.floor(q * family.field_modulus).astype(np.uint64)
+        threshold = np.floor(q * M61).astype(np.uint64)
         v = family.evaluate(cells * np.uint64(2) + np.uint64(1))
         flat = np.flatnonzero(v.reshape(n, m) < threshold[:, None])
         signs = family.rademacher(flat.astype(np.uint64) * np.uint64(2))
@@ -258,7 +267,7 @@ def _bernoulli_sketch(spec, family, q, magnitude):
     )
 
 
-def build_ose_ie(spec, family=None):
+def build_ose_ie(spec):
     """Sample an i.i.d.-entry sketch: each cell kept with probability p.
 
     With an independent-mode family the cells are drawn by geometric gaps
@@ -268,10 +277,10 @@ def build_ose_ie(spec, family=None):
     if spec.kind != "ose-ie":
         raise ParameterError(f"build_ose_ie needs kind 'ose-ie', got {spec.kind!r}")
     ones = np.ones(spec.n)
-    return _bernoulli_sketch(spec, family or make_family(spec), spec.p * ones, ones)
+    return _bernoulli_sketch(spec, spec.p * ones, ones)
 
 
-def build_dense_baseline(spec, family=None):
+def build_dense_baseline(spec):
     """Dense Gaussian or Rademacher comparison matrix with entry variance p.
 
     Gaussian entries come from the inverse normal CDF applied to the
@@ -281,7 +290,7 @@ def build_dense_baseline(spec, family=None):
         raise ParameterError(
             f"build_dense_baseline needs a dense kind, got {spec.kind!r}"
         )
-    family = family or make_family(spec)
+    family = _family(spec)
     m, n, p = spec.m, spec.n, spec.p
     pts = np.arange(m * n, dtype=np.uint64) * np.uint64(2)
     if spec.kind == "gaussian-dense":
@@ -293,20 +302,18 @@ def build_dense_baseline(spec, family=None):
     return DenseSketch(spec=spec, matrix=matrix, scale=1.0 / math.sqrt(p * m))
 
 
-def build(spec, family=None, columns=None):
+def build(spec, columns=None):
     """Build ``spec`` with the builder registered for its kind.
 
     ``columns`` restricts the build to those columns (see
     :func:`build_osnap`); only the kinds in ``COLUMN_KINDS`` address their
     hash points by column, so any other kind raises ParameterError.
     """
+    if columns is not None and spec.kind not in COLUMN_KINDS:
+        raise ParameterError(f"a {spec.kind} build cannot be restricted to columns")
     module, name = _BUILDERS[spec.kind]
     builder = getattr(importlib.import_module(f"{__package__}.{module}"), name)
-    if columns is None:
-        return builder(spec, family)
-    if spec.kind not in COLUMN_KINDS:
-        raise ParameterError(f"a {spec.kind} build cannot be restricted to columns")
-    return builder(spec, family, columns=columns)
+    return builder(spec) if columns is None else builder(spec, columns=columns)
 
 
 def _log_term(x):

@@ -248,6 +248,25 @@ class TestVerifyCommand:
         path.write_text("{nope")
         assert main(["verify", "--config", str(path)]) == EXIT_IO
 
+    @pytest.mark.parametrize("cfg, code", [
+        # a field of the wrong type, or a config that is not an object: exit 3
+        ({"d": "x"}, EXIT_IO),
+        ({"sampler": ["haar"]}, EXIT_IO),
+        ({"trials": 1.7}, EXIT_IO),  # int() would run one trial
+        ({"d": True}, EXIT_IO),  # int() would read d = 1
+        ([1, 2], EXIT_IO),
+        # an unknown sampler is a bad value for every experiment: exit 2
+        ({"experiment": "trace_moment", "m": 64, "s": 16, "q": 1, "sampler": "nope"},
+         EXIT_PARAMETER),
+    ], ids=["d-string", "sampler-list", "trials-float", "d-bool", "top-level-array",
+            "moment-unknown-sampler"])
+    def test_malformed_config_gives_typed_exit(self, tmp_path, cfg, code):
+        base = {"schema_version": 1, "experiment": "embedding", "kind": "osnap",
+                "d": 4, "n": 128, "eps": 0.5, "delta": 0.05, "trials": 2}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base | cfg if isinstance(cfg, dict) else cfg))
+        assert main(["verify", "--config", str(path)]) == code
+
     def test_score_adapted_embedding_config(self, tmp_path):
         cfg = {
             "schema_version": 1,

@@ -34,13 +34,20 @@ class TestFieldArithmetic:
             got = mulmod_m61(np.uint64(x), np.uint64(y))
             assert int(got) == x * y % M61
 
-    def test_poly_eval_numba_and_numpy_agree(self):
-        rng = np.random.default_rng(5)
-        coeffs = rng.integers(0, M61, 17, dtype=np.uint64)
-        pts = rng.integers(0, M61, 5000, dtype=np.uint64)
-        a = poly_eval(coeffs, pts, M61)
-        b = poly_eval(coeffs, pts, M61, force_numpy=True)
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("k", [1, 2, 8, 56, 64])
+    def test_poly_eval_matches_python_horner(self, k):
+        # golden values from Python big-int Horner evaluation over M61
+        rng = np.random.default_rng(5 + k)
+        coeffs = [int(c) for c in rng.integers(0, M61, k, dtype=np.uint64)]
+        coeffs[-1] = M61 - 1  # the largest element leads every Horner chain
+        edges = [0, 1, 2, (1 << 32) - 1, (1 << 32) + 1, 1 << 60, M61 - 2, M61 - 1]
+        pts = edges + [int(x) for x in rng.integers(0, M61, 500, dtype=np.uint64)]
+        got = poly_eval(np.array(coeffs, dtype=np.uint64), np.array(pts, dtype=np.uint64), M61)
+        for x, v in zip(pts, got.tolist()):
+            want = 0
+            for c in reversed(coeffs):
+                want = (want * x + c) % M61
+            assert v == want, (k, x)
 
     def test_scale_to_range_exact(self):
         rng = np.random.default_rng(9)
@@ -88,6 +95,12 @@ class TestFamilyConstruction:
             new_kwise_family(seed=0, degree_k=2, field_modulus=9)  # not prime
         with pytest.raises(ParameterError):
             new_kwise_family(seed=0, degree_k=2, field_modulus=1)
+
+    def test_prime_above_2_32_rejected(self):
+        # only M61 and primes below 2^32 have an exact uint64 evaluator
+        assert is_prime(4294967311)
+        with pytest.raises(ParameterError):
+            KWiseFamily(seed=0, degree_k=2, field_modulus=4294967311)
 
     def test_index_out_of_range(self):
         fam = new_kwise_family(seed=0, degree_k=2, field_modulus=5)

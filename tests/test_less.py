@@ -14,6 +14,7 @@ from subsketch import (
     SketchSpec,
     build_less_ic,
     build_less_ie,
+    build_osnap,
     column_sparsities,
     less_default_parameters,
     subcolumn_layout,
@@ -143,6 +144,18 @@ class TestBuildLessIc:
         a, b = build_less_ic(spec), build_less_ic(spec)
         assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("columns", [None, [1, 4, 5, 11]])
+    def test_osnap_heights_give_the_osnap_sketch(self, columns):
+        # beta1*z = 1 makes every block height m/s: the two kinds share one sampler
+        m, n, p = 48, 12, 0.125
+        less = build_less_ic(SketchSpec(kind="less-ic", m=m, p=p, scores=uniform_scores(n, 1.0),
+                                        degree_k=8, seed=21), columns=columns)
+        osnap = build_osnap(SketchSpec(kind="osnap", m=m, n=n, p=p, degree_k=8, seed=21),
+                            columns=columns)
+        assert np.array_equal(less.indptr, osnap.indptr)
+        assert np.array_equal(less.rows, osnap.rows)
+        assert np.array_equal(less.values, osnap.values)  # sqrt(p*m/s) = 1 exactly here
 
     def test_p_one_rejected_with_dense_hint(self):
         with warnings.catch_warnings():
