@@ -5,6 +5,28 @@ uint64 arrays; 61x61-bit products are computed exactly through 32-bit limb
 splitting, so no intermediate ever exceeds 64 bits.  The only other
 fields are those of a prime below 2^32, whose products fit in uint64
 directly (the tiny fields of the enumeration tests).
+
+Over M61 one Horner step ``acc <- acc * x + c`` (:func:`_mul_add_step`) is
+the only place the 61-bit reduction is written; :func:`mulmod_m61` is that
+step with c = 0.  With 2^61 == 1 and 2^64 == 8 (mod M61), a point
+x < 2^61 split as x1 = x >> 32 < 2^29, x0 = x mod 2^32, and the accumulator
+as a1 = acc >> 32, a0 = acc mod 2^32, the step sums
+
+    8*a1*x1 + (mid >> 29) + (mid mod 2^29) * 2^32 + (lo >> 61) + (lo & M61) + c
+
+with mid = a1*x0 + a0*x1 and lo = a0*x0.  Between steps the accumulator is
+only reduced lazily, and these bounds keep every value exact in uint64:
+
+* every limb product is below 2^64: 8*a1*x1 < 2^61, a1*x0 and a0*x1 are
+  below 2^61 (so mid < 2^62), and lo < 2^64;
+* the step's sum is below 2^63: its four 61-bit terms (8*a1*x1, the
+  shifted low part of mid, lo & M61 and c) are each below 2^61, the first
+  two by at least 2^32, and mid >> 29 < 2^33 and lo >> 61 < 8 fit in that
+  room (a1 = 2^29 only when a0 < 4, and then both are small);
+* ``acc < 2^61 + 4`` holds between steps: one fold
+  (acc >> 61) + (acc & M61) of a sum below 2^63 is at most 2^61 + 2.
+
+A single conditional subtraction at the end gives the canonical element.
 """
 
 import numpy as np
@@ -15,6 +37,7 @@ _U = np.uint64
 _MASK32 = _U(0xFFFFFFFF)
 _MASK29 = _U((1 << 29) - 1)
 _M61 = _U(M61)
+_3, _29, _32, _61 = _U(3), _U(29), _U(32), _U(61)  # shift counts
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -44,41 +67,86 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_CHUNK = 1 << 14  # points per block: the work buffers stay in the L2 cache
+
+
+def _split(x, x1, x1_8, x0):
+    """The limbs of points x < 2^61: x1 = x >> 32, x1_8 = 8*x1, x0 = x mod 2^32."""
+    np.right_shift(x, _32, out=x1)
+    np.left_shift(x1, _3, out=x1_8)
+    np.bitwise_and(x, _MASK32, out=x0)
+
+
+def _mul_add_step(acc, c, x1, x1_8, x0, a1, a0, t):
+    """acc <- acc * x + c (mod M61) in place; acc < 2^61 + 4 before and after.
+
+    ``x1, x1_8, x0`` are the limbs from :func:`_split`; ``a1, a0, t`` are
+    work buffers of acc's shape.  See the module docstring for the bounds.
+    """
+    np.right_shift(acc, _32, out=a1)
+    np.bitwise_and(acc, _MASK32, out=a0)
+    np.multiply(a1, x1_8, out=acc)  # a1*x1 * 2^64 == 8*a1*x1
+    np.multiply(a1, x0, out=a1)
+    np.multiply(a0, x1, out=t)
+    np.add(a1, t, out=a1)  # mid
+    np.multiply(a0, x0, out=a0)  # lo
+    np.right_shift(a1, _29, out=t)  # mid * 2^32 == (mid >> 29) + ((mid mod 2^29) << 32)
+    np.add(acc, t, out=acc)
+    np.bitwise_and(a1, _MASK29, out=a1)
+    np.left_shift(a1, _32, out=a1)
+    np.add(acc, a1, out=acc)
+    np.right_shift(a0, _61, out=t)  # lo == (lo >> 61) + (lo & M61)
+    np.add(acc, t, out=acc)
+    np.bitwise_and(a0, _M61, out=a0)
+    np.add(acc, a0, out=acc)
+    np.add(acc, c, out=acc)  # < 2^63
+    np.right_shift(acc, _61, out=t)  # fold: < 2^61 + 4
+    np.bitwise_and(acc, _M61, out=acc)
+    np.add(acc, t, out=acc)
+
+
+def _canonical(acc, t):
+    """Reduce acc < 2^61 + 4 into [0, M61) in place: min(acc, acc - M61), wrapping."""
+    np.subtract(acc, _M61, out=t)
+    np.minimum(acc, t, out=acc)
+
+
 def mulmod_m61(a, b):
     """(a * b) mod M61 for uint64 arrays with a, b < 2^61. Exact."""
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    a1 = a >> _U(32)
-    a0 = a & _MASK32
-    b1 = b >> _U(32)
-    b0 = b & _MASK32
-    mid = a1 * b0 + a0 * b1  # < 2^62
-    lo = a0 * b0  # < 2^64
-    acc = (a1 * b1) * _U(8)  # 2^64 == 8 mod M61
-    acc += mid >> _U(29)  # mid * 2^32 == (mid >> 29) + (mid & mask29) << 32
-    acc += (mid & _MASK29) << _U(32)
-    acc += lo >> _U(61)
-    acc += lo & _M61
-    acc = (acc >> _U(61)) + (acc & _M61)
-    return acc - (acc >= _M61).astype(np.uint64) * _M61
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64))
+    acc = a.copy()
+    work = [np.empty(acc.shape, dtype=np.uint64) for _ in range(6)]
+    _split(b, *work[:3])
+    _mul_add_step(acc, _U(0), *work)
+    _canonical(acc, work[-1])
+    return acc
 
 
 def poly_eval(coeffs, points, modulus):
     """Evaluate sum_t coeffs[t] * x^t mod ``modulus`` at every x in ``points``.
 
     ``modulus`` is M61 or a prime below 2^32; coeffs are field elements
-    (low-to-high degree) and points must be < modulus.
+    (low-to-high degree) and points must be < modulus.  Over M61 the points
+    are evaluated in blocks of ``_CHUNK``, each block's limbs split once,
+    and every Horner step writes into one set of preallocated buffers.
     """
     points = np.atleast_1d(np.asarray(points, dtype=np.uint64))
     coeffs = np.asarray(coeffs, dtype=np.uint64)
-    acc = np.full(points.shape, coeffs[-1], dtype=np.uint64)
     if modulus == M61:
-        for c in coeffs[-2::-1]:
-            acc = mulmod_m61(acc, points)
-            acc += c
-            acc -= (acc >= _M61).astype(np.uint64) * _M61
-        return acc
+        flat = points.reshape(-1)
+        out = np.empty(flat.size, dtype=np.uint64)
+        work = np.empty((6, min(_CHUNK, flat.size)), dtype=np.uint64)
+        for start in range(0, flat.size, _CHUNK):
+            acc = out[start:start + _CHUNK]
+            bufs = tuple(work[:, : acc.size])
+            _split(flat[start:start + _CHUNK], *bufs[:3])
+            acc.fill(coeffs[-1])
+            for c in coeffs[-2::-1]:
+                _mul_add_step(acc, c, *bufs)
+            _canonical(acc, bufs[-1])
+        return out.reshape(points.shape)
     # products of two elements < 2^32 fit exactly in uint64
+    acc = np.full(points.shape, coeffs[-1], dtype=np.uint64)
     q = _U(modulus)
     for c in coeffs[-2::-1]:
         acc = (acc * points + c) % q

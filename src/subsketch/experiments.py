@@ -104,8 +104,11 @@ def run_config(cfg):
         spec = less_default_parameters(d, eps, delta, uniform, kind=kind, seed=seed)
     else:
         spec = default_parameters(d, n, eps, delta, kind, seed=seed)
-    if cfg.get("m") or cfg.get("s"):
-        m, s = round_parameters(kind, _get(cfg, "m", int) or spec.m, _get(cfg, "s", int) or spec.s)
+    m, s = _get(cfg, "m", int), _get(cfg, "s", int)
+    if any(v is not None and v < 1 for v in (m, s)):
+        raise ParameterError(f"m and s must be >= 1, got m={m}, s={s}")
+    if m is not None or s is not None:
+        m, s = round_parameters(kind, spec.m if m is None else m, spec.s if s is None else s)
         spec = replace(spec, m=m, p=s / m)
     dims = {"m": spec.m, "pm": spec.s, "degree_k": spec.degree_k}
     build_trial = builder(spec)

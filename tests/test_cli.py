@@ -267,6 +267,16 @@ class TestVerifyCommand:
         path.write_text(json.dumps(base | cfg if isinstance(cfg, dict) else cfg))
         assert main(["verify", "--config", str(path)]) == code
 
+    @pytest.mark.parametrize("dims", [{"m": 0}, {"s": 0}, {"s": -4}],
+                             ids=["m-zero", "s-zero", "s-negative"])
+    def test_out_of_range_dimensions_rejected(self, tmp_path, dims):
+        # "m": 0 used to select the default m, and "s": -4 became s = 1
+        cfg = {"schema_version": 1, "experiment": "trace_moment", "kind": "osnap",
+               "d": 4, "n": 128, "m": 64, "s": 16, "q": 1, "trials": 2} | dims
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", "--config", str(path)]) == EXIT_PARAMETER
+
     def test_score_adapted_embedding_config(self, tmp_path):
         cfg = {
             "schema_version": 1,

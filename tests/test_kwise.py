@@ -1,6 +1,7 @@
 """Hashing layer: exact field arithmetic, enumeration oracles, stream stats."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,22 @@ from subsketch import (
     rademacher_at,
     uniform_range_at,
 )
-from subsketch._field import is_prime, mulmod_m61, poly_eval, scale_to_range
+from subsketch._field import _CHUNK, is_prime, mulmod_m61, poly_eval, scale_to_range
+
+
+def _horner(coeffs, points):
+    """Python big-int Horner evaluation over M61, elementwise."""
+    x = np.asarray(points, dtype=np.uint64).astype(object)
+    acc = np.zeros(x.shape, dtype=object)
+    for c in reversed(coeffs):
+        acc = (acc * x + int(c)) % M61
+    return acc
+
+
+def _assert_matches_horner(coeffs, points):
+    got = poly_eval(np.asarray(coeffs, dtype=np.uint64), points, M61)
+    assert got.dtype == np.uint64 and got.shape == np.shape(points)
+    assert (got.astype(object) == _horner(coeffs, points)).all()
 
 
 class TestFieldArithmetic:
@@ -48,6 +64,44 @@ class TestFieldArithmetic:
             for c in reversed(coeffs):
                 want = (want * x + c) % M61
             assert v == want, (k, x)
+
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_poly_eval_across_chunk_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        coeffs = rng.integers(0, M61, 7, dtype=np.uint64)
+        _assert_matches_horner(coeffs, rng.integers(0, M61, n, dtype=np.uint64))
+
+    def test_poly_eval_keeps_shape_and_reads_strided_points(self):
+        rng = np.random.default_rng(12)
+        coeffs = rng.integers(0, M61, 9, dtype=np.uint64)
+        grid = rng.integers(0, M61, (130, 257), dtype=np.uint64)
+        _assert_matches_horner(coeffs, grid)
+        strided = grid.reshape(-1)[::3]
+        assert not strided.flags.c_contiguous
+        _assert_matches_horner(coeffs, strided)
+        _assert_matches_horner(coeffs, grid[::2, 1::5])
+
+    @pytest.mark.parametrize("k", [2, 64])
+    def test_poly_eval_lazy_reduction_worst_case(self, k):
+        # the largest coefficients and points drive the limbs and the step's sum to their bounds
+        points = np.array([M61 - 1, M61 - 2, (1 << 61) - (1 << 32)], dtype=np.uint64)
+        _assert_matches_horner([M61 - 1] * k, points)
+
+    def test_poly_eval_constant_polynomial(self):
+        points = np.arange(2 * _CHUNK + 3, dtype=np.uint64).reshape(-1, 1)
+        got = poly_eval(np.array([M61 - 1], dtype=np.uint64), points, M61)
+        assert got.shape == points.shape and (got == M61 - 1).all()
+
+    def test_evaluate_peak_memory_is_its_output(self):
+        fam = KWiseFamily(seed=3, degree_k=64)
+        points = np.arange(1 << 20, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            out = fam.evaluate(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.nbytes, peak
 
     def test_scale_to_range_exact(self):
         rng = np.random.default_rng(9)
@@ -211,3 +265,15 @@ def test_evaluation_pure_and_in_field(seed, k, index):
     v2 = fam.evaluate(np.uint64(index))
     assert v1 == v2
     assert 0 <= int(v1[0]) < M61
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 64),
+    n=st.integers(_CHUNK - 64, 2 * _CHUNK + 64),
+)
+def test_poly_eval_matches_horner_near_chunk_sizes(seed, k, n):
+    rng = np.random.default_rng(seed)
+    _assert_matches_horner(rng.integers(0, M61, k, dtype=np.uint64),
+                           rng.integers(0, M61, n, dtype=np.uint64))
