@@ -27,6 +27,30 @@ only reduced lazily, and these bounds keep every value exact in uint64:
   (acc >> 61) + (acc & M61) of a sum below 2^63 is at most 2^61 + 2.
 
 A single conditional subtraction at the end gives the canonical element.
+
+Points below 2^32 -- the samplers' points 2*t + tag whenever the entry
+or cell number t is below 2^31 -- take a narrower step
+(:func:`_narrow_step`) that computes the quotient in float64 instead of
+splitting limbs:
+
+    q = trunc(float(acc) * fx),  fx = x * (1 - 2^-45) / M61,
+    acc <- acc*x - q*M61 + c     (uint64, wrapping)
+
+* q is floor(acc*x / M61) or one less: float(M61) is 2^61, so the
+  constant is exact up to 2^-61, and the casts and the two products add
+  at most 2^-51 of relative error, below the 2^-45 shrink, so the float
+  quotient y' lies in (y - y*2^-44, y) for the true y = acc*x / M61;
+  y < 3 * 2^32, so y*2^-44 < 1.
+* ``acc < 3*M61`` holds between steps: acc*x - q*M61 is acc*x mod M61
+  plus at most one M61, so below 2*M61, and c < M61.  The products
+  wrap mod 2^64 but their difference is that exact value.  acc < 2^63,
+  so its int64 view is non-negative and casts to float64 as it should.
+
+Two conditional subtractions at the end give the canonical element.
+:func:`poly_eval` takes the narrow step for each block of ``_CHUNK``
+points whose largest point is below 2^32 and the limb step for any
+other block; both give the same element, so the choice never shows in
+the output.
 """
 
 import numpy as np
@@ -38,6 +62,8 @@ _MASK32 = _U(0xFFFFFFFF)
 _MASK29 = _U((1 << 29) - 1)
 _M61 = _U(M61)
 _3, _29, _32, _61 = _U(3), _U(29), _U(32), _U(61)  # shift counts
+_NARROW = 1 << 32  # blocks whose points are all below this take _narrow_step
+_SHRINK = (1.0 - 2.0**-45) / M61  # float(M61) == 2^61: exact
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -105,8 +131,27 @@ def _mul_add_step(acc, c, x1, x1_8, x0, a1, a0, t):
     np.add(acc, t, out=acc)
 
 
+def _narrow_step(acc, acc_i, c, x, fx, f, q, q_i):
+    """acc <- acc * x + c - q * M61 in place for points x < 2^32; acc < 3*M61 before and after.
+
+    ``fx`` is x * _SHRINK; ``acc_i`` and ``q_i`` are int64 views of acc and
+    the uint64 buffer ``q``; ``f`` is a float64 buffer.  See the module
+    docstring for the quotient bound.
+    """
+    np.copyto(f, acc_i)
+    np.multiply(f, fx, out=f)
+    np.copyto(q_i, f, casting="unsafe")  # truncates
+    np.multiply(q, _M61, out=q)
+    np.multiply(acc, x, out=acc)
+    np.subtract(acc, q, out=acc)  # acc*x mod M61, plus at most one M61
+    np.add(acc, c, out=acc)
+
+
 def _canonical(acc, t):
-    """Reduce acc < 2^61 + 4 into [0, M61) in place: min(acc, acc - M61), wrapping."""
+    """Subtract M61 in place where acc >= M61: min(acc, acc - M61), wrapping.
+
+    Maps acc < 2*M61 into [0, M61).
+    """
     np.subtract(acc, _M61, out=t)
     np.minimum(acc, t, out=acc)
 
@@ -127,8 +172,10 @@ def poly_eval(coeffs, points, modulus):
 
     ``modulus`` is M61 or a prime below 2^32; coeffs are field elements
     (low-to-high degree) and points must be < modulus.  Over M61 the points
-    are evaluated in blocks of ``_CHUNK``, each block's limbs split once,
-    and every Horner step writes into one set of preallocated buffers.
+    are evaluated in blocks of ``_CHUNK``, and every Horner step writes
+    into one set of preallocated buffers.  A block whose points are all
+    below 2^32 takes :func:`_narrow_step`; any other block splits its
+    limbs once and takes :func:`_mul_add_step`.
     """
     points = np.atleast_1d(np.asarray(points, dtype=np.uint64))
     coeffs = np.asarray(coeffs, dtype=np.uint64)
@@ -138,11 +185,21 @@ def poly_eval(coeffs, points, modulus):
         work = np.empty((6, min(_CHUNK, flat.size)), dtype=np.uint64)
         for start in range(0, flat.size, _CHUNK):
             acc = out[start:start + _CHUNK]
+            x = flat[start:start + _CHUNK]
             bufs = tuple(work[:, : acc.size])
-            _split(flat[start:start + _CHUNK], *bufs[:3])
             acc.fill(coeffs[-1])
-            for c in coeffs[-2::-1]:
-                _mul_add_step(acc, c, *bufs)
+            if int(x.max()) < _NARROW:
+                fx, f, q = bufs[0].view(np.float64), bufs[1].view(np.float64), bufs[2]
+                np.copyto(fx, x)  # exact: x < 2^53 (a mixed-type multiply would buffer its cast)
+                np.multiply(fx, _SHRINK, out=fx)
+                acc_i, q_i = acc.view(np.int64), q.view(np.int64)
+                for c in coeffs[-2::-1]:
+                    _narrow_step(acc, acc_i, c, x, fx, f, q, q_i)
+                _canonical(acc, bufs[-1])  # acc < 3*M61 takes two
+            else:
+                _split(x, *bufs[:3])
+                for c in coeffs[-2::-1]:
+                    _mul_add_step(acc, c, *bufs)
             _canonical(acc, bufs[-1])
         return out.reshape(points.shape)
     # products of two elements < 2^32 fit exactly in uint64

@@ -109,6 +109,8 @@ def _load_scores(path):
 def _cmd_sketch(args):
     if args.p is None and args.s is None:
         raise ParameterError("give either --p or --s")
+    if args.m < 1:
+        raise ParameterError(f"--m must be >= 1, got {args.m}")
     less = args.kind in LESS_KINDS
     if less and not args.scores:
         raise ParameterError(f"{args.kind} needs --scores")

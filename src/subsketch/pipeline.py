@@ -32,6 +32,12 @@ class Overrides:
     pm: int = None
     degree_k: int = None
 
+    def __post_init__(self):
+        for name in ("m", "pm", "degree_k"):
+            v = getattr(self, name)
+            if v is not None and v < 1:
+                raise ParameterError(f"override {name} must be >= 1, got {v}")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -126,9 +132,9 @@ def fast_subspace_embed(A, config):
     else:
         spec = default_parameters(d, n, config.eps, config.delta, config.kind,
                                   seed=config.seed)
-    m = ov.m or spec.m
-    spec = replace(spec, m=m, p=(ov.pm or spec.s) / m,
-                   degree_k=ov.degree_k or spec.degree_k)
+    m = spec.m if ov.m is None else ov.m
+    spec = replace(spec, m=m, p=(spec.s if ov.pm is None else ov.pm) / m,
+                   degree_k=spec.degree_k if ov.degree_k is None else ov.degree_k)
     timings["parameters"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

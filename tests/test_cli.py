@@ -22,6 +22,15 @@ from subsketch import (
 from subsketch.cli import EXIT_IO, EXIT_OK, EXIT_PARAMETER, EXIT_VERIFY, main
 
 
+def _run_cli(argv):
+    """Run ``python -m subsketch.cli argv`` in a fresh process against this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, "-m", "subsketch.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture
 def matrix_file(tmp_path):
     rng = np.random.default_rng(0)
@@ -46,6 +55,15 @@ class TestSketchCommand:
         want = lib_apply(build_osnap(spec), A)
         got = load_matrix(out)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_out_of_range_m_exits_2_in_subprocess(self, tmp_path, m):
+        # --m 0 once died on a ZeroDivisionError traceback from s / m (exit 1)
+        proc = _run_cli(["sketch", "--kind", "osnap", "--m", m, "--n", "16", "--s", "1",
+                         "--out", str(tmp_path / "s.skt")])
+        assert proc.returncode == EXIT_PARAMETER, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "s.skt").exists()
 
     def test_less_ic_needs_scores(self, tmp_path):
         rc = main(["sketch", "--kind", "less-ic", "--m", "32", "--p", "0.25",
@@ -129,14 +147,7 @@ class TestApplyCommand:
         skt.write_bytes(bytes(raw))
         A = tmp_path / "A.mtx"
         save_matrix(A, np.ones((50, 3)))
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "subsketch.cli", "apply", str(skt), str(A),
-             "--out", str(tmp_path / "o.mtx")],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = _run_cli(["apply", str(skt), str(A), "--out", str(tmp_path / "o.mtx")])
         assert proc.returncode == EXIT_IO, proc.stderr
         assert "error:" in proc.stderr
 
@@ -358,3 +369,24 @@ class TestPipelineCommand:
         assert report["nnz_sketch"] <= report["nnz_bound"]
         embedded = load_matrix(out)
         assert embedded.shape == (report["m"], 6)
+
+    @pytest.mark.parametrize("flag", ["--m", "--pm"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_out_of_range_override_rejected(self, tmp_path, matrix_file, flag, value):
+        # a zero override once fell back to the default (m=90) with exit 0
+        mpath, _ = matrix_file
+        out = tmp_path / "embedded.mtx"
+        rc = main(["pipeline", str(mpath), "--eps", "0.5", "--kind", "osnap",
+                   flag, value, "--out", str(out)])
+        assert rc == EXIT_PARAMETER
+        assert not out.exists()
+
+    def test_explicit_overrides_are_used(self, tmp_path, matrix_file):
+        mpath, _ = matrix_file
+        report_path = tmp_path / "report.json"
+        rc = main(["pipeline", str(mpath), "--eps", "0.5", "--kind", "osnap",
+                   "--m", "1", "--pm", "1", "--out", str(tmp_path / "e.mtx"),
+                   "--report", str(report_path)])
+        assert rc == EXIT_OK
+        report = json.loads(report_path.read_text())
+        assert (report["m"], report["pm"]) == (1, 1.0)

@@ -17,7 +17,15 @@ from subsketch import (
     rademacher_at,
     uniform_range_at,
 )
-from subsketch._field import _CHUNK, is_prime, mulmod_m61, poly_eval, scale_to_range
+from subsketch._field import (
+    _CHUNK,
+    _SHRINK,
+    _narrow_step,
+    is_prime,
+    mulmod_m61,
+    poly_eval,
+    scale_to_range,
+)
 
 
 def _horner(coeffs, points):
@@ -86,6 +94,56 @@ class TestFieldArithmetic:
         # the largest coefficients and points drive the limbs and the step's sum to their bounds
         points = np.array([M61 - 1, M61 - 2, (1 << 61) - (1 << 32)], dtype=np.uint64)
         _assert_matches_horner([M61 - 1] * k, points)
+
+    @pytest.mark.parametrize("k", [1, 2, 64])
+    def test_poly_eval_narrow_worst_case(self, k):
+        # the largest coefficients at the top of the float-quotient step's range and at 2^31
+        points = np.array([(1 << 32) - 1, (1 << 32) - 2, 1 << 31], dtype=np.uint64)
+        _assert_matches_horner([M61 - 1] * k, points)
+
+    @pytest.mark.parametrize("layout", ["same", "narrow-first", "wide-first"])
+    def test_poly_eval_narrow_and_wide_points_across_blocks(self, layout):
+        rng = np.random.default_rng(17)
+        coeffs = rng.integers(0, M61, 16, dtype=np.uint64)
+        points = rng.integers(0, 1 << 32, 2 * _CHUNK, dtype=np.uint64)
+        if layout == "same":  # one block holds both sides of 2^32
+            points[[5, 9]] = [(1 << 32) - 1, 1 << 32]
+        else:  # 2^32 - 1 in one block, 2^32 in the other
+            narrow, wide = (5, _CHUNK + 9) if layout == "narrow-first" else (_CHUNK + 9, 5)
+            points[[narrow, wide]] = [(1 << 32) - 1, 1 << 32]
+        _assert_matches_horner(coeffs, points)
+
+    @pytest.mark.parametrize("x", [3, 1 << 31, (1 << 32) - 1])
+    @pytest.mark.parametrize("r", [1, 1 << 40])
+    def test_poly_eval_narrow_result_above_two_m61_is_reduced(self, x, r):
+        # c1 = r / x makes c1*x mod M61 = r tiny, so the float quotient comes
+        # out one short and the last step leaves r + M61 + c0 >= 2*M61
+        c1 = r * pow(x, -1, M61) % M61
+        _assert_matches_horner([M61 - 1, c1], np.array([x], dtype=np.uint64))
+
+    @pytest.mark.parametrize("top, narrow_steps", [((1 << 32) - 1, 2 * 7), (1 << 32, 7)])
+    def test_poly_eval_picks_the_step_per_block(self, monkeypatch, top, narrow_steps):
+        calls = []
+        monkeypatch.setattr("subsketch._field._narrow_step",
+                            lambda *args: calls.append(1) or _narrow_step(*args))
+        points = np.arange(2 * _CHUNK, dtype=np.uint64)
+        points[-1] = top  # the last block is narrow only if top < 2^32
+        _assert_matches_horner(list(range(1, 9)), points)
+        assert len(calls) == narrow_steps
+
+    def test_narrow_step_keeps_acc_below_three_m61(self):
+        # one step from every corner of acc in [0, 3*M61): exact and below 3*M61
+        accs = [0, 1, M61 - 1, M61, 2 * M61 - 1, 2 * M61, 3 * M61 - 2, 3 * M61 - 1]
+        xs = [0, 1, 1 << 31, (1 << 32) - 2, (1 << 32) - 1]
+        for c in (0, M61 - 1):
+            pairs = list(itertools.product(accs, xs))
+            acc = np.array([a for a, _ in pairs], dtype=np.uint64)
+            x = np.array([v for _, v in pairs], dtype=np.uint64)
+            fx = x * _SHRINK
+            f, q = np.empty(acc.size), np.empty(acc.size, dtype=np.uint64)
+            _narrow_step(acc, acc.view(np.int64), np.uint64(c), x, fx, f, q, q.view(np.int64))
+            for (a, v), got in zip(pairs, acc.tolist()):
+                assert got < 3 * M61 and got % M61 == (a * v + c) % M61, (a, v, c)
 
     def test_poly_eval_constant_polynomial(self):
         points = np.arange(2 * _CHUNK + 3, dtype=np.uint64).reshape(-1, 1)
@@ -277,3 +335,15 @@ def test_poly_eval_matches_horner_near_chunk_sizes(seed, k, n):
     rng = np.random.default_rng(seed)
     _assert_matches_horner(rng.integers(0, M61, k, dtype=np.uint64),
                            rng.integers(0, M61, n, dtype=np.uint64))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 64),
+    n=st.integers(1, 2 * _CHUNK + 64),
+)
+def test_poly_eval_matches_horner_on_narrow_points(seed, k, n):
+    rng = np.random.default_rng(seed)
+    _assert_matches_horner(rng.integers(0, M61, k, dtype=np.uint64),
+                           rng.integers(0, 1 << 32, n, dtype=np.uint64))

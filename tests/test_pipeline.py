@@ -84,6 +84,13 @@ class TestFastSubspaceEmbed:
         assert report.m == 512
         assert report.pm == pytest.approx(64)
 
+    @pytest.mark.parametrize("name", ["m", "pm", "degree_k"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_out_of_range_override_rejected(self, name, value):
+        # a zero override once fell back to the default without a word
+        with pytest.raises(ParameterError, match=name):
+            Overrides(**{name: value})
+
     def test_determinism(self, sparse_tall):
         config = PipelineConfig(eps=0.5, delta=0.05, seed=8, kind="less-ic")
         a, _ = fast_subspace_embed(sparse_tall, config)
