@@ -27,6 +27,7 @@ from .oblivious import (
     build_osnap,
     default_parameters,
     independence_degree,
+    less_sparsity_target,
     oseie_sparsity_target,
     osnap_sparsity_target,
 )
@@ -42,8 +43,6 @@ from .less import (
     build_less_ic,
     build_less_ie,
     column_sparsities,
-    less_default_parameters,
-    less_sparsity_target,
     subcolumn_layout,
 )
 from .apply import apply, apply_to_vector, load_matrix, materialize_dense, save_matrix, touched_rows
@@ -85,6 +84,7 @@ __all__ = [
     "independence_degree",
     "osnap_sparsity_target",
     "oseie_sparsity_target",
+    "less_sparsity_target",
     "LeverageScores",
     "ScoreValidation",
     "exact_leverage",
@@ -95,8 +95,6 @@ __all__ = [
     "subcolumn_layout",
     "build_less_ic",
     "build_less_ie",
-    "less_default_parameters",
-    "less_sparsity_target",
     "apply",
     "apply_to_vector",
     "materialize_dense",

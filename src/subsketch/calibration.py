@@ -19,8 +19,18 @@ pin the result here.  The procedure (reproducible via
 * the pass threshold is a failure fraction of delta/2 at every surface,
   a two-fold margin over the delta the acceptance experiments assert.
 
-``calibrate()`` reruns the sweep and reports the selected constants; the
-pinned values below are its output for the seed recorded in REFERENCE.
+The constants are searched in turn -- c_m on the Gaussian baseline, c_s on
+osnap, c_e on ose-ie, then (c_m_less, c_pm_less) pairs on less-ic -- each
+with the ones already selected fixed; a candidate whose anchor point has
+m >= n or a sparsity capped at m is skipped.  Anchor points take the
+parameters of :func:`subsketch.oblivious.default_parameters`, eps-grid
+points those of :func:`subsketch.experiments.eps_point` (the eps sweep's
+rule), and the pipeline surface builds from ``default_parameters`` with
+the approximate scores.
+
+:func:`subsketch.experiments.calibrate` reruns the sweep and reports the
+selected constants; the pinned values below are its output for the seed
+recorded in REFERENCE.
 """
 
 from dataclasses import asdict, dataclass
@@ -55,18 +65,3 @@ REFERENCE = {
     "seed": 20240901,
 }
 
-
-def calibrate(trials=None, seed=None, verbose=True):
-    """Rerun the calibration sweep; returns (constants, rows).
-
-    rows is a list of per-candidate measurement dicts suitable for CSV
-    output.  Import is deferred so this module stays dependency-light for
-    the formula helpers.
-    """
-    from . import _calibrate_impl
-
-    return _calibrate_impl.run(
-        trials=trials or REFERENCE["trials"],
-        seed=seed if seed is not None else REFERENCE["seed"],
-        verbose=verbose,
-    )

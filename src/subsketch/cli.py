@@ -18,9 +18,9 @@ from . import __version__
 from .apply import apply as _apply
 from .apply import load_matrix, save_matrix
 from .errors import FormatError, ParameterError
-from .experiments import eps_sweep, m_sweep, nnz_sweep, run_config, s_sweep
+from .experiments import calibrate, eps_sweep, m_sweep, nnz_sweep, run_config, s_sweep
 from .leverage import LeverageScores, approx_leverage, exact_leverage
-from .oblivious import LESS_KINDS, SketchSpec, build
+from .oblivious import LESS_KINDS, SketchSpec, build, default_family
 from .pipeline import PIPELINE_KINDS, Overrides, PipelineConfig, fast_subspace_embed
 from .sketch import load_sketch
 
@@ -30,8 +30,8 @@ EXIT_IO = 3
 EXIT_VERIFY = 4
 
 
-def _add_common(p, out_required=False):
-    p.add_argument("--seed", type=int, default=0)
+def _add_common(p, out_required=False, seed=0):
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out", required=out_required, help="output path")
 
 
@@ -77,7 +77,7 @@ def _build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=0.05)
-    _add_common(p)
+    _add_common(p, seed=None)  # 0 for a sweep, the reference seed for --calibrate
 
     p = sub.add_parser("pipeline", help="fast subspace embedding of a matrix")
     p.add_argument("matrix_file")
@@ -120,7 +120,7 @@ def _cmd_sketch(args):
         kind=args.kind, m=args.m, n=args.n,
         p=args.p if args.p is not None else args.s / args.m,
         degree_k=args.degree_k, seed=args.seed,
-        family=args.family or ("independent" if args.kind.endswith("-ie") else "kwise"),
+        family=args.family or default_family(args.kind),
         scores=_load_scores(args.scores) if less else None,
     )
     sk = build(spec)
@@ -179,25 +179,25 @@ def _write_csv(path, rows):
 
 def _cmd_bench(args):
     if args.calibrate:
-        from .calibration import calibrate
-
-        constants, rows = calibrate(trials=args.trials, seed=args.seed or None)
+        constants, rows = calibrate(trials=args.trials, seed=args.seed)
         _write_csv(args.out, rows)
         print(json.dumps(constants.as_dict(), indent=2))
         return EXIT_OK
     if not args.sweep:
         raise ParameterError("bench needs --sweep or --calibrate")
+    seed = 0 if args.seed is None else args.seed
     kwargs = dict(d=args.d, eps=args.eps, delta=args.delta,
-                  trials=args.trials, seed=args.seed)
+                  trials=args.trials, seed=seed)
+    n = args.n if args.n is not None else 8192 if args.sweep == "eps" else 4096
     if args.sweep == "eps":
         kwargs.pop("eps")
-        rows = eps_sweep(args.kind, n=args.n or 8192, **kwargs)
+        rows = eps_sweep(args.kind, n=n, **kwargs)
     elif args.sweep == "m":
-        rows = m_sweep(args.kind, n=args.n or 4096, **kwargs)
+        rows = m_sweep(args.kind, n=n, **kwargs)
     elif args.sweep == "nnz":
-        rows = nnz_sweep(d=args.d, base_n=args.n or 4096, seed=args.seed)
+        rows = nnz_sweep(d=args.d, base_n=n, seed=seed)
     else:
-        rows = s_sweep(args.kind, n=args.n or 4096, **kwargs)
+        rows = s_sweep(args.kind, n=n, **kwargs)
     _write_csv(args.out, rows)
     if args.out:
         print(f"wrote {args.out} ({len(rows)} rows)")

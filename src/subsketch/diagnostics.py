@@ -152,6 +152,11 @@ SAMPLERS = {
 }
 
 
+def _check_trials(trials):
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
+
+
 def embedding_trial(builder, sampler, trials, eps, seed, quantile_levels=(0.5, 0.9, 0.95)):
     """Failure fraction of ``trials`` fresh (sketch, basis) draws.
 
@@ -159,8 +164,7 @@ def embedding_trial(builder, sampler, trials, eps, seed, quantile_levels=(0.5, 0
     U; oblivious ones ignore it); ``sampler(rng)`` returns a basis.
     Distortion of a trial is max(s_max - 1, 1 - s_min).
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    _check_trials(trials)
     distortions = np.empty(trials)
     failures = 0
     for i in range(trials):
@@ -198,6 +202,7 @@ def trace_moment(builder, U, q, trials, seed):
     """
     if not 1 <= q <= 32:
         raise ParameterError(f"q must be in [1, 32], got {q}")
+    _check_trials(trials)
     d = U.shape[1]
     samples = np.empty(trials)
     for i in range(trials):
@@ -217,6 +222,7 @@ def decoupled_gamma_moment(builder, U, q, trials, seed):
     """
     if not 1 <= q <= 32:
         raise ParameterError(f"q must be in [1, 32], got {q}")
+    _check_trials(trials)
     samples = np.empty(trials)
     for i in range(trials):
         sk1 = builder(derive_seed(seed, 2 * i), U)

@@ -1,4 +1,5 @@
-"""Reusable experiment drivers behind ``verify`` and ``bench``.
+"""Reusable experiment drivers behind ``verify`` and ``bench``, and the
+calibration sweep that fixes the constants in :mod:`subsketch.calibration`.
 
 A JSON experiment config (schema_version 1) selects one driver:
 
@@ -12,7 +13,8 @@ A JSON experiment config (schema_version 1) selects one driver:
      "trials": 500, "seed": 1}
 
 ``embedding`` reports a failure fraction and distortion quantiles and
-passes when the fraction is at or below ``target`` (default: delta).
+passes when the fraction is at or below ``target`` (default: delta; a
+target outside [0, 1] is a ParameterError).
 Moment probes report (estimate, std_error) and always pass.
 
 Score-adapted kinds rebuild their sketch per trial from the exact
@@ -24,22 +26,26 @@ import numbers
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse
 
+from .apply import apply as _apply
+from .calibration import CONSTANTS, REFERENCE, Constants
 from .errors import FormatError, ParameterError
 from .kwise import derive_seed
-from .leverage import LeverageScores, exact_leverage
-from .less import less_default_parameters
+from .leverage import approx_leverage, exact_leverage
 from .oblivious import (
     LESS_KINDS,
     SketchSpec,
     build,
+    check_dimensions,
+    default_family,
     default_parameters,
     independence_degree,
-    oseie_sparsity_target,
-    osnap_sparsity_target,
     round_parameters,
+    sparsity_target,
 )
 from .diagnostics import SAMPLERS, decoupled_gamma_moment, embedding_trial, trace_moment
+from .pipeline import _r_factor, _validate_distortion
 
 SCHEMA_VERSION = 1
 
@@ -98,12 +104,7 @@ def run_config(cfg):
     sampler_name = _get(cfg, "sampler", str, "haar")
     if sampler_name not in SAMPLERS:
         raise ParameterError(f"unknown sampler {sampler_name!r}")
-    if kind in LESS_KINDS:
-        # placeholder scores fix n; every trial swaps in the exact ones
-        uniform = LeverageScores(z=np.full(n, min(1.0, 2.0 * d / n)))
-        spec = less_default_parameters(d, eps, delta, uniform, kind=kind, seed=seed)
-    else:
-        spec = default_parameters(d, n, eps, delta, kind, seed=seed)
+    spec = default_parameters(d, n, eps, delta, kind, seed=seed)
     m, s = _get(cfg, "m", int), _get(cfg, "s", int)
     if any(v is not None and v < 1 for v in (m, s)):
         raise ParameterError(f"m and s must be >= 1, got m={m}, s={s}")
@@ -116,9 +117,11 @@ def run_config(cfg):
     if experiment == "embedding":
         if cfg.get("eps") is None or cfg.get("delta") is None:
             raise ParameterError("embedding experiments need eps and delta")
+        target = _get(cfg, "target", float, delta)
+        if not 0.0 <= target <= 1.0:
+            raise ParameterError(f"target must lie in [0, 1], got {target}")
         sampler = lambda rng: SAMPLERS[sampler_name](n, d, rng)  # noqa: E731
         summary = embedding_trial(build_trial, sampler, trials, eps, seed)
-        target = _get(cfg, "target", float) or delta
         report = {
             "experiment": "embedding",
             "kind": kind,
@@ -145,26 +148,29 @@ def run_config(cfg):
     raise ParameterError(f"unknown experiment {experiment!r}")
 
 
+def eps_point(kind, d, n, eps, delta, c_m=None, **constants):
+    """(m, s, s_target) of an eps-grid point: m0 = ceil(C_m * d / eps^2), the
+    kind's continuous sparsity target (``constants``: its c_s, c_e or c_pm)
+    and their rounding."""
+    check_dimensions(d, n, eps, delta)
+    c_m = CONSTANTS.c_m_oblivious if c_m is None else c_m
+    m0 = math.ceil(c_m * d / eps**2)
+    target = sparsity_target(kind, d, eps, delta, m0, **constants)
+    return *round_parameters(kind, m0, target), target
+
+
 def eps_sweep(kind, d=16, delta=0.05, eps_grid=(0.5, 0.25, 0.125), n=8192,
               trials=50, seed=7, sampler="coordinate", c_m=None):
     """Failure fraction and calibrated sparsity across an eps grid.
 
-    m follows C_m * d / eps^2 (rounded up to a sparsity multiple for the
-    blocked kind); rows carry the continuous sparsity target for trend
-    fits.
+    The points come from :func:`eps_point`; rows carry the continuous
+    sparsity target for trend fits.
     """
-    from .calibration import CONSTANTS
-
-    c_m = CONSTANTS.c_m_oblivious if c_m is None else c_m
-    rows = []
     if kind not in ("osnap", "ose-ie"):
         raise ParameterError(f"eps sweep supports sparse kinds, got {kind!r}")
+    rows = []
     for eps in eps_grid:
-        if kind == "osnap":
-            target = osnap_sparsity_target(d, eps, delta)
-        else:
-            target = oseie_sparsity_target(d, eps, delta)
-        m, s = round_parameters(kind, math.ceil(c_m * d / eps**2), target)
+        m, s, target = eps_point(kind, d, n, eps, delta, c_m)
         if m >= n:
             raise ParameterError(
                 f"sweep point eps={eps} needs m={m} >= n={n}; raise n"
@@ -231,11 +237,11 @@ def s_sweep(kind="osnap", d=16, n=4096, eps=0.5, delta=0.05,
 
 
 def grid_spec(kind, m, s, n, d, eps, delta):
-    """Spec of one (m, s) sweep point: the degree for (d, eps, delta), the
-    K-wise family for the blocked kinds and the independent one otherwise."""
+    """Spec of one (m, s) sweep point, with the degree for (d, eps, delta)
+    and the family of :func:`~subsketch.oblivious.default_family`."""
     return SketchSpec(kind=kind, m=m, n=n, p=s / m,
                       degree_k=independence_degree(d, eps, delta, s),
-                      family="kwise" if kind in ("osnap", "less-ic") else "independent")
+                      family=default_family(kind))
 
 
 def sweep_row(spec, d, eps, trials, seed, sampler, **extra):
@@ -245,3 +251,110 @@ def sweep_row(spec, d, eps, trials, seed, sampler, **extra):
     return {"kind": spec.kind, "eps": eps, "m": spec.m, "s": spec.s, **extra,
             "trials": trials, "failure_fraction": summary.failure_fraction,
             "q95_distortion": summary.quantiles["0.95"]}
+
+
+_POW2 = tuple(2.0**k for k in range(-6, 5))
+
+
+def _pipeline_failures(constants, eps, delta, seed, runs=25):
+    """(spec, failure fraction) of less-ic with ``constants`` through the
+    pipeline's stages on a sparse 1e5 x 32 input with scores at gamma =
+    0.25; None when the sparsity reaches m."""
+    n, d = 100_000, 32
+    spec = default_parameters(d, n, eps, delta, "less-ic", **constants)
+    if spec.s >= spec.m:
+        return None
+    rng = np.random.default_rng(derive_seed(seed, 0xF1FE))
+    A = scipy.sparse.random(n, d, density=0.003, random_state=11, format="csr")
+    lift = scipy.sparse.csr_matrix(
+        (rng.uniform(1.0, 2.0, d), (np.arange(d), np.arange(d))), shape=(n, d)
+    )
+    A = (A + lift).tocsr()
+    R = _r_factor(A)
+    good = 0
+    for run in range(runs):
+        scores = approx_leverage(A, 0.25, seed=derive_seed(seed, run))
+        spec = default_parameters(d, n, eps, delta, "less-ic", scores=scores,
+                                  seed=derive_seed(seed, 7000 + run), **constants)
+        band = _validate_distortion(R, _apply(build(spec), A))
+        good += 1 - eps <= band["s_min"] and band["s_max"] <= 1 + eps
+    return spec, 1.0 - good / runs
+
+
+def calibrate(trials=None, seed=None, verbose=True):
+    """Rerun the calibration sweep of :mod:`subsketch.calibration`; returns
+    (constants, rows), one row per measured surface point.
+
+    Each constant is searched in ascending order, with the ones already
+    selected fixed; a candidate whose anchor point has m >= n or a capped
+    sparsity is skipped, and the first one keeping every point of its
+    surfaces at or below delta/2 wins.  trials and seed default to
+    REFERENCE's; trials below 1 raise ParameterError.
+    """
+    trials = REFERENCE["trials"] if trials is None else trials
+    seed = REFERENCE["seed"] if seed is None else seed
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
+    d, n, delta = REFERENCE["d"], REFERENCE["n"], REFERENCE["delta"]
+    eps, *grid = REFERENCE["eps_grid"]  # the anchor eps, then the grid's others
+    grid_n = 8192  # the eps sweep's n
+    rows = []
+
+    def passes(stage, kind, m, s, n, eps, sampler, frac):
+        rows.append({"stage": stage, "kind": kind, "m": m, "s": s, "n": n, "eps": eps,
+                     "sampler": sampler, "failure_fraction": frac})
+        if verbose:
+            print(f"  {stage}: {kind} m={m} s={s} eps={eps} {sampler} -> {frac:.3f}")
+        return frac <= delta / 2
+
+    def point(stage, kind, m, s, n, eps, sampler, salt, trials=trials):
+        frac = sweep_row(grid_spec(kind, m, s, n, d, eps, delta), d, eps, trials,
+                         derive_seed(seed, salt), sampler)["failure_fraction"]
+        return passes(stage, kind, m, s, n, eps, sampler, frac)
+
+    def surfaces_pass(stage, kind, constants, salt):
+        """The anchor on both samplers, then the eps grid on coordinate
+        subspaces, or the pipeline surface for less-ic."""
+        spec = default_parameters(d, n, eps, delta, kind, **constants)
+        if spec.m >= n or spec.s >= spec.m and kind != "gaussian-dense":
+            return False
+        if not all(point(stage, kind, spec.m, spec.s, n, eps, sampler, salt + i)
+                   for i, sampler in enumerate(("haar", "coordinate"))):
+            return False
+        if kind == "less-ic":
+            found = _pipeline_failures(constants, eps, delta, seed)
+            if found is None:
+                return False
+            spec, frac = found
+            return passes(stage, "less-ic-pipeline", spec.m, spec.s, spec.n, eps,
+                          "approx-scores", frac)
+        for k, e in enumerate(grid):
+            m, s, _ = eps_point(kind, d, grid_n, e, delta, **constants)
+            if m >= grid_n or not point(stage, kind, m, s, grid_n, e, "coordinate",
+                                        salt + 16 + k, trials=max(trials // 2, 20)):
+                return False
+        return True
+
+    def search(kind, candidates, fallback):
+        """The first (constants, stage, salt) candidate passing, else fallback."""
+        for constants, stage, salt in candidates:
+            if surfaces_pass(stage, kind, constants, salt):
+                return constants
+        return fallback
+
+    c = search("gaussian-dense",
+               [({"c_m": x}, f"c_m={x}", int(x * 64)) for x in _POW2 if x >= 1],
+               {"c_m": 4.0})
+    c = search("osnap", [(c | {"c_s": x}, f"c_s={x}", int(x * 1024)) for x in _POW2],
+               c | {"c_s": 1.0})
+    c = search("ose-ie", [(c | {"c_e": x}, f"c_e={x}", int(x * 4096)) for x in _POW2],
+               c | {"c_e": 1.0})
+    less = search("less-ic",
+                  [({"c_m": a, "c_pm": b}, f"c_less=({a},{b})", int(a * 512 + b * 64))
+                   for a in (0.25, 0.5, 1.0, 2.0) for b in (0.0625, 0.125, 0.25, 0.5, 1.0)],
+                  {"c_m": 1.0, "c_pm": 0.25})
+    constants = Constants(c_m_oblivious=c["c_m"], c_s_osnap=c["c_s"], c_e_oseie=c["c_e"],
+                          c_m_less=less["c_m"], c_pm_less=less["c_pm"])
+    if verbose:
+        print(f"selected: {constants}")
+    return constants, rows

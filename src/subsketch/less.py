@@ -24,9 +24,8 @@ import warnings
 
 import numpy as np
 
-from .calibration import CONSTANTS
 from .errors import ParameterError
-from .oblivious import SketchSpec, _bernoulli_sketch, blocked_entries, independence_degree
+from .oblivious import _bernoulli_sketch, blocked_entries
 from .sketch import SparseSketch
 
 
@@ -119,43 +118,3 @@ def build_less_ie(spec):
         prob = np.minimum(prob, 1.0)
     mag = 1.0 / np.sqrt(scores.beta1 * np.maximum(scores.z, 1e-300))
     return _bernoulli_sketch(spec, prob, mag)
-
-
-def less_default_parameters(d, eps, delta, scores, *, kind="less-ic", seed=0,
-                            c_m=None, c_pm=None):
-    """Calibrated score-adapted spec for the given approximate scores.
-
-    m = ceil(:func:`less_dimension_target`) and
-    pm = ceil(:func:`less_sparsity_target`), capped at m.  When the cap
-    binds the result has p = 1, which build_less_ic rejects; use a dense
-    baseline in that regime.
-    """
-    if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
-        raise ParameterError("eps and delta must lie in (0, 1)")
-    m = max(math.ceil(less_dimension_target(d, eps, delta, c_m)), 1)
-    pm = math.ceil(less_sparsity_target(d, eps, delta, c_pm))
-    if pm >= m:
-        warnings.warn(
-            f"required sparsity p*m = {pm} reaches m = {m}; capping at p = 1",
-            stacklevel=2,
-        )
-        pm = m
-    pm = max(pm, 1)
-    return SketchSpec(
-        kind=kind, m=m, p=pm / m, scores=scores, seed=seed,
-        degree_k=independence_degree(d, eps, delta, pm),
-    )
-
-
-def less_dimension_target(d, eps, delta, c_m=None):
-    """Continuous m target C_m * ((d + Ld^2)/eps^2 + Ld^3/eps), Ld = ln(d/delta)."""
-    c_m = CONSTANTS.c_m_less if c_m is None else c_m
-    Ld = math.log(max(d / delta, math.e))
-    return c_m * ((d + Ld**2) / eps**2 + Ld**3 / eps)
-
-
-def less_sparsity_target(d, eps, delta, c_pm=None):
-    """Continuous p*m target C_pm * max(L^2.5/eps, L^3)."""
-    c_pm = CONSTANTS.c_pm_less if c_pm is None else c_pm
-    L = math.log(max(d / (eps * delta), math.e))
-    return c_pm * max(L**2.5 / eps, L**3)

@@ -44,6 +44,7 @@ _BUILDERS = {
 }
 KINDS = tuple(_BUILDERS)
 LESS_KINDS = ("less-ic", "less-ie")
+DENSE_KINDS = ("gaussian-dense", "rademacher-dense")
 # kinds whose column j hashes only its own points, so a build can skip columns
 COLUMN_KINDS = ("osnap", "less-ic")
 FAMILY_MODES = ("kwise", "independent")
@@ -286,7 +287,7 @@ def build_dense_baseline(spec):
     Gaussian entries come from the inverse normal CDF applied to the
     family's uniform stream.
     """
-    if spec.kind not in ("gaussian-dense", "rademacher-dense"):
+    if spec.kind not in DENSE_KINDS:
         raise ParameterError(
             f"build_dense_baseline needs a dense kind, got {spec.kind!r}"
         )
@@ -334,6 +335,31 @@ def oseie_sparsity_target(d, eps, delta, c_s=None, c_e=None):
     return osnap_sparsity_target(d, eps, delta, c_s) + c_e * L / eps**2
 
 
+def less_dimension_target(d, eps, delta, c_m=None):
+    """Continuous m target C_m * ((d + Ld^2)/eps^2 + Ld^3/eps), Ld = ln(d/delta)."""
+    c_m = CONSTANTS.c_m_less if c_m is None else c_m
+    Ld = _log_term(d / delta)
+    return c_m * ((d + Ld**2) / eps**2 + Ld**3 / eps)
+
+
+def less_sparsity_target(d, eps, delta, c_pm=None):
+    """Continuous p*m target C_pm * max(L^2.5/eps, L^3)."""
+    c_pm = CONSTANTS.c_pm_less if c_pm is None else c_pm
+    L = _log_term(d / (eps * delta))
+    return c_pm * max(L**2.5 / eps, L**3)
+
+
+def sparsity_target(kind, d, eps, delta, m0, *, c_s=None, c_e=None, c_pm=None):
+    """Continuous per-column sparsity target of ``kind``; m0 for the dense kinds."""
+    if kind in LESS_KINDS:
+        return less_sparsity_target(d, eps, delta, c_pm)
+    if kind == "osnap":
+        return osnap_sparsity_target(d, eps, delta, c_s)
+    if kind == "ose-ie":
+        return oseie_sparsity_target(d, eps, delta, c_s, c_e)
+    return m0
+
+
 def independence_degree(d, eps, delta, pm):
     """Independence degree 8 * ceil(log(max(d/(eps*delta), p*m)))."""
     return 8 * math.ceil(_log_term(max(d / (eps * delta), pm)))
@@ -353,38 +379,50 @@ def round_parameters(kind, m0, s_raw):
     return m0, s
 
 
-def default_parameters(d, n, eps, delta, kind, *, seed=0, c_m=None, c_s=None, c_e=None):
-    """Calibrated spec for a (eps, delta, d)-embedding of subspaces of R^n.
+def default_family(kind):
+    """The hash family of a parameter default: K-wise for the kinds that hash
+    per column (``COLUMN_KINDS``), the independent model otherwise."""
+    return "kwise" if kind in COLUMN_KINDS else "independent"
 
-    m = ceil(C_m * (d + ln(1/delta)) / eps^2), rounded up so the sparsity
-    divides it; the sparsity targets come from
-    :func:`osnap_sparsity_target` / :func:`oseie_sparsity_target` and are
-    capped at m (p = 1 with a warning when the cap binds).
-    """
+
+def check_dimensions(d, n, eps, delta):
+    """ParameterError unless eps and delta lie in (0, 1) and 1 <= d <= n."""
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ParameterError("eps and delta must lie in (0, 1)")
     if not 1 <= d <= n:
-        raise ParameterError("need 1 <= d <= n")
-    if kind not in KINDS or kind in LESS_KINDS:
-        raise ParameterError(f"unknown oblivious sketch kind {kind!r}")
-    c_m = CONSTANTS.c_m_oblivious if c_m is None else c_m
-    m0 = math.ceil(c_m * (d + math.log(1.0 / delta)) / eps**2)
-    m0 = max(m0, 1)
-    dense = kind in ("gaussian-dense", "rademacher-dense")
-    if dense:
-        s_raw = m0
-    elif kind == "osnap":
-        s_raw = osnap_sparsity_target(d, eps, delta, c_s)
+        raise ParameterError(f"need 1 <= d <= n, got d = {d}, n = {n}")
+
+
+def default_parameters(d, n, eps, delta, kind, *, scores=None, seed=0,
+                       c_m=None, c_s=None, c_e=None, c_pm=None):
+    """Calibrated spec for a (eps, delta, d)-embedding of subspaces of R^n.
+
+    The oblivious kinds take m0 = ceil(C_m * (d + ln(1/delta)) / eps^2),
+    the less kinds m0 = ceil(:func:`less_dimension_target`) and their
+    ``scores`` (a spec without them describes the sketch but cannot build
+    it).  The sparsity target is :func:`sparsity_target`;
+    :func:`round_parameters` caps it at m0 (p = 1, with a warning for a
+    sparse kind) and rounds an osnap m up to a multiple of s.  C_m is
+    ``c_m`` (the kind's constant when None); C_s, C_e and C_pm feed only
+    the kinds whose target uses them.
+    """
+    check_dimensions(d, n, eps, delta)
+    if kind not in KINDS:
+        raise ParameterError(f"unknown sketch kind {kind!r}")
+    if kind in LESS_KINDS:
+        m0 = less_dimension_target(d, eps, delta, c_m)
     else:
-        s_raw = oseie_sparsity_target(d, eps, delta, c_s, c_e)
+        c_m = CONSTANTS.c_m_oblivious if c_m is None else c_m
+        m0 = c_m * (d + math.log(1.0 / delta)) / eps**2
+    m0 = max(math.ceil(m0), 1)
+    s_raw = sparsity_target(kind, d, eps, delta, m0, c_s=c_s, c_e=c_e, c_pm=c_pm)
     m, s = round_parameters(kind, m0, s_raw)
-    if s == m and not dense:
+    if s == m and kind not in DENSE_KINDS:
         warnings.warn(
-            f"required sparsity reaches m = {m0}; falling back to p = 1",
+            f"required sparsity {math.ceil(s_raw)} reaches m = {m0}; capping at p = 1",
             stacklevel=2,
         )
-    degree_k = independence_degree(d, eps, delta, s)
     return SketchSpec(
-        kind=kind, m=m, n=n, p=s / m, degree_k=degree_k, seed=seed,
-        family="kwise" if kind == "osnap" else "independent",
+        kind=kind, m=m, n=n, p=s / m, seed=seed, scores=scores,
+        degree_k=independence_degree(d, eps, delta, s), family=default_family(kind),
     )

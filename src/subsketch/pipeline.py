@@ -18,7 +18,7 @@ from .apply import apply as _apply
 from .apply import touched_rows
 from .errors import ParameterError
 from .leverage import approx_leverage
-from .less import build_less_ic, column_sparsities, less_default_parameters
+from .less import build_less_ic, column_sparsities
 from .oblivious import COLUMN_KINDS, LESS_KINDS, build, default_parameters
 
 PIPELINE_KINDS = ("osnap", "ose-ie", "less-ic", "less-ie", "gaussian-dense")
@@ -126,12 +126,8 @@ def fast_subspace_embed(A, config):
         timings["leverage"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if config.kind in LESS_KINDS:
-        spec = less_default_parameters(d, config.eps, config.delta, scores,
-                                       kind=config.kind, seed=config.seed)
-    else:
-        spec = default_parameters(d, n, config.eps, config.delta, config.kind,
-                                  seed=config.seed)
+    spec = default_parameters(d, n, config.eps, config.delta, config.kind,
+                              scores=scores, seed=config.seed)
     m = spec.m if ov.m is None else ov.m
     spec = replace(spec, m=m, p=(spec.s if ov.pm is None else ov.pm) / m,
                    degree_k=spec.degree_k if ov.degree_k is None else ov.degree_k)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+import subsketch as ss
 from subsketch import (
     SketchSpec,
     apply as lib_apply,
@@ -288,6 +289,46 @@ class TestVerifyCommand:
         path.write_text(json.dumps(cfg))
         assert main(["verify", "--config", str(path)]) == EXIT_PARAMETER
 
+    @pytest.mark.parametrize("kind", ["less-ic", "less-ie"])
+    @pytest.mark.parametrize("d, n", [(80, 64), (0, 64)], ids=["d-above-n", "d-zero"])
+    def test_score_adapted_dimensions_rejected(self, tmp_path, kind, d, n):
+        # d > n used to pass on an n x n basis while reporting d; d = 0 died
+        # with an IndexError
+        cfg = {"schema_version": 1, "experiment": "embedding", "kind": kind,
+               "d": d, "n": n, "eps": 0.5, "delta": 0.05, "trials": 2}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", "--config", str(path)]) == EXIT_PARAMETER
+
+    def test_moment_config_needs_a_trial(self, tmp_path, capsys):
+        # zero trials used to report "estimate overflowed; use a smaller q"
+        cfg = {"schema_version": 1, "experiment": "trace_moment", "kind": "osnap",
+               "d": 4, "n": 128, "m": 64, "s": 16, "q": 1, "trials": 0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", "--config", str(path)]) == EXIT_PARAMETER
+        assert "trials must be >= 1" in capsys.readouterr().err
+
+    def _target_config(self, tmp_path, target):
+        cfg = {"schema_version": 1, "experiment": "embedding", "kind": "gaussian-dense",
+               "d": 8, "n": 256, "eps": 0.9, "delta": 0.05, "trials": 20, "seed": 4,
+               "target": target}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def test_zero_target_kept(self, tmp_path):
+        # "target": 0 used to be replaced by delta
+        path = self._target_config(tmp_path, 0)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["target"] == 0.0
+
+    @pytest.mark.parametrize("target", [-0.1, 1.5])
+    def test_out_of_range_target_rejected(self, tmp_path, target):
+        path = self._target_config(tmp_path, target)
+        assert main(["verify", "--config", str(path)]) == EXIT_PARAMETER
+
     def test_score_adapted_embedding_config(self, tmp_path):
         cfg = {
             "schema_version": 1,
@@ -354,6 +395,29 @@ class TestBenchCommand:
 
     def test_needs_mode(self):
         assert main(["bench"]) == EXIT_PARAMETER
+
+    @pytest.mark.parametrize("argv", [
+        ["--sweep", "eps", "--d", "0"],  # used to raise ZeroDivisionError
+        ["--sweep", "nnz", "--n", "0"],  # used to run at n = 4096
+        ["--calibrate", "--trials", "0"],  # used to run 100 trials
+    ], ids=["eps-d-zero", "nnz-n-zero", "calibrate-trials-zero"])
+    def test_explicit_zero_rejected(self, argv):
+        assert main(["bench", "--trials", "2", *argv]) == EXIT_PARAMETER
+
+    @pytest.mark.parametrize("argv, seed", [([], None), (["--seed", "0"], 0),
+                                            (["--seed", "5"], 5)],
+                             ids=["absent", "zero", "five"])
+    def test_calibrate_seed(self, monkeypatch, argv, seed):
+        # an absent --seed selects the reference seed; --seed 0 used to as well
+        calls = []
+
+        def fake(trials, seed):
+            calls.append((trials, seed))
+            return ss.CONSTANTS, []
+
+        monkeypatch.setattr("subsketch.cli.calibrate", fake)
+        assert main(["bench", "--calibrate", "--trials", "3", *argv]) == EXIT_OK
+        assert calls == [(3, seed)]
 
 
 class TestPipelineCommand:

@@ -155,6 +155,15 @@ class TestTraceMoment:
             trace_moment(builder, U, q=33, trials=1, seed=0)
 
 
+@pytest.mark.parametrize("probe", [trace_moment, decoupled_gamma_moment])
+def test_moment_probes_reject_zero_trials(probe):
+    # zero trials used to end in "estimate overflowed" after a numpy warning
+    U = np.eye(8)[:, :2]
+    builder = lambda seed, UU: identity_sketch(8)  # noqa: E731
+    with pytest.raises(ParameterError, match="trials must be >= 1"):
+        probe(builder, U, q=1, trials=0, seed=0)
+
+
 class TestDecoupledGamma:
     def test_zero_basis_gives_zero(self):
         U = np.zeros((64, 4))

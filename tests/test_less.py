@@ -16,7 +16,7 @@ from subsketch import (
     build_less_ie,
     build_osnap,
     column_sparsities,
-    less_default_parameters,
+    default_parameters,
     subcolumn_layout,
 )
 
@@ -238,8 +238,8 @@ class TestLessDefaults:
         scores = uniform_scores(512, 0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = less_default_parameters(16, 0.5, 0.05, scores)
-            b = less_default_parameters(16, 0.25, 0.05, scores)
+            a = default_parameters(16, 512, 0.5, 0.05, "less-ic", scores=scores)
+            b = default_parameters(16, 512, 0.25, 0.05, "less-ic", scores=scores)
         ra = round(a.p * a.m)
         rb = round(b.p * b.m)
         assert 1.4 <= rb / ra <= 2.6
@@ -247,7 +247,7 @@ class TestLessDefaults:
     def test_small_delta_m_dominated_by_d_term(self):
         scores = uniform_scores(10**6, 1e-4)
         d = 64
-        spec = less_default_parameters(d, 0.5, d**-2.0, scores, c_m=1.0)
+        spec = default_parameters(d, 10**6, 0.5, d**-2.0, "less-ic", scores=scores, c_m=1.0)
         Ld = math.log(d / d**-2.0)
         main = (d + Ld**2) / 0.25
         assert spec.m <= 2 * math.ceil(main + Ld**3 / 0.5)
@@ -256,11 +256,11 @@ class TestLessDefaults:
     def test_pm_capped_at_m(self):
         scores = uniform_scores(256, 0.1)
         with pytest.warns(UserWarning, match="capping"):
-            spec = less_default_parameters(2, 0.04, 0.9, scores, c_m=0.0001,
-                                           c_pm=64.0)
+            spec = default_parameters(2, 256, 0.04, 0.9, "less-ic", scores=scores,
+                                      c_m=0.0001, c_pm=64.0)
         assert round(spec.p * spec.m) == spec.m
 
     def test_invalid_eps_delta(self):
         scores = uniform_scores(8, 0.5)
         with pytest.raises(ParameterError):
-            less_default_parameters(4, 0.0, 0.5, scores)
+            default_parameters(4, 8, 0.0, 0.5, "less-ic", scores=scores)
