@@ -47,11 +47,44 @@ splitting limbs:
   so its int64 view is non-negative and casts to float64 as it should.
 
 Two conditional subtractions at the end give the canonical element.
-:func:`poly_eval` takes the narrow step for each block of ``_CHUNK``
+:func:`_horner` takes the narrow step for each block of ``_CHUNK``
 points whose largest point is below 2^32 and the limb step for any
-other block; both give the same element, so the choice never shows in
-the output.
+other block.
+
+Points in arithmetic progression -- the samplers' points 2*t + tag over
+a full build, with t from an ``arange`` -- mostly skip Horner.  On
+x0 + h*i a polynomial of degree K - 1 follows Newton's forward formula
+
+    P(x0 + h*i) = sum over j < K of C(i, j) * Delta^j,
+
+with Delta^j the j-th forward difference of P(x0), ..., P(x0 + (K-1)*h),
+all mod M61.  So one Horner call evaluates the first K points of each
+``_L``-point sub-block, K - 1 difference rounds give the Delta^j, and
+one float64 matmul per block with the table of C(i, j) mod M61
+(:func:`_newton_table`) gives the rest.  The matmul is exact:
+
+* both sides are split into limbs of 21, 20 and 20 bits (``_LIMBS``, at
+  offsets o = 0, 21, 41).  The differences are first rotated: D * 2^o mod
+  M61 is a 61-bit rotation of D.  With C = sum_a C_a * 2^(o_a), the sum
+  over j of C(i, j) * D_j is sum_b 2^(o_b) * (sum over a, j of
+  C_a(i, j) * limb_b(D_j * 2^(o_a))), so each limb class b is one dot
+  product of length 3K;
+* the three terms of one j sum to less than 2^42 + 2 * 2^41 = 2^43, so
+  with K <= _L = 2^10 every partial sum is an integer below 2^53: exact
+  in float64 in any summation order, with or without FMA;
+* the three classes are cast to uint64, and classes 1 and 2 enter as
+  61-bit rotations by 21 and 41 bits, so the total stays below 2^63; one
+  fold and one conditional subtraction give the canonical element.
+
+:func:`poly_eval` takes this route for a block when _K_NEWTON <= K <= _L
+and every sub-block of the block, the last one too, is a progression of
+at least K points.  Other blocks (points out of progression, as in
+column-restricted builds and the signs of kept cells, or a small K)
+take :func:`_horner`.  Every route gives the same element, so the choice
+never shows in the output.
 """
+
+import functools
 
 import numpy as np
 
@@ -94,6 +127,13 @@ def is_prime(n: int) -> bool:
 
 
 _CHUNK = 1 << 14  # points per block: the work buffers stay in the L2 cache
+_L = 1 << 10  # points per sub-block of the Newton route; K <= _L keeps its sums exact
+_K_NEWTON = 12  # fewest coefficients that take the Newton route (Horner is as fast below)
+_ROWS = 16  # rows of the Newton table reduced per step
+_RENORM_SHIFT = np.array([[31], [30]], dtype=np.uint64)  # of the table rows' (lo, hi) limbs
+_RENORM_MASK = np.array([[(1 << 31) - 1], [(1 << 30) - 1]], dtype=np.uint64)
+# (offset, mask) of the three limbs, of 21, 20 and 20 bits, of a value < 2^61
+_LIMBS = ((0, (1 << 21) - 1), (21, (1 << 20) - 1), (41, (1 << 20) - 1))
 
 
 def _split(x, x1, x1_8, x0):
@@ -126,9 +166,7 @@ def _mul_add_step(acc, c, x1, x1_8, x0, a1, a0, t):
     np.bitwise_and(a0, _M61, out=a0)
     np.add(acc, a0, out=acc)
     np.add(acc, c, out=acc)  # < 2^63
-    np.right_shift(acc, _61, out=t)  # fold: < 2^61 + 4
-    np.bitwise_and(acc, _M61, out=acc)
-    np.add(acc, t, out=acc)
+    _fold(acc, t)  # < 2^61 + 4
 
 
 def _narrow_step(acc, acc_i, c, x, fx, f, q, q_i):
@@ -145,6 +183,14 @@ def _narrow_step(acc, acc_i, c, x, fx, f, q, q_i):
     np.multiply(acc, x, out=acc)
     np.subtract(acc, q, out=acc)  # acc*x mod M61, plus at most one M61
     np.add(acc, c, out=acc)
+
+
+def _fold(acc, t):
+    """acc <- (acc >> 61) + (acc mod 2^61) in place, the same element mod M61;
+    t is a work buffer.  A value below 2^63 comes out at most 2^61 + 2."""
+    np.right_shift(acc, _61, out=t)
+    np.bitwise_and(acc, _M61, out=acc)
+    np.add(acc, t, out=acc)
 
 
 def _canonical(acc, t):
@@ -167,65 +213,246 @@ def mulmod_m61(a, b):
     return acc
 
 
+def _horner(coeffs, x, out, work, starts):
+    """Horner evaluation over M61 of the ``_CHUNK``-point blocks of x that begin
+    at ``starts``, into the same slices of out; ``work`` is a (6, >= _CHUNK)
+    uint64 buffer.  A block whose points are all below 2^32 takes
+    :func:`_narrow_step`; any other block splits its limbs once and takes
+    :func:`_mul_add_step`.
+    """
+    for start in starts:
+        acc = out[start:start + _CHUNK]
+        xb = x[start:start + _CHUNK]
+        bufs = tuple(work[:, : acc.size])
+        acc.fill(coeffs[-1])
+        if int(xb.max()) < _NARROW:
+            fx, f, q = bufs[0].view(np.float64), bufs[1].view(np.float64), bufs[2]
+            np.copyto(fx, xb)  # exact: x < 2^53 (a mixed-type multiply would buffer its cast)
+            np.multiply(fx, _SHRINK, out=fx)
+            acc_i, q_i = acc.view(np.int64), q.view(np.int64)
+            for c in coeffs[-2::-1]:
+                _narrow_step(acc, acc_i, c, xb, fx, f, q, q_i)
+            _canonical(acc, bufs[-1])  # acc < 3*M61 takes two
+        else:
+            _split(xb, *bufs[:3])
+            for c in coeffs[-2::-1]:
+                _mul_add_step(acc, c, *bufs)
+        _canonical(acc, bufs[-1])
+
+
+def _is_progression(x, d, same):
+    """True when every ``_L``-point sub-block of x (the last may be shorter)
+    is an arithmetic progression; ``d`` (uint64) and ``same`` (bool) are
+    buffers of at least x.size elements.
+
+    Differences wrap mod 2^64, but points lie below 2^61, so equal wrapped
+    differences are equal integer differences.
+    """
+    full = x.size // _L
+    for part in (x[:full * _L].reshape(full, _L), x[full * _L:].reshape(1, -1)):
+        rows, cols = part.shape
+        if rows and cols > 2:
+            diff = d[:rows * (cols - 1)].reshape(rows, cols - 1)
+            np.subtract(part[:, 1:], part[:, :-1], out=diff)
+            eq = same[:diff.size].reshape(diff.shape)
+            np.equal(diff, diff[:, :1], out=eq)
+            if not eq.all():
+                return False
+    return True
+
+
+@functools.lru_cache(maxsize=8)
+def _newton_table(k):
+    """Read-only (3k, _L) float64 table: row a*k + j holds limb a (see
+    ``_LIMBS``) of C(i, j) mod M61 for i < _L.  Cached per k.
+
+    Row j of C is the exclusive prefix sum of row j - 1 (C(i, j) is the
+    sum of C(i', j - 1) over i' < i).  Each row is carried as two limbs
+    (lo, hi), worth lo + hi * 2^31, and one accumulate sums both; a sum of
+    fewer than 2^10 terms adds 10 bits, so every second row is brought
+    back from below 2^52 to below 2^32 by
+    (lo, hi) <- (lo mod 2^31 + (hi >> 30), hi mod 2^30 + (lo >> 31)),
+    which keeps the value mod M61 because 2^61 == 1.  Every ``_ROWS`` rows
+    are reduced and split into the table (this overwrites their hi limbs).
+    """
+    table = np.empty((3, k, _L))
+    pairs = np.zeros((_ROWS + 1, 2, _L), dtype=np.uint64)  # slot 0: the row before the block
+    pairs[1, 0] = 1  # C(i, 0)
+    carry = np.empty((2, _L - 1), dtype=np.uint64)
+    v, t = np.empty((2, _ROWS, _L), dtype=np.uint64)
+    for j0 in range(0, k, _ROWS):
+        b = min(_ROWS, k - j0)
+        for j in range(max(j0, 1), j0 + b):
+            row = pairs[j - j0 + 1, :, 1:]
+            np.add.accumulate(pairs[j - j0, :, :-1], axis=1, out=row)
+            if j % 2 == 0:
+                np.right_shift(row, _RENORM_SHIFT, out=carry)
+                np.bitwise_and(row, _RENORM_MASK, out=row)
+                np.add(row, carry[::-1], out=row)
+        pairs[0] = pairs[b]
+        lo, hi, vb, tb = pairs[1:b + 1, 0], pairs[1:b + 1, 1], v[:b], t[:b]
+        np.copyto(vb, lo)
+        _rotate_add(vb, hi, 31, tb)  # lo + hi * 2^31, below 2^62
+        _fold(vb, tb)
+        _canonical(vb, tb)
+        for a, (offset, mask) in enumerate(_LIMBS):
+            np.right_shift(vb, offset, out=tb)
+            np.bitwise_and(tb, mask, out=tb)
+            np.copyto(table[a, j0:j0 + b], tb.view(np.int64))
+        pairs[1, 0, 0] = 0  # C(0, j) = 0 for j > 0
+    table = table.reshape(3 * k, _L)
+    table.flags.writeable = False
+    return table
+
+
+def _differences(v, t):
+    """Newton forward differences down the rows, in place: column s of the
+    (k, S) array v becomes (Delta^j v[0, s])_j mod M61; t is a buffer of v's
+    shape."""
+    for r in range(1, v.shape[0]):
+        a, b, d = v[r:], v[r - 1:-1], t[r:]
+        np.subtract(a, b, out=d)  # wraps where a < b
+        np.add(d, _M61, out=a)  # wraps back where a >= b
+        np.minimum(a, d, out=a)
+
+
+def _rotate_add(acc, v, r, u):
+    """acc += v * 2^r as a 61-bit rotation of v < 2^61: the added
+    (v << r mod 2^61) + (v >> (61 - r)) is the same element mod M61 and is
+    below 2^61 + 2^r.  Overwrites v and u.
+    """
+    np.left_shift(v, r, out=u)
+    np.bitwise_and(u, _M61, out=u)
+    np.add(acc, u, out=acc)
+    np.right_shift(v, 61 - r, out=v)
+    np.add(acc, v, out=acc)
+
+
+def _newton_block(diffs, table, limbs, rot, prod, acc, t, u):
+    """Horner-free evaluation of m progression sub-blocks: acc[s, i] becomes
+    P(x0_s + h_s*i) for i < _L, the sum over j of C(i, j) * diffs[s, j]
+    mod M61, where row s of the (m, k) array ``diffs`` holds the forward
+    differences Delta^j of sub-block s.
+
+    One float64 matmul computes the three limb classes; see the module
+    docstring for why it is exact.  ``limbs`` is a (3m, 3k) float64
+    buffer, ``rot`` a (2, 3, m, k) and ``t``, ``u`` (m, _L) uint64 buffers,
+    ``prod`` a (3m, _L) float64 buffer.
+    """
+    m, k = diffs.shape
+    rot, tmp = rot
+    np.copyto(rot[0], diffs)
+    for a in (1, 2):  # diffs * 2^offset_a mod M61: rotations of a 61-bit value
+        offset = _LIMBS[a][0]
+        np.left_shift(diffs, offset, out=rot[a])
+        np.bitwise_and(rot[a], _M61, out=rot[a])
+        np.right_shift(diffs, 61 - offset, out=tmp[0])
+        np.bitwise_or(rot[a], tmp[0], out=rot[a])
+    grid = limbs.reshape(3, m, 3, k)  # [b, s, a, j]: limb b of rot[a][s, j]
+    for b, (offset, mask) in enumerate(_LIMBS):
+        np.right_shift(rot, offset, out=tmp)
+        np.bitwise_and(tmp, mask, out=tmp)
+        np.copyto(grid[b], tmp.view(np.int64).transpose(1, 0, 2))
+    np.matmul(limbs, table, out=prod)  # row b*m + s: class b of sub-block s
+    c0, c1, c2 = prod.reshape(3, m, _L)
+    np.copyto(acc.view(np.int64), c0, casting="unsafe")
+    for c, (offset, _) in zip((c1, c2), _LIMBS[1:]):
+        np.copyto(t.view(np.int64), c, casting="unsafe")
+        _rotate_add(acc, t, offset, u)  # < 2^63 after both
+    _fold(acc, t)  # < 2^61 + 3
+    _canonical(acc, t)
+
+
+def _newton(coeffs, x, out, work, starts):
+    """Newton-route evaluation over M61 of the ``_CHUNK``-point blocks of x
+    that begin at ``starts``, into the same slices of out.  Every ``_L``-point
+    sub-block of those blocks must be an arithmetic progression of at least
+    K = len(coeffs) <= _L points; ``work`` is as for :func:`_horner`.
+
+    One Horner call evaluates the first K points of every sub-block, K - 1
+    rounds turn them into forward differences, and :func:`_newton_block`
+    gives each block.
+    """
+    k, n = coeffs.size, x.size
+    subs = np.concatenate([np.arange(s, min(s + _CHUNK, n), _L) for s in starts])
+    heads = x[np.arange(k)[:, None] + subs]  # (k, S): the first k points of each
+    vals = np.empty_like(heads)
+    _horner(coeffs, heads.reshape(-1), vals.reshape(-1), work, range(0, heads.size, _CHUNK))
+    _differences(vals, heads)
+    diffs = heads.reshape(-1, k)  # (S, k): one sub-block per row
+    np.copyto(diffs, vals.T)
+    table = _newton_table(k)
+    per = _CHUNK // _L
+    limbs, rot = np.empty(9 * per * k), np.empty(6 * per * k, dtype=np.uint64)
+    prod = np.empty((3 * per, _L))
+    for i, s in enumerate(starts):
+        block = diffs[i * per:(i + 1) * per]
+        m, size = block.shape[0], min(_CHUNK, n - s)
+        full = size == m * _L  # else the last block, whose last sub-block is short
+        acc = (out[s:s + size] if full else work[2, : m * _L]).reshape(m, _L)
+        _newton_block(block, table, limbs[: 9 * m * k].reshape(3 * m, 3 * k),
+                      rot[: 6 * m * k].reshape(2, 3, m, k), prod[: 3 * m], acc,
+                      *(w[: m * _L].reshape(m, _L) for w in work[3:5]))
+        if not full:
+            out[s:s + size] = acc.reshape(-1)[:size]
+
+
 def poly_eval(coeffs, points, modulus):
     """Evaluate sum_t coeffs[t] * x^t mod ``modulus`` at every x in ``points``.
 
     ``modulus`` is M61 or a prime below 2^32; coeffs are field elements
     (low-to-high degree) and points must be < modulus.  Over M61 the points
-    are evaluated in blocks of ``_CHUNK``, and every Horner step writes
-    into one set of preallocated buffers.  A block whose points are all
-    below 2^32 takes :func:`_narrow_step`; any other block splits its
-    limbs once and takes :func:`_mul_add_step`.
+    are evaluated in blocks of ``_CHUNK``.  With ``_K_NEWTON`` <= K <= ``_L``
+    coefficients, a block whose ``_L``-point sub-blocks are all arithmetic
+    progressions of at least K points takes :func:`_newton`; every other
+    block takes :func:`_horner`.  Both give the same element.
     """
     points = np.atleast_1d(np.asarray(points, dtype=np.uint64))
     coeffs = np.asarray(coeffs, dtype=np.uint64)
-    if modulus == M61:
-        flat = points.reshape(-1)
-        out = np.empty(flat.size, dtype=np.uint64)
-        work = np.empty((6, min(_CHUNK, flat.size)), dtype=np.uint64)
-        for start in range(0, flat.size, _CHUNK):
-            acc = out[start:start + _CHUNK]
-            x = flat[start:start + _CHUNK]
-            bufs = tuple(work[:, : acc.size])
-            acc.fill(coeffs[-1])
-            if int(x.max()) < _NARROW:
-                fx, f, q = bufs[0].view(np.float64), bufs[1].view(np.float64), bufs[2]
-                np.copyto(fx, x)  # exact: x < 2^53 (a mixed-type multiply would buffer its cast)
-                np.multiply(fx, _SHRINK, out=fx)
-                acc_i, q_i = acc.view(np.int64), q.view(np.int64)
-                for c in coeffs[-2::-1]:
-                    _narrow_step(acc, acc_i, c, x, fx, f, q, q_i)
-                _canonical(acc, bufs[-1])  # acc < 3*M61 takes two
-            else:
-                _split(x, *bufs[:3])
-                for c in coeffs[-2::-1]:
-                    _mul_add_step(acc, c, *bufs)
-            _canonical(acc, bufs[-1])
-        return out.reshape(points.shape)
-    # products of two elements < 2^32 fit exactly in uint64
-    acc = np.full(points.shape, coeffs[-1], dtype=np.uint64)
-    q = _U(modulus)
-    for c in coeffs[-2::-1]:
-        acc = (acc * points + c) % q
-    return acc
+    if modulus != M61:
+        # products of two elements < 2^32 fit exactly in uint64
+        acc = np.full(points.shape, coeffs[-1], dtype=np.uint64)
+        q = _U(modulus)
+        for c in coeffs[-2::-1]:
+            acc = (acc * points + c) % q
+        return acc
+    flat = points.reshape(-1)
+    n, k = flat.size, coeffs.size
+    out = np.empty(n, dtype=np.uint64)
+    work = np.empty((6, min(_CHUNK, -(-n // _L) * _L)), dtype=np.uint64)
+    starts = range(0, n, _CHUNK)
+    newton = []
+    if _K_NEWTON <= k <= _L:
+        newton = [s for s in starts
+                  if (min(n - s, _CHUNK) - 1) % _L + 1 >= k  # the last sub-block too
+                  and _is_progression(flat[s:s + _CHUNK], work[0], work[1].view(bool))]
+    _horner(coeffs, flat, out, work, sorted(set(starts).difference(newton)))
+    if newton:
+        _newton(coeffs, flat, out, work, newton)
+    return out.reshape(points.shape)
 
 
-def _mul128(v, w):
-    """Return (hi, lo) words of the exact 128-bit product v * w (v, w < 2^62)."""
-    v1 = v >> _U(32)
-    v0 = v & _MASK32
-    w1 = w >> _U(32)
-    w0 = w & _MASK32
-    ll = v0 * w0
-    mid = v1 * w0
-    mid += v0 * w1  # < 2^63
-    hi = v1 * w1
-    hi += mid >> _U(32)
-    mid &= _MASK32
-    mid <<= _U(32)
-    mid += ll  # the low word
-    hi += mid < ll  # carry
-    return hi, mid
+def _mul128(v, w1, w0, hi, lo, t, u):
+    """hi, lo <- the words of the exact 128-bit product v * w, for v, w < 2^62.
+
+    ``w1, w0`` are w >> 32 and w mod 2^32 (arrays of v's shape or
+    scalars); ``t`` and ``u`` are work buffers of v's shape.
+    """
+    np.right_shift(v, _32, out=t)  # v1
+    np.bitwise_and(v, _MASK32, out=u)  # v0
+    np.multiply(t, w1, out=hi)
+    np.multiply(t, w0, out=t)
+    np.multiply(u, w0, out=lo)
+    np.multiply(u, w1, out=u)
+    np.add(t, u, out=t)  # mid = v1*w0 + v0*w1 < 2^63
+    np.right_shift(t, _32, out=u)
+    np.add(hi, u, out=hi)
+    np.bitwise_and(t, _MASK32, out=t)
+    np.left_shift(t, _32, out=t)
+    np.add(lo, t, out=lo)  # the low word
+    carry = u.view(bool)[: u.size]
+    np.less(lo, t, out=carry)
+    np.add(hi, carry, out=hi)
 
 
 def scale_to_range(values, width, modulus):
@@ -233,17 +460,38 @@ def scale_to_range(values, width, modulus):
 
     ``width`` may be a scalar or a per-value array.  ``modulus`` is M61 or
     a prime below 2^32.  When width == modulus this is the identity map.
+    Over M61 the values are scaled in blocks of ``_CHUNK`` through one set
+    of work buffers, so a call allocates little beyond its output.
     """
     values = np.atleast_1d(np.asarray(values, dtype=np.uint64))
     w = np.asarray(width, dtype=np.uint64)
-    if modulus == M61:
-        hi, lo = _mul128(values, w)
-        a = (hi << _U(3)) | (lo >> _U(61))
-        b = lo & _M61
-        # v*w = a*2^61 + b = a*M61 + (a + b); a + b < 2^62 so one more
-        # division finishes the reduction.
-        return a + (a + b) // _M61
-    return (values * w) // _U(modulus)
+    if modulus != M61:
+        return (values * w) // _U(modulus)
+    shape = np.broadcast_shapes(values.shape, w.shape)
+    v = np.broadcast_to(values, shape).reshape(-1)
+    out = np.empty(v.size, dtype=np.uint64)
+    work = np.empty((6, min(_CHUNK, v.size)), dtype=np.uint64)
+    if w.ndim:
+        w = np.broadcast_to(w, shape).reshape(-1)
+    else:
+        w1, w0 = w >> _32, w & _MASK32
+    for start in range(0, v.size, _CHUNK):
+        vc = v[start:start + _CHUNK]
+        hi, lo, t, u, wb1, wb0 = work[:, : vc.size]
+        if w.ndim:
+            wc = w[start:start + _CHUNK]
+            w1, w0 = np.right_shift(wc, _32, out=wb1), np.bitwise_and(wc, _MASK32, out=wb0)
+        _mul128(vc, w1, w0, hi, lo, t, u)
+        # v*w = a*2^61 + b = a*M61 + (a + b) with a = v*w >> 61 and b = v*w mod 2^61;
+        # a + b < 2^62, so one more division finishes the reduction
+        np.left_shift(hi, _3, out=hi)
+        np.right_shift(lo, _61, out=t)
+        np.bitwise_or(hi, t, out=hi)  # a
+        np.bitwise_and(lo, _M61, out=lo)  # b
+        np.add(lo, hi, out=lo)
+        np.floor_divide(lo, _M61, out=lo)
+        np.add(hi, lo, out=out[start:start + _CHUNK])
+    return out.reshape(shape)
 
 
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15

@@ -72,7 +72,7 @@ def _build_parser():
     p.add_argument("--sweep", choices=["eps", "m", "s", "nnz"])
     p.add_argument("--calibrate", action="store_true")
     p.add_argument("--kind", default="osnap")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=int)  # 50 for a sweep, the reference count for --calibrate
     p.add_argument("--d", type=int, default=16)
     p.add_argument("--n", type=int)
     p.add_argument("--eps", type=float, default=0.5)
@@ -187,7 +187,7 @@ def _cmd_bench(args):
         raise ParameterError("bench needs --sweep or --calibrate")
     seed = 0 if args.seed is None else args.seed
     kwargs = dict(d=args.d, eps=args.eps, delta=args.delta,
-                  trials=args.trials, seed=seed)
+                  trials=50 if args.trials is None else args.trials, seed=seed)
     n = args.n if args.n is not None else 8192 if args.sweep == "eps" else 4096
     if args.sweep == "eps":
         kwargs.pop("eps")

@@ -419,6 +419,25 @@ class TestBenchCommand:
         assert main(["bench", "--calibrate", "--trials", "3", *argv]) == EXIT_OK
         assert calls == [(3, seed)]
 
+    def test_calibrate_default_trials_are_the_reference(self, monkeypatch):
+        # an absent --trials used to pass the sweeps' default of 50
+        calls = []
+
+        def fake(trials, seed):
+            calls.append(trials)
+            return ss.CONSTANTS, []
+
+        monkeypatch.setattr("subsketch.cli.calibrate", fake)
+        assert main(["bench", "--calibrate"]) == EXIT_OK
+        assert calls == [None]  # calibrate then takes REFERENCE["trials"]
+
+    def test_sweep_default_trials(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("subsketch.cli.eps_sweep",
+                            lambda kind, n, **kw: calls.append(kw["trials"]) or [])
+        assert main(["bench", "--sweep", "eps"]) == EXIT_OK
+        assert calls == [50]
+
 
 class TestPipelineCommand:
     def test_pipeline_run(self, tmp_path, matrix_file):

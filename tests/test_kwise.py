@@ -1,6 +1,7 @@
 """Hashing layer: exact field arithmetic, enumeration oracles, stream stats."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,8 +20,13 @@ from subsketch import (
 )
 from subsketch._field import (
     _CHUNK,
+    _K_NEWTON,
+    _L,
+    _LIMBS,
     _SHRINK,
     _narrow_step,
+    _newton_block,
+    _newton_table,
     is_prime,
     mulmod_m61,
     poly_eval,
@@ -169,6 +175,29 @@ class TestFieldArithmetic:
         for i in range(0, 3000, 97):
             assert int(got[i]) == int(v[i]) * int(w[i]) // M61
 
+    def test_scale_to_range_across_chunk_boundaries(self):
+        rng = np.random.default_rng(13)
+        n = 2 * _CHUNK + 5
+        v = rng.integers(0, M61, n, dtype=np.uint64)
+        w = rng.integers(1, M61 + 1, n, dtype=np.uint64)
+        v[:4], w[:4] = M61 - 1, [M61, M61 - 1, 1, 2]
+        for width in (w, 540):
+            got = scale_to_range(v, width, M61)
+            want = v.astype(object) * np.asarray(width, dtype=np.uint64).astype(object) // M61
+            assert got.dtype == np.uint64 and (got.astype(object) == want).all()
+
+    def test_scale_to_range_peak_memory_is_its_output(self):
+        rng = np.random.default_rng(14)
+        v = rng.integers(0, M61, 1 << 20, dtype=np.uint64)
+        w = rng.integers(1, 541, 1 << 20, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            out = scale_to_range(v, w, M61)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.nbytes, peak
+
     def test_scale_identity_at_full_width(self):
         rng = np.random.default_rng(11)
         v = rng.integers(0, M61, 1000, dtype=np.uint64)
@@ -177,6 +206,112 @@ class TestFieldArithmetic:
     def test_is_prime(self):
         assert is_prime(2) and is_prime(5) and is_prime(M61)
         assert not is_prime(1) and not is_prime(2**61) and not is_prime(561)
+
+
+def _count_newton_blocks(monkeypatch):
+    calls = []
+    monkeypatch.setattr("subsketch._field._newton_block",
+                        lambda *args: calls.append(1) or _newton_block(*args))
+    return calls
+
+
+class TestNewtonRoute:
+    """Blocks of points in arithmetic progression: forward differences and
+    one exact float64 matmul instead of Horner steps."""
+
+    @pytest.mark.parametrize("x0, step", [(1, 1), (5, 2), (3, 1 << 40), (M61 - 1, -7)],
+                             ids=["step-1", "step-2", "step-2^40", "decreasing"])
+    def test_progressions_match_horner(self, monkeypatch, x0, step):
+        calls = _count_newton_blocks(monkeypatch)
+        rng = np.random.default_rng(21)
+        n = _CHUNK + 3 * _L + 100  # a partial last chunk whose last sub-block has 100 points
+        points = (x0 + step * np.arange(n, dtype=object)).astype(np.uint64)
+        _assert_matches_horner(rng.integers(0, M61, 64, dtype=np.uint64), points)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("step", [1, 5, 1 << 40])
+    def test_sub_block_ending_at_the_top_element(self, monkeypatch, step):
+        calls = _count_newton_blocks(monkeypatch)
+        top = M61 - 1 - step * (_L - 1)  # the sub-block's last point is M61 - 1
+        points = top + step * np.arange(2 * _L, dtype=object) - step * _L
+        _assert_matches_horner([M61 - 1] * 64, points.astype(np.uint64))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("k", [_K_NEWTON, 64])
+    def test_largest_coefficients(self, k):
+        points = np.arange(3 * _L, dtype=np.uint64) * np.uint64(1 << 40) + np.uint64(1 << 59)
+        _assert_matches_horner([M61 - 1] * k, points)
+
+    @pytest.mark.parametrize("k, newton", [(1, False), (_K_NEWTON - 1, False), (_K_NEWTON, True),
+                                           (_L, True), (_L + 1, False)])
+    def test_degree_limits(self, monkeypatch, k, newton):
+        calls = _count_newton_blocks(monkeypatch)
+        rng = np.random.default_rng(k)
+        points = np.arange(2 * _L, dtype=np.uint64) * np.uint64(3) + np.uint64(11)
+        try:
+            _assert_matches_horner(rng.integers(0, M61, k, dtype=np.uint64), points)
+        finally:
+            _newton_table.cache_clear()  # the k = _L table is 25 MB
+        assert bool(calls) == newton
+
+    @pytest.mark.parametrize("tail, newton_blocks", [(100, 2), (63, 1)])
+    def test_short_last_sub_block_falls_back(self, monkeypatch, tail, newton_blocks):
+        # with K = 64 a last sub-block of 63 points leaves its whole block to Horner
+        calls = _count_newton_blocks(monkeypatch)
+        rng = np.random.default_rng(tail)
+        points = np.arange(_CHUNK + _L + tail, dtype=np.uint64) * np.uint64(2)
+        _assert_matches_horner(rng.integers(0, M61, 64, dtype=np.uint64), points)
+        assert len(calls) == newton_blocks
+
+    def test_progression_and_shuffled_blocks_in_one_call(self, monkeypatch):
+        calls = _count_newton_blocks(monkeypatch)
+        rng = np.random.default_rng(22)
+        points = np.arange(3 * _CHUNK, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+        rng.shuffle(points[_CHUNK:2 * _CHUNK])
+        _assert_matches_horner(rng.integers(0, M61, 16, dtype=np.uint64), points)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("perturb, newton_blocks", [
+        ("shuffle", 0), ("swap-inside", 1), ("swap-in-short-last", 1)])
+    def test_route_is_chosen_from_the_points(self, monkeypatch, perturb, newton_blocks):
+        calls = _count_newton_blocks(monkeypatch)
+        coeffs = np.random.default_rng(23).integers(0, M61, 56, dtype=np.uint64)
+        n = _CHUNK + _L + 100  # the second block ends in a 100-point sub-block
+        points = np.arange(n, dtype=np.uint64) * np.uint64(2)
+        progression = poly_eval(coeffs, points, M61)
+        assert len(calls) == 2
+        if perturb == "shuffle":
+            order = np.random.default_rng(24).permutation(n)
+        else:  # one sub-block stops being a progression deep inside it
+            order = np.arange(n)
+            i = 5 * _L + 700 if perturb == "swap-inside" else n - 40
+            order[[i, i + 1]] = order[[i + 1, i]]
+        got = poly_eval(coeffs, points[order], M61)
+        assert len(calls) == 2 + newton_blocks
+        assert np.array_equal(got, progression[order])
+
+    @pytest.mark.parametrize("k", [1, 2, _K_NEWTON, 33, 64])
+    def test_binomial_table(self, k):
+        table = _newton_table(k)
+        assert table.shape == (3 * k, _L) and not table.flags.writeable
+        limbs = table.reshape(3, k, _L).astype(np.uint64).astype(object)
+        got = sum(limb << offset for limb, (offset, _) in zip(limbs, _LIMBS))
+        want = np.array([[math.comb(i, j) % M61 for i in range(_L)] for j in range(k)], dtype=object)
+        assert (got == want).all()
+
+    def test_newton_block_at_its_sum_bound(self):
+        # every difference M61 - 1 and k = _L give the largest limb sums;
+        # sum over j of C(i, j) is 2^i, so each value is (M61 - 1) * 2^i
+        m = 2
+        diffs = np.full((m, _L), M61 - 1, dtype=np.uint64)
+        limbs, rot = np.empty((3 * m, 3 * _L)), np.empty((2, 3, m, _L), dtype=np.uint64)
+        acc, t, u = np.empty((3, m, _L), dtype=np.uint64)
+        try:
+            _newton_block(diffs, _newton_table(_L), limbs, rot, np.empty((3 * m, _L)), acc, t, u)
+        finally:
+            _newton_table.cache_clear()
+        want = [(M61 - 1) * pow(2, i, M61) % M61 for i in range(_L)]
+        assert acc.tolist() == [want] * m
 
 
 class TestFamilyConstruction:
@@ -335,6 +470,20 @@ def test_poly_eval_matches_horner_near_chunk_sizes(seed, k, n):
     rng = np.random.default_rng(seed)
     _assert_matches_horner(rng.integers(0, M61, k, dtype=np.uint64),
                            rng.integers(0, M61, n, dtype=np.uint64))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 80),
+    n=st.integers(1, 4 * _L),
+    x0=st.integers(0, M61 - 1),
+    step=st.integers(-(1 << 48), 1 << 48),
+)
+def test_poly_eval_matches_horner_on_progressions(seed, k, n, x0, step):
+    x0 = min(max(x0, -step * (n - 1)), M61 - 1 - step * (n - 1))  # keep every point in the field
+    points = (x0 + step * np.arange(n, dtype=object)).astype(np.uint64)
+    _assert_matches_horner(np.random.default_rng(seed).integers(0, M61, k, dtype=np.uint64), points)
 
 
 @settings(max_examples=12, deadline=None)
