@@ -24,7 +24,7 @@ print(counts)
 print("every pair appears exactly once -> exactly 2-wise independent\n")
 
 # --- the production field ---------------------------------------------
-fam = ss.new_kwise_family(seed=2024, degree_k=16)
+fam = ss.KWiseFamily(seed=2024, degree_k=16)
 pts = np.arange(200_000, dtype=np.uint64)
 signs = fam.rademacher(pts)
 draws = fam.uniform_range(pts, 0, 9)
@@ -35,12 +35,12 @@ print(f"sign mean over 2e5 points:   {signs.mean():+.5f}  (4 SE = "
 print(f"digit frequencies on [0, 9]: {np.bincount(draws) / len(draws)}")
 
 # two seeds give decorrelated streams
-other = ss.new_kwise_family(seed=2025, degree_k=16)
+other = ss.KWiseFamily(seed=2025, degree_k=16)
 corr = float(np.mean(signs * other.rademacher(pts)))
 print(f"cross-seed sign correlation: {corr:+.5f}")
 
 # builders split one family into sign and position sub-streams by using
 # even and odd evaluation points
 print("\nsign stream uses points 2i, position stream 2i+1:")
-print("  sign(3)     =", ss.rademacher_at(fam, 6))
-print("  position(3) =", ss.uniform_range_at(fam, 7, 0, 99))
+print("  sign(3)     =", int(fam.rademacher(6)[0]))
+print("  position(3) =", int(fam.uniform_range(7, 0, 99)[0]))

@@ -28,8 +28,7 @@ diag, off, norms = ss.diagonal_offdiagonal_split(sketch, U)
 print(f"error split: ||energy term|| = {norms['diag']:.1e} (exactly zero), "
       f"||cross term|| = {norms['offdiag']:.2f}")
 
-iid = ss.build_ose_ie(ss.SketchSpec(kind="ose-ie", m=m, n=n, p=p, seed=5,
-                                    family="independent"))
+iid = ss.build_ose_ie(ss.SketchSpec(kind="ose-ie", m=m, n=n, p=p, seed=5))
 _, _, iid_norms = ss.diagonal_offdiagonal_split(iid, U)
 print(f"i.i.d. model for comparison: ||energy term|| = "
       f"{iid_norms['diag']:.2f} (fluctuates)\n")
@@ -40,10 +39,9 @@ print(f"decoupled trace moment at q=1, expected {expected}:")
 builders = {
     "blocked": trial_builder(spec),
     "i.i.d.": trial_builder(
-        ss.SketchSpec(kind="ose-ie", m=m, n=n, p=p, family="independent")),
+        ss.SketchSpec(kind="ose-ie", m=m, n=n, p=p)),
     "gaussian": trial_builder(
-        ss.SketchSpec(kind="gaussian-dense", m=m, n=n, p=p,
-                      family="independent")),
+        ss.SketchSpec(kind="gaussian-dense", m=m, n=n, p=p)),
 }
 for name, builder in builders.items():
     probe = ss.decoupled_gamma_moment(builder, U, q=1, trials=400, seed=9)

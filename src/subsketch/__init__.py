@@ -14,9 +14,6 @@ from .kwise import (
     IndependentFamily,
     KWiseFamily,
     derive_seed,
-    new_kwise_family,
-    rademacher_at,
-    uniform_range_at,
 )
 from .sketch import DenseSketch, SparseSketch, load_sketch, sketch_from_dense
 from .oblivious import (
@@ -67,9 +64,6 @@ __all__ = [
     "M61",
     "KWiseFamily",
     "IndependentFamily",
-    "new_kwise_family",
-    "rademacher_at",
-    "uniform_range_at",
     "derive_seed",
     "SketchSpec",
     "SparseSketch",

@@ -77,12 +77,15 @@ def materialize_dense(sketch, max_entries=50_000_000):
 
 
 def load_matrix(path, *, sparse_as="csr"):
-    """Read a Matrix Market file; coordinate files stay sparse."""
+    """Read a real Matrix Market file; coordinate files stay sparse and
+    complex data is a FormatError."""
     try:
         with open(path, "rb") as fh:
             M = scipy.io.mmread(fh)
     except (ValueError, OSError) as exc:
         raise FormatError(f"{path}: failed to parse Matrix Market file: {exc}") from exc
+    if np.iscomplexobj(M):
+        raise FormatError(f"{path}: complex Matrix Market data is not supported")
     if scipy.sparse.issparse(M):
         return M.asformat(sparse_as)
     return np.asarray(M, dtype=np.float64)

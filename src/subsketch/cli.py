@@ -20,7 +20,7 @@ from .apply import load_matrix, save_matrix
 from .errors import FormatError, ParameterError
 from .experiments import calibrate, eps_sweep, m_sweep, nnz_sweep, run_config, s_sweep
 from .leverage import LeverageScores, approx_leverage, exact_leverage
-from .oblivious import LESS_KINDS, SketchSpec, build, default_family
+from .oblivious import LESS_KINDS, SketchSpec, build
 from .pipeline import PIPELINE_KINDS, Overrides, PipelineConfig, fast_subspace_embed
 from .sketch import load_sketch
 
@@ -45,10 +45,10 @@ def _build_parser():
                    choices=["osnap", "ose-ie", "less-ic", "less-ie"])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--s", type=int, help="per-column sparsity (alternative to --p)")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--p", type=float)
+    g.add_argument("--s", type=int, help="per-column sparsity (alternative to --p)")
     p.add_argument("--degree-k", type=int, default=8)
-    p.add_argument("--family", choices=["kwise", "independent"])
     p.add_argument("--scores", help="scores JSON (required for less-* kinds)")
     _add_common(p, out_required=True)
 
@@ -107,8 +107,6 @@ def _load_scores(path):
 
 
 def _cmd_sketch(args):
-    if args.p is None and args.s is None:
-        raise ParameterError("give either --p or --s")
     if args.m < 1:
         raise ParameterError(f"--m must be >= 1, got {args.m}")
     less = args.kind in LESS_KINDS
@@ -120,7 +118,6 @@ def _cmd_sketch(args):
         kind=args.kind, m=args.m, n=args.n,
         p=args.p if args.p is not None else args.s / args.m,
         degree_k=args.degree_k, seed=args.seed,
-        family=args.family or default_family(args.kind),
         scores=_load_scores(args.scores) if less else None,
     )
     sk = build(spec)

@@ -38,7 +38,6 @@ from .oblivious import (
     SketchSpec,
     build,
     check_dimensions,
-    default_family,
     default_parameters,
     independence_degree,
     round_parameters,
@@ -237,11 +236,9 @@ def s_sweep(kind="osnap", d=16, n=4096, eps=0.5, delta=0.05,
 
 
 def grid_spec(kind, m, s, n, d, eps, delta):
-    """Spec of one (m, s) sweep point, with the degree for (d, eps, delta)
-    and the family of :func:`~subsketch.oblivious.default_family`."""
+    """Spec of one (m, s) sweep point, with the degree for (d, eps, delta)."""
     return SketchSpec(kind=kind, m=m, n=n, p=s / m,
-                      degree_k=independence_degree(d, eps, delta, s),
-                      family=default_family(kind))
+                      degree_k=independence_degree(d, eps, delta, s))
 
 
 def sweep_row(spec, d, eps, trials, seed, sampler, **extra):

@@ -9,8 +9,10 @@ Two families share one interface:
   splitmix64 stream, so a family is reproducible from
   (seed, degree_k, field_modulus) alone.
 * :class:`IndependentFamily` -- a per-index splitmix64 stream standing in
-  for fully independent draws; used for the i.i.d.-entry constructions and
-  for A/B comparisons against the K-wise mode.
+  for fully independent draws; the dense baselines read it.  The blocked
+  kinds (osnap, less-ic) hash with :class:`KWiseFamily`; the i.i.d.-entry
+  kinds draw their cells from a seeded generator in
+  :mod:`subsketch.oblivious`.
 
 Both expose ``rademacher(points)`` (signs from the low bit of the field
 element, unbiased up to 1/modulus) and ``uniform_range(points, lo, hi)``
@@ -41,9 +43,6 @@ __all__ = [
     "M61",
     "KWiseFamily",
     "IndependentFamily",
-    "new_kwise_family",
-    "rademacher_at",
-    "uniform_range_at",
     "derive_seed",
 ]
 
@@ -142,18 +141,3 @@ class IndependentFamily(_SignRangeMixin):
     def evaluate(self, points):
         points = _check_points(points, 1 << 62)
         return splitmix_stream(self.seed, points) % np.uint64(self.field_modulus)
-
-
-def new_kwise_family(seed, degree_k, field_modulus=M61):
-    """Seed-derived polynomial family; see :class:`KWiseFamily`."""
-    return KWiseFamily(seed=int(seed), degree_k=int(degree_k), field_modulus=int(field_modulus))
-
-
-def rademacher_at(family, index):
-    """Scalar sign at ``index``; same stream as ``family.rademacher``."""
-    return int(family.rademacher(np.uint64(index))[0])
-
-
-def uniform_range_at(family, index, lo, hi):
-    """Scalar draw from [lo, hi] at ``index``."""
-    return int(family.uniform_range(np.uint64(index), lo, hi)[0])

@@ -103,9 +103,7 @@ def build_less_ie(spec):
     Kept entries carry value +-1/sqrt(beta1 * z_j) (unscaled), so every
     entry has variance p.  Columns whose keep-probability exceeds 1 are
     clamped with a warning.  The cells are drawn by the ``ose-ie`` sampler
-    with per-column keep probabilities: in O(nnz + n) with the independent
-    family (the default for ``less-ie`` specs), by a scan of the whole m*n
-    grid with a K-wise one.
+    with per-column keep probabilities, in O(nnz + n).
     """
     scores = _scores(spec, "less-ie")
     prob = scores.beta1 * scores.z * spec.p

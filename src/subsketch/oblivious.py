@@ -5,17 +5,20 @@ Kinds:
 * ``osnap`` -- each column is split into s = p*m equal blocks of height
   m/s; every block holds exactly one +-1 entry at a position drawn
   uniformly within the block.  Signs and positions come from
-  domain-separated sub-streams of one hash family.
+  domain-separated sub-streams of one K-wise hash family.
 * ``ose-ie`` -- every entry is independently nonzero with probability p
-  and carries an independent sign.
+  and carries an independent sign, drawn by geometric gaps.
 * ``gaussian-dense`` / ``rademacher-dense`` -- dense comparison models
   with matching entry variance p.
 * ``less-ic`` / ``less-ie`` -- the leverage-score-adapted kinds built in
   :mod:`subsketch.less`; their spec carries the scores.
 
-All builders return the unscaled matrix S with the global scale
-1/sqrt(p*m) attached; they are pure functions of the spec and
-deterministic for a fixed seed regardless of execution environment.
+The kind fixes the randomness model (``SketchSpec.family``): the blocked
+kinds in ``COLUMN_KINDS`` hash with a degree-K polynomial family, every
+other kind draws from the seeded independent model.  All builders return
+the unscaled matrix S with the global scale 1/sqrt(p*m) attached; they
+are pure functions of the spec and deterministic for a fixed seed
+regardless of execution environment.
 """
 
 import importlib
@@ -47,7 +50,6 @@ LESS_KINDS = ("less-ic", "less-ie")
 DENSE_KINDS = ("gaussian-dense", "rademacher-dense")
 # kinds whose column j hashes only its own points, so a build can skip columns
 COLUMN_KINDS = ("osnap", "less-ic")
-FAMILY_MODES = ("kwise", "independent")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -56,9 +58,7 @@ class SketchSpec:
 
     The less kinds adapt to leverage ``scores``; n then defaults to
     ``scores.n``.  A spec without scores (say, one read back from a file)
-    describes a less sketch but cannot build one.  ``family`` defaults to
-    the independent model for ``less-ie`` (a K-wise family scans the whole
-    m*n grid) and to the K-wise model otherwise.
+    describes a less sketch but cannot build one.
     """
 
     kind: str
@@ -67,16 +67,11 @@ class SketchSpec:
     p: float
     degree_k: int = 8
     seed: int = 0
-    family: str = None
     scores: object = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown sketch kind {self.kind!r}")
-        if self.family is None:
-            object.__setattr__(self, "family", "independent" if self.kind == "less-ie" else "kwise")
-        if self.family not in FAMILY_MODES:
-            raise ParameterError(f"unknown family mode {self.family!r}")
         if self.scores is not None:
             if self.kind not in LESS_KINDS:
                 raise ParameterError(f"{self.kind} takes no leverage scores")
@@ -112,6 +107,12 @@ class SketchSpec:
                 )
 
     @property
+    def family(self):
+        """The randomness model of the kind: ``"kwise"`` for the blocked
+        ``COLUMN_KINDS``, ``"independent"`` for every other kind."""
+        return "kwise" if self.kind in COLUMN_KINDS else "independent"
+
+    @property
     def s(self):
         """Integer per-column sparsity p*m (exact for osnap)."""
         return int(round(self.p * self.m))
@@ -119,13 +120,6 @@ class SketchSpec:
     @classmethod
     def from_sparsity(cls, kind, m, n, s, **kwargs):
         return cls(kind=kind, m=m, n=n, p=s / m, **kwargs)
-
-
-def _family(spec):
-    """The hash family of ``spec``; each build makes exactly one."""
-    if spec.family == "independent":
-        return IndependentFamily(seed=spec.seed)
-    return KWiseFamily(seed=spec.seed, degree_k=spec.degree_k)
 
 
 def blocked_entries(spec, heights, columns=None):
@@ -162,7 +156,7 @@ def blocked_entries(spec, heights, columns=None):
     if columns is not None:  # shift each column's run from indptr_j to offset_j
         shift = np.cumsum(counts) - counts - indptr[:-1]
         t += np.repeat(shift.astype(np.uint64), kept)
-    family = _family(spec)
+    family = KWiseFamily(seed=spec.seed, degree_k=spec.degree_k)
     signs = family.rademacher(t * np.uint64(2))
     field = family.evaluate(t * np.uint64(2) + np.uint64(1))
     # laid out after the hashing, so these arrays do not add to its peak memory
@@ -239,23 +233,13 @@ def _bernoulli_sketch(spec, q, magnitude):
     """Sketch whose cell (i, j) is kept with probability q[j] and holds
     +-magnitude[j]; the sampler for ``ose-ie`` and ``less-ie``.
 
-    K-wise family: cell c = j*m + i is kept when evaluate(2c + 1) <
-    floor(q_j * modulus), and its sign comes from point 2c.  Independent
-    family: the per-column geometric walk, then the signs, from one
-    seeded generator.
+    The kept cells come from :func:`_bernoulli_grid_positions`, then their
+    signs, all from one generator seeded by the spec, in O(nnz + n).
     """
     m, n = spec.m, spec.n
-    family = _family(spec)
-    if isinstance(family, IndependentFamily):
-        rng = np.random.default_rng(derive_seed(family.seed, 0x05E1E))
-        flat = _bernoulli_grid_positions(rng, m, q)
-        signs = rng.integers(0, 2, size=flat.size).astype(np.float64) * 2.0 - 1.0
-    else:
-        cells = np.arange(m * n, dtype=np.uint64)
-        threshold = np.floor(q * M61).astype(np.uint64)
-        v = family.evaluate(cells * np.uint64(2) + np.uint64(1))
-        flat = np.flatnonzero(v.reshape(n, m) < threshold[:, None])
-        signs = family.rademacher(flat.astype(np.uint64) * np.uint64(2))
+    rng = np.random.default_rng(derive_seed(spec.seed, 0x05E1E))
+    flat = _bernoulli_grid_positions(rng, m, q)
+    signs = rng.integers(0, 2, size=flat.size).astype(np.float64) * 2.0 - 1.0
     cols = flat // m
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
@@ -269,12 +253,8 @@ def _bernoulli_sketch(spec, q, magnitude):
 
 
 def build_ose_ie(spec):
-    """Sample an i.i.d.-entry sketch: each cell kept with probability p.
-
-    With an independent-mode family the cells are drawn by geometric gaps
-    in O(nnz + n); a K-wise family forces a full scan of the m*n grid
-    (kept for A/B testing at small sizes).
-    """
+    """Sample an i.i.d.-entry sketch: each cell kept with probability p,
+    drawn by geometric gaps in O(nnz + n)."""
     if spec.kind != "ose-ie":
         raise ParameterError(f"build_ose_ie needs kind 'ose-ie', got {spec.kind!r}")
     ones = np.ones(spec.n)
@@ -284,14 +264,14 @@ def build_ose_ie(spec):
 def build_dense_baseline(spec):
     """Dense Gaussian or Rademacher comparison matrix with entry variance p.
 
-    Gaussian entries come from the inverse normal CDF applied to the
-    family's uniform stream.
+    Entries read the independent model's stream at the even points;
+    Gaussian ones come from the inverse normal CDF of its uniforms.
     """
     if spec.kind not in DENSE_KINDS:
         raise ParameterError(
             f"build_dense_baseline needs a dense kind, got {spec.kind!r}"
         )
-    family = _family(spec)
+    family = IndependentFamily(seed=spec.seed)
     m, n, p = spec.m, spec.n, spec.p
     pts = np.arange(m * n, dtype=np.uint64) * np.uint64(2)
     if spec.kind == "gaussian-dense":
@@ -379,12 +359,6 @@ def round_parameters(kind, m0, s_raw):
     return m0, s
 
 
-def default_family(kind):
-    """The hash family of a parameter default: K-wise for the kinds that hash
-    per column (``COLUMN_KINDS``), the independent model otherwise."""
-    return "kwise" if kind in COLUMN_KINDS else "independent"
-
-
 def check_dimensions(d, n, eps, delta):
     """ParameterError unless eps and delta lie in (0, 1) and 1 <= d <= n."""
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
@@ -424,5 +398,5 @@ def default_parameters(d, n, eps, delta, kind, *, scores=None, seed=0,
         )
     return SketchSpec(
         kind=kind, m=m, n=n, p=s / m, seed=seed, scores=scores,
-        degree_k=independence_degree(d, eps, delta, s), family=default_family(kind),
+        degree_k=independence_degree(d, eps, delta, s),
     )

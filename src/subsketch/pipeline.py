@@ -154,7 +154,7 @@ def fast_subspace_embed(A, config):
     total = time.perf_counter() - t_total
     nnz_sketch = sketch.nnz
     if columns is not None:  # count the full sketch without hashing it
-        nnz_sketch = spec.n * spec.s if spec.kind == "osnap" else column_sparsities(spec).sum()
+        nnz_sketch = int(spec.n * spec.s if spec.kind == "osnap" else column_sparsities(spec).sum())
     report = PipelineReport(
         kind=config.kind,
         m=spec.m,
@@ -164,7 +164,7 @@ def fast_subspace_embed(A, config):
         timings=timings,
         total_seconds=total,
         nnz_input=_nnz(A),
-        nnz_sketch=int(nnz_sketch),
+        nnz_sketch=nnz_sketch,
         distortion=distortion_info,
     )
     if scores is not None:

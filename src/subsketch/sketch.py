@@ -73,7 +73,8 @@ class SparseSketch(_Sketch):
     rows: np.ndarray
     values: np.ndarray
     scale: float
-    # the score fields of a loaded file, whose spec holds no scores
+    # the score fields of a loaded file, whose spec holds no scores, and
+    # its family where that differs from the kind's model
     extras: dict = field(default_factory=dict)
     # sorted indices of the built columns when the build skipped the rest
     # (empty here, unlike the full sketch); None for a full sketch
@@ -115,7 +116,7 @@ class SparseSketch(_Sketch):
             "p": float(spec.p),
             "seed": int(spec.seed),
             "degree_k": int(spec.degree_k),
-            "family": spec.family,
+            "family": self.extras.get("family", spec.family),
             "scale": float(self.scale),
             "nnz": self.nnz,
         }
@@ -199,8 +200,9 @@ def _header_spec(path, header):
         spec = SketchSpec(
             kind=header["kind"], m=header["m"], n=header["n"], p=header["p"],
             seed=header["seed"], degree_k=header["degree_k"],
-            family=header.get("family", "kwise"),
         )
+        if header.get("family", "kwise") not in ("kwise", "independent"):
+            raise ParameterError(f"unknown family {header['family']!r}")
     except (KeyError, TypeError, ParameterError) as exc:
         raise FormatError(f"{path}: invalid header: {exc}") from exc
     if not math.isclose(header["scale"], 1.0 / math.sqrt(spec.p * spec.m), rel_tol=1e-12):
@@ -215,7 +217,9 @@ def load_sketch(path):
     monotonically from 0 to nnz, that rows lie in [0, m) and increase
     strictly within each column, that values are finite, and that the
     payload has exactly the declared size.  The header's beta1, beta2 and
-    scores_sha256 go to ``extras``, which :meth:`SparseSketch.save` writes back.
+    scores_sha256 go to ``extras``, which :meth:`SparseSketch.save` writes back;
+    so does its family (``kwise`` when absent) where it differs from the
+    kind's model, as in files written before the kind fixed the model.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -252,6 +256,9 @@ def load_sketch(path):
         raise FormatError(f"{path}: row index outside [0, {spec.m})")
     if not np.isfinite(values).all():
         raise FormatError(f"{path}: non-finite value")
+    extras = {k: header[k] for k in _SCORE_FIELDS if k in header}
+    family = header.get("family", "kwise")
+    if family != spec.family:
+        extras["family"] = family
     return SparseSketch(spec=spec, indptr=indptr, rows=rows, values=values,
-                        scale=header["scale"],
-                        extras={k: header[k] for k in _SCORE_FIELDS if k in header})
+                        scale=header["scale"], extras=extras)

@@ -113,8 +113,7 @@ def test_criterion_03_diagonal_term():
     pm = p * m
     samples = np.empty(trials)
     for t in range(trials):
-        spec = ss.SketchSpec(kind="ose-ie", m=m, n=n, p=p, seed=7000 + t,
-                             family="independent")
+        spec = ss.SketchSpec(kind="ose-ie", m=m, n=n, p=p, seed=7000 + t)
         diag, _, _ = ss.diagonal_offdiagonal_split(ss.build_ose_ie(spec), U)
         D = diag / pm
         samples[t] = float(np.trace(D @ D) / d)
@@ -144,8 +143,7 @@ def test_criterion_04_oracle_equivalence():
             sk = ss.build_osnap(spec)
         elif kind == "ose-ie":
             spec = ss.SketchSpec(kind="ose-ie", m=m, n=n,
-                                 p=float(rng.uniform(0.05, 0.9)), seed=trial,
-                                 family="independent")
+                                 p=float(rng.uniform(0.05, 0.9)), seed=trial)
             sk = ss.build_ose_ie(spec)
         else:
             z = np.clip(rng.uniform(0, 1, n), 0.0, 1.0)
@@ -173,12 +171,11 @@ def test_criterion_05_second_moment_identity():
             ss.SketchSpec.from_sparsity("osnap", m=m, n=n, s=s, degree_k=8)
         ),
         "ose-ie": trial_builder(
-            ss.SketchSpec(kind="ose-ie", m=m, n=n, p=p, family="independent")
+            ss.SketchSpec(kind="ose-ie", m=m, n=n, p=p)
         ),
         "less-ic": trial_builder(ss.SketchSpec(kind="less-ic", m=m, n=n, p=s / m)),
         "gaussian": trial_builder(
-            ss.SketchSpec(kind="gaussian-dense", m=m, n=n, p=p,
-                          family="independent")
+            ss.SketchSpec(kind="gaussian-dense", m=m, n=n, p=p)
         ),
     }
     details = []
@@ -214,8 +211,7 @@ def test_criterion_06_entry_moments():
                 spec = ss.SketchSpec.from_sparsity("osnap", m=m, n=n, s=s, seed=t)
                 sk = ss.build_osnap(spec)
             elif kind == "ose-ie":
-                spec = ss.SketchSpec(kind="ose-ie", m=m, n=n, p=p, seed=t,
-                                     family="independent")
+                spec = ss.SketchSpec(kind="ose-ie", m=m, n=n, p=p, seed=t)
                 sk = ss.build_ose_ie(spec)
             elif kind == "less-ic":
                 spec = ss.SketchSpec(kind="less-ic", m=m, p=p, scores=uniform, seed=t)
@@ -259,7 +255,7 @@ def test_criterion_07_gaussian_spectrum():
     inside = 0
     for i in range(trials):
         spec = ss.SketchSpec(kind="gaussian-dense", m=m, n=d, p=1.0,
-                             seed=9000 + i, family="independent")
+                             seed=9000 + i)
         sk = ss.build_dense_baseline(spec)
         svals = np.linalg.svd(sk.scale * sk.matrix, compute_uv=False)
         inside += lo <= svals[-1] and svals[0] <= hi
@@ -282,7 +278,7 @@ def test_criterion_08_embedding_guarantee_calibrated():
     ok = all(r.failure_fraction <= 0.05 for r in results.values())
 
     spec2 = ss.SketchSpec(kind="osnap", m=2 * spec.m, n=n, p=spec.s / (2 * spec.m),
-                          degree_k=spec.degree_k, seed=0, family="kwise")
+                          degree_k=spec.degree_k, seed=0)
     sampler = lambda rng: ss.haar_basis(n, d, rng)  # noqa: E731
     base_q95 = results["haar"].quantiles["0.95"]
     doubled = ss.embedding_trial(trial_builder(spec2), sampler, trials, eps,
@@ -335,7 +331,6 @@ def test_criterion_09_sparsity_eps_trend():
     spec_without = ss.SketchSpec(
         kind="ose-ie", m=m_small, n=n, p=s_without / m_small,
         degree_k=ss.independence_degree(d, eps_small, delta, s_without),
-        family="independent",
     )
     sampler = lambda rng: ss.coordinate_basis(n, d, rng)  # noqa: E731
     without = ss.embedding_trial(trial_builder(spec_without), sampler, 50,

@@ -1,7 +1,9 @@
 """Application kernel: dense-oracle equivalence, linearity, IO round trips."""
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,8 +35,7 @@ def random_sketch(kind, rng, m, n, seed):
         return build_osnap(SketchSpec.from_sparsity("osnap", m=m, n=n, s=s, seed=seed))
     if kind == "ose-ie":
         p = float(rng.uniform(0.05, 0.9))
-        return build_ose_ie(SketchSpec(kind="ose-ie", m=m, n=n, p=p, seed=seed,
-                                       family="independent"))
+        return build_ose_ie(SketchSpec(kind="ose-ie", m=m, n=n, p=p, seed=seed))
     z = np.clip(rng.uniform(0.0, 1.0, n), 0.0, 1.0)
     p = float(rng.uniform(2.0 / m, 0.5))
     spec = SketchSpec(kind="less-ic", m=m, p=p, scores=LeverageScores(z=z), seed=seed)
@@ -315,6 +316,31 @@ class TestSketchFileBoundary:
         bad.write_bytes(valid.read_bytes()[:20])
         with pytest.raises(FormatError):
             load_sketch(bad)
+
+    def test_file_with_another_family_round_trips(self, tmp_path):
+        # written by `subsketch sketch --kind ose-ie --family kwise --m 8 --n 12
+        # --p 0.25 --seed 3` while the family was still a spec field
+        path = Path(__file__).parent / "data" / "ose-ie-kwise.skt"
+        raw = path.read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == (
+            "ade5931745cdb08e403381d6920bdac07d4b7cd04959eaabc53909a7b8ecbf5b")
+        sk = load_sketch(path)
+        assert sk.spec.family == "independent" and sk.extras == {"family": "kwise"}
+        _, indptr, rows, values = _skt_parts(path)
+        S = scipy.sparse.csc_matrix((values, rows, indptr), shape=(8, 12)).toarray()
+        A = np.arange(36.0).reshape(12, 3)
+        np.testing.assert_allclose(apply(sk, A), sk.scale * S @ A, rtol=1e-14)
+        sk.save(tmp_path / "again.skt")
+        assert (tmp_path / "again.skt").read_bytes() == raw
+
+    def test_absent_family_reads_as_kwise(self, valid, tmp_path):
+        header, indptr, rows, values = _skt_parts(valid)
+        del header["family"]
+        _write_skt(tmp_path / "osnap.skt", header, indptr, rows, values)
+        assert load_sketch(tmp_path / "osnap.skt").extras == {}
+        header["kind"] = "ose-ie"  # a kind of the independent model
+        _write_skt(tmp_path / "ose-ie.skt", header, indptr, rows, values)
+        assert load_sketch(tmp_path / "ose-ie.skt").extras == {"family": "kwise"}
 
     def test_rewritten_valid_file_still_loads(self, valid, tmp_path):
         # the corruption helpers themselves leave a valid file valid

@@ -52,7 +52,7 @@ class TestSketchCommand:
         rc = main(["apply", str(skt), str(mpath), "--out", str(out)])
         assert rc == EXIT_OK
         spec = SketchSpec(kind="osnap", m=64, n=200, p=0.125, seed=1,
-                          degree_k=8, family="kwise")
+                          degree_k=8)
         want = lib_apply(build_osnap(spec), A)
         got = load_matrix(out)
         np.testing.assert_array_equal(got, want)
@@ -61,6 +61,18 @@ class TestSketchCommand:
     def test_out_of_range_m_exits_2_in_subprocess(self, tmp_path, m):
         # --m 0 once died on a ZeroDivisionError traceback from s / m (exit 1)
         proc = _run_cli(["sketch", "--kind", "osnap", "--m", m, "--n", "16", "--s", "1",
+                         "--out", str(tmp_path / "s.skt")])
+        assert proc.returncode == EXIT_PARAMETER, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "s.skt").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--p", "0.5", "--s", "2"],  # --s was once ignored: p = 0.5, exit 0
+        [],
+        ["--p", "0.5", "--family", "kwise"],  # the kind fixes the model
+    ], ids=["p-and-s", "neither", "family"])
+    def test_rejected_flags_exit_2_in_subprocess(self, tmp_path, flags):
+        proc = _run_cli(["sketch", "--kind", "ose-ie", "--m", "8", "--n", "16", *flags,
                          "--out", str(tmp_path / "s.skt")])
         assert proc.returncode == EXIT_PARAMETER, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
@@ -110,6 +122,18 @@ class TestLeverageCommand:
         assert main(["leverage", str(mpath), "--exact", "--out", str(out)]) == EXIT_OK
         payload = json.loads(out.read_text())
         np.testing.assert_allclose(payload["z"], exact_leverage(A).z, atol=1e-12)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["array", "coordinate"])
+    def test_complex_matrix_is_io_error(self, tmp_path, sparse):
+        # the imaginary parts were once dropped: exit 0, and on a coordinate
+        # file scores summing to ~1e-14 instead of d
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))
+        path = tmp_path / "c.mtx"
+        save_matrix(path, scipy.sparse.csr_matrix(A) if sparse else A)
+        out = tmp_path / "z.json"
+        assert main(["leverage", str(path), "--exact", "--out", str(out)]) == EXIT_IO
+        assert not out.exists()
 
     def test_gamma_mode(self, tmp_path, matrix_file):
         mpath, _ = matrix_file
@@ -452,6 +476,18 @@ class TestPipelineCommand:
         assert report["nnz_sketch"] <= report["nnz_bound"]
         embedded = load_matrix(out)
         assert embedded.shape == (report["m"], 6)
+
+    def test_sparse_input_report_in_subprocess(self, tmp_path):
+        # less-ic on a coordinate file once died on a numpy bool in json.dumps
+        A = scipy.sparse.random(4000, 4, density=0.01, random_state=5, format="csr")
+        path = tmp_path / "A.mtx"
+        save_matrix(path, (A + scipy.sparse.eye(4000, 4, format="csr")).tocsr())
+        report_path = tmp_path / "report.json"
+        proc = _run_cli(["pipeline", str(path), "--eps", "0.5", "--kind", "less-ic",
+                         "--out", str(tmp_path / "e.mtx"), "--report", str(report_path)])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        report = json.loads(report_path.read_text())
+        assert isinstance(report["sublinear_term_dominates"], bool)
 
     @pytest.mark.parametrize("flag", ["--m", "--pm"])
     @pytest.mark.parametrize("value", ["0", "-2"])

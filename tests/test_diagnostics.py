@@ -30,7 +30,7 @@ def identity_sketch(n):
 
 
 def gaussian_builder(m, n, p=1.0):
-    spec = SketchSpec(kind="gaussian-dense", m=m, n=n, p=p, family="independent")
+    spec = SketchSpec(kind="gaussian-dense", m=m, n=n, p=p)
     return builder(spec)
 
 
@@ -218,8 +218,7 @@ class TestDiagonalSplit:
         from subsketch import build_ose_ie
 
         rng = np.random.default_rng(10)
-        spec = SketchSpec(kind="ose-ie", m=64, n=256, p=0.2, seed=4,
-                          family="independent")
+        spec = SketchSpec(kind="ose-ie", m=64, n=256, p=0.2, seed=4)
         sk = build_ose_ie(spec)
         U = haar_basis(256, 8, rng)
         diag, off, _ = diagonal_offdiagonal_split(sk, U)
@@ -233,8 +232,7 @@ class TestDiagonalSplit:
         from subsketch import build_dense_baseline
 
         rng = np.random.default_rng(11)
-        spec = SketchSpec(kind="gaussian-dense", m=48, n=128, p=0.5, seed=6,
-                          family="independent")
+        spec = SketchSpec(kind="gaussian-dense", m=48, n=128, p=0.5, seed=6)
         sk = build_dense_baseline(spec)
         U = haar_basis(128, 6, rng)
         diag, off, _ = diagonal_offdiagonal_split(sk, U)
@@ -252,8 +250,7 @@ class TestDiagonalSplit:
         pm = p * m
         samples = np.empty(trials)
         for t in range(trials):
-            spec = SketchSpec(kind="ose-ie", m=m, n=n, p=p, seed=5000 + t,
-                              family="independent")
+            spec = SketchSpec(kind="ose-ie", m=m, n=n, p=p, seed=5000 + t)
             diag, _, _ = diagonal_offdiagonal_split(build_ose_ie(spec), U)
             samples[t] = np.trace((diag / pm) @ (diag / pm)) / d
         se = samples.std(ddof=1) / math.sqrt(trials)

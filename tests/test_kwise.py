@@ -14,9 +14,6 @@ from subsketch import (
     KWiseFamily,
     M61,
     ParameterError,
-    new_kwise_family,
-    rademacher_at,
-    uniform_range_at,
 )
 from subsketch._field import (
     _CHUNK,
@@ -316,32 +313,32 @@ class TestNewtonRoute:
 
 class TestFamilyConstruction:
     def test_constant_polynomial_k1(self):
-        fam = new_kwise_family(seed=0, degree_k=1, field_modulus=5)
+        fam = KWiseFamily(seed=0, degree_k=1, field_modulus=5)
         vals = fam.evaluate(np.arange(5, dtype=np.uint64))
         assert len(set(vals.tolist())) == 1
 
     def test_affine_determined_by_two_points(self):
         # a*x + b mod 5 is pinned by its values at 0 and 1
-        fam = new_kwise_family(seed=7, degree_k=2, field_modulus=5)
+        fam = KWiseFamily(seed=7, degree_k=2, field_modulus=5)
         v = fam.evaluate(np.arange(5, dtype=np.uint64)).astype(int)
         b, a = v[0], (v[1] - v[0]) % 5
         for x in range(5):
             assert v[x] == (a * x + b) % 5
 
     def test_reproducible_from_seed(self):
-        f1 = new_kwise_family(seed=123, degree_k=6)
-        f2 = new_kwise_family(seed=123, degree_k=6)
+        f1 = KWiseFamily(seed=123, degree_k=6)
+        f2 = KWiseFamily(seed=123, degree_k=6)
         assert f1.coefficients == f2.coefficients
         pts = np.arange(100, dtype=np.uint64)
         assert np.array_equal(f1.evaluate(pts), f2.evaluate(pts))
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
-            new_kwise_family(seed=0, degree_k=0)
+            KWiseFamily(seed=0, degree_k=0)
         with pytest.raises(ParameterError):
-            new_kwise_family(seed=0, degree_k=2, field_modulus=9)  # not prime
+            KWiseFamily(seed=0, degree_k=2, field_modulus=9)  # not prime
         with pytest.raises(ParameterError):
-            new_kwise_family(seed=0, degree_k=2, field_modulus=1)
+            KWiseFamily(seed=0, degree_k=2, field_modulus=1)
 
     def test_prime_above_2_32_rejected(self):
         # only M61 and primes below 2^32 have an exact uint64 evaluator
@@ -350,9 +347,9 @@ class TestFamilyConstruction:
             KWiseFamily(seed=0, degree_k=2, field_modulus=4294967311)
 
     def test_index_out_of_range(self):
-        fam = new_kwise_family(seed=0, degree_k=2, field_modulus=5)
+        fam = KWiseFamily(seed=0, degree_k=2, field_modulus=5)
         with pytest.raises(ParameterError):
-            rademacher_at(fam, 5)
+            fam.rademacher(5)[0]
 
 
 class TestExactKWiseIndependence:
@@ -389,7 +386,7 @@ class TestExactKWiseIndependence:
     def test_sign_fraction_at_odd_modulus(self):
         # 5 constant polynomials: +1 on odd field elements {1, 3}
         plus = sum(
-            rademacher_at(KWiseFamily.from_coefficients([c], field_modulus=5), 2) == 1
+            KWiseFamily.from_coefficients([c], field_modulus=5).rademacher(2)[0] == 1
             for c in range(5)
         )
         assert plus / 5 in (2 / 5, 3 / 5)
@@ -397,40 +394,40 @@ class TestExactKWiseIndependence:
 
 class TestStreamStatistics:
     def test_purity(self):
-        fam = new_kwise_family(seed=42, degree_k=8)
-        assert rademacher_at(fam, 17) == rademacher_at(fam, 17)
-        assert uniform_range_at(fam, 17, 0, 99) == uniform_range_at(fam, 17, 0, 99)
+        fam = KWiseFamily(seed=42, degree_k=8)
+        assert fam.rademacher(17)[0] == fam.rademacher(17)[0]
+        assert fam.uniform_range(17, 0, 99)[0] == fam.uniform_range(17, 0, 99)[0]
 
     def test_sign_mean_within_four_se(self):
-        fam = new_kwise_family(seed=2024, degree_k=8)
+        fam = KWiseFamily(seed=2024, degree_k=8)
         signs = fam.rademacher(np.arange(100_000, dtype=np.uint64))
         assert abs(signs.mean()) <= 4.0 / np.sqrt(100_000)
 
     def test_pairwise_sign_covariance(self):
-        fam = new_kwise_family(seed=77, degree_k=8)
+        fam = KWiseFamily(seed=77, degree_k=8)
         s = fam.rademacher(np.arange(100_000, dtype=np.uint64))
         cov = float(np.mean(s[:-1] * s[1:]))
         assert abs(cov) <= 4.0 / np.sqrt(100_000 - 1)
 
     def test_distinct_seeds_uncorrelated(self):
-        f1 = new_kwise_family(seed=1, degree_k=8)
-        f2 = new_kwise_family(seed=2, degree_k=8)
+        f1 = KWiseFamily(seed=1, degree_k=8)
+        f2 = KWiseFamily(seed=2, degree_k=8)
         pts = np.arange(10_000, dtype=np.uint64)
         corr = float(np.mean(f1.rademacher(pts) * f2.rademacher(pts)))
         assert abs(corr) <= 4.0 / np.sqrt(10_000)
 
     def test_singleton_range(self):
-        fam = new_kwise_family(seed=5, degree_k=4)
-        assert uniform_range_at(fam, 9, 3, 3) == 3
+        fam = KWiseFamily(seed=5, degree_k=4)
+        assert fam.uniform_range(9, 3, 3)[0] == 3
 
     def test_empty_range_rejected(self):
-        fam = new_kwise_family(seed=5, degree_k=4)
+        fam = KWiseFamily(seed=5, degree_k=4)
         with pytest.raises(ParameterError):
-            uniform_range_at(fam, 9, 4, 3)
+            fam.uniform_range(9, 4, 3)[0]
 
     def test_range_bias_bound(self):
         # width 3 on M61: each value within 4 SE + deterministic bias 3/M61
-        fam = new_kwise_family(seed=31, degree_k=8)
+        fam = KWiseFamily(seed=31, degree_k=8)
         draws = fam.uniform_range(np.arange(90_000, dtype=np.uint64), 0, 2)
         freq = np.bincount(draws, minlength=3) / 90_000
         se = np.sqrt((1 / 3) * (2 / 3) / 90_000)
@@ -453,7 +450,7 @@ class TestStreamStatistics:
     index=st.integers(0, 10_000),
 )
 def test_evaluation_pure_and_in_field(seed, k, index):
-    fam = new_kwise_family(seed=seed, degree_k=k)
+    fam = KWiseFamily(seed=seed, degree_k=k)
     v1 = fam.evaluate(np.uint64(index))
     v2 = fam.evaluate(np.uint64(index))
     assert v1 == v2

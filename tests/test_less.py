@@ -19,6 +19,7 @@ from subsketch import (
     default_parameters,
     subcolumn_layout,
 )
+from subsketch.oblivious import KINDS, LESS_KINDS
 
 
 def uniform_scores(n, z, beta1=1.0, beta2=None):
@@ -193,11 +194,17 @@ class TestBuildLessIe:
         assert sk.nnz == 4 * 16
 
     def test_family_defaults_to_independent(self):
+        # the kind fixes the model: K-wise hashing only for the blocked kinds
         scores = uniform_scores(4, 0.5)
-        assert SketchSpec(kind="less-ie", m=8, p=0.5, scores=scores).family == "independent"
-        assert SketchSpec(kind="less-ic", m=8, p=0.5, scores=scores).family == "kwise"
-        assert SketchSpec(kind="less-ie", m=8, p=0.5, scores=scores,
-                          family="kwise").family == "kwise"
+        want = {"osnap": "kwise", "less-ic": "kwise", "ose-ie": "independent",
+                "less-ie": "independent", "gaussian-dense": "independent",
+                "rademacher-dense": "independent"}
+        assert set(want) == set(KINDS)
+        for kind, family in want.items():
+            fields = dict(scores=scores) if kind in LESS_KINDS else dict(n=4)
+            assert SketchSpec(kind=kind, m=8, p=0.5, **fields).family == family
+        with pytest.raises(TypeError):
+            SketchSpec(kind="less-ie", m=8, p=0.5, scores=scores, family="kwise")
 
     def test_independent_build_does_no_grid_work(self):
         # n = 16384, m = 1000, p = 0.02, z = 32/n keeps ~650 of 1.6e7 cells;

@@ -113,8 +113,7 @@ class TestOseIe:
         # a 16384 x 1000 grid at p = 0.002 keeps ~33k cells; no m*n array
         import tracemalloc
 
-        spec = SketchSpec(kind="ose-ie", m=1000, n=16384, p=0.002, seed=3,
-                          family="independent")
+        spec = SketchSpec(kind="ose-ie", m=1000, n=16384, p=0.002, seed=3)
         tracemalloc.start()
         try:
             sk = build_ose_ie(spec)
@@ -125,7 +124,7 @@ class TestOseIe:
         assert peak < 16 * 2**20
 
     def test_p_one_is_dense_rademacher(self):
-        spec = SketchSpec(kind="ose-ie", m=8, n=6, p=1.0, seed=4, family="independent")
+        spec = SketchSpec(kind="ose-ie", m=8, n=6, p=1.0, seed=4)
         sk = build_ose_ie(spec)
         assert sk.nnz == 48
         assert np.all(np.abs(sk.values) == 1.0)
@@ -135,35 +134,17 @@ class TestOseIe:
         trials, m, p = 400, 400, 0.25
         counts = np.empty(trials)
         for t in range(trials):
-            spec = SketchSpec(kind="ose-ie", m=m, n=1, p=p, seed=t, family="independent")
+            spec = SketchSpec(kind="ose-ie", m=m, n=1, p=p, seed=t)
             counts[t] = build_ose_ie(spec).nnz
         se = math.sqrt(m * p * (1 - p) / trials)
         assert abs(counts.mean() - 100) <= 4 * se
-
-    def test_scan_and_gap_paths_distributionally_equal(self):
-        # same first two moments of per-entry values on a tiny grid
-        m, n, p, reps = 6, 5, 0.3, 3000
-        sums = {"kwise": np.zeros((m, n)), "independent": np.zeros((m, n))}
-        sqs = {"kwise": np.zeros((m, n)), "independent": np.zeros((m, n))}
-        for fam in ("kwise", "independent"):
-            for t in range(reps):
-                spec = SketchSpec(kind="ose-ie", m=m, n=n, p=p, seed=t,
-                                  family=fam, degree_k=8)
-                dense = build_ose_ie(spec).materialize() * math.sqrt(p * m)
-                sums[fam] += dense
-                sqs[fam] += dense**2
-        se = 4 * math.sqrt(p / reps)
-        for fam in ("kwise", "independent"):
-            assert np.all(np.abs(sums[fam] / reps) <= se)
-            assert np.all(np.abs(sqs[fam] / reps - p) <= 4 * math.sqrt(2 * p / reps))
 
     def test_entry_moments(self):
         # mean 0, variance p over 1e5 sampled entries
         m, n, p = 20, 50, 0.2
         vals = []
         for t in range(120):
-            spec = SketchSpec(kind="ose-ie", m=m, n=n, p=p, seed=1000 + t,
-                              family="independent")
+            spec = SketchSpec(kind="ose-ie", m=m, n=n, p=p, seed=1000 + t)
             vals.append(build_ose_ie(spec).materialize() * math.sqrt(p * m))
         vals = np.stack(vals)
         N = vals.size
@@ -174,8 +155,7 @@ class TestOseIe:
 
 class TestDenseBaselines:
     def test_gaussian_unit_variance(self):
-        spec = SketchSpec(kind="gaussian-dense", m=100, n=100, p=1.0, seed=8,
-                          family="independent")
+        spec = SketchSpec(kind="gaussian-dense", m=100, n=100, p=1.0, seed=8)
         sk = build_dense_baseline(spec)
         entries = sk.matrix.ravel()
         assert entries.size == 10_000
@@ -183,17 +163,9 @@ class TestDenseBaselines:
         assert abs(entries.var() - 1.0) <= 4 * math.sqrt(2.0 / entries.size)
 
     def test_rademacher_magnitude(self):
-        spec = SketchSpec(kind="rademacher-dense", m=16, n=10, p=0.25, seed=3,
-                          family="independent")
+        spec = SketchSpec(kind="rademacher-dense", m=16, n=10, p=0.25, seed=3)
         sk = build_dense_baseline(spec)
         np.testing.assert_allclose(np.abs(sk.matrix), 0.5)
-
-    def test_kwise_and_independent_both_work(self):
-        for fam in ("kwise", "independent"):
-            spec = SketchSpec(kind="gaussian-dense", m=50, n=40, p=1.0, seed=5,
-                              family=fam)
-            sk = build_dense_baseline(spec)
-            assert np.isfinite(sk.matrix).all()
 
 
 class TestDefaultParameters:

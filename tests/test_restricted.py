@@ -100,8 +100,7 @@ def test_bad_columns_rejected(kind, J):
 
 
 @pytest.mark.parametrize("fields", [
-    dict(kind="ose-ie", m=16, n=N, p=0.25, family="independent"),
-    dict(kind="ose-ie", m=16, n=N, p=0.25, family="kwise"),
+    dict(kind="ose-ie", m=16, n=N, p=0.25),
     dict(kind="less-ie", m=16, p=0.25, scores=LeverageScores(z=np.full(N, 0.1))),
     dict(kind="gaussian-dense", m=8, n=N, p=1.0),
     dict(kind="rademacher-dense", m=8, n=N, p=0.5),
