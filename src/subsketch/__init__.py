@@ -42,7 +42,7 @@ from .less import (
     column_sparsities,
     subcolumn_layout,
 )
-from .apply import apply, apply_to_vector, load_matrix, materialize_dense, save_matrix, touched_rows
+from .apply import apply, apply_to_vector, load_matrix, save_matrix, touched_rows
 from .diagnostics import (
     DistortionReport,
     MomentProbe,
@@ -91,7 +91,6 @@ __all__ = [
     "build_less_ie",
     "apply",
     "apply_to_vector",
-    "materialize_dense",
     "load_matrix",
     "save_matrix",
     "touched_rows",

@@ -1,55 +1,34 @@
 """Exact prime-field arithmetic for the hashing layer.
 
 The default field is GF(M61) with M61 = 2^61 - 1.  Hot paths run on numpy
-uint64 arrays; 61x61-bit products are computed exactly through 32-bit limb
-splitting, so no intermediate ever exceeds 64 bits.  The only other
-fields are those of a prime below 2^32, whose products fit in uint64
-directly (the tiny fields of the enumeration tests).
+uint64 arrays.  The only other fields are those of a prime below 2^32,
+whose products fit in uint64 directly (the tiny fields of the enumeration
+tests).
 
-Over M61 one Horner step ``acc <- acc * x + c`` (:func:`_mul_add_step`) is
-the only place the 61-bit reduction is written; :func:`mulmod_m61` is that
-step with c = 0.  With 2^61 == 1 and 2^64 == 8 (mod M61), a point
-x < 2^61 split as x1 = x >> 32 < 2^29, x0 = x mod 2^32, and the accumulator
-as a1 = acc >> 32, a0 = acc mod 2^32, the step sums
+The hashing layer's inputs are 32-bit: the blocked samplers hash points
+2*t + tag for entry number t < 2^31 and scale onto block widths of at
+most m <= 2^32 (:mod:`subsketch.oblivious` rejects larger sketches).  So
+over M61 a point x is below 2^32 and a width w at most 2^32, and one
+reduction serves both Horner's rule and range scaling.  For u < 2^63 and w <= 2^32 with
+y = u*w / M61 < 3 * 2^32, :func:`_quotient` reads
 
-    8*a1*x1 + (mid >> 29) + (mid mod 2^29) * 2^32 + (lo >> 61) + (lo & M61) + c
+    q = trunc(float(u) * fw),  fw = w * _SHRINK = w * (1 - 2^-45) / M61
 
-with mid = a1*x0 + a0*x1 and lo = a0*x0.  Between steps the accumulator is
-only reduced lazily, and these bounds keep every value exact in uint64:
+off float64 products, and q is floor(y) or one less: float(M61) is 2^61,
+so the constant is exact up to 2^-61, and the casts and the two products
+add at most 2^-51 of relative error, below the 2^-45 shrink, so the float
+quotient y' lies in (y - y*2^-44, y); y*2^-44 < 1.  Then u*w - q*M61 is
+u*w mod M61 plus at most one M61, so below 2*M61; the products wrap mod
+2^64 but their difference is that exact value.
 
-* every limb product is below 2^64: 8*a1*x1 < 2^61, a1*x0 and a0*x1 are
-  below 2^61 (so mid < 2^62), and lo < 2^64;
-* the step's sum is below 2^63: its four 61-bit terms (8*a1*x1, the
-  shifted low part of mid, lo & M61 and c) are each below 2^61, the first
-  two by at least 2^32, and mid >> 29 < 2^33 and lo >> 61 < 8 fit in that
-  room (a1 = 2^29 only when a0 < 4, and then both are small);
-* ``acc < 2^61 + 4`` holds between steps: one fold
-  (acc >> 61) + (acc & M61) of a sum below 2^63 is at most 2^61 + 2.
-
-A single conditional subtraction at the end gives the canonical element.
-
-Points below 2^32 -- the samplers' points 2*t + tag whenever the entry
-or cell number t is below 2^31 -- take a narrower step
-(:func:`_narrow_step`) that computes the quotient in float64 instead of
-splitting limbs:
-
-    q = trunc(float(acc) * fx),  fx = x * (1 - 2^-45) / M61,
-    acc <- acc*x - q*M61 + c     (uint64, wrapping)
-
-* q is floor(acc*x / M61) or one less: float(M61) is 2^61, so the
-  constant is exact up to 2^-61, and the casts and the two products add
-  at most 2^-51 of relative error, below the 2^-45 shrink, so the float
-  quotient y' lies in (y - y*2^-44, y) for the true y = acc*x / M61;
-  y < 3 * 2^32, so y*2^-44 < 1.
-* ``acc < 3*M61`` holds between steps: acc*x - q*M61 is acc*x mod M61
-  plus at most one M61, so below 2*M61, and c < M61.  The products
-  wrap mod 2^64 but their difference is that exact value.  acc < 2^63,
-  so its int64 view is non-negative and casts to float64 as it should.
-
-Two conditional subtractions at the end give the canonical element.
-:func:`_horner` takes the narrow step for each block of ``_CHUNK``
-points whose largest point is below 2^32 and the limb step for any
-other block.
+* Horner's rule (:func:`_narrow_step`) takes u = acc and w = x:
+  ``acc <- acc*x - q*M61 + c``.  ``acc < 3*M61`` holds between steps
+  (the difference is below 2*M61 and c < M61), so y < 3 * 2^32, and acc's
+  int64 view is non-negative and casts to float64 as it should.  Two
+  conditional subtractions at the end give the canonical element.
+* Range scaling (:func:`scale_to_range`) takes a field element u = v <
+  M61, so y < w <= 2^32; r = v*w - q*M61 < 2*M61, and q + (r >= M61) is
+  floor(v*w / M61).
 
 Points in arithmetic progression -- the samplers' points 2*t + tag over
 a full build, with t from an ``arange`` -- mostly skip Horner.  On
@@ -89,13 +68,11 @@ import functools
 import numpy as np
 
 M61 = (1 << 61) - 1
+HASH_DOMAIN = 1 << 32  # over M61, points lie below it and range widths are at most it
 
 _U = np.uint64
-_MASK32 = _U(0xFFFFFFFF)
-_MASK29 = _U((1 << 29) - 1)
 _M61 = _U(M61)
-_3, _29, _32, _61 = _U(3), _U(29), _U(32), _U(61)  # shift counts
-_NARROW = 1 << 32  # blocks whose points are all below this take _narrow_step
+_61 = _U(61)  # a shift count
 _SHRINK = (1.0 - 2.0**-45) / M61  # float(M61) == 2^61: exact
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -136,49 +113,25 @@ _RENORM_MASK = np.array([[(1 << 31) - 1], [(1 << 30) - 1]], dtype=np.uint64)
 _LIMBS = ((0, (1 << 21) - 1), (21, (1 << 20) - 1), (41, (1 << 20) - 1))
 
 
-def _split(x, x1, x1_8, x0):
-    """The limbs of points x < 2^61: x1 = x >> 32, x1_8 = 8*x1, x0 = x mod 2^32."""
-    np.right_shift(x, _32, out=x1)
-    np.left_shift(x1, _3, out=x1_8)
-    np.bitwise_and(x, _MASK32, out=x0)
+def _quotient(u_i, fw, f, q_i):
+    """q <- trunc(float(u) * fw) for fw = w * _SHRINK: floor(u*w / M61) or
+    one less while u*w / M61 < 3 * 2^32 (see the module docstring).
 
-
-def _mul_add_step(acc, c, x1, x1_8, x0, a1, a0, t):
-    """acc <- acc * x + c (mod M61) in place; acc < 2^61 + 4 before and after.
-
-    ``x1, x1_8, x0`` are the limbs from :func:`_split`; ``a1, a0, t`` are
-    work buffers of acc's shape.  See the module docstring for the bounds.
+    ``u_i`` and ``q_i`` are int64 views of u < 2^63 and of the uint64
+    output; ``f`` is a float64 buffer.
     """
-    np.right_shift(acc, _32, out=a1)
-    np.bitwise_and(acc, _MASK32, out=a0)
-    np.multiply(a1, x1_8, out=acc)  # a1*x1 * 2^64 == 8*a1*x1
-    np.multiply(a1, x0, out=a1)
-    np.multiply(a0, x1, out=t)
-    np.add(a1, t, out=a1)  # mid
-    np.multiply(a0, x0, out=a0)  # lo
-    np.right_shift(a1, _29, out=t)  # mid * 2^32 == (mid >> 29) + ((mid mod 2^29) << 32)
-    np.add(acc, t, out=acc)
-    np.bitwise_and(a1, _MASK29, out=a1)
-    np.left_shift(a1, _32, out=a1)
-    np.add(acc, a1, out=acc)
-    np.right_shift(a0, _61, out=t)  # lo == (lo >> 61) + (lo & M61)
-    np.add(acc, t, out=acc)
-    np.bitwise_and(a0, _M61, out=a0)
-    np.add(acc, a0, out=acc)
-    np.add(acc, c, out=acc)  # < 2^63
-    _fold(acc, t)  # < 2^61 + 4
+    np.copyto(f, u_i)
+    np.multiply(f, fw, out=f)
+    np.copyto(q_i, f, casting="unsafe")  # truncates
 
 
 def _narrow_step(acc, acc_i, c, x, fx, f, q, q_i):
     """acc <- acc * x + c - q * M61 in place for points x < 2^32; acc < 3*M61 before and after.
 
     ``fx`` is x * _SHRINK; ``acc_i`` and ``q_i`` are int64 views of acc and
-    the uint64 buffer ``q``; ``f`` is a float64 buffer.  See the module
-    docstring for the quotient bound.
+    the uint64 buffer ``q``; ``f`` is a float64 buffer.
     """
-    np.copyto(f, acc_i)
-    np.multiply(f, fx, out=f)
-    np.copyto(q_i, f, casting="unsafe")  # truncates
+    _quotient(acc_i, fx, f, q_i)
     np.multiply(q, _M61, out=q)
     np.multiply(acc, x, out=acc)
     np.subtract(acc, q, out=acc)  # acc*x mod M61, plus at most one M61
@@ -202,42 +155,25 @@ def _canonical(acc, t):
     np.minimum(acc, t, out=acc)
 
 
-def mulmod_m61(a, b):
-    """(a * b) mod M61 for uint64 arrays with a, b < 2^61. Exact."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64))
-    acc = a.copy()
-    work = [np.empty(acc.shape, dtype=np.uint64) for _ in range(6)]
-    _split(b, *work[:3])
-    _mul_add_step(acc, _U(0), *work)
-    _canonical(acc, work[-1])
-    return acc
-
-
 def _horner(coeffs, x, out, work, starts):
-    """Horner evaluation over M61 of the ``_CHUNK``-point blocks of x that begin
-    at ``starts``, into the same slices of out; ``work`` is a (6, >= _CHUNK)
-    uint64 buffer.  A block whose points are all below 2^32 takes
-    :func:`_narrow_step`; any other block splits its limbs once and takes
-    :func:`_mul_add_step`.
+    """Horner evaluation over M61 of the ``_CHUNK``-point blocks of x < 2^32
+    that begin at ``starts``, into the same slices of out, one
+    :func:`_narrow_step` per coefficient; ``work`` is a (4, >= _CHUNK)
+    uint64 buffer.
     """
     for start in starts:
         acc = out[start:start + _CHUNK]
         xb = x[start:start + _CHUNK]
-        bufs = tuple(work[:, : acc.size])
+        fx, f, q, t = work[:, : acc.size]
+        fx, f = fx.view(np.float64), f.view(np.float64)
+        np.copyto(fx, xb)  # exact: x < 2^53 (a mixed-type multiply would buffer its cast)
+        np.multiply(fx, _SHRINK, out=fx)
         acc.fill(coeffs[-1])
-        if int(xb.max()) < _NARROW:
-            fx, f, q = bufs[0].view(np.float64), bufs[1].view(np.float64), bufs[2]
-            np.copyto(fx, xb)  # exact: x < 2^53 (a mixed-type multiply would buffer its cast)
-            np.multiply(fx, _SHRINK, out=fx)
-            acc_i, q_i = acc.view(np.int64), q.view(np.int64)
-            for c in coeffs[-2::-1]:
-                _narrow_step(acc, acc_i, c, xb, fx, f, q, q_i)
-            _canonical(acc, bufs[-1])  # acc < 3*M61 takes two
-        else:
-            _split(xb, *bufs[:3])
-            for c in coeffs[-2::-1]:
-                _mul_add_step(acc, c, *bufs)
-        _canonical(acc, bufs[-1])
+        acc_i, q_i = acc.view(np.int64), q.view(np.int64)
+        for c in coeffs[-2::-1]:
+            _narrow_step(acc, acc_i, c, xb, fx, f, q, q_i)
+        _canonical(acc, t)  # acc < 3*M61 takes two
+        _canonical(acc, t)
 
 
 def _is_progression(x, d, same):
@@ -245,7 +181,7 @@ def _is_progression(x, d, same):
     is an arithmetic progression; ``d`` (uint64) and ``same`` (bool) are
     buffers of at least x.size elements.
 
-    Differences wrap mod 2^64, but points lie below 2^61, so equal wrapped
+    Differences wrap mod 2^64, but points lie below 2^32, so equal wrapped
     differences are equal integer differences.
     """
     full = x.size // _L
@@ -389,10 +325,10 @@ def _newton(coeffs, x, out, work, starts):
         block = diffs[i * per:(i + 1) * per]
         m, size = block.shape[0], min(_CHUNK, n - s)
         full = size == m * _L  # else the last block, whose last sub-block is short
-        acc = (out[s:s + size] if full else work[2, : m * _L]).reshape(m, _L)
+        acc = (out[s:s + size] if full else work[0, : m * _L]).reshape(m, _L)
         _newton_block(block, table, limbs[: 9 * m * k].reshape(3 * m, 3 * k),
                       rot[: 6 * m * k].reshape(2, 3, m, k), prod[: 3 * m], acc,
-                      *(w[: m * _L].reshape(m, _L) for w in work[3:5]))
+                      *(w[: m * _L].reshape(m, _L) for w in work[1:3]))
         if not full:
             out[s:s + size] = acc.reshape(-1)[:size]
 
@@ -401,7 +337,8 @@ def poly_eval(coeffs, points, modulus):
     """Evaluate sum_t coeffs[t] * x^t mod ``modulus`` at every x in ``points``.
 
     ``modulus`` is M61 or a prime below 2^32; coeffs are field elements
-    (low-to-high degree) and points must be < modulus.  Over M61 the points
+    (low-to-high degree) and points must be below min(modulus, 2^32)
+    (:meth:`subsketch.kwise.KWiseFamily.evaluate` checks).  Over M61 the points
     are evaluated in blocks of ``_CHUNK``.  With ``_K_NEWTON`` <= K <= ``_L``
     coefficients, a block whose ``_L``-point sub-blocks are all arithmetic
     progressions of at least K points takes :func:`_newton`; every other
@@ -419,7 +356,7 @@ def poly_eval(coeffs, points, modulus):
     flat = points.reshape(-1)
     n, k = flat.size, coeffs.size
     out = np.empty(n, dtype=np.uint64)
-    work = np.empty((6, min(_CHUNK, -(-n // _L) * _L)), dtype=np.uint64)
+    work = np.empty((4, min(_CHUNK, -(-n // _L) * _L)), dtype=np.uint64)
     starts = range(0, n, _CHUNK)
     newton = []
     if _K_NEWTON <= k <= _L:
@@ -432,36 +369,14 @@ def poly_eval(coeffs, points, modulus):
     return out.reshape(points.shape)
 
 
-def _mul128(v, w1, w0, hi, lo, t, u):
-    """hi, lo <- the words of the exact 128-bit product v * w, for v, w < 2^62.
-
-    ``w1, w0`` are w >> 32 and w mod 2^32 (arrays of v's shape or
-    scalars); ``t`` and ``u`` are work buffers of v's shape.
-    """
-    np.right_shift(v, _32, out=t)  # v1
-    np.bitwise_and(v, _MASK32, out=u)  # v0
-    np.multiply(t, w1, out=hi)
-    np.multiply(t, w0, out=t)
-    np.multiply(u, w0, out=lo)
-    np.multiply(u, w1, out=u)
-    np.add(t, u, out=t)  # mid = v1*w0 + v0*w1 < 2^63
-    np.right_shift(t, _32, out=u)
-    np.add(hi, u, out=hi)
-    np.bitwise_and(t, _MASK32, out=t)
-    np.left_shift(t, _32, out=t)
-    np.add(lo, t, out=lo)  # the low word
-    carry = u.view(bool)[: u.size]
-    np.less(lo, t, out=carry)
-    np.add(hi, carry, out=hi)
-
-
 def scale_to_range(values, width, modulus):
     """floor(values * width / modulus), exact; maps field elements onto [0, width).
 
-    ``width`` may be a scalar or a per-value array.  ``modulus`` is M61 or
-    a prime below 2^32.  When width == modulus this is the identity map.
-    Over M61 the values are scaled in blocks of ``_CHUNK`` through one set
-    of work buffers, so a call allocates little beyond its output.
+    ``width`` may be a scalar or a per-value array, at most
+    min(modulus, 2^32).  ``modulus`` is M61 or a prime below 2^32.  Over
+    M61 the values are scaled in blocks of ``_CHUNK`` through one set of
+    work buffers, so a call allocates little beyond its output; each block
+    takes :func:`_quotient` and one correction (see the module docstring).
     """
     values = np.atleast_1d(np.asarray(values, dtype=np.uint64))
     w = np.asarray(width, dtype=np.uint64)
@@ -470,27 +385,23 @@ def scale_to_range(values, width, modulus):
     shape = np.broadcast_shapes(values.shape, w.shape)
     v = np.broadcast_to(values, shape).reshape(-1)
     out = np.empty(v.size, dtype=np.uint64)
-    work = np.empty((6, min(_CHUNK, v.size)), dtype=np.uint64)
+    work = np.empty((4, min(_CHUNK, v.size)), dtype=np.uint64)
     if w.ndim:
         w = np.broadcast_to(w, shape).reshape(-1)
-    else:
-        w1, w0 = w >> _32, w & _MASK32
     for start in range(0, v.size, _CHUNK):
-        vc = v[start:start + _CHUNK]
-        hi, lo, t, u, wb1, wb0 = work[:, : vc.size]
-        if w.ndim:
-            wc = w[start:start + _CHUNK]
-            w1, w0 = np.right_shift(wc, _32, out=wb1), np.bitwise_and(wc, _MASK32, out=wb0)
-        _mul128(vc, w1, w0, hi, lo, t, u)
-        # v*w = a*2^61 + b = a*M61 + (a + b) with a = v*w >> 61 and b = v*w mod 2^61;
-        # a + b < 2^62, so one more division finishes the reduction
-        np.left_shift(hi, _3, out=hi)
-        np.right_shift(lo, _61, out=t)
-        np.bitwise_or(hi, t, out=hi)  # a
-        np.bitwise_and(lo, _M61, out=lo)  # b
-        np.add(lo, hi, out=lo)
-        np.floor_divide(lo, _M61, out=lo)
-        np.add(hi, lo, out=out[start:start + _CHUNK])
+        vc, q = v[start:start + _CHUNK], out[start:start + _CHUNK]
+        wc = w[start:start + _CHUNK] if w.ndim else w
+        fw, f, r, t = work[:, : vc.size]
+        fw, f = fw.view(np.float64), f.view(np.float64)
+        np.copyto(fw, wc)  # exact: w <= 2^32
+        np.multiply(fw, _SHRINK, out=fw)
+        _quotient(vc.view(np.int64), fw, f, q.view(np.int64))
+        np.multiply(vc, wc, out=r)
+        np.multiply(q, _M61, out=t)
+        np.subtract(r, t, out=r)  # v*w - q*M61, below 2*M61
+        carry = t.view(bool)[: r.size]
+        np.greater_equal(r, _M61, out=carry)
+        np.add(q, carry, out=q)
     return out.reshape(shape)
 
 

@@ -71,11 +71,6 @@ def apply_to_vector(sketch, x):
     return apply(sketch, x)
 
 
-def materialize_dense(sketch, max_entries=50_000_000):
-    """Scaled dense matrix equal to the embedding entrywise."""
-    return sketch.materialize(max_entries=max_entries)
-
-
 def load_matrix(path, *, sparse_as="csr"):
     """Read a real Matrix Market file; coordinate files stay sparse and
     complex data is a FormatError."""

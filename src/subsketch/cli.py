@@ -20,7 +20,7 @@ from .apply import load_matrix, save_matrix
 from .errors import FormatError, ParameterError
 from .experiments import calibrate, eps_sweep, m_sweep, nnz_sweep, run_config, s_sweep
 from .leverage import LeverageScores, approx_leverage, exact_leverage
-from .oblivious import LESS_KINDS, SketchSpec, build
+from .oblivious import COLUMN_KINDS, LESS_KINDS, SketchSpec, build
 from .pipeline import PIPELINE_KINDS, Overrides, PipelineConfig, fast_subspace_embed
 from .sketch import load_sketch
 
@@ -48,7 +48,8 @@ def _build_parser():
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--p", type=float)
     g.add_argument("--s", type=int, help="per-column sparsity (alternative to --p)")
-    p.add_argument("--degree-k", type=int, default=8)
+    p.add_argument("--degree-k", type=int,
+                   help="independence degree K of the hashing kinds osnap and less-ic (default 8)")
     p.add_argument("--scores", help="scores JSON (required for less-* kinds)")
     _add_common(p, out_required=True)
 
@@ -114,10 +115,13 @@ def _cmd_sketch(args):
         raise ParameterError(f"{args.kind} needs --scores")
     if not less and args.n is None:
         raise ParameterError(f"{args.kind} needs --n")
+    if args.degree_k is not None and args.kind not in COLUMN_KINDS:
+        raise ParameterError(f"{args.kind} does not hash with K; --degree-k is for "
+                             f"{' and '.join(COLUMN_KINDS)}")
     spec = SketchSpec(
         kind=args.kind, m=args.m, n=args.n,
         p=args.p if args.p is not None else args.s / args.m,
-        degree_k=args.degree_k, seed=args.seed,
+        degree_k=8 if args.degree_k is None else args.degree_k, seed=args.seed,
         scores=_load_scores(args.scores) if less else None,
     )
     sk = build(spec)

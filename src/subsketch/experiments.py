@@ -23,6 +23,7 @@ leverage scores of the sampled basis.
 
 import math
 import numbers
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -198,20 +199,16 @@ def nnz_sweep(m=256, s=8, d=16, base_n=4096, factors=(1, 2, 4, 8), reps=5,
 
     The sketch is rebuilt per n (columns must match the input rows) at
     fixed (m, s), so per-column work is constant and time should scale
-    linearly with nnz.
+    linearly with nnz.  ParameterError unless d >= 1.
     """
-    import time
-
-    import scipy.sparse
-
-    from .apply import apply as _apply
-
+    if d < 1:
+        raise ParameterError(f"need d >= 1, got d = {d}")
     rows = []
     for f in factors:
         n = base_n * f
         spec = SketchSpec.from_sparsity("osnap", m=m, n=n, s=s, seed=seed)
         sketch = build(spec)
-        A = scipy.sparse.random(n, d, density=0.05, random_state=seed,
+        A = scipy.sparse.random(n, d, density=0.05, random_state=seed % 2**32,
                                 format="csr")
         best = math.inf
         for _ in range(reps):

@@ -20,6 +20,11 @@ element, unbiased up to 1/modulus) and ``uniform_range(points, lo, hi)``
 bias at most (hi-lo+1)/modulus).  Evaluation is a pure function of
 (family, point); families are immutable and safe to share across threads.
 
+The hash domain is 32-bit: a :class:`KWiseFamily` takes points below
+min(modulus, 2^32) -- the samplers hash the entry number, not a field
+element -- and both families take range widths up to min(modulus, 2^32).
+Anything larger raises ParameterError.
+
 Callers that need several mutually independent streams from one family
 (e.g. one for signs and one for positions) domain-separate the point space
 with a tag bit: point = 2*index + tag.
@@ -30,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._field import (
+    HASH_DOMAIN,
     M61,
     derive_seed,
     is_prime,
@@ -47,14 +53,14 @@ __all__ = [
 ]
 
 
-def _check_points(points, modulus):
-    points = np.atleast_1d(np.asarray(points, dtype=np.uint64))
-    if points.size and int(points.max()) >= modulus:
-        raise ParameterError(
-            f"evaluation index {int(points.max())} out of range for field "
-            f"modulus {modulus}"
-        )
-    return points
+def _check_points(points, bound):
+    """``points`` as a uint64 array; ParameterError unless they are integers in [0, bound)."""
+    points = np.atleast_1d(np.asarray(points))
+    kind = points.dtype.kind
+    if points.size and (kind not in "iu" or (kind == "i" and points.min() < 0)
+                        or int(points.max()) >= bound):
+        raise ParameterError(f"evaluation points must be integers in [0, {bound})")
+    return points.astype(np.uint64, copy=False)
 
 
 class _SignRangeMixin:
@@ -72,10 +78,9 @@ class _SignRangeMixin:
         if hi < lo:
             raise ParameterError(f"empty range [{lo}, {hi}]")
         width = hi - lo + 1
-        if width > self.field_modulus:
-            raise ParameterError(
-                f"range width {width} exceeds field modulus {self.field_modulus}"
-            )
+        bound = min(self.field_modulus, HASH_DOMAIN)
+        if width > bound:
+            raise ParameterError(f"range width {width} exceeds min(field modulus, 2^32) = {bound}")
         v = self.evaluate(points)
         return lo + scale_to_range(v, width, self.field_modulus).astype(np.int64)
 
@@ -122,8 +127,9 @@ class KWiseFamily(_SignRangeMixin):
         )
 
     def evaluate(self, points):
-        """Field element at each point; pure in (family, point)."""
-        points = _check_points(points, self.field_modulus)
+        """Field element at each point below min(field_modulus, 2^32); pure
+        in (family, point)."""
+        points = _check_points(points, min(self.field_modulus, HASH_DOMAIN))
         return poly_eval(self.coefficients, points, self.field_modulus)
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from ._field import M61, derive_seed, scale_to_range
+from ._field import HASH_DOMAIN, M61, derive_seed, scale_to_range
 from .calibration import CONSTANTS
 from .errors import ParameterError
 from .kwise import IndependentFamily, KWiseFamily
@@ -85,6 +85,8 @@ class SketchSpec:
             raise ParameterError(f"{self.kind} needs n")
         if self.m < 1 or self.n < 1:
             raise ParameterError("m and n must be >= 1")
+        if self.m > HASH_DOMAIN:  # every block width is at most m
+            raise ParameterError(f"m must be at most 2^32, got {self.m}")
         if not 0.0 < self.p <= 1.0:
             raise ParameterError(f"p must be in (0, 1], got {self.p}")
         if self.degree_k < 1:
@@ -133,11 +135,15 @@ def blocked_entries(spec, heights, columns=None):
     hash point 2t and its row within the block from point 2t + 1, so a
     column's entries do not depend on which other columns are built.
     Only ``columns`` (all when None) are hashed; they must be strictly
-    increasing integers in [0, n), or ParameterError.  Returns the n + 1
-    column pointers, the rows, the signs and the block width of each
-    built entry, and ``columns`` as int64 (or None).
+    increasing integers in [0, n), or ParameterError; so is a sketch of
+    2^31 or more entries, whose points would leave the 32-bit hash domain.
+    Returns the n + 1 column pointers, the rows, the signs and the block
+    width of each built entry, and ``columns`` as int64 (or None).
     """
     counts = -(-spec.m // heights)
+    total = int(counts.sum())
+    if total >= HASH_DOMAIN // 2:  # entry t hashes points 2t and 2t + 1
+        raise ParameterError(f"a blocked sketch holds at most 2^31 - 1 entries, got {total}")
     kept = counts
     if columns is not None:
         bad = ParameterError(f"columns must be strictly increasing integers in [0, {counts.size})")

@@ -35,7 +35,7 @@ _SCORE_FIELDS = ("beta1", "beta2", "scores_sha256")
 
 
 class _Sketch:
-    """What both containers share: shape, energy target, apply, materialize."""
+    """What both containers share: shape, energy target, materialize."""
 
     @property
     def m(self):
@@ -49,12 +49,6 @@ class _Sketch:
     def pm(self):
         """Column energy target p*m of the unscaled matrix."""
         return float(self.spec.p) * self.spec.m
-
-    def apply(self, A):
-        """(scale * S) @ A as a dense array."""
-        from .apply import apply as _apply
-
-        return _apply(self, A)
 
     def materialize(self, max_entries=50_000_000):
         """Dense scaled matrix; refuses to allocate above ``max_entries``."""

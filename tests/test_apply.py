@@ -22,7 +22,6 @@ from subsketch import (
     build_osnap,
     load_matrix,
     load_sketch,
-    materialize_dense,
     save_matrix,
     sketch_from_dense,
 )
@@ -53,7 +52,7 @@ class TestOracleEquivalence:
             sk = random_sketch(kind, rng, m, n, seed=trial)
             A = rng.standard_normal((n, d))
             got = apply(sk, A)
-            want = materialize_dense(sk) @ A
+            want = sk.materialize() @ A
             err = np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-30)
             assert err <= 1e-12
 
@@ -108,7 +107,7 @@ class TestVectorApply:
     def test_basis_vector_picks_column(self):
         rng = np.random.default_rng(7)
         sk = random_sketch("osnap", rng, 16, 50, seed=2)
-        dense = materialize_dense(sk)
+        dense = sk.materialize()
         for j in (0, 17, 49):
             e = np.zeros(50)
             e[j] = 1.0
@@ -120,14 +119,14 @@ class TestVectorApply:
         x = np.zeros(50)
         x[4] = 1.0
         x[31] = 1.0
-        dense = materialize_dense(sk)
+        dense = sk.materialize()
         np.testing.assert_allclose(apply_to_vector(sk, x), dense[:, 4] + dense[:, 31])
 
     def test_random_vector_oracle(self):
         rng = np.random.default_rng(9)
         sk = random_sketch("less-ic", rng, 20, 80, seed=4)
         x = rng.standard_normal(80)
-        want = materialize_dense(sk) @ x
+        want = sk.materialize() @ x
         got = apply_to_vector(sk, x)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
 
@@ -141,19 +140,19 @@ class TestVectorApply:
 class TestMaterialize:
     def test_osnap_entry_count_and_magnitude(self):
         spec = SketchSpec.from_sparsity("osnap", m=4, n=3, s=2, seed=7)
-        dense = materialize_dense(build_osnap(spec))
+        dense = build_osnap(spec).materialize()
         assert np.count_nonzero(dense) == 6
         np.testing.assert_allclose(np.abs(dense[dense != 0]), 1 / math.sqrt(2))
 
     def test_column_norms_are_one(self):
         spec = SketchSpec.from_sparsity("osnap", m=64, n=20, s=8, seed=8)
-        dense = materialize_dense(build_osnap(spec))
+        dense = build_osnap(spec).materialize()
         np.testing.assert_allclose(np.linalg.norm(dense, axis=0), 1.0, rtol=1e-12)
 
     def test_roundtrip_through_dense(self):
         rng = np.random.default_rng(11)
         sk = random_sketch("less-ic", rng, 24, 60, seed=9)
-        back = sketch_from_dense(materialize_dense(sk), sk.scale, sk.spec)
+        back = sketch_from_dense(sk.materialize(), sk.scale, sk.spec)
         assert np.array_equal(back.indptr, sk.indptr)
         assert np.array_equal(back.rows, sk.rows)
         np.testing.assert_allclose(back.values, sk.values, rtol=1e-12)
@@ -162,7 +161,7 @@ class TestMaterialize:
         spec = SketchSpec.from_sparsity("osnap", m=1000, n=1000, s=1, seed=0)
         sk = build_osnap(spec)
         with pytest.raises(ParameterError):
-            materialize_dense(sk, max_entries=10_000)
+            sk.materialize(max_entries=10_000)
 
 
 class TestMatrixMarketIO:

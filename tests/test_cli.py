@@ -70,13 +70,34 @@ class TestSketchCommand:
         ["--p", "0.5", "--s", "2"],  # --s was once ignored: p = 0.5, exit 0
         [],
         ["--p", "0.5", "--family", "kwise"],  # the kind fixes the model
-    ], ids=["p-and-s", "neither", "family"])
+        # ose-ie does not hash with K: --degree-k 3 and 99 once wrote the same
+        # payload under headers that differed only in degree_k
+        ["--p", "0.5", "--degree-k", "3"],
+    ], ids=["p-and-s", "neither", "family", "degree-k"])
     def test_rejected_flags_exit_2_in_subprocess(self, tmp_path, flags):
         proc = _run_cli(["sketch", "--kind", "ose-ie", "--m", "8", "--n", "16", *flags,
                          "--out", str(tmp_path / "s.skt")])
         assert proc.returncode == EXIT_PARAMETER, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "s.skt").exists()
+
+    def test_less_ie_rejects_degree_k(self, tmp_path):
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps({"beta1": 1.0, "beta2": 1.0, "z": [0.5] * 16}))
+        rc = main(["sketch", "--kind", "less-ie", "--m", "8", "--p", "0.25",
+                   "--scores", str(scores), "--degree-k", "8", "--out", str(tmp_path / "s.skt")])
+        assert rc == EXIT_PARAMETER
+        assert not (tmp_path / "s.skt").exists()
+
+    @pytest.mark.parametrize("kind", ["osnap", "ose-ie"])
+    def test_default_degree_k_keeps_the_bytes(self, tmp_path, kind):
+        # without --degree-k every kind's header still records K = 8
+        out = tmp_path / "s.skt"
+        assert main(["sketch", "--kind", kind, "--m", "8", "--n", "16", "--s", "2",
+                     "--seed", "3", "--out", str(out)]) == EXIT_OK
+        spec = SketchSpec(kind=kind, m=8, n=16, p=0.25, seed=3, degree_k=8)
+        ss.build(spec).save(tmp_path / "lib.skt")
+        assert out.read_bytes() == (tmp_path / "lib.skt").read_bytes()
 
     def test_less_ic_needs_scores(self, tmp_path):
         rc = main(["sketch", "--kind", "less-ic", "--m", "32", "--p", "0.25",
@@ -424,9 +445,16 @@ class TestBenchCommand:
         ["--sweep", "eps", "--d", "0"],  # used to raise ZeroDivisionError
         ["--sweep", "nnz", "--n", "0"],  # used to run at n = 4096
         ["--calibrate", "--trials", "0"],  # used to run 100 trials
-    ], ids=["eps-d-zero", "nnz-n-zero", "calibrate-trials-zero"])
+        ["--sweep", "nnz", "--d", "0"],  # used to exit 0 with rows of nnz 0
+        ["--sweep", "nnz", "--d", "-3"],  # used to exit 1 on a scipy traceback
+    ], ids=["eps-d-zero", "nnz-n-zero", "calibrate-trials-zero", "nnz-d-zero", "nnz-d-negative"])
     def test_explicit_zero_rejected(self, argv):
         assert main(["bench", "--trials", "2", *argv]) == EXIT_PARAMETER
+
+    def test_nnz_sweep_negative_seed(self, tmp_path):
+        # used to exit 1 on a scipy traceback: its matrices take seeds in [0, 2^32)
+        assert main(["bench", "--sweep", "nnz", "--n", "256", "--seed", "-1",
+                     "--out", str(tmp_path / "nnz.csv")]) == EXIT_OK
 
     @pytest.mark.parametrize("argv, seed", [([], None), (["--seed", "0"], 0),
                                             (["--seed", "5"], 5)],

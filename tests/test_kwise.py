@@ -14,6 +14,8 @@ from subsketch import (
     KWiseFamily,
     M61,
     ParameterError,
+    SketchSpec,
+    build,
 )
 from subsketch._field import (
     _CHUNK,
@@ -25,10 +27,12 @@ from subsketch._field import (
     _newton_block,
     _newton_table,
     is_prime,
-    mulmod_m61,
     poly_eval,
     scale_to_range,
 )
+
+
+TOP = (1 << 32) - 1  # the largest point of the 32-bit hash domain
 
 
 def _horner(coeffs, points):
@@ -47,28 +51,14 @@ def _assert_matches_horner(coeffs, points):
 
 
 class TestFieldArithmetic:
-    def test_mulmod_matches_python_ints(self):
-        rng = np.random.default_rng(3)
-        a = rng.integers(0, M61, 20000, dtype=np.uint64)
-        b = rng.integers(0, M61, 20000, dtype=np.uint64)
-        got = mulmod_m61(a, b)
-        for i in range(0, 20000, 137):
-            assert int(got[i]) == int(a[i]) * int(b[i]) % M61
-
-    def test_mulmod_edge_values(self):
-        edges = [0, 1, 2, 3, M61 - 1, M61 - 2, (M61 - 1) // 2, 1 << 60]
-        for x, y in itertools.product(edges, repeat=2):
-            got = mulmod_m61(np.uint64(x), np.uint64(y))
-            assert int(got) == x * y % M61
-
     @pytest.mark.parametrize("k", [1, 2, 8, 56, 64])
     def test_poly_eval_matches_python_horner(self, k):
         # golden values from Python big-int Horner evaluation over M61
         rng = np.random.default_rng(5 + k)
         coeffs = [int(c) for c in rng.integers(0, M61, k, dtype=np.uint64)]
         coeffs[-1] = M61 - 1  # the largest element leads every Horner chain
-        edges = [0, 1, 2, (1 << 32) - 1, (1 << 32) + 1, 1 << 60, M61 - 2, M61 - 1]
-        pts = edges + [int(x) for x in rng.integers(0, M61, 500, dtype=np.uint64)]
+        edges = [0, 1, 2, 1 << 31, TOP - 1, TOP]
+        pts = edges + [int(x) for x in rng.integers(0, TOP + 1, 500, dtype=np.uint64)]
         got = poly_eval(np.array(coeffs, dtype=np.uint64), np.array(pts, dtype=np.uint64), M61)
         for x, v in zip(pts, got.tolist()):
             want = 0
@@ -80,41 +70,23 @@ class TestFieldArithmetic:
     def test_poly_eval_across_chunk_boundaries(self, n):
         rng = np.random.default_rng(n)
         coeffs = rng.integers(0, M61, 7, dtype=np.uint64)
-        _assert_matches_horner(coeffs, rng.integers(0, M61, n, dtype=np.uint64))
+        _assert_matches_horner(coeffs, rng.integers(0, TOP + 1, n, dtype=np.uint64))
 
     def test_poly_eval_keeps_shape_and_reads_strided_points(self):
         rng = np.random.default_rng(12)
         coeffs = rng.integers(0, M61, 9, dtype=np.uint64)
-        grid = rng.integers(0, M61, (130, 257), dtype=np.uint64)
+        grid = rng.integers(0, TOP + 1, (130, 257), dtype=np.uint64)
         _assert_matches_horner(coeffs, grid)
         strided = grid.reshape(-1)[::3]
         assert not strided.flags.c_contiguous
         _assert_matches_horner(coeffs, strided)
         _assert_matches_horner(coeffs, grid[::2, 1::5])
 
-    @pytest.mark.parametrize("k", [2, 64])
-    def test_poly_eval_lazy_reduction_worst_case(self, k):
-        # the largest coefficients and points drive the limbs and the step's sum to their bounds
-        points = np.array([M61 - 1, M61 - 2, (1 << 61) - (1 << 32)], dtype=np.uint64)
-        _assert_matches_horner([M61 - 1] * k, points)
-
     @pytest.mark.parametrize("k", [1, 2, 64])
     def test_poly_eval_narrow_worst_case(self, k):
         # the largest coefficients at the top of the float-quotient step's range and at 2^31
-        points = np.array([(1 << 32) - 1, (1 << 32) - 2, 1 << 31], dtype=np.uint64)
+        points = np.array([TOP, TOP - 1, 1 << 31], dtype=np.uint64)
         _assert_matches_horner([M61 - 1] * k, points)
-
-    @pytest.mark.parametrize("layout", ["same", "narrow-first", "wide-first"])
-    def test_poly_eval_narrow_and_wide_points_across_blocks(self, layout):
-        rng = np.random.default_rng(17)
-        coeffs = rng.integers(0, M61, 16, dtype=np.uint64)
-        points = rng.integers(0, 1 << 32, 2 * _CHUNK, dtype=np.uint64)
-        if layout == "same":  # one block holds both sides of 2^32
-            points[[5, 9]] = [(1 << 32) - 1, 1 << 32]
-        else:  # 2^32 - 1 in one block, 2^32 in the other
-            narrow, wide = (5, _CHUNK + 9) if layout == "narrow-first" else (_CHUNK + 9, 5)
-            points[[narrow, wide]] = [(1 << 32) - 1, 1 << 32]
-        _assert_matches_horner(coeffs, points)
 
     @pytest.mark.parametrize("x", [3, 1 << 31, (1 << 32) - 1])
     @pytest.mark.parametrize("r", [1, 1 << 40])
@@ -124,13 +96,13 @@ class TestFieldArithmetic:
         c1 = r * pow(x, -1, M61) % M61
         _assert_matches_horner([M61 - 1, c1], np.array([x], dtype=np.uint64))
 
-    @pytest.mark.parametrize("top, narrow_steps", [((1 << 32) - 1, 2 * 7), (1 << 32, 7)])
+    @pytest.mark.parametrize("top, narrow_steps", [(TOP, 2 * 7)])
     def test_poly_eval_picks_the_step_per_block(self, monkeypatch, top, narrow_steps):
         calls = []
         monkeypatch.setattr("subsketch._field._narrow_step",
                             lambda *args: calls.append(1) or _narrow_step(*args))
         points = np.arange(2 * _CHUNK, dtype=np.uint64)
-        points[-1] = top  # the last block is narrow only if top < 2^32
+        points[-1] = top  # every block, the one holding the top point too, takes the one step
         _assert_matches_horner(list(range(1, 9)), points)
         assert len(calls) == narrow_steps
 
@@ -167,7 +139,7 @@ class TestFieldArithmetic:
     def test_scale_to_range_exact(self):
         rng = np.random.default_rng(9)
         v = rng.integers(0, M61, 3000, dtype=np.uint64)
-        w = rng.integers(1, M61 + 1, 3000, dtype=np.uint64)
+        w = rng.integers(1, (1 << 32) + 1, 3000, dtype=np.uint64)
         got = scale_to_range(v, w, M61)
         for i in range(0, 3000, 97):
             assert int(got[i]) == int(v[i]) * int(w[i]) // M61
@@ -176,8 +148,8 @@ class TestFieldArithmetic:
         rng = np.random.default_rng(13)
         n = 2 * _CHUNK + 5
         v = rng.integers(0, M61, n, dtype=np.uint64)
-        w = rng.integers(1, M61 + 1, n, dtype=np.uint64)
-        v[:4], w[:4] = M61 - 1, [M61, M61 - 1, 1, 2]
+        w = rng.integers(1, (1 << 32) + 1, n, dtype=np.uint64)
+        v[:4], w[:4] = M61 - 1, [1 << 32, TOP, 1, 2]
         for width in (w, 540):
             got = scale_to_range(v, width, M61)
             want = v.astype(object) * np.asarray(width, dtype=np.uint64).astype(object) // M61
@@ -195,14 +167,92 @@ class TestFieldArithmetic:
             tracemalloc.stop()
         assert peak < 2 * out.nbytes, peak
 
-    def test_scale_identity_at_full_width(self):
-        rng = np.random.default_rng(11)
-        v = rng.integers(0, M61, 1000, dtype=np.uint64)
-        assert np.array_equal(scale_to_range(v, M61, M61), v)
+    @pytest.mark.parametrize("r", [1, M61 - 1], ids=["r-1", "r-M61-1"])
+    def test_scale_to_range_next_to_a_multiple_of_m61(self, r):
+        # v*w = j*M61 + r: with r = 1 the float quotient comes out one short and
+        # the correction adds it back; with r = M61 - 1 the true quotient lies
+        # 1/M61 below j + 1, so a shrink that does not cover the rounding overshoots
+        ws = [*range(1, 513), *np.random.default_rng(15).integers(1, TOP, 510).tolist(),
+              TOP, 1 << 32]
+        v = np.array([r * pow(w, -1, M61) % M61 for w in ws], dtype=np.uint64)
+        want = [a * w // M61 for a, w in zip(v.tolist(), ws)]
+        assert scale_to_range(v, np.array(ws, dtype=np.uint64), M61).tolist() == want
+        for i in (0, 1, 2, 539, -2, -1):
+            assert scale_to_range(v, ws[i], M61)[i] == want[i]
+
+    def test_narrow_step_next_to_a_multiple_of_m61(self):
+        # acc*x = j*M61 + M61 - 1 for every x: the float quotient must not reach j + 1
+        xs = [*range(1, 513), *np.random.default_rng(16).integers(1, TOP, 510).tolist(), TOP]
+        acc = np.array([(M61 - 1) * pow(x, -1, M61) % M61 for x in xs], dtype=np.uint64)
+        x = np.array(xs, dtype=np.uint64)
+        f, q = np.empty(acc.size), np.empty(acc.size, dtype=np.uint64)
+        _narrow_step(acc, acc.view(np.int64), np.uint64(0), x, x * _SHRINK, f, q, q.view(np.int64))
+        assert all(got in (M61 - 1, 2 * M61 - 1) for got in acc.tolist())
 
     def test_is_prime(self):
         assert is_prime(2) and is_prime(5) and is_prime(M61)
         assert not is_prime(1) and not is_prime(2**61) and not is_prime(561)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, M61 - 1), st.integers(1, 1 << 32)),
+                      min_size=1, max_size=64))
+def test_scale_to_range_matches_python_ints(pairs):
+    v = np.array([a for a, _ in pairs], dtype=np.uint64)
+    w = np.array([b for _, b in pairs], dtype=np.uint64)
+    got = scale_to_range(v, w, M61)
+    assert got.tolist() == [a * b // M61 for a, b in pairs]
+    width = pairs[0][1]
+    assert scale_to_range(v, width, M61).tolist() == [a * width // M61 for a, _ in pairs]
+
+
+class TestHashDomain:
+    """Over M61 the hashing layer takes points below 2^32 and range widths up to 2^32."""
+
+    @pytest.mark.parametrize("call", [
+        lambda fam, x: fam.evaluate(x),
+        lambda fam, x: fam.rademacher(x),
+        lambda fam, x: fam.uniform_range(x, 0, 9),
+    ], ids=["evaluate", "rademacher", "uniform_range"])
+    def test_point_2_32_rejected(self, call):
+        fam = KWiseFamily(seed=4, degree_k=8)
+        assert fam.evaluate(TOP).tolist() == _horner(fam.coefficients, [TOP]).tolist()
+        with pytest.raises(ParameterError):
+            call(fam, np.array([5, TOP + 1], dtype=np.uint64))
+
+    @pytest.mark.parametrize("points", [[-1], [1.5], [True], [1 << 64]],
+                             ids=["negative", "float", "bool", "2^64"])
+    @pytest.mark.parametrize("fam", [KWiseFamily(seed=4, degree_k=8), IndependentFamily(seed=4)],
+                             ids=["kwise", "independent"])
+    def test_non_points_rejected(self, fam, points):
+        # -1 and 2^64 used to raise OverflowError, 1.5 and True to hash point 1
+        with pytest.raises(ParameterError):
+            fam.evaluate(points)
+
+    @pytest.mark.parametrize("fam", [KWiseFamily(seed=4, degree_k=8), IndependentFamily(seed=4)],
+                             ids=["kwise", "independent"])
+    def test_widest_range(self, fam):
+        draws = fam.uniform_range(np.arange(1000, dtype=np.uint64), 0, TOP)  # width 2^32
+        assert draws.min() >= 0 and draws.max() <= TOP
+        with pytest.raises(ParameterError):
+            fam.uniform_range(7, 0, 1 << 32)  # width 2^32 + 1
+
+    def test_spec_dimension_at_most_2_32(self):
+        assert SketchSpec(kind="ose-ie", m=1 << 32, n=4, p=0.5).m == 1 << 32
+        with pytest.raises(ParameterError):
+            SketchSpec(kind="ose-ie", m=(1 << 32) + 1, n=4, p=0.5)
+
+    def test_blocked_build_at_the_widest_block(self):
+        # one block of height 2^32 per column: rows scale the row points by 2^32
+        sk = build(SketchSpec(kind="osnap", m=1 << 32, n=3, p=2.0**-32, seed=6))
+        fam = KWiseFamily(seed=6, degree_k=sk.spec.degree_k)
+        v = fam.evaluate(2 * np.arange(3, dtype=np.uint64) + np.uint64(1))
+        assert sk.rows.tolist() == [int(x) * (1 << 32) // M61 for x in v.tolist()]
+
+    def test_blocked_build_of_2_31_entries_rejected(self):
+        # entry t hashes points 2t and 2t + 1, so entry 2^31 would leave the domain
+        with pytest.raises(ParameterError):
+            build(SketchSpec(kind="osnap", m=1 << 31, n=1, p=1.0))
 
 
 def _count_newton_blocks(monkeypatch):
@@ -216,8 +266,8 @@ class TestNewtonRoute:
     """Blocks of points in arithmetic progression: forward differences and
     one exact float64 matmul instead of Horner steps."""
 
-    @pytest.mark.parametrize("x0, step", [(1, 1), (5, 2), (3, 1 << 40), (M61 - 1, -7)],
-                             ids=["step-1", "step-2", "step-2^40", "decreasing"])
+    @pytest.mark.parametrize("x0, step", [(1, 1), (5, 2), (3, 1 << 17), (TOP, -7)],
+                             ids=["step-1", "step-2", "step-2^17", "decreasing"])
     def test_progressions_match_horner(self, monkeypatch, x0, step):
         calls = _count_newton_blocks(monkeypatch)
         rng = np.random.default_rng(21)
@@ -226,17 +276,17 @@ class TestNewtonRoute:
         _assert_matches_horner(rng.integers(0, M61, 64, dtype=np.uint64), points)
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("step", [1, 5, 1 << 40])
+    @pytest.mark.parametrize("step", [1, 5, 1 << 20])
     def test_sub_block_ending_at_the_top_element(self, monkeypatch, step):
         calls = _count_newton_blocks(monkeypatch)
-        top = M61 - 1 - step * (_L - 1)  # the sub-block's last point is M61 - 1
+        top = TOP - step * (_L - 1)  # the sub-block's last point is 2^32 - 1
         points = top + step * np.arange(2 * _L, dtype=object) - step * _L
         _assert_matches_horner([M61 - 1] * 64, points.astype(np.uint64))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("k", [_K_NEWTON, 64])
     def test_largest_coefficients(self, k):
-        points = np.arange(3 * _L, dtype=np.uint64) * np.uint64(1 << 40) + np.uint64(1 << 59)
+        points = np.uint64(TOP) - np.arange(3 * _L, dtype=np.uint64)[::-1] * np.uint64(1 << 20)
         _assert_matches_horner([M61 - 1] * k, points)
 
     @pytest.mark.parametrize("k, newton", [(1, False), (_K_NEWTON - 1, False), (_K_NEWTON, True),
@@ -466,7 +516,7 @@ def test_evaluation_pure_and_in_field(seed, k, index):
 def test_poly_eval_matches_horner_near_chunk_sizes(seed, k, n):
     rng = np.random.default_rng(seed)
     _assert_matches_horner(rng.integers(0, M61, k, dtype=np.uint64),
-                           rng.integers(0, M61, n, dtype=np.uint64))
+                           rng.integers(0, TOP + 1, n, dtype=np.uint64))
 
 
 @settings(max_examples=12, deadline=None)
@@ -474,11 +524,11 @@ def test_poly_eval_matches_horner_near_chunk_sizes(seed, k, n):
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(1, 80),
     n=st.integers(1, 4 * _L),
-    x0=st.integers(0, M61 - 1),
-    step=st.integers(-(1 << 48), 1 << 48),
+    x0=st.integers(0, TOP),
+    step=st.integers(-(1 << 20), 1 << 20),
 )
 def test_poly_eval_matches_horner_on_progressions(seed, k, n, x0, step):
-    x0 = min(max(x0, -step * (n - 1)), M61 - 1 - step * (n - 1))  # keep every point in the field
+    x0 = min(max(x0, -step * (n - 1)), TOP - step * (n - 1))  # keep every point in the domain
     points = (x0 + step * np.arange(n, dtype=object)).astype(np.uint64)
     _assert_matches_horner(np.random.default_rng(seed).integers(0, M61, k, dtype=np.uint64), points)
 
