@@ -42,7 +42,7 @@ from .less import (
     column_sparsities,
     subcolumn_layout,
 )
-from .apply import apply, apply_to_vector, load_matrix, save_matrix, touched_rows
+from .apply import apply, load_matrix, save_matrix, touched_rows
 from .diagnostics import (
     DistortionReport,
     MomentProbe,
@@ -90,7 +90,6 @@ __all__ = [
     "build_less_ic",
     "build_less_ie",
     "apply",
-    "apply_to_vector",
     "load_matrix",
     "save_matrix",
     "touched_rows",

@@ -26,7 +26,7 @@ def touched_rows(A):
 
 
 def apply(sketch, A):
-    """(scale * S) @ A as a dense (m x d) array.
+    """(scale * S) @ A as a dense (m x d) array (length m for a vector A).
 
     ParameterError if A holds NaN or Inf, or if the sketch was built on a
     subset of columns and A has a stored entry in a row outside it.
@@ -63,17 +63,9 @@ def _check_support(sketch, A):
         )
 
 
-def apply_to_vector(sketch, x):
-    """Vector specialization of :func:`apply`."""
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ParameterError(f"expected a vector, got shape {x.shape}")
-    return apply(sketch, x)
-
-
-def load_matrix(path, *, sparse_as="csr"):
-    """Read a real Matrix Market file; coordinate files stay sparse and
-    complex data is a FormatError."""
+def load_matrix(path):
+    """Read a real Matrix Market file; coordinate files stay sparse (CSR)
+    and complex data is a FormatError."""
     try:
         with open(path, "rb") as fh:
             M = scipy.io.mmread(fh)
@@ -82,14 +74,14 @@ def load_matrix(path, *, sparse_as="csr"):
     if np.iscomplexobj(M):
         raise FormatError(f"{path}: complex Matrix Market data is not supported")
     if scipy.sparse.issparse(M):
-        return M.asformat(sparse_as)
+        return M.tocsr()
     return np.asarray(M, dtype=np.float64)
 
 
-def save_matrix(path, M, comment=""):
+def save_matrix(path, M):
     """Write dense arrays as MM array format, sparse as coordinate."""
     with open(path, "wb") as fh:
         if scipy.sparse.issparse(M):
-            scipy.io.mmwrite(fh, M.tocoo(), comment=comment)
+            scipy.io.mmwrite(fh, M.tocoo())
         else:
-            scipy.io.mmwrite(fh, np.atleast_2d(np.asarray(M)), comment=comment)
+            scipy.io.mmwrite(fh, np.atleast_2d(np.asarray(M)))

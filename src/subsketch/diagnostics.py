@@ -93,17 +93,13 @@ def orthonormality_defect(U):
     return float(np.linalg.norm(G, 2))
 
 
-def _require_orthonormal(U, tol=_ORTHO_TOL):
-    defect = orthonormality_defect(U)
-    if defect > tol:
-        raise ParameterError(
-            f"basis is not orthonormal: ||U^T U - I|| = {defect:.3e} > {tol:.0e}"
-        )
-
-
 def distortion(sketch, U, eps_target=0.0):
     """Singular-value band of the sketched orthonormal basis."""
-    _require_orthonormal(U)
+    defect = orthonormality_defect(U)
+    if defect > _ORTHO_TOL:
+        raise ParameterError(
+            f"basis is not orthonormal: ||U^T U - I|| = {defect:.3e} > {_ORTHO_TOL:.0e}"
+        )
     X = _apply(sketch, U)
     svals = np.linalg.svd(X, compute_uv=False)
     s_min = float(svals[-1])
@@ -157,7 +153,7 @@ def _check_trials(trials):
         raise ParameterError("trials must be >= 1")
 
 
-def embedding_trial(builder, sampler, trials, eps, seed, quantile_levels=(0.5, 0.9, 0.95)):
+def embedding_trial(builder, sampler, trials, eps, seed):
     """Failure fraction of ``trials`` fresh (sketch, basis) draws.
 
     ``builder(seed, U)`` returns a sketch (score-adapted builders may use
@@ -175,7 +171,7 @@ def embedding_trial(builder, sampler, trials, eps, seed, quantile_levels=(0.5, 0
         distortions[i] = max(rep.s_max - 1.0, 1.0 - rep.s_min)
         failures += not rep.passed
     quantiles = {
-        str(q): float(np.quantile(distortions, q)) for q in quantile_levels
+        str(q): float(np.quantile(distortions, q)) for q in (0.5, 0.9, 0.95)
     }
     return TrialSummary(
         trials=trials, failures=failures, eps_target=eps, quantiles=quantiles

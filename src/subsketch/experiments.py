@@ -35,6 +35,7 @@ from .errors import FormatError, ParameterError
 from .kwise import derive_seed
 from .leverage import approx_leverage, exact_leverage
 from .oblivious import (
+    COLUMN_KINDS,
     LESS_KINDS,
     SketchSpec,
     build,
@@ -111,7 +112,7 @@ def run_config(cfg):
     if m is not None or s is not None:
         m, s = round_parameters(kind, spec.m if m is None else m, spec.s if s is None else s)
         spec = replace(spec, m=m, p=s / m)
-    dims = {"m": spec.m, "pm": spec.s, "degree_k": spec.degree_k}
+    dims = {"m": spec.m, "pm": spec.s} | ({"degree_k": spec.degree_k} if spec.degree_k else {})
     build_trial = builder(spec)
 
     if experiment == "embedding":
@@ -160,7 +161,7 @@ def eps_point(kind, d, n, eps, delta, c_m=None, **constants):
 
 
 def eps_sweep(kind, d=16, delta=0.05, eps_grid=(0.5, 0.25, 0.125), n=8192,
-              trials=50, seed=7, sampler="coordinate", c_m=None):
+              trials=50, seed=7, sampler="coordinate"):
     """Failure fraction and calibrated sparsity across an eps grid.
 
     The points come from :func:`eps_point`; rows carry the continuous
@@ -170,7 +171,7 @@ def eps_sweep(kind, d=16, delta=0.05, eps_grid=(0.5, 0.25, 0.125), n=8192,
         raise ParameterError(f"eps sweep supports sparse kinds, got {kind!r}")
     rows = []
     for eps in eps_grid:
-        m, s, target = eps_point(kind, d, n, eps, delta, c_m)
+        m, s, target = eps_point(kind, d, n, eps, delta)
         if m >= n:
             raise ParameterError(
                 f"sweep point eps={eps} needs m={m} >= n={n}; raise n"
@@ -233,9 +234,11 @@ def s_sweep(kind="osnap", d=16, n=4096, eps=0.5, delta=0.05,
 
 
 def grid_spec(kind, m, s, n, d, eps, delta):
-    """Spec of one (m, s) sweep point, with the degree for (d, eps, delta)."""
+    """Spec of one (m, s) sweep point; a hashing kind gets the degree for
+    (d, eps, delta)."""
     return SketchSpec(kind=kind, m=m, n=n, p=s / m,
-                      degree_k=independence_degree(d, eps, delta, s))
+                      degree_k=independence_degree(d, eps, delta, s)
+                      if kind in COLUMN_KINDS else None)
 
 
 def sweep_row(spec, d, eps, trials, seed, sampler, **extra):
@@ -275,14 +278,15 @@ def _pipeline_failures(constants, eps, delta, seed, runs=25):
     return spec, 1.0 - good / runs
 
 
-def calibrate(trials=None, seed=None, verbose=True):
+def calibrate(trials=None, seed=None):
     """Rerun the calibration sweep of :mod:`subsketch.calibration`; returns
     (constants, rows), one row per measured surface point.
 
     Each constant is searched in ascending order, with the ones already
     selected fixed; a candidate whose anchor point has m >= n or a capped
     sparsity is skipped, and the first one keeping every point of its
-    surfaces at or below delta/2 wins.  trials and seed default to
+    surfaces at or below delta/2 wins; every point and the selection are
+    printed as they are measured.  trials and seed default to
     REFERENCE's; trials below 1 raise ParameterError.
     """
     trials = REFERENCE["trials"] if trials is None else trials
@@ -297,8 +301,7 @@ def calibrate(trials=None, seed=None, verbose=True):
     def passes(stage, kind, m, s, n, eps, sampler, frac):
         rows.append({"stage": stage, "kind": kind, "m": m, "s": s, "n": n, "eps": eps,
                      "sampler": sampler, "failure_fraction": frac})
-        if verbose:
-            print(f"  {stage}: {kind} m={m} s={s} eps={eps} {sampler} -> {frac:.3f}")
+        print(f"  {stage}: {kind} m={m} s={s} eps={eps} {sampler} -> {frac:.3f}")
         return frac <= delta / 2
 
     def point(stage, kind, m, s, n, eps, sampler, salt, trials=trials):
@@ -349,6 +352,5 @@ def calibrate(trials=None, seed=None, verbose=True):
                   {"c_m": 1.0, "c_pm": 0.25})
     constants = Constants(c_m_oblivious=c["c_m"], c_s_osnap=c["c_s"], c_e_oseie=c["c_e"],
                           c_m_less=less["c_m"], c_pm_less=less["c_pm"])
-    if verbose:
-        print(f"selected: {constants}")
+    print(f"selected: {constants}")
     return constants, rows

@@ -1,23 +1,22 @@
 """Seeded hash families producing signs and uniform indices.
 
-Two families share one interface:
-
 * :class:`KWiseFamily` -- a degree-(K-1) polynomial over a prime field.
   When the coefficient vector is uniform over the field, evaluations at any
   K distinct points are jointly uniform, i.e. exactly K-wise independent.
   Coefficients are derived deterministically from a 64-bit seed through the
   splitmix64 stream, so a family is reproducible from
-  (seed, degree_k, field_modulus) alone.
-* :class:`IndependentFamily` -- a per-index splitmix64 stream standing in
-  for fully independent draws; the dense baselines read it.  The blocked
-  kinds (osnap, less-ic) hash with :class:`KWiseFamily`; the i.i.d.-entry
-  kinds draw their cells from a seeded generator in
-  :mod:`subsketch.oblivious`.
+  (seed, degree_k, field_modulus) alone.  The blocked kinds (osnap,
+  less-ic) hash with it; every other kind draws from one seeded numpy
+  generator in :mod:`subsketch.oblivious` and reads no family.
+* :class:`IndependentFamily` -- a per-index splitmix64 stream with the
+  same interface.  No sampler reads it; the benchmark's tracer still
+  wraps its ``evaluate``.
 
 Both expose ``rademacher(points)`` (signs from the low bit of the field
 element, unbiased up to 1/modulus) and ``uniform_range(points, lo, hi)``
-(fixed-point scaling of the field element onto an integer range, per-value
-bias at most (hi-lo+1)/modulus).  Evaluation is a pure function of
+(fixed-point scaling of the field element onto the integer range [lo,
+hi], per-value bias at most (hi-lo+1)/modulus; bounds that are not
+integers raise ParameterError).  Evaluation is a pure function of
 (family, point); families are immutable and safe to share across threads.
 
 The hash domain is 32-bit: a :class:`KWiseFamily` takes points below
@@ -30,6 +29,7 @@ Callers that need several mutually independent streams from one family
 with a tag bit: point = 2*index + tag.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +73,9 @@ class _SignRangeMixin:
 
     def uniform_range(self, points, lo, hi):
         """Integers uniform (up to bias <= (hi-lo+1)/modulus) on [lo, hi]."""
-        lo = int(lo)
-        hi = int(hi)
+        if any(isinstance(b, bool) or not isinstance(b, numbers.Integral) for b in (lo, hi)):
+            raise ParameterError(f"range bounds must be integers, got {lo!r} and {hi!r}")
+        lo, hi = int(lo), int(hi)
         if hi < lo:
             raise ParameterError(f"empty range [{lo}, {hi}]")
         width = hi - lo + 1
@@ -83,11 +84,6 @@ class _SignRangeMixin:
             raise ParameterError(f"range width {width} exceeds min(field modulus, 2^32) = {bound}")
         v = self.evaluate(points)
         return lo + scale_to_range(v, width, self.field_modulus).astype(np.int64)
-
-    def uniform01(self, points):
-        """Floats in (0, 1): (v + 1/2) / modulus."""
-        v = self.evaluate(points)
-        return (v.astype(np.float64) + 0.5) / float(self.field_modulus)
 
 
 @dataclass(frozen=True)

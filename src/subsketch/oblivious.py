@@ -13,9 +13,10 @@ Kinds:
 * ``less-ic`` / ``less-ie`` -- the leverage-score-adapted kinds built in
   :mod:`subsketch.less`; their spec carries the scores.
 
-The kind fixes the randomness model (``SketchSpec.family``): the blocked
-kinds in ``COLUMN_KINDS`` hash with a degree-K polynomial family, every
-other kind draws from the seeded independent model.  All builders return
+The kind fixes all of its randomness (``SketchSpec.family``): the blocked
+kinds in ``COLUMN_KINDS`` hash with a degree-(K-1) polynomial family and
+only their spec holds a K; every other kind draws from one numpy
+generator seeded by the spec (:func:`_generator`).  All builders return
 the unscaled matrix S with the global scale 1/sqrt(p*m) attached; they
 are pure functions of the spec and deterministic for a fixed seed
 regardless of execution environment.
@@ -23,16 +24,16 @@ regardless of execution environment.
 
 import importlib
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._field import HASH_DOMAIN, M61, derive_seed, scale_to_range
 from .calibration import CONSTANTS
 from .errors import ParameterError
-from .kwise import IndependentFamily, KWiseFamily
+from .kwise import KWiseFamily
 from .sketch import DenseSketch, SparseSketch
 
 # kind -> (module, builder); looked up at call time, so a wrapper installed
@@ -58,14 +59,15 @@ class SketchSpec:
 
     The less kinds adapt to leverage ``scores``; n then defaults to
     ``scores.n``.  A spec without scores (say, one read back from a file)
-    describes a less sketch but cannot build one.
+    describes a less sketch but cannot build one.  m, n, seed and degree_k
+    are integers; only the hashing ``COLUMN_KINDS`` take a K (8 when None).
     """
 
     kind: str
     m: int
     n: int = None
     p: float
-    degree_k: int = 8
+    degree_k: int = None
     seed: int = 0
     scores: object = None
 
@@ -83,13 +85,24 @@ class SketchSpec:
                 )
         if self.n is None:
             raise ParameterError(f"{self.kind} needs n")
+        if self.kind in COLUMN_KINDS:
+            if self.degree_k is None:
+                object.__setattr__(self, "degree_k", 8)
+        elif self.degree_k is not None:
+            raise ParameterError(f"{self.kind} does not hash with K; degree_k is for "
+                                 f"{' and '.join(COLUMN_KINDS)}")
+        for name in ("m", "n", "seed") + (("degree_k",) if self.degree_k is not None else ()):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.m < 1 or self.n < 1:
             raise ParameterError("m and n must be >= 1")
         if self.m > HASH_DOMAIN:  # every block width is at most m
             raise ParameterError(f"m must be at most 2^32, got {self.m}")
         if not 0.0 < self.p <= 1.0:
             raise ParameterError(f"p must be in (0, 1], got {self.p}")
-        if self.degree_k < 1:
+        if self.degree_k is not None and self.degree_k < 1:
             raise ParameterError("degree_k must be >= 1")
         if self.kind == "less-ic" and self.p >= 1.0:
             warnings.warn(
@@ -235,15 +248,20 @@ def _bernoulli_grid_positions(rng, m, q):
     return np.sort(flat) if len(found) > 1 else flat  # merges sorted runs
 
 
+def _generator(spec):
+    """The seeded generator that every kind outside ``COLUMN_KINDS`` draws from."""
+    return np.random.default_rng(derive_seed(spec.seed, 0x05E1E))
+
+
 def _bernoulli_sketch(spec, q, magnitude):
     """Sketch whose cell (i, j) is kept with probability q[j] and holds
     +-magnitude[j]; the sampler for ``ose-ie`` and ``less-ie``.
 
     The kept cells come from :func:`_bernoulli_grid_positions`, then their
-    signs, all from one generator seeded by the spec, in O(nnz + n).
+    signs, all from :func:`_generator`, in O(nnz + n).
     """
     m, n = spec.m, spec.n
-    rng = np.random.default_rng(derive_seed(spec.seed, 0x05E1E))
+    rng = _generator(spec)
     flat = _bernoulli_grid_positions(rng, m, q)
     signs = rng.integers(0, 2, size=flat.size).astype(np.float64) * 2.0 - 1.0
     cols = flat // m
@@ -268,25 +286,19 @@ def build_ose_ie(spec):
 
 
 def build_dense_baseline(spec):
-    """Dense Gaussian or Rademacher comparison matrix with entry variance p.
-
-    Entries read the independent model's stream at the even points;
-    Gaussian ones come from the inverse normal CDF of its uniforms.
-    """
+    """Dense Gaussian or Rademacher comparison matrix with entry variance p,
+    drawn row by row from :func:`_generator`."""
     if spec.kind not in DENSE_KINDS:
         raise ParameterError(
             f"build_dense_baseline needs a dense kind, got {spec.kind!r}"
         )
-    family = IndependentFamily(seed=spec.seed)
+    rng = _generator(spec)
     m, n, p = spec.m, spec.n, spec.p
-    pts = np.arange(m * n, dtype=np.uint64) * np.uint64(2)
     if spec.kind == "gaussian-dense":
-        u = family.uniform01(pts)
-        entries = ndtri(u) * math.sqrt(p)
+        entries = rng.standard_normal((m, n))
     else:
-        entries = family.rademacher(pts) * math.sqrt(p)
-    matrix = entries.reshape(n, m).T.copy()  # column-major point order
-    return DenseSketch(spec=spec, matrix=matrix, scale=1.0 / math.sqrt(p * m))
+        entries = rng.integers(0, 2, size=(m, n)).astype(np.float64) * 2.0 - 1.0
+    return DenseSketch(spec=spec, matrix=entries * math.sqrt(p), scale=1.0 / math.sqrt(p * m))
 
 
 def build(spec, columns=None):
@@ -404,5 +416,5 @@ def default_parameters(d, n, eps, delta, kind, *, scores=None, seed=0,
         )
     return SketchSpec(
         kind=kind, m=m, n=n, p=s / m, seed=seed, scores=scores,
-        degree_k=independence_degree(d, eps, delta, s),
+        degree_k=independence_degree(d, eps, delta, s) if kind in COLUMN_KINDS else None,
     )

@@ -30,10 +30,9 @@ class Overrides:
 
     m: int = None
     pm: int = None
-    degree_k: int = None
 
     def __post_init__(self):
-        for name in ("m", "pm", "degree_k"):
+        for name in ("m", "pm"):
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ParameterError(f"override {name} must be >= 1, got {v}")
@@ -129,8 +128,7 @@ def fast_subspace_embed(A, config):
     spec = default_parameters(d, n, config.eps, config.delta, config.kind,
                               scores=scores, seed=config.seed)
     m = spec.m if ov.m is None else ov.m
-    spec = replace(spec, m=m, p=(spec.s if ov.pm is None else ov.pm) / m,
-                   degree_k=spec.degree_k if ov.degree_k is None else ov.degree_k)
+    spec = replace(spec, m=m, p=(spec.s if ov.pm is None else ov.pm) / m)
     timings["parameters"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -11,8 +11,9 @@ File format (``.skt``), version 1, little-endian throughout:
     bytes 0..7    magic ``b"SKCHv001"``
     bytes 8..15   uint64 header length H
     next H bytes  UTF-8 JSON header: format, kind, m, n, p, seed,
-                  degree_k, family, scale, nnz and, for score-adapted
-                  kinds, beta1, beta2, scores_sha256
+                  degree_k (the hashing kinds osnap and less-ic only),
+                  family, scale, nnz and, for score-adapted kinds,
+                  beta1, beta2, scores_sha256
     then          indptr  int64[n + 1]
     then          rows    int64[nnz]
     then          values  float64[nnz]
@@ -67,8 +68,9 @@ class SparseSketch(_Sketch):
     rows: np.ndarray
     values: np.ndarray
     scale: float
-    # the score fields of a loaded file, whose spec holds no scores, and
-    # its family where that differs from the kind's model
+    # the header fields of a loaded file that its spec does not hold: the
+    # score fields, a family other than the kind's model, the degree_k of
+    # a kind that does not hash; save writes them back in place
     extras: dict = field(default_factory=dict)
     # sorted indices of the built columns when the build skipped the rest
     # (empty here, unlike the full sketch); None for a full sketch
@@ -105,12 +107,12 @@ class SparseSketch(_Sketch):
         header = {
             "format": FORMAT_VERSION,
             "kind": spec.kind,
-            "m": int(spec.m),
-            "n": int(spec.n),
+            "m": spec.m,
+            "n": spec.n,
             "p": float(spec.p),
-            "seed": int(spec.seed),
-            "degree_k": int(spec.degree_k),
-            "family": self.extras.get("family", spec.family),
+            "seed": spec.seed,
+            "degree_k": spec.degree_k,
+            "family": spec.family,
             "scale": float(self.scale),
             "nnz": self.nnz,
         }
@@ -118,8 +120,9 @@ class SparseSketch(_Sketch):
             header["beta1"] = float(spec.scores.beta1)
             header["beta2"] = float(spec.scores.beta2)
             header["scores_sha256"] = spec.scores.digest()
-        else:
-            header.update(self.extras)
+        header.update(self.extras)  # keys already there keep their place
+        if header["degree_k"] is None:
+            del header["degree_k"]
         return header
 
     def save(self, path):
@@ -182,19 +185,21 @@ def sketch_from_dense(matrix, scale, spec):
 
 def _header_spec(path, header):
     """The spec a ``.skt`` header describes; FormatError if it is invalid."""
-    from .oblivious import SketchSpec
+    from .oblivious import COLUMN_KINDS, SketchSpec
 
     if not isinstance(header, dict) or header.get("format") != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format")
     try:
-        if not (all(type(header[k]) is int for k in ("m", "n", "nnz", "seed", "degree_k"))
-                and all(type(header[k]) in (int, float) for k in ("p", "scale"))
-                and header["nnz"] >= 0):
+        if not (type(header["nnz"]) is int and header["nnz"] >= 0
+                and all(type(header[k]) in (int, float) for k in ("p", "scale"))):
             raise ParameterError("fields of the wrong type or sign")
         spec = SketchSpec(
-            kind=header["kind"], m=header["m"], n=header["n"], p=header["p"],
-            seed=header["seed"], degree_k=header["degree_k"],
+            kind=header["kind"], m=header["m"], n=header["n"], p=header["p"], seed=header["seed"],
+            degree_k=header["degree_k"] if header["kind"] in COLUMN_KINDS else None,
         )
+        old_k = header.get("degree_k", 1)  # older files wrote one for every kind
+        if spec.degree_k is None and (type(old_k) is not int or old_k < 1):
+            raise ParameterError(f"degree_k must be an integer >= 1, got {old_k!r}")
         if header.get("family", "kwise") not in ("kwise", "independent"):
             raise ParameterError(f"unknown family {header['family']!r}")
     except (KeyError, TypeError, ParameterError) as exc:
@@ -212,8 +217,9 @@ def load_sketch(path):
     strictly within each column, that values are finite, and that the
     payload has exactly the declared size.  The header's beta1, beta2 and
     scores_sha256 go to ``extras``, which :meth:`SparseSketch.save` writes back;
-    so does its family (``kwise`` when absent) where it differs from the
-    kind's model, as in files written before the kind fixed the model.
+    so do its family (``kwise`` when absent) where it differs from the
+    kind's model, and the degree_k of a kind that does not hash, as in
+    files written before the kind fixed the model and its K.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -251,6 +257,8 @@ def load_sketch(path):
     if not np.isfinite(values).all():
         raise FormatError(f"{path}: non-finite value")
     extras = {k: header[k] for k in _SCORE_FIELDS if k in header}
+    if spec.degree_k is None and "degree_k" in header:
+        extras["degree_k"] = header["degree_k"]
     family = header.get("family", "kwise")
     if family != spec.family:
         extras["family"] = family

@@ -328,10 +328,7 @@ def test_criterion_09_sparsity_eps_trend():
     eps_small = eps_grid[-1]
     m_small = oseie_rows[-1]["m"]
     s_without = max(1, math.ceil(ss.osnap_sparsity_target(d, eps_small, delta)))
-    spec_without = ss.SketchSpec(
-        kind="ose-ie", m=m_small, n=n, p=s_without / m_small,
-        degree_k=ss.independence_degree(d, eps_small, delta, s_without),
-    )
+    spec_without = ss.SketchSpec(kind="ose-ie", m=m_small, n=n, p=s_without / m_small)
     sampler = lambda rng: ss.coordinate_basis(n, d, rng)  # noqa: E731
     without = ss.embedding_trial(trial_builder(spec_without), sampler, 50,
                                  eps_small, seed=911)

@@ -16,7 +16,6 @@ from subsketch import (
     SketchSpec,
     SparseSketch,
     apply,
-    apply_to_vector,
     build_less_ic,
     build_ose_ie,
     build_osnap,
@@ -104,6 +103,8 @@ class TestOracleEquivalence:
 
 
 class TestVectorApply:
+    """``apply`` takes a 1-D vector as well and returns a length-m vector."""
+
     def test_basis_vector_picks_column(self):
         rng = np.random.default_rng(7)
         sk = random_sketch("osnap", rng, 16, 50, seed=2)
@@ -111,7 +112,7 @@ class TestVectorApply:
         for j in (0, 17, 49):
             e = np.zeros(50)
             e[j] = 1.0
-            np.testing.assert_allclose(apply_to_vector(sk, e), dense[:, j])
+            np.testing.assert_allclose(apply(sk, e), dense[:, j])
 
     def test_additivity(self):
         rng = np.random.default_rng(8)
@@ -120,21 +121,16 @@ class TestVectorApply:
         x[4] = 1.0
         x[31] = 1.0
         dense = sk.materialize()
-        np.testing.assert_allclose(apply_to_vector(sk, x), dense[:, 4] + dense[:, 31])
+        np.testing.assert_allclose(apply(sk, x), dense[:, 4] + dense[:, 31])
 
     def test_random_vector_oracle(self):
         rng = np.random.default_rng(9)
         sk = random_sketch("less-ic", rng, 20, 80, seed=4)
         x = rng.standard_normal(80)
         want = sk.materialize() @ x
-        got = apply_to_vector(sk, x)
+        got = apply(sk, x)
+        assert got.shape == (20,)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
-
-    def test_matrix_rejected(self):
-        rng = np.random.default_rng(10)
-        sk = random_sketch("osnap", rng, 8, 32, seed=5)
-        with pytest.raises(ParameterError):
-            apply_to_vector(sk, np.ones((32, 2)))
 
 
 class TestMaterialize:
@@ -324,7 +320,9 @@ class TestSketchFileBoundary:
         assert hashlib.sha256(raw).hexdigest() == (
             "ade5931745cdb08e403381d6920bdac07d4b7cd04959eaabc53909a7b8ecbf5b")
         sk = load_sketch(path)
-        assert sk.spec.family == "independent" and sk.extras == {"family": "kwise"}
+        # its K, which ose-ie never read, moves to extras with the old family
+        assert sk.spec.family == "independent" and sk.spec.degree_k is None
+        assert sk.extras == {"degree_k": 8, "family": "kwise"}
         _, indptr, rows, values = _skt_parts(path)
         S = scipy.sparse.csc_matrix((values, rows, indptr), shape=(8, 12)).toarray()
         A = np.arange(36.0).reshape(12, 3)
@@ -339,7 +337,15 @@ class TestSketchFileBoundary:
         assert load_sketch(tmp_path / "osnap.skt").extras == {}
         header["kind"] = "ose-ie"  # a kind of the independent model
         _write_skt(tmp_path / "ose-ie.skt", header, indptr, rows, values)
-        assert load_sketch(tmp_path / "ose-ie.skt").extras == {"family": "kwise"}
+        assert load_sketch(tmp_path / "ose-ie.skt").extras == {"degree_k": 8, "family": "kwise"}
+
+    @pytest.mark.parametrize("value", [2.5, "8", 0, True])
+    def test_old_k_of_a_kind_that_does_not_hash_is_checked(self, valid, tmp_path, value):
+        header, indptr, rows, values = _skt_parts(valid)
+        header |= {"kind": "ose-ie", "degree_k": value}
+        _write_skt(tmp_path / "ose-ie.skt", header, indptr, rows, values)
+        with pytest.raises(FormatError, match="degree_k"):
+            load_sketch(tmp_path / "ose-ie.skt")
 
     def test_rewritten_valid_file_still_loads(self, valid, tmp_path):
         # the corruption helpers themselves leave a valid file valid

@@ -91,11 +91,12 @@ class TestSketchCommand:
 
     @pytest.mark.parametrize("kind", ["osnap", "ose-ie"])
     def test_default_degree_k_keeps_the_bytes(self, tmp_path, kind):
-        # without --degree-k every kind's header still records K = 8
+        # without --degree-k the CLI writes the library's default spec: K = 8
+        # for osnap, no K for ose-ie
         out = tmp_path / "s.skt"
         assert main(["sketch", "--kind", kind, "--m", "8", "--n", "16", "--s", "2",
                      "--seed", "3", "--out", str(out)]) == EXIT_OK
-        spec = SketchSpec(kind=kind, m=8, n=16, p=0.25, seed=3, degree_k=8)
+        spec = SketchSpec(kind=kind, m=8, n=16, p=0.25, seed=3)
         ss.build(spec).save(tmp_path / "lib.skt")
         assert out.read_bytes() == (tmp_path / "lib.skt").read_bytes()
 

@@ -6,9 +6,11 @@ for the dense baselines.  A change to any of them changes the sketches
 every existing seed produces, so it has to be a deliberate, documented
 format or sampling change.  The ``less-ie`` sketch itself is left out:
 its sampler changed when these digests were recorded, and that draw
-change is documented rather than pinned.  The dense baselines read the
-independent model, which their kind fixes; ``rademacher-dense`` was
-re-recorded when the kind took over that choice from a spec field.
+change is documented rather than pinned.  Every kind outside the hashing
+osnap and less-ic draws from one seeded numpy generator and has no K: the
+dense baselines were re-recorded when they moved onto that generator, and
+``ose-ie-independent`` when its header stopped writing a K (its payload
+kept its bytes).
 
 The pipeline digests pin ``fast_subspace_embed`` on a sparse input that
 touches under 4% of its rows.  They were recorded while every build still
@@ -16,7 +18,8 @@ hashed all n columns, so they hold the column-restricted builds the
 pipeline makes for sparse inputs to the full build's output.  The
 ose-ie, less-ie and gaussian-dense pipeline digests, the ``bench --sweep``
 CSVs and the ``run_config`` reports pin the parameters each kind gets by
-default, end to end.
+default, end to end; the ose-ie and less-ie reports were re-recorded when
+they stopped reporting a K.
 """
 
 import hashlib
@@ -41,15 +44,15 @@ CASES = {
     ),
     "ose-ie-independent": (
         dict(kind="ose-ie", m=24, n=40, p=0.3, seed=17),
-        "9ef66df68aeba1ebe40af66fd83acc2b00b0aaf4af1bac86e1f6c5aca983f565",
+        "bb59fbc8503745abd0ccb4df2317b78e3ce7da237a4c9dd4e5eb0cd12579a861",
     ),
     "gaussian-dense": (
         dict(kind="gaussian-dense", m=16, n=20, p=1.0, seed=15),
-        "4d8a0f2f309c5d6cb3abd701b3952fb7a74da77ff2f3ddafda827b49322f4fae",
+        "5300a4e7c2bdb6597a2b341ade2817ff36aeeabd9ef1e55b3b9144ba61a3f912",
     ),
     "rademacher-dense": (
-        dict(kind="rademacher-dense", m=16, n=20, p=0.5, degree_k=8, seed=16),
-        "5ae7609b5febcbf0e9c2fd6966b84691217b958448a97aa51ee71599f9457919",
+        dict(kind="rademacher-dense", m=16, n=20, p=0.5, seed=16),
+        "8f28e1062639c79bce6063eee34cedd7312ef350605366388c9939790de09067",
     ),
 }
 
@@ -84,7 +87,7 @@ PIPELINE_CASES = {
     # the kinds built in full, pinned on the parameters they get by default
     "ose-ie": ("f7d3da1305611798651f5a2ac2f5d155d1e70d1955f7c32fa25cfe70b04c1967", 130729),
     "less-ie": ("b8956a65f26d0dea45b0008bba55c541a7fbd8205c628a1e6c49b91e4ce8e76d", 3900),
-    "gaussian-dense": ("3f54e01b2460f7989d83e0e224ffb748d5f7eebf44d09f3d1c456da0fc53f83c",
+    "gaussian-dense": ("c483fb86b82f059acd8202d6c0e8a60c651fe6d30a9865462fc1b192e7a2da95",
                        720896),
 }
 
@@ -128,13 +131,13 @@ def test_golden_sweep_csv(name, tmp_path):
 # kind, and with an explicit m
 CONFIG_CASES = {
     ("embedding", "osnap"): "852099e5ff8397e3a04084e2bb338d63e88e88d7756049f843e7ec90995ea891",
-    ("embedding", "ose-ie"): "84ea24381f9e9bc2aff73b22c3c3fa13da5d2f7136c8d250000b8c923ac07652",
+    ("embedding", "ose-ie"): "7ed498732c6015085b23cebcf3afb6c2f60ede62ab7833a43e7e9f8af7b829d4",
     ("embedding", "less-ic"): "264e9db2ffb34f87d744bcffe53f850cd4e8ad97cf0f9242ae9b167492963aef",
-    ("embedding", "less-ie"): "05ae7cb89c04c4dfecd9879e69073f18803dedb42d1e761caad8ce7c6860e815",
+    ("embedding", "less-ie"): "328cc1c70dbeda2c3aa47f59345874029d255576359df69a87117a31040f3a66",
     ("trace_moment", "osnap"): "c44a4da33db5ea485a6adcfc839df7a338aca2af3165b48d2a0f59a932b97aa8",
-    ("trace_moment", "ose-ie"): "770a948f9ca635e6b321511bd68d20158419a1d1ffd7afdec720352c0ef347fc",
+    ("trace_moment", "ose-ie"): "b084eeba3f00e3e67d63c15da5fae0ef401d258c1840819ca27cc82c130708a9",
     ("trace_moment", "less-ic"): "79af10915019eb51b20ed3f583a1e7da0e635e9f89c00d77ce1bd9732e3b54de",
-    ("trace_moment", "less-ie"): "2caeca04057846bdc59d9a4457f61036f330788c3d3028363c55400db51e46f8",
+    ("trace_moment", "less-ie"): "fb40bce4c01272067e8c7a6a8b601e7bcf8fcfebbddbdc21ff3f482732ef7579",
 }
 
 

@@ -475,6 +475,19 @@ class TestStreamStatistics:
         with pytest.raises(ParameterError):
             fam.uniform_range(9, 4, 3)[0]
 
+    @pytest.mark.parametrize("lo, hi", [(0.5, 9.9), (0, 9.0), (np.float64(0), 9), (False, 9)])
+    def test_non_integer_bounds_rejected(self, lo, hi):
+        # (0.5, 9.9) once drew silently on [0, 9]
+        fam = KWiseFamily(seed=5, degree_k=4)
+        with pytest.raises(ParameterError, match="integers"):
+            fam.uniform_range(np.arange(10, dtype=np.uint64), lo, hi)
+
+    def test_numpy_integer_bounds_accepted(self):
+        fam = KWiseFamily(seed=5, degree_k=4)
+        pts = np.arange(100, dtype=np.uint64)
+        assert np.array_equal(fam.uniform_range(pts, np.int64(2), np.uint32(11)),
+                              fam.uniform_range(pts, 2, 11))
+
     def test_range_bias_bound(self):
         # width 3 on M61: each value within 4 SE + deterministic bias 3/M61
         fam = KWiseFamily(seed=31, degree_k=8)

@@ -1,5 +1,6 @@
 """Oblivious sketch builders: structure, moments, parameter defaults."""
 
+import json
 import math
 import warnings
 
@@ -8,8 +9,10 @@ import pytest
 
 from subsketch import (
     IndependentFamily,
+    LeverageScores,
     ParameterError,
     SketchSpec,
+    build,
     build_dense_baseline,
     build_ose_ie,
     build_osnap,
@@ -41,6 +44,83 @@ class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             SketchSpec(kind="fft", m=4, n=4, p=0.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", 8.0), ("n", 4.5), ("seed", 1.5), ("degree_k", 2.5),
+        ("m", True), ("seed", "3"), ("degree_k", np.float64(8.0)),
+    ])
+    def test_integer_fields(self, field, value):
+        # m=8.0, n=4.5 and seed=1.5 once passed the spec and raised TypeError
+        # deep in the build; degree_k=2.5 was written into the .skt header
+        fields = dict(kind="osnap", m=8, n=4, p=0.25) | {field: value}
+        with pytest.raises(ParameterError, match=field):
+            SketchSpec(**fields)
+
+    def test_numpy_integers_become_ints(self):
+        spec = SketchSpec(kind="osnap", m=np.int64(8), n=np.uint32(4), p=0.25,
+                          seed=np.int32(3), degree_k=np.int16(5))
+        assert [type(v) for v in (spec.m, spec.n, spec.seed, spec.degree_k)] == [int] * 4
+        assert (spec.m, spec.n, spec.seed, spec.degree_k) == (8, 4, 3, 5)
+
+
+# kind: (hashes with a K, built as a SparseSketch with a .skt form)
+RANDOMNESS = {
+    "osnap": (True, True),
+    "less-ic": (True, True),
+    "ose-ie": (False, True),
+    "less-ie": (False, True),
+    "gaussian-dense": (False, False),
+    "rademacher-dense": (False, False),
+}
+SCORES = LeverageScores(z=np.linspace(0.05, 1.0, 64))
+
+
+def _fields(kind, **extra):
+    scores = dict(scores=SCORES) if kind.startswith("less") else dict(n=64)
+    return dict(kind=kind, m=16, p=0.25, **scores, **extra)
+
+
+class TestKindFixesTheRandomness:
+    def test_table_covers_every_kind(self):
+        from subsketch.oblivious import COLUMN_KINDS, KINDS
+
+        assert set(RANDOMNESS) == set(KINDS)
+        assert {k for k, (hashes, _) in RANDOMNESS.items() if hashes} == set(COLUMN_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(RANDOMNESS))
+    def test_default_parameters_set_k_only_for_hashing_kinds(self, kind):
+        hashes, _ = RANDOMNESS[kind]
+        spec = default_parameters(4, 256, 0.5, 0.1, kind)
+        want = independence_degree(4, 0.5, 0.1, spec.s) if hashes else None
+        assert spec.degree_k == want
+
+    @pytest.mark.parametrize("kind", sorted(RANDOMNESS))
+    def test_k_only_on_hashing_kinds(self, kind):
+        hashes, _ = RANDOMNESS[kind]
+        assert SketchSpec(**_fields(kind)).degree_k == (8 if hashes else None)
+        if hashes:
+            assert SketchSpec(**_fields(kind, degree_k=3)).degree_k == 3
+        else:
+            with pytest.raises(ParameterError, match="does not hash with K"):
+                SketchSpec(**_fields(kind, degree_k=8))
+
+    @pytest.mark.parametrize("kind", sorted(k for k, (_, sparse) in RANDOMNESS.items() if sparse))
+    def test_header_carries_k_only_for_hashing_kinds(self, kind, tmp_path):
+        hashes, _ = RANDOMNESS[kind]
+        path = tmp_path / "s.skt"
+        build(SketchSpec(**_fields(kind, seed=5))).save(path)
+        raw = path.read_bytes()
+        header = json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])
+        assert ("degree_k" in header) == hashes
+        assert header.get("degree_k") == (8 if hashes else None)
+
+    @pytest.mark.parametrize("kind", sorted(k for k, (_, sparse) in RANDOMNESS.items()
+                                            if not sparse))
+    def test_dense_baselines_repeat_per_seed(self, kind):
+        first, again, other = (build(SketchSpec(**_fields(kind, seed=seed))).matrix
+                               for seed in (7, 7, 8))
+        assert first.tobytes() == again.tobytes()
+        assert first.tobytes() != other.tobytes()
 
 
 class TestOsnapStructure:

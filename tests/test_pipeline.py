@@ -84,7 +84,7 @@ class TestFastSubspaceEmbed:
         assert report.m == 512
         assert report.pm == pytest.approx(64)
 
-    @pytest.mark.parametrize("name", ["m", "pm", "degree_k"])
+    @pytest.mark.parametrize("name", ["m", "pm"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_out_of_range_override_rejected(self, name, value):
         # a zero override once fell back to the default without a word
@@ -131,7 +131,7 @@ def test_overrides_reach_the_built_sketch(sparse_tall, monkeypatch, kind):
     # the pipeline may also hold its own reference to the builder
     monkeypatch.setattr(subsketch.pipeline, name, recording, raising=False)
     config = PipelineConfig(eps=0.5, delta=0.05, seed=12, kind=kind,
-                            overrides=Overrides(m=256, pm=32, degree_k=24))
+                            overrides=Overrides(m=256, pm=32))
     _, report = fast_subspace_embed(sparse_tall, config)
-    assert [sk.spec.degree_k for sk in built] == [24]
+    assert len(built) == 1
     assert (built[0].m, built[0].spec.s, report.m) == (256, 32, 256)
