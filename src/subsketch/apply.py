@@ -28,8 +28,10 @@ def touched_rows(A):
 def apply(sketch, A):
     """(scale * S) @ A as a dense (m x d) array (length m for a vector A).
 
-    ParameterError if A holds NaN or Inf, or if the sketch was built on a
-    subset of columns and A has a stored entry in a row outside it.
+    A sketch built on columns J multiplies only S[:, J] by A[J], in
+    O(|J| + nnz) for a scipy.sparse A, adding the full product's terms in
+    its order.  ParameterError if A holds NaN or Inf, or if such a sketch
+    meets a stored entry (a nonzero, for a dense A) in a row outside J.
     """
     A_rows = A.shape[0]
     if A_rows != sketch.n:
@@ -41,26 +43,32 @@ def apply(sketch, A):
         raise ParameterError("input matrix holds NaN or Inf entries")
     if isinstance(sketch, DenseSketch):
         out = sketch.matrix @ A
-    else:
-        if sketch.columns is not None:
-            _check_support(sketch, A)
+    elif sketch.columns is None:
         out = sketch.tocsc() @ A
+    else:
+        out = _restricted_product(sketch, A)
     if scipy.sparse.issparse(out):
         out = out.toarray()
     return sketch.scale * np.asarray(out)
 
 
-def _check_support(sketch, A):
-    """ParameterError unless every row A touches is a built sketch column."""
-    rows = touched_rows(A)
-    if rows is None:
-        rows = np.flatnonzero(A if A.ndim == 1 else np.any(A, axis=1))
-    outside = np.ones(sketch.n, dtype=bool)
-    outside[sketch.columns] = False
-    if outside[rows].any():
-        raise ParameterError(
-            "input touches a row outside the columns the sketch was built on"
-        )
+def _nnz(A):
+    """Stored entries of a scipy.sparse A, nonzeros of a dense one."""
+    return int(A.nnz) if scipy.sparse.issparse(A) else int(np.count_nonzero(A))
+
+
+def _restricted_product(sketch, A):
+    """S[:, J] @ A[J] for a sketch built on columns J; ParameterError
+    unless A[J] holds every entry of A."""
+    J = sketch.columns
+    A = A.tocsr() if scipy.sparse.issparse(A) else A
+    A_J = A[J]
+    if _nnz(A_J) != _nnz(A):
+        raise ParameterError("input touches a row outside the columns the sketch was built on")
+    # the columns outside J are empty, so column J[k] ends where J[k + 1] begins
+    indptr = np.append(sketch.indptr[J], sketch.nnz)
+    S_J = scipy.sparse.csc_matrix((sketch.values, sketch.rows, indptr), shape=(sketch.m, J.size))
+    return S_J @ A_J
 
 
 def load_matrix(path):

@@ -40,8 +40,12 @@ def _scores(spec, kind):
 
 def block_heights(spec):
     """b_j per column; values above m behave identically to m."""
-    scores = _scores(spec, "less-ic")
-    denom = scores.beta1 * spec.p * scores.z
+    return _heights(spec, _scores(spec, "less-ic").z)
+
+
+def _heights(spec, z):
+    """b_j for the scores ``z`` of some columns; the formula is elementwise."""
+    denom = spec.scores.beta1 * spec.p * z
     raw = np.floor(1.0 / np.maximum(denom, 1.0 / (4.0 * spec.m)))
     return np.minimum(np.maximum(raw, 1.0), spec.m).astype(np.int64)
 
@@ -56,10 +60,11 @@ def subcolumn_layout(spec, j):
 
     lo and hi are 1-based inclusive row bounds; consecutive blocks tile
     [1, m] with the last block truncated at m.  alpha = sqrt(p * width).
+    Only column j's height is computed, so a call costs O(s_j), not O(n).
     """
     if not 0 <= j < spec.n:
         raise ParameterError(f"column index {j} out of range [0, {spec.n})")
-    b = int(block_heights(spec)[j])
+    b = int(_heights(spec, _scores(spec, "less-ic").z[j:j + 1])[0])
     s_j = -(-spec.m // b)
     out = []
     for gamma in range(1, s_j + 1):

@@ -114,10 +114,12 @@ def _sketch_r_factor(A, d, n, seed, attempt, columns):
 def approx_leverage(A, gamma, *, seed=0, safety=2.0):
     """Coarse scores with beta1 = O(n^gamma), beta2 = O(1).
 
-    Sketch A (for a scipy.sparse A, hashing only the sketch columns of
-    the rows A touches), take R from a QR of the sketch, and estimate the
-    row norms of A R^-1 with ceil(4/gamma) Gaussian test vectors;
-    estimates are inflated by ``safety`` and clamped to [0, 1].  The claimed beta1 is
+    Sketch A, take R from a QR of the sketch, and estimate the row norms
+    of A R^-1 with ceil(4/gamma) Gaussian test vectors; estimates are
+    inflated by ``safety`` and clamped to [0, 1].  For a scipy.sparse A
+    the sketch hashes only the columns J of the rows A touches, and
+    A[J] R^-1 G is formed on J alone: every other score is exactly 0, as
+    the full product gives.  The claimed beta1 is
     max(2 n^gamma, 4); beta2 is reported as measured, max(1, sum(z)/d).
     """
     if not 0.0 < gamma < 1.0:
@@ -141,8 +143,10 @@ def approx_leverage(A, gamma, *, seed=0, safety=2.0):
     rng = np.random.default_rng(derive_seed(seed, 0x7E57))
     G = rng.standard_normal((d, k)) / math.sqrt(k)
     W = scipy.linalg.solve_triangular(R, G, lower=False)
-    E = np.asarray(A @ W)
-    est = np.einsum("ij,ij->i", E, E)
+    J = slice(None) if columns is None else columns  # E_i = 0 exactly off J
+    E = np.asarray((A if columns is None else A.tocsr())[J] @ W)
+    est = np.zeros(n)
+    est[J] = np.einsum("ij,ij->i", E, E)
     z = np.clip(safety * est, 0.0, 1.0)
     beta1 = max(safety * n**gamma, 4.0)
     beta2 = max(1.0, float(z.sum()) / d)

@@ -61,6 +61,9 @@ class SketchSpec:
     ``scores.n``.  A spec without scores (say, one read back from a file)
     describes a less sketch but cannot build one.  m, n, seed and degree_k
     are integers; only the hashing ``COLUMN_KINDS`` take a K (8 when None).
+    Seeds are taken mod 2^64: s and s + 2^64 build the same sketch (seed
+    -1 that of 2^64 - 1), while the spec and a ``.skt`` header keep the
+    seed as given.
     """
 
     kind: str
@@ -141,46 +144,56 @@ def blocked_entries(spec, heights, columns=None):
     """Hashed entries of a blocked one-hot sketch; the sampler of ``osnap``
     and ``less-ic``.
 
-    Column j is cut from the top into blocks of height heights[j], the
-    last one truncated at m, and each block holds one entry.  Block gamma
-    of column j is entry t = offset_j + gamma, with offset the exclusive
-    cumsum of the block counts over all n columns; its sign comes from
-    hash point 2t and its row within the block from point 2t + 1, so a
-    column's entries do not depend on which other columns are built.
-    Only ``columns`` (all when None) are hashed; they must be strictly
-    increasing integers in [0, n), or ParameterError; so is a sketch of
-    2^31 or more entries, whose points would leave the 32-bit hash domain.
+    Column j is cut from the top into blocks of height heights[j] (a
+    scalar: the same for every column), the last one truncated at m, and
+    each block holds one entry.  Block gamma of column j is entry
+    t = offset_j + gamma, with offset the exclusive cumsum of the block
+    counts over all n columns; its sign comes from hash point 2t and its
+    row within the block from point 2t + 1, so a column's entries do not
+    depend on which other columns are built.  Only ``columns`` (all when
+    None) are laid out and hashed: past the n + 1 column pointers (and the
+    cumsum of per-column counts) the cost follows the built entries.
+    They must be strictly increasing integers in [0, n), or
+    ParameterError; so is a sketch of 2^31 or more entries, whose points
+    would leave the 32-bit hash domain.
     Returns the n + 1 column pointers, the rows, the signs and the block
     width of each built entry, and ``columns`` as int64 (or None).
     """
-    counts = -(-spec.m // heights)
-    total = int(counts.sum())
-    if total >= HASH_DOMAIN // 2:  # entry t hashes points 2t and 2t + 1
-        raise ParameterError(f"a blocked sketch holds at most 2^31 - 1 entries, got {total}")
-    kept = counts
-    if columns is not None:
-        bad = ParameterError(f"columns must be strictly increasing integers in [0, {counts.size})")
+    n = spec.n
+    if columns is None:
+        built = np.arange(n, dtype=np.int64)
+    else:
+        bad = ParameterError(f"columns must be strictly increasing integers in [0, {n})")
         cols = np.asarray(columns)
         if cols.ndim != 1 or not (cols.size == 0 or np.issubdtype(cols.dtype, np.integer)):
             raise bad
-        columns = cols.astype(np.int64)  # before diff: unsigned differences wrap
+        columns = built = cols.astype(np.int64)  # before diff: unsigned differences wrap
         if columns.size and (np.any(np.diff(columns) <= 0) or columns[0] < 0
-                             or columns[-1] >= counts.size):
+                             or columns[-1] >= n):
             raise bad
-        kept = np.zeros(counts.size, dtype=np.int64)
-        kept[columns] = counts[columns]
-    indptr = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(kept, out=indptr[1:])
-    t = np.arange(indptr[-1], dtype=np.uint64)
-    if columns is not None:  # shift each column's run from indptr_j to offset_j
-        shift = np.cumsum(counts) - counts - indptr[:-1]
-        t += np.repeat(shift.astype(np.uint64), kept)
+    counts = -(-spec.m // heights)
+    if np.ndim(heights) == 0:  # column j starts at entry counts * j
+        total, kept, start = n * counts, np.full(built.size, counts), built * counts
+    else:
+        ends = np.cumsum(counts)
+        total, kept, heights = int(ends[-1]), counts[built], heights[built]
+        start = ends[built] - kept
+    if total >= HASH_DOMAIN // 2:  # entry t hashes points 2t and 2t + 1
+        raise ParameterError(f"a blocked sketch holds at most 2^31 - 1 entries, got {total}")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[built + 1] = kept
+    np.cumsum(indptr, out=indptr)
+    first = indptr[built]  # where each built column's entries begin
+    t = np.arange(indptr[-1], dtype=np.uint64)  # a full build's points stay in progression
+    if columns is not None:  # shift each column's run from first_j to offset_j
+        t += np.repeat((start - first).astype(np.uint64), kept)
+    del built, start  # n long on a full build; not held through the hashing
     family = KWiseFamily(seed=spec.seed, degree_k=spec.degree_k)
     signs = family.rademacher(t * np.uint64(2))
     field = family.evaluate(t * np.uint64(2) + np.uint64(1))
     # laid out after the hashing, so these arrays do not add to its peak memory
-    lo = np.arange(indptr[-1], dtype=np.int64) - np.repeat(indptr[:-1], kept)  # block gamma
-    width = np.repeat(heights, kept)
+    lo = np.arange(indptr[-1], dtype=np.int64) - np.repeat(first, kept)  # block gamma
+    width = heights if np.ndim(heights) == 0 else np.repeat(heights, kept)
     lo *= width  # 0-based block start
     width = np.minimum(lo + width, spec.m) - lo
     rows = lo + scale_to_range(field, width.view(np.uint64), M61).astype(np.int64)
@@ -196,8 +209,7 @@ def build_osnap(spec, columns=None):
     """
     if spec.kind != "osnap":
         raise ParameterError(f"build_osnap needs kind 'osnap', got {spec.kind!r}")
-    heights = np.full(spec.n, spec.m // spec.s, dtype=np.int64)
-    indptr, rows, signs, _, columns = blocked_entries(spec, heights, columns)
+    indptr, rows, signs, _, columns = blocked_entries(spec, spec.m // spec.s, columns)
     return SparseSketch(
         spec=spec,
         indptr=indptr,

@@ -14,11 +14,11 @@ import scipy.linalg
 import scipy.sparse
 
 from ._field import derive_seed
+from .apply import _nnz, touched_rows
 from .apply import apply as _apply
-from .apply import touched_rows
 from .errors import ParameterError
 from .leverage import approx_leverage
-from .less import build_less_ic, column_sparsities
+from .less import build_less_ic
 from .oblivious import COLUMN_KINDS, LESS_KINDS, build, default_parameters
 
 PIPELINE_KINDS = ("osnap", "ose-ie", "less-ic", "less-ie", "gaussian-dense")
@@ -78,12 +78,6 @@ class PipelineReport:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def _nnz(A):
-    if scipy.sparse.issparse(A):
-        return int(A.nnz)
-    return int(np.count_nonzero(A))
-
-
 def _r_factor(A):
     """R of a QR factorization of A, which must have full column rank."""
     dense = A.toarray() if scipy.sparse.issparse(A) else np.asarray(A)
@@ -104,9 +98,11 @@ def _validate_distortion(R, A_tilde):
 def fast_subspace_embed(A, config):
     """Compute A_tilde = Pi A with the score-adapted pipeline.
 
-    For a scipy.sparse A, the osnap and less-ic sketches are built only
-    on the columns of the rows A touches; ``nnz_sketch`` in the report
-    still counts the full sketch.  Returns (A_tilde, PipelineReport).
+    For a scipy.sparse A, the cost beyond single passes over n follows
+    the rows J that A touches and the entries built: the leverage
+    estimate runs on J, the osnap and less-ic sketches are built and
+    applied on the columns J only, and ``nnz_sketch`` in the report still
+    counts the full sketch.  Returns (A_tilde, PipelineReport).
     Stage names in the report:
     ``leverage``, ``parameters``, ``build``, ``apply`` and optionally
     ``validate``.
@@ -152,7 +148,8 @@ def fast_subspace_embed(A, config):
     total = time.perf_counter() - t_total
     nnz_sketch = sketch.nnz
     if columns is not None:  # count the full sketch without hashing it
-        nnz_sketch = int(spec.n * spec.s if spec.kind == "osnap" else column_sparsities(spec).sum())
+        # a less-ic column off J has score 0, so it is a single block of height m
+        nnz_sketch = spec.n * spec.s if spec.kind == "osnap" else sketch.nnz + n - columns.size
     report = PipelineReport(
         kind=config.kind,
         m=spec.m,

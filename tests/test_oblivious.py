@@ -62,6 +62,13 @@ class TestSpecValidation:
         assert [type(v) for v in (spec.m, spec.n, spec.seed, spec.degree_k)] == [int] * 4
         assert (spec.m, spec.n, spec.seed, spec.degree_k) == (8, 4, 3, 5)
 
+    def test_seeds_are_taken_mod_2_64(self):
+        # the spec keeps the seed as given; the draws read it mod 2^64
+        wrapped = osnap_spec(16, 32, 4, seed=2**64)
+        assert wrapped.seed == 2**64
+        zero = osnap_spec(16, 32, 4, seed=0)
+        assert np.array_equal(build_osnap(wrapped).materialize(), build_osnap(zero).materialize())
+
 
 # kind: (hashes with a K, built as a SparseSketch with a .skt form)
 RANDOMNESS = {

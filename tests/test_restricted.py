@@ -5,6 +5,8 @@ byte, and be empty elsewhere; the restricted sketch is never saved and
 refuses an input that touches a row outside J.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -22,6 +24,7 @@ from subsketch import (
     build_less_ic,
     build_osnap,
     fast_subspace_embed,
+    touched_rows,
 )
 
 N = 60
@@ -163,3 +166,47 @@ def test_leverage_restricted_to_touched_rows():
     dense = approx_leverage(A.toarray(), 0.25, seed=4)
     np.testing.assert_allclose(sparse.z, dense.z, rtol=1e-10, atol=1e-14)
     assert sparse.beta1 == dense.beta1
+    # the estimate is formed on the touched rows alone: exactly 0 elsewhere
+    off = np.ones(A.shape[0], dtype=bool)
+    off[touched_rows(A)] = False
+    assert off.sum() > A.shape[0] // 2
+    assert np.all(sparse.z[off] == 0.0) and np.all(sparse.z[~off] > 0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+@pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+def test_compact_product_is_the_full_product(kind, fmt):
+    builder, make_spec = BUILDERS[kind]
+    spec = make_spec(6)
+    A = scipy.sparse.random(N, 5, density=0.05, random_state=np.random.default_rng(2),
+                            format=fmt)
+    part = builder(spec, columns=touched_rows(A))
+    assert part.columns.size < N
+    assert np.array_equal(apply(part, A), apply(builder(spec), A))
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+@pytest.mark.parametrize("fmt", ["csc", "coo"])
+def test_explicit_zero_outside_columns_rejected_in_any_format(kind, fmt):
+    # row 8 holds only an explicit zero: still a stored entry outside J
+    builder, make_spec = BUILDERS[kind]
+    part = builder(make_spec(2), columns=[1, 4, 7])
+    A = scipy.sparse.coo_matrix(([1.0, 2.0, 0.0], ([1, 7, 8], [0, 1, 1])), shape=(N, 2))
+    with pytest.raises(ParameterError):
+        apply(part, A.asformat(fmt))
+
+
+def test_restricted_build_memory_does_not_scale_with_n():
+    # only the n + 1 column pointers may grow with n
+    n = 1 << 22
+    spec = SketchSpec(kind="osnap", m=64, n=n, p=4 / 64, degree_k=8, seed=3)
+    J = np.arange(0, n, n // 64)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        part = build_osnap(spec, columns=J)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert part.nnz == 4 * 64
+    assert peak < 2 * (n + 1) * 8, peak / ((n + 1) * 8)
