@@ -57,7 +57,7 @@ from .diagnostics import (
     spiked_basis,
     trace_moment,
 )
-from .pipeline import Overrides, PipelineConfig, PipelineReport, fast_subspace_embed
+from .pipeline import PipelineConfig, PipelineReport, fast_subspace_embed
 from .calibration import CONSTANTS
 
 __all__ = [
@@ -107,7 +107,6 @@ __all__ = [
     "spiked_basis",
     "PipelineConfig",
     "PipelineReport",
-    "Overrides",
     "fast_subspace_embed",
     "CONSTANTS",
     "ParameterError",

@@ -22,11 +22,10 @@ pin the result here.  The procedure (reproducible via
 The constants are searched in turn -- c_m on the Gaussian baseline, c_s on
 osnap, c_e on ose-ie, then (c_m_less, c_pm_less) pairs on less-ic -- each
 with the ones already selected fixed; a candidate whose anchor point has
-m >= n or a sparsity capped at m is skipped.  Anchor points take the
-parameters of :func:`subsketch.oblivious.default_parameters`, eps-grid
-points those of :func:`subsketch.experiments.eps_point` (the eps sweep's
-rule), and the pipeline surface builds from ``default_parameters`` with
-the approximate scores.
+m >= n or a sparsity capped at m is skipped.  Every point takes its spec
+from :func:`subsketch.oblivious.default_parameters`: anchor points its
+defaults, eps-grid points (the eps sweep's rule) a pinned
+m = ceil(C_m d/eps^2), and the pipeline surface the approximate scores.
 
 :func:`subsketch.experiments.calibrate` reruns the sweep and reports the
 selected constants; the pinned values below are its output for the seed

@@ -21,7 +21,7 @@ from .errors import FormatError, ParameterError
 from .experiments import calibrate, eps_sweep, m_sweep, nnz_sweep, run_config, s_sweep
 from .leverage import LeverageScores, approx_leverage, exact_leverage
 from .oblivious import LESS_KINDS, SketchSpec, build
-from .pipeline import PIPELINE_KINDS, Overrides, PipelineConfig, fast_subspace_embed
+from .pipeline import PIPELINE_KINDS, PipelineConfig, fast_subspace_embed
 from .sketch import load_sketch
 
 EXIT_OK = 0
@@ -86,8 +86,8 @@ def _build_parser():
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--gamma", type=float, default=0.25)
     p.add_argument("--kind", default="less-ic", choices=PIPELINE_KINDS)
-    p.add_argument("--m", type=int, help="override embedding dimension")
-    p.add_argument("--pm", type=int, help="override sparsity p*m")
+    p.add_argument("--m", type=int, help="pin the embedding dimension")
+    p.add_argument("--pm", type=int, help="pin the sparsity p*m")
     p.add_argument("--validate", action="store_true",
                    help="also measure distortion against an exact basis")
     p.add_argument("--report", help="write the run report JSON here")
@@ -204,8 +204,7 @@ def _cmd_pipeline(args):
     A = load_matrix(args.matrix_file)
     config = PipelineConfig(
         eps=args.eps, delta=args.delta, gamma=args.gamma, seed=args.seed,
-        kind=args.kind, overrides=Overrides(m=args.m, pm=args.pm),
-        validate=args.validate,
+        kind=args.kind, m=args.m, pm=args.pm, validate=args.validate,
     )
     A_tilde, report = fast_subspace_embed(A, config)
     save_matrix(args.out, A_tilde)

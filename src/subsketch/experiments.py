@@ -12,6 +12,8 @@ A JSON experiment config (schema_version 1) selects one driver:
      "kind": "...", "d": 8, "n": 128, "m": 64, "s": 16, "q": 1,
      "trials": 500, "seed": 1}
 
+``m`` and ``s`` pin the dimension and sparsity of the
+:func:`~subsketch.oblivious.default_parameters` spec (null: its default).
 ``embedding`` reports a failure fraction and distortion quantiles and
 passes when the fraction is at or below ``target`` (default: delta; a
 target outside [0, 1] is a ParameterError).
@@ -34,17 +36,7 @@ from .calibration import CONSTANTS, REFERENCE, Constants
 from .errors import FormatError, ParameterError
 from .kwise import derive_seed
 from .leverage import approx_leverage, exact_leverage
-from .oblivious import (
-    COLUMN_KINDS,
-    LESS_KINDS,
-    SketchSpec,
-    build,
-    check_dimensions,
-    default_parameters,
-    independence_degree,
-    round_parameters,
-    sparsity_target,
-)
+from .oblivious import LESS_KINDS, SketchSpec, build, default_parameters, sparsity_target
 from .diagnostics import SAMPLERS, decoupled_gamma_moment, embedding_trial, trace_moment
 from .pipeline import _r_factor, _validate_distortion
 
@@ -105,13 +97,8 @@ def run_config(cfg):
     sampler_name = _get(cfg, "sampler", str, "haar")
     if sampler_name not in SAMPLERS:
         raise ParameterError(f"unknown sampler {sampler_name!r}")
-    spec = default_parameters(d, n, eps, delta, kind, seed=seed)
-    m, s = _get(cfg, "m", int), _get(cfg, "s", int)
-    if any(v is not None and v < 1 for v in (m, s)):
-        raise ParameterError(f"m and s must be >= 1, got m={m}, s={s}")
-    if m is not None or s is not None:
-        m, s = round_parameters(kind, spec.m if m is None else m, spec.s if s is None else s)
-        spec = replace(spec, m=m, p=s / m)
+    spec = default_parameters(d, n, eps, delta, kind, m=_get(cfg, "m", int),
+                              s=_get(cfg, "s", int), seed=seed)
     dims = {"m": spec.m, "pm": spec.s} | ({"degree_k": spec.degree_k} if spec.degree_k else {})
     build_trial = builder(spec)
 
@@ -149,35 +136,31 @@ def run_config(cfg):
     raise ParameterError(f"unknown experiment {experiment!r}")
 
 
-def eps_point(kind, d, n, eps, delta, c_m=None, **constants):
-    """(m, s, s_target) of an eps-grid point: m0 = ceil(C_m * d / eps^2), the
-    kind's continuous sparsity target (``constants``: its c_s, c_e or c_pm)
-    and their rounding."""
-    check_dimensions(d, n, eps, delta)
-    c_m = CONSTANTS.c_m_oblivious if c_m is None else c_m
-    m0 = math.ceil(c_m * d / eps**2)
-    target = sparsity_target(kind, d, eps, delta, m0, **constants)
-    return *round_parameters(kind, m0, target), target
+def _eps_grid_m(d, eps, c_m=None):
+    """m0 = ceil(C_m * d / eps^2) of an eps-grid point, pinned as the m of
+    its :func:`default_parameters` spec."""
+    return math.ceil((CONSTANTS.c_m_oblivious if c_m is None else c_m) * d / eps**2)
 
 
 def eps_sweep(kind, d=16, delta=0.05, eps_grid=(0.5, 0.25, 0.125), n=8192,
               trials=50, seed=7, sampler="coordinate"):
     """Failure fraction and calibrated sparsity across an eps grid.
 
-    The points come from :func:`eps_point`; rows carry the continuous
+    Each point pins m = :func:`_eps_grid_m`; rows carry the continuous
     sparsity target for trend fits.
     """
     if kind not in ("osnap", "ose-ie"):
         raise ParameterError(f"eps sweep supports sparse kinds, got {kind!r}")
     rows = []
     for eps in eps_grid:
-        m, s, target = eps_point(kind, d, n, eps, delta)
-        if m >= n:
+        m0 = _eps_grid_m(d, eps)
+        spec = default_parameters(d, n, eps, delta, kind, m=m0)
+        if spec.m >= n:
             raise ParameterError(
-                f"sweep point eps={eps} needs m={m} >= n={n}; raise n"
+                f"sweep point eps={eps} needs m={spec.m} >= n={n}; raise n"
             )
-        rows.append(sweep_row(grid_spec(kind, m, s, n, d, eps, delta), d, eps, trials,
-                              derive_seed(seed, round(1 / eps)), sampler, s_target=target))
+        rows.append(sweep_row(spec, d, eps, trials, derive_seed(seed, round(1 / eps)), sampler,
+                              s_target=sparsity_target(kind, d, eps, delta, m0)))
     return rows
 
 
@@ -185,12 +168,10 @@ def m_sweep(kind, d=16, n=4096, eps=0.5, delta=0.05, factors=(1, 2, 4),
             trials=100, seed=7, sampler="haar"):
     """Distortion quantiles as m doubles at fixed sparsity."""
     spec0 = default_parameters(d, n, eps, delta, kind, seed=seed)
-    s = spec0.s
     rows = []
     for f in factors:
-        m = spec0.m * f
-        rows.append(sweep_row(replace(spec0, m=m, p=s / m), d, eps, trials,
-                              derive_seed(seed, f), sampler))
+        spec = default_parameters(d, n, eps, delta, kind, m=spec0.m * f, s=spec0.s, seed=seed)
+        rows.append(sweep_row(spec, d, eps, trials, derive_seed(seed, f), sampler))
     return rows
 
 
@@ -227,18 +208,9 @@ def s_sweep(kind="osnap", d=16, n=4096, eps=0.5, delta=0.05,
     spec0 = default_parameters(d, n, eps, delta, kind, seed=seed)
     rows = []
     for s in s_grid:
-        m, s = round_parameters(kind, spec0.m, s)
-        rows.append(sweep_row(replace(spec0, m=m, p=s / m), d, eps, trials,
-                              derive_seed(seed, s), sampler))
+        spec = default_parameters(d, n, eps, delta, kind, m=spec0.m, s=s, seed=seed)
+        rows.append(sweep_row(spec, d, eps, trials, derive_seed(seed, spec.s), sampler))
     return rows
-
-
-def grid_spec(kind, m, s, n, d, eps, delta):
-    """Spec of one (m, s) sweep point; a hashing kind gets the degree for
-    (d, eps, delta)."""
-    return SketchSpec(kind=kind, m=m, n=n, p=s / m,
-                      degree_k=independence_degree(d, eps, delta, s)
-                      if kind in COLUMN_KINDS else None)
 
 
 def sweep_row(spec, d, eps, trials, seed, sampler, **extra):
@@ -298,16 +270,16 @@ def calibrate(trials=None, seed=None):
     grid_n = 8192  # the eps sweep's n
     rows = []
 
-    def passes(stage, kind, m, s, n, eps, sampler, frac):
-        rows.append({"stage": stage, "kind": kind, "m": m, "s": s, "n": n, "eps": eps,
-                     "sampler": sampler, "failure_fraction": frac})
-        print(f"  {stage}: {kind} m={m} s={s} eps={eps} {sampler} -> {frac:.3f}")
+    def passes(stage, kind, spec, eps, sampler, frac):
+        rows.append({"stage": stage, "kind": kind, "m": spec.m, "s": spec.s, "n": spec.n,
+                     "eps": eps, "sampler": sampler, "failure_fraction": frac})
+        print(f"  {stage}: {kind} m={spec.m} s={spec.s} eps={eps} {sampler} -> {frac:.3f}")
         return frac <= delta / 2
 
-    def point(stage, kind, m, s, n, eps, sampler, salt, trials=trials):
-        frac = sweep_row(grid_spec(kind, m, s, n, d, eps, delta), d, eps, trials,
-                         derive_seed(seed, salt), sampler)["failure_fraction"]
-        return passes(stage, kind, m, s, n, eps, sampler, frac)
+    def point(stage, spec, eps, sampler, salt, trials=trials):
+        frac = sweep_row(spec, d, eps, trials, derive_seed(seed, salt),
+                         sampler)["failure_fraction"]
+        return passes(stage, spec.kind, spec, eps, sampler, frac)
 
     def surfaces_pass(stage, kind, constants, salt):
         """The anchor on both samplers, then the eps grid on coordinate
@@ -315,7 +287,7 @@ def calibrate(trials=None, seed=None):
         spec = default_parameters(d, n, eps, delta, kind, **constants)
         if spec.m >= n or spec.s >= spec.m and kind != "gaussian-dense":
             return False
-        if not all(point(stage, kind, spec.m, spec.s, n, eps, sampler, salt + i)
+        if not all(point(stage, spec, eps, sampler, salt + i)
                    for i, sampler in enumerate(("haar", "coordinate"))):
             return False
         if kind == "less-ic":
@@ -323,12 +295,12 @@ def calibrate(trials=None, seed=None):
             if found is None:
                 return False
             spec, frac = found
-            return passes(stage, "less-ic-pipeline", spec.m, spec.s, spec.n, eps,
-                          "approx-scores", frac)
+            return passes(stage, "less-ic-pipeline", spec, eps, "approx-scores", frac)
         for k, e in enumerate(grid):
-            m, s, _ = eps_point(kind, d, grid_n, e, delta, **constants)
-            if m >= grid_n or not point(stage, kind, m, s, grid_n, e, "coordinate",
-                                        salt + 16 + k, trials=max(trials // 2, 20)):
+            spec = default_parameters(d, grid_n, e, delta, kind,
+                                      m=_eps_grid_m(d, e, constants.get("c_m")), **constants)
+            if spec.m >= grid_n or not point(stage, spec, e, "coordinate", salt + 16 + k,
+                                             trials=max(trials // 2, 20)):
                 return False
         return True
 

@@ -87,6 +87,16 @@ def exact_leverage(A):
     return LeverageScores(z=z, beta1=1.0, beta2=1.0)
 
 
+def _full_rank_r(X):
+    """R of a QR factorization of X, or None when X is numerically rank
+    deficient: min |R_ii| <= max(shape) * eps * max |R_ii|."""
+    R = np.linalg.qr(X, mode="r")
+    diag = np.abs(np.diag(R))
+    if diag.min() <= max(X.shape) * np.finfo(np.float64).eps * diag.max():
+        return None
+    return R
+
+
 def _sketch_r_factor(A, d, n, seed, attempt, columns):
     """R from a QR of a blocked sketch of A; None when numerically singular.
 
@@ -103,20 +113,18 @@ def _sketch_r_factor(A, d, n, seed, attempt, columns):
         "osnap", m=rows, n=n, s=s0, degree_k=16,
         seed=derive_seed(seed, 0x1E7 + attempt),
     )
-    SA = _apply(build_osnap(spec, columns=columns), A)
-    R = np.linalg.qr(SA, mode="r")
-    diag = np.abs(np.diag(R))
-    if diag.min() <= max(rows, d) * np.finfo(np.float64).eps * max(diag.max(), 1e-300):
-        return None
-    return R
+    return _full_rank_r(_apply(build_osnap(spec, columns=columns), A))
 
 
-def approx_leverage(A, gamma, *, seed=0, safety=2.0):
+_SAFETY = 2.0  # inflation of the estimates, which the claimed beta1 carries
+
+
+def approx_leverage(A, gamma, *, seed=0):
     """Coarse scores with beta1 = O(n^gamma), beta2 = O(1).
 
     Sketch A, take R from a QR of the sketch, and estimate the row norms
     of A R^-1 with ceil(4/gamma) Gaussian test vectors; estimates are
-    inflated by ``safety`` and clamped to [0, 1].  For a scipy.sparse A
+    inflated by 2 and clamped to [0, 1].  For a scipy.sparse A
     the sketch hashes only the columns J of the rows A touches, and
     A[J] R^-1 G is formed on J alone: every other score is exactly 0, as
     the full product gives.  The claimed beta1 is
@@ -147,8 +155,8 @@ def approx_leverage(A, gamma, *, seed=0, safety=2.0):
     E = np.asarray((A if columns is None else A.tocsr())[J] @ W)
     est = np.zeros(n)
     est[J] = np.einsum("ij,ij->i", E, E)
-    z = np.clip(safety * est, 0.0, 1.0)
-    beta1 = max(safety * n**gamma, 4.0)
+    z = np.clip(_SAFETY * est, 0.0, 1.0)
+    beta1 = max(_SAFETY * n**gamma, 4.0)
     beta2 = max(1.0, float(z.sum()) / d)
     return LeverageScores(z=z, beta1=beta1, beta2=beta2)
 

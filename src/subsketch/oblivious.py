@@ -60,10 +60,10 @@ class SketchSpec:
     The less kinds adapt to leverage ``scores``; n then defaults to
     ``scores.n``.  A spec without scores (say, one read back from a file)
     describes a less sketch but cannot build one.  m, n, seed and degree_k
-    are integers; only the hashing ``COLUMN_KINDS`` take a K (8 when None).
-    Seeds are taken mod 2^64: s and s + 2^64 build the same sketch (seed
-    -1 that of 2^64 - 1), while the spec and a ``.skt`` header keep the
-    seed as given.
+    are integers and p a real stored as float; only the hashing
+    ``COLUMN_KINDS`` take a K (8 when None).  Seeds are taken mod 2^64:
+    s and s + 2^64 build the same sketch (seed -1 that of 2^64 - 1), while
+    the spec and a ``.skt`` header keep the seed as given.
     """
 
     kind: str
@@ -103,6 +103,9 @@ class SketchSpec:
             raise ParameterError("m and n must be >= 1")
         if self.m > HASH_DOMAIN:  # every block width is at most m
             raise ParameterError(f"m must be at most 2^32, got {self.m}")
+        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
+            raise ParameterError(f"p must be a real number, got {self.p!r}")
+        object.__setattr__(self, "p", float(self.p))
         if not 0.0 < self.p <= 1.0:
             raise ParameterError(f"p must be in (0, 1], got {self.p}")
         if self.degree_k is not None and self.degree_k < 1:
@@ -397,36 +400,43 @@ def check_dimensions(d, n, eps, delta):
         raise ParameterError(f"need 1 <= d <= n, got d = {d}, n = {n}")
 
 
-def default_parameters(d, n, eps, delta, kind, *, scores=None, seed=0,
+def default_parameters(d, n, eps, delta, kind, *, m=None, s=None, scores=None, seed=0,
                        c_m=None, c_s=None, c_e=None, c_pm=None):
     """Calibrated spec for a (eps, delta, d)-embedding of subspaces of R^n.
 
     The oblivious kinds take m0 = ceil(C_m * (d + ln(1/delta)) / eps^2),
     the less kinds m0 = ceil(:func:`less_dimension_target`) and their
     ``scores`` (a spec without them describes the sketch but cannot build
-    it).  The sparsity target is :func:`sparsity_target`;
-    :func:`round_parameters` caps it at m0 (p = 1, with a warning for a
-    sparse kind) and rounds an osnap m up to a multiple of s.  C_m is
+    it).  The sparsity target is :func:`sparsity_target`.  A pinned ``m``
+    replaces m0 and a pinned ``s`` the target; each must be an integer
+    >= 1, or ParameterError.  :func:`round_parameters` caps s at m0 (p = 1, with a
+    warning when the target of a sparse kind reaches it) and rounds an
+    osnap m up to a multiple of s; K comes from the final s.  C_m is
     ``c_m`` (the kind's constant when None); C_s, C_e and C_pm feed only
     the kinds whose target uses them.
     """
     check_dimensions(d, n, eps, delta)
     if kind not in KINDS:
         raise ParameterError(f"unknown sketch kind {kind!r}")
+    for name, pin in (("m", m), ("s", s)):
+        if pin is not None and (isinstance(pin, bool) or not isinstance(pin, numbers.Integral)
+                                or pin < 1):
+            raise ParameterError(f"{name} must be an integer >= 1, got {pin!r}")
     if kind in LESS_KINDS:
         m0 = less_dimension_target(d, eps, delta, c_m)
     else:
         c_m = CONSTANTS.c_m_oblivious if c_m is None else c_m
         m0 = c_m * (d + math.log(1.0 / delta)) / eps**2
-    m0 = max(math.ceil(m0), 1)
-    s_raw = sparsity_target(kind, d, eps, delta, m0, c_s=c_s, c_e=c_e, c_pm=c_pm)
-    m, s = round_parameters(kind, m0, s_raw)
-    if s == m and kind not in DENSE_KINDS:
+    m0 = max(math.ceil(m0), 1) if m is None else m
+    s_raw = sparsity_target(kind, d, eps, delta, m0, c_s=c_s, c_e=c_e,
+                            c_pm=c_pm) if s is None else s
+    m, s_int = round_parameters(kind, m0, s_raw)
+    if s is None and s_int == m and kind not in DENSE_KINDS:
         warnings.warn(
             f"required sparsity {math.ceil(s_raw)} reaches m = {m0}; capping at p = 1",
             stacklevel=2,
         )
     return SketchSpec(
-        kind=kind, m=m, n=n, p=s / m, seed=seed, scores=scores,
-        degree_k=independence_degree(d, eps, delta, s) if kind in COLUMN_KINDS else None,
+        kind=kind, m=m, n=n, p=s_int / m, seed=seed, scores=scores,
+        degree_k=independence_degree(d, eps, delta, s_int) if kind in COLUMN_KINDS else None,
     )

@@ -7,7 +7,7 @@ skip the leverage stage.
 """
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -17,7 +17,7 @@ from ._field import derive_seed
 from .apply import _nnz, touched_rows
 from .apply import apply as _apply
 from .errors import ParameterError
-from .leverage import approx_leverage
+from .leverage import _full_rank_r, approx_leverage
 from .less import build_less_ic
 from .oblivious import COLUMN_KINDS, LESS_KINDS, build, default_parameters
 
@@ -25,27 +25,17 @@ PIPELINE_KINDS = ("osnap", "ose-ie", "less-ic", "less-ie", "gaussian-dense")
 
 
 @dataclass(frozen=True)
-class Overrides:
-    """Optional explicit parameter pins; None leaves the default in place."""
-
-    m: int = None
-    pm: int = None
-
-    def __post_init__(self):
-        for name in ("m", "pm"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ParameterError(f"override {name} must be >= 1, got {v}")
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
+    """Pipeline settings; ``m`` and ``pm`` pin the embedding dimension and
+    the sparsity p*m that :func:`default_parameters` picks otherwise."""
+
     eps: float
     delta: float
     gamma: float = 0.25
     seed: int = 0
     kind: str = "less-ic"
-    overrides: Overrides = field(default_factory=Overrides)
+    m: int = None
+    pm: int = None
     validate: bool = False
 
     def __post_init__(self):
@@ -53,6 +43,10 @@ class PipelineConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ParameterError(f"{name} must lie in (0, 1), got {v}")
+        for name in ("m", "pm"):
+            v = getattr(self, name)
+            if v is not None and v < 1:
+                raise ParameterError(f"{name} must be >= 1, got {v}")
         if self.kind not in PIPELINE_KINDS:
             raise ParameterError(f"unknown pipeline kind {self.kind!r}")
 
@@ -80,10 +74,8 @@ class PipelineReport:
 
 def _r_factor(A):
     """R of a QR factorization of A, which must have full column rank."""
-    dense = A.toarray() if scipy.sparse.issparse(A) else np.asarray(A)
-    R = np.linalg.qr(dense, mode="r")
-    diag = np.abs(np.diag(R))
-    if diag.min() <= max(dense.shape) * np.finfo(np.float64).eps * diag.max():
+    R = _full_rank_r(A.toarray() if scipy.sparse.issparse(A) else np.asarray(A))
+    if R is None:
         raise ParameterError("input matrix is numerically rank deficient")
     return R
 
@@ -113,7 +105,6 @@ def fast_subspace_embed(A, config):
     timings = {}
     t_total = time.perf_counter()
     scores = None
-    ov = config.overrides
 
     if config.kind in LESS_KINDS:
         t0 = time.perf_counter()
@@ -121,10 +112,8 @@ def fast_subspace_embed(A, config):
         timings["leverage"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    spec = default_parameters(d, n, config.eps, config.delta, config.kind,
-                              scores=scores, seed=config.seed)
-    m = spec.m if ov.m is None else ov.m
-    spec = replace(spec, m=m, p=(spec.s if ov.pm is None else ov.pm) / m)
+    spec = default_parameters(d, n, config.eps, config.delta, config.kind, m=config.m,
+                              s=config.pm, scores=scores, seed=config.seed)
     timings["parameters"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -16,11 +16,13 @@ from subsketch import (
     apply as lib_apply,
     build_osnap,
     exact_leverage,
+    independence_degree,
     load_matrix,
     load_sketch,
     save_matrix,
 )
 from subsketch.cli import EXIT_IO, EXIT_OK, EXIT_PARAMETER, EXIT_VERIFY, main
+from subsketch.experiments import run_config
 
 
 def _run_cli(argv):
@@ -355,6 +357,13 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(path)]) == EXIT_PARAMETER
         assert "trials must be >= 1" in capsys.readouterr().err
 
+    def test_pinned_sparsity_sets_the_degree(self):
+        # K once stayed that of the default s (16 here) when s was pinned
+        cfg = {"schema_version": 1, "experiment": "trace_moment", "kind": "osnap",
+               "d": 1, "n": 256, "eps": 0.5, "delta": 0.5, "m": 64, "s": 16, "trials": 1}
+        dims = run_config(cfg)[0]["config"]
+        assert dims["degree_k"] == independence_degree(1, 0.5, 0.5, 16) == 24
+
     def _target_config(self, tmp_path, target):
         cfg = {"schema_version": 1, "experiment": "embedding", "kind": "gaussian-dense",
                "d": 8, "n": 256, "eps": 0.9, "delta": 0.05, "trials": 20, "seed": 4,
@@ -528,6 +537,21 @@ class TestPipelineCommand:
                    flag, value, "--out", str(out)])
         assert rc == EXIT_PARAMETER
         assert not out.exists()
+
+    def test_osnap_pins_round_as_in_verify(self, tmp_path, matrix_file):
+        # the pipeline once rejected m = 100, pm = 7 ("s = 7 must divide
+        # m = 100") while verify rounded the same pins to m = 105
+        mpath, _ = matrix_file
+        report_path = tmp_path / "report.json"
+        rc = main(["pipeline", str(mpath), "--eps", "0.5", "--kind", "osnap",
+                   "--m", "100", "--pm", "7", "--out", str(tmp_path / "e.mtx"),
+                   "--report", str(report_path)])
+        assert rc == EXIT_OK
+        report = json.loads(report_path.read_text())
+        cfg = {"schema_version": 1, "experiment": "trace_moment", "kind": "osnap",
+               "d": 6, "n": 200, "m": 100, "s": 7, "trials": 1}
+        dims = run_config(cfg)[0]["config"]
+        assert (report["m"], report["pm"]) == (dims["m"], dims["pm"]) == (105, 7)
 
     def test_explicit_overrides_are_used(self, tmp_path, matrix_file):
         mpath, _ = matrix_file

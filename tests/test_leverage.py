@@ -84,7 +84,7 @@ class TestApproxScores:
         A = rng.standard_normal((800, 10))
         exact = exact_leverage(A).z
         def rel_spread(gamma):
-            z = approx_leverage(A, gamma=gamma, seed=11, safety=1.0).z
+            z = approx_leverage(A, gamma=gamma, seed=11).z
             mask = exact > 1e-6
             return np.std(z[mask] / exact[mask])
         assert rel_spread(0.1) < rel_spread(0.8)

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,16 @@ class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             SketchSpec(kind="fft", m=4, n=4, p=0.5)
+
+    @pytest.mark.parametrize("p", [True, "0.25", None, 0.25j])
+    def test_p_must_be_real(self, p):
+        # p=True once built a spec with p=True; the others raised TypeError
+        with pytest.raises(ParameterError, match="p must be"):
+            SketchSpec(kind="ose-ie", m=8, n=4, p=p)
+
+    def test_p_is_stored_as_float(self):
+        spec = SketchSpec(kind="ose-ie", m=8, n=4, p=Fraction(1, 4))
+        assert type(spec.p) is float and spec.p == 0.25
 
     @pytest.mark.parametrize("field, value", [
         ("m", 8.0), ("n", 4.5), ("seed", 1.5), ("degree_k", 2.5),
@@ -285,6 +296,33 @@ class TestDefaultParameters:
         assert independence_degree(16, 0.5, 0.05, 22) == 8 * math.ceil(math.log(640))
         spec = default_parameters(16, 4096, 0.5, 0.05, "osnap")
         assert spec.degree_k == independence_degree(16, 0.5, 0.05, spec.s)
+
+    def test_pins_are_rounded(self):
+        spec = default_parameters(16, 4096, 0.5, 0.05, "osnap", m=100, s=7)
+        assert (spec.m, spec.s) == (105, 7)  # osnap m up to a multiple of s
+        spec = default_parameters(16, 4096, 0.5, 0.05, "ose-ie", m=100, s=7)
+        assert (spec.m, spec.s) == (100, 7)
+        spec = default_parameters(16, 4096, 0.5, 0.05, "osnap", m=8, s=16)
+        assert (spec.m, spec.p) == (8, 1.0)  # s >= m caps at p = 1
+
+    def test_degree_comes_from_the_final_sparsity(self):
+        spec = default_parameters(1, 256, 0.5, 0.5, "less-ic", m=64, s=16)
+        assert spec.degree_k == independence_degree(1, 0.5, 0.5, 16) == 24
+        capped = default_parameters(1, 256, 0.5, 0.5, "osnap", m=8, s=16)
+        assert capped.degree_k == independence_degree(1, 0.5, 0.5, 8)
+
+    @pytest.mark.parametrize("name", ["m", "s"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True])
+    def test_pin_must_be_a_positive_integer(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be an integer >= 1"):
+            default_parameters(16, 4096, 0.5, 0.05, "osnap", **{name: value})
+
+    def test_cap_warning_only_for_an_unpinned_target(self):
+        with pytest.warns(UserWarning, match="reaches m"):
+            default_parameters(16, 4096, 0.5, 0.05, "osnap", m=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            default_parameters(16, 4096, 0.5, 0.05, "osnap", m=2, s=4)
 
     def test_invalid_inputs(self):
         with pytest.raises(ParameterError):

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse
 
 from subsketch import (
-    Overrides,
     ParameterError,
     PipelineConfig,
     fast_subspace_embed,
@@ -79,7 +78,7 @@ class TestFastSubspaceEmbed:
 
     def test_overrides(self, sparse_tall):
         config = PipelineConfig(eps=0.5, delta=0.05, seed=7, kind="less-ic",
-                                overrides=Overrides(m=512, pm=64))
+                                m=512, pm=64)
         A_tilde, report = fast_subspace_embed(sparse_tall, config)
         assert report.m == 512
         assert report.pm == pytest.approx(64)
@@ -89,7 +88,7 @@ class TestFastSubspaceEmbed:
     def test_out_of_range_override_rejected(self, name, value):
         # a zero override once fell back to the default without a word
         with pytest.raises(ParameterError, match=name):
-            Overrides(**{name: value})
+            PipelineConfig(eps=0.5, delta=0.05, **{name: value})
 
     def test_determinism(self, sparse_tall):
         config = PipelineConfig(eps=0.5, delta=0.05, seed=8, kind="less-ic")
@@ -131,7 +130,7 @@ def test_overrides_reach_the_built_sketch(sparse_tall, monkeypatch, kind):
     # the pipeline may also hold its own reference to the builder
     monkeypatch.setattr(subsketch.pipeline, name, recording, raising=False)
     config = PipelineConfig(eps=0.5, delta=0.05, seed=12, kind=kind,
-                            overrides=Overrides(m=256, pm=32))
+                            m=256, pm=32)
     _, report = fast_subspace_embed(sparse_tall, config)
     assert len(built) == 1
     assert (built[0].m, built[0].spec.s, report.m) == (256, 32, 256)
