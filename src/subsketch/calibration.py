@@ -9,7 +9,7 @@ pin the result here.  The procedure (reproducible via
   order; the first candidate passing every surface tied to it wins;
 * oblivious constants are measured at the anchor configuration
   (d = 16, n = 4096, eps = 0.5, delta = 0.05, Haar-random AND coordinate
-  subspaces) and along the eps grid {0.5, 0.25, 0.125} with
+  subspaces) and along REFERENCE's eps grid (the eps sweep's) with
   m = C_m d/eps^2 on coordinate subspaces, the regime where small-eps
   failures of the i.i.d.-entry model appear;
 * score-adapted constants are measured at the anchor and on a
@@ -19,20 +19,22 @@ pin the result here.  The procedure (reproducible via
 * the pass threshold is a failure fraction of delta/2 at every surface,
   a two-fold margin over the delta the acceptance experiments assert.
 
-The constants are searched in turn -- c_m on the Gaussian baseline, c_s on
-osnap, c_e on ose-ie, then (c_m_less, c_pm_less) pairs on less-ic -- each
-with the ones already selected fixed; a candidate whose anchor point has
-m >= n or a sparsity capped at m is skipped.  Every point takes its spec
-from :func:`subsketch.oblivious.default_parameters`: anchor points its
-defaults, eps-grid points (the eps sweep's rule) a pinned
-m = ceil(C_m d/eps^2), and the pipeline surface the approximate scores.
+The fields of :class:`Constants` are searched in turn -- c_m_oblivious on
+the Gaussian baseline, c_s_osnap on osnap, c_e_oseie on ose-ie, then
+(c_m_less, c_pm_less) pairs on less-ic -- each candidate the constants
+selected so far with the searched fields replaced; a candidate whose
+anchor point has m >= n or a sparsity capped at m is skipped.  Every point
+takes its spec from :func:`subsketch.oblivious.default_parameters` with
+``constants=`` the candidate: anchor points its defaults, eps-grid points
+(the eps sweep's rule) a pinned m = ceil(C_m d/eps^2), and the pipeline
+surface the approximate scores.
 
 :func:`subsketch.experiments.calibrate` reruns the sweep and reports the
 selected constants; the pinned values below are its output for the seed
 recorded in REFERENCE.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -42,9 +44,6 @@ class Constants:
     c_e_oseie: float  # extra i.i.d. term c_e * L / eps^2
     c_m_less: float  # m = ceil(c_m * ((d + ln^2(d/delta))/eps^2 + ln^3(d/delta)/eps))
     c_pm_less: float  # pm = ceil(c_pm * max(L^2.5/eps, L^3))
-
-    def as_dict(self):
-        return asdict(self)
 
 
 CONSTANTS = Constants(

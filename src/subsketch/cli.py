@@ -13,6 +13,7 @@ import contextlib
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .apply import apply as _apply
@@ -72,13 +73,14 @@ def _build_parser():
     p = sub.add_parser("bench", help="parameter sweeps and calibration, CSV out")
     p.add_argument("--sweep", choices=["eps", "m", "s", "nnz"])
     p.add_argument("--calibrate", action="store_true")
-    p.add_argument("--kind", default="osnap")
-    p.add_argument("--trials", type=int)  # 50 for a sweep, the reference count for --calibrate
-    p.add_argument("--d", type=int, default=16)
+    # None when absent: _BENCH_FLAGS holds each mode's defaults
+    p.add_argument("--kind")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--d", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=0.05)
-    _add_common(p, seed=None)  # 0 for a sweep, the reference seed for --calibrate
+    p.add_argument("--eps", type=float)
+    p.add_argument("--delta", type=float)
+    _add_common(p, seed=None)
 
     p = sub.add_parser("pipeline", help="fast subspace embedding of a matrix")
     p.add_argument("matrix_file")
@@ -173,27 +175,36 @@ def _write_csv(path, rows):
         w.writerows(rows)
 
 
+# bench mode -> the flags it reads and their defaults; None lets calibrate
+# take REFERENCE's value.  A flag the mode does not read is a ParameterError.
+_SWEEP = dict(kind="osnap", d=16, delta=0.05, trials=50, seed=0)
+_BENCH_FLAGS = {
+    "eps": _SWEEP | dict(n=8192),
+    "m": _SWEEP | dict(n=4096, eps=0.5),
+    "s": _SWEEP | dict(n=4096, eps=0.5),
+    "nnz": dict(d=16, n=4096, seed=0),
+    "calibrate": dict(trials=None, seed=None),
+}
+
+
 def _cmd_bench(args):
-    if args.calibrate:
-        constants, rows = calibrate(trials=args.trials, seed=args.seed)
-        _write_csv(args.out, rows)
-        print(json.dumps(constants.as_dict(), indent=2))
-        return EXIT_OK
-    if not args.sweep:
+    if args.calibrate and args.sweep:
+        raise ParameterError("bench takes --sweep or --calibrate, not both")
+    mode = "calibrate" if args.calibrate else args.sweep
+    if not mode:
         raise ParameterError("bench needs --sweep or --calibrate")
-    seed = 0 if args.seed is None else args.seed
-    kwargs = dict(d=args.d, eps=args.eps, delta=args.delta,
-                  trials=50 if args.trials is None else args.trials, seed=seed)
-    n = args.n if args.n is not None else 8192 if args.sweep == "eps" else 4096
-    if args.sweep == "eps":
-        kwargs.pop("eps")
-        rows = eps_sweep(args.kind, n=n, **kwargs)
-    elif args.sweep == "m":
-        rows = m_sweep(args.kind, n=n, **kwargs)
-    elif args.sweep == "nnz":
-        rows = nnz_sweep(d=args.d, base_n=n, seed=seed)
-    else:
-        rows = s_sweep(args.kind, n=n, **kwargs)
+    given = {k: v for k in ("kind", "trials", "d", "n", "eps", "delta", "seed")
+             if (v := getattr(args, k)) is not None}
+    unread = [f"--{k}" for k in given if k not in _BENCH_FLAGS[mode]]
+    if unread:
+        raise ParameterError(f"the {mode} bench does not read {', '.join(unread)}")
+    v = _BENCH_FLAGS[mode] | given
+    if mode == "calibrate":
+        constants, rows = calibrate(**v)
+        _write_csv(args.out, rows)
+        print(json.dumps(asdict(constants), indent=2))
+        return EXIT_OK
+    rows = {"eps": eps_sweep, "m": m_sweep, "s": s_sweep, "nnz": nnz_sweep}[mode](**v)
     _write_csv(args.out, rows)
     if args.out:
         print(f"wrote {args.out} ({len(rows)} rows)")

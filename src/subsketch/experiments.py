@@ -20,7 +20,8 @@ target outside [0, 1] is a ParameterError).
 Moment probes report (estimate, std_error) and always pass.
 
 Score-adapted kinds rebuild their sketch per trial from the exact
-leverage scores of the sampled basis.
+leverage scores of the sampled basis.  The sweeps take exactly the values
+``subsketch bench`` states, without defaults; their grids are constants.
 """
 
 import math
@@ -32,7 +33,7 @@ import numpy as np
 import scipy.sparse
 
 from .apply import apply as _apply
-from .calibration import CONSTANTS, REFERENCE, Constants
+from .calibration import CONSTANTS, REFERENCE
 from .errors import FormatError, ParameterError
 from .kwise import derive_seed
 from .leverage import approx_leverage, exact_leverage
@@ -136,15 +137,21 @@ def run_config(cfg):
     raise ParameterError(f"unknown experiment {experiment!r}")
 
 
-def _eps_grid_m(d, eps, c_m=None):
+def _eps_grid_m(d, eps, constants=CONSTANTS):
     """m0 = ceil(C_m * d / eps^2) of an eps-grid point, pinned as the m of
     its :func:`default_parameters` spec."""
-    return math.ceil((CONSTANTS.c_m_oblivious if c_m is None else c_m) * d / eps**2)
+    return math.ceil(constants.c_m_oblivious * d / eps**2)
 
 
-def eps_sweep(kind, d=16, delta=0.05, eps_grid=(0.5, 0.25, 0.125), n=8192,
-              trials=50, seed=7, sampler="coordinate"):
-    """Failure fraction and calibrated sparsity across an eps grid.
+_EPS_SAMPLER, _M_SAMPLER, _S_SAMPLER = "coordinate", "haar", "coordinate"
+_M_FACTORS = (1, 2, 4)
+_S_GRID = (2, 4, 8, 16, 32)
+_NNZ_FACTORS = (1, 2, 4, 8)
+_NNZ_M, _NNZ_S, _NNZ_REPS = 256, 8, 5
+
+
+def eps_sweep(kind, d, n, delta, trials, seed):
+    """Failure fraction and calibrated sparsity across REFERENCE's eps grid.
 
     Each point pins m = :func:`_eps_grid_m`; rows carry the continuous
     sparsity target for trend fits.
@@ -152,32 +159,30 @@ def eps_sweep(kind, d=16, delta=0.05, eps_grid=(0.5, 0.25, 0.125), n=8192,
     if kind not in ("osnap", "ose-ie"):
         raise ParameterError(f"eps sweep supports sparse kinds, got {kind!r}")
     rows = []
-    for eps in eps_grid:
+    for eps in REFERENCE["eps_grid"]:
         m0 = _eps_grid_m(d, eps)
         spec = default_parameters(d, n, eps, delta, kind, m=m0)
         if spec.m >= n:
             raise ParameterError(
                 f"sweep point eps={eps} needs m={spec.m} >= n={n}; raise n"
             )
-        rows.append(sweep_row(spec, d, eps, trials, derive_seed(seed, round(1 / eps)), sampler,
-                              s_target=sparsity_target(kind, d, eps, delta, m0)))
+        rows.append(sweep_row(spec, d, eps, trials, derive_seed(seed, round(1 / eps)),
+                              _EPS_SAMPLER, s_target=sparsity_target(kind, d, eps, delta, m0)))
     return rows
 
 
-def m_sweep(kind, d=16, n=4096, eps=0.5, delta=0.05, factors=(1, 2, 4),
-            trials=100, seed=7, sampler="haar"):
+def m_sweep(kind, d, n, eps, delta, trials, seed):
     """Distortion quantiles as m doubles at fixed sparsity."""
     spec0 = default_parameters(d, n, eps, delta, kind, seed=seed)
     rows = []
-    for f in factors:
+    for f in _M_FACTORS:
         spec = default_parameters(d, n, eps, delta, kind, m=spec0.m * f, s=spec0.s, seed=seed)
-        rows.append(sweep_row(spec, d, eps, trials, derive_seed(seed, f), sampler))
+        rows.append(sweep_row(spec, d, eps, trials, derive_seed(seed, f), _M_SAMPLER))
     return rows
 
 
-def nnz_sweep(m=256, s=8, d=16, base_n=4096, factors=(1, 2, 4, 8), reps=5,
-              seed=7):
-    """Wall time of one application as the input nonzeros double.
+def nnz_sweep(d, n, seed):
+    """Wall time of one application as the input nonzeros double from n rows.
 
     The sketch is rebuilt per n (columns must match the input rows) at
     fixed (m, s), so per-column work is constant and time should scale
@@ -186,30 +191,27 @@ def nnz_sweep(m=256, s=8, d=16, base_n=4096, factors=(1, 2, 4, 8), reps=5,
     if d < 1:
         raise ParameterError(f"need d >= 1, got d = {d}")
     rows = []
-    for f in factors:
-        n = base_n * f
-        spec = SketchSpec.from_sparsity("osnap", m=m, n=n, s=s, seed=seed)
-        sketch = build(spec)
-        A = scipy.sparse.random(n, d, density=0.05, random_state=seed % 2**32,
+    for f in _NNZ_FACTORS:
+        sketch = build(SketchSpec.from_sparsity("osnap", m=_NNZ_M, n=n * f, s=_NNZ_S, seed=seed))
+        A = scipy.sparse.random(sketch.n, d, density=0.05, random_state=seed % 2**32,
                                 format="csr")
         best = math.inf
-        for _ in range(reps):
+        for _ in range(_NNZ_REPS):
             t0 = time.perf_counter()
             _apply(sketch, A)
             best = min(best, time.perf_counter() - t0)
-        rows.append({"nnz": int(A.nnz), "n": n, "m": m, "s": s,
+        rows.append({"nnz": int(A.nnz), "n": sketch.n, "m": _NNZ_M, "s": _NNZ_S,
                      "seconds": best})
     return rows
 
 
-def s_sweep(kind="osnap", d=16, n=4096, eps=0.5, delta=0.05,
-            s_grid=(2, 4, 8, 16, 32), trials=100, seed=7, sampler="coordinate"):
+def s_sweep(kind, d, n, eps, delta, trials, seed):
     """Failure fraction as the per-column sparsity varies at fixed m."""
     spec0 = default_parameters(d, n, eps, delta, kind, seed=seed)
     rows = []
-    for s in s_grid:
+    for s in _S_GRID:
         spec = default_parameters(d, n, eps, delta, kind, m=spec0.m, s=s, seed=seed)
-        rows.append(sweep_row(spec, d, eps, trials, derive_seed(seed, spec.s), sampler))
+        rows.append(sweep_row(spec, d, eps, trials, derive_seed(seed, spec.s), _S_SAMPLER))
     return rows
 
 
@@ -223,14 +225,15 @@ def sweep_row(spec, d, eps, trials, seed, sampler, **extra):
 
 
 _POW2 = tuple(2.0**k for k in range(-6, 5))
+_PIPELINE_RUNS = 25
 
 
-def _pipeline_failures(constants, eps, delta, seed, runs=25):
+def _pipeline_failures(constants, eps, delta, seed):
     """(spec, failure fraction) of less-ic with ``constants`` through the
     pipeline's stages on a sparse 1e5 x 32 input with scores at gamma =
     0.25; None when the sparsity reaches m."""
     n, d = 100_000, 32
-    spec = default_parameters(d, n, eps, delta, "less-ic", **constants)
+    spec = default_parameters(d, n, eps, delta, "less-ic", constants=constants)
     if spec.s >= spec.m:
         return None
     rng = np.random.default_rng(derive_seed(seed, 0xF1FE))
@@ -241,13 +244,13 @@ def _pipeline_failures(constants, eps, delta, seed, runs=25):
     A = (A + lift).tocsr()
     R = _r_factor(A)
     good = 0
-    for run in range(runs):
+    for run in range(_PIPELINE_RUNS):
         scores = approx_leverage(A, 0.25, seed=derive_seed(seed, run))
         spec = default_parameters(d, n, eps, delta, "less-ic", scores=scores,
-                                  seed=derive_seed(seed, 7000 + run), **constants)
+                                  seed=derive_seed(seed, 7000 + run), constants=constants)
         band = _validate_distortion(R, _apply(build(spec), A))
         good += 1 - eps <= band["s_min"] and band["s_max"] <= 1 + eps
-    return spec, 1.0 - good / runs
+    return spec, 1.0 - good / _PIPELINE_RUNS
 
 
 def calibrate(trials=None, seed=None):
@@ -258,8 +261,9 @@ def calibrate(trials=None, seed=None):
     selected fixed; a candidate whose anchor point has m >= n or a capped
     sparsity is skipped, and the first one keeping every point of its
     surfaces at or below delta/2 wins; every point and the selection are
-    printed as they are measured.  trials and seed default to
-    REFERENCE's; trials below 1 raise ParameterError.
+    printed as they are measured.  Candidates are ``CONSTANTS`` with the
+    searched fields replaced.  trials and seed default to REFERENCE's;
+    trials below 1 raise ParameterError.
     """
     trials = REFERENCE["trials"] if trials is None else trials
     seed = REFERENCE["seed"] if seed is None else seed
@@ -284,7 +288,7 @@ def calibrate(trials=None, seed=None):
     def surfaces_pass(stage, kind, constants, salt):
         """The anchor on both samplers, then the eps grid on coordinate
         subspaces, or the pipeline surface for less-ic."""
-        spec = default_parameters(d, n, eps, delta, kind, **constants)
+        spec = default_parameters(d, n, eps, delta, kind, constants=constants)
         if spec.m >= n or spec.s >= spec.m and kind != "gaussian-dense":
             return False
         if not all(point(stage, spec, eps, sampler, salt + i)
@@ -298,7 +302,7 @@ def calibrate(trials=None, seed=None):
             return passes(stage, "less-ic-pipeline", spec, eps, "approx-scores", frac)
         for k, e in enumerate(grid):
             spec = default_parameters(d, grid_n, e, delta, kind,
-                                      m=_eps_grid_m(d, e, constants.get("c_m")), **constants)
+                                      m=_eps_grid_m(d, e, constants), constants=constants)
             if spec.m >= grid_n or not point(stage, spec, e, "coordinate", salt + 16 + k,
                                              trials=max(trials // 2, 20)):
                 return False
@@ -312,17 +316,16 @@ def calibrate(trials=None, seed=None):
         return fallback
 
     c = search("gaussian-dense",
-               [({"c_m": x}, f"c_m={x}", int(x * 64)) for x in _POW2 if x >= 1],
-               {"c_m": 4.0})
-    c = search("osnap", [(c | {"c_s": x}, f"c_s={x}", int(x * 1024)) for x in _POW2],
-               c | {"c_s": 1.0})
-    c = search("ose-ie", [(c | {"c_e": x}, f"c_e={x}", int(x * 4096)) for x in _POW2],
-               c | {"c_e": 1.0})
-    less = search("less-ic",
-                  [({"c_m": a, "c_pm": b}, f"c_less=({a},{b})", int(a * 512 + b * 64))
-                   for a in (0.25, 0.5, 1.0, 2.0) for b in (0.0625, 0.125, 0.25, 0.5, 1.0)],
-                  {"c_m": 1.0, "c_pm": 0.25})
-    constants = Constants(c_m_oblivious=c["c_m"], c_s_osnap=c["c_s"], c_e_oseie=c["c_e"],
-                          c_m_less=less["c_m"], c_pm_less=less["c_pm"])
-    print(f"selected: {constants}")
-    return constants, rows
+               [(replace(CONSTANTS, c_m_oblivious=x), f"c_m={x}", int(x * 64))
+                for x in _POW2 if x >= 1],
+               replace(CONSTANTS, c_m_oblivious=4.0))
+    c = search("osnap", [(replace(c, c_s_osnap=x), f"c_s={x}", int(x * 1024)) for x in _POW2],
+               replace(c, c_s_osnap=1.0))
+    c = search("ose-ie", [(replace(c, c_e_oseie=x), f"c_e={x}", int(x * 4096)) for x in _POW2],
+               replace(c, c_e_oseie=1.0))
+    c = search("less-ic",
+               [(replace(c, c_m_less=a, c_pm_less=b), f"c_less=({a},{b})", int(a * 512 + b * 64))
+                for a in (0.25, 0.5, 1.0, 2.0) for b in (0.0625, 0.125, 0.25, 0.5, 1.0)],
+               replace(c, c_m_less=1.0, c_pm_less=0.25))
+    print(f"selected: {c}")
+    return c, rows

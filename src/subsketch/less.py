@@ -97,7 +97,6 @@ def build_less_ic(spec, columns=None):
         indptr=indptr,
         rows=rows,
         values=signs * np.sqrt(spec.p * width),
-        scale=1.0 / math.sqrt(pm),
         columns=columns,
     )
 

@@ -17,7 +17,7 @@ The kind fixes all of its randomness (``SketchSpec.family``): the blocked
 kinds in ``COLUMN_KINDS`` hash with a degree-(K-1) polynomial family and
 only their spec holds a K; every other kind draws from one numpy
 generator seeded by the spec (:func:`_generator`).  All builders return
-the unscaled matrix S with the global scale 1/sqrt(p*m) attached; they
+the unscaled matrix S, whose spec fixes the global scale 1/sqrt(p*m); they
 are pure functions of the spec and deterministic for a fixed seed
 regardless of execution environment.
 """
@@ -218,7 +218,6 @@ def build_osnap(spec, columns=None):
         indptr=indptr,
         rows=rows,
         values=signs,
-        scale=1.0 / math.sqrt(spec.p * spec.m),
         columns=columns,
     )
 
@@ -287,7 +286,6 @@ def _bernoulli_sketch(spec, q, magnitude):
         indptr=indptr,
         rows=flat % m,
         values=signs * magnitude[cols],
-        scale=1.0 / math.sqrt(spec.p * m),
     )
 
 
@@ -313,7 +311,7 @@ def build_dense_baseline(spec):
         entries = rng.standard_normal((m, n))
     else:
         entries = rng.integers(0, 2, size=(m, n)).astype(np.float64) * 2.0 - 1.0
-    return DenseSketch(spec=spec, matrix=entries * math.sqrt(p), scale=1.0 / math.sqrt(p * m))
+    return DenseSketch(spec=spec, matrix=entries * math.sqrt(p))
 
 
 def build(spec, columns=None):
@@ -334,42 +332,38 @@ def _log_term(x):
     return math.log(max(x, math.e))
 
 
-def osnap_sparsity_target(d, eps, delta, c_s=None):
+def osnap_sparsity_target(d, eps, delta, constants=CONSTANTS):
     """Continuous sparsity target C_s * (log^2(d/(eps*delta))/eps + log^3)."""
-    c_s = CONSTANTS.c_s_osnap if c_s is None else c_s
     L = _log_term(d / (eps * delta))
-    return c_s * (L**2 / eps + L**3)
+    return constants.c_s_osnap * (L**2 / eps + L**3)
 
 
-def oseie_sparsity_target(d, eps, delta, c_s=None, c_e=None):
+def oseie_sparsity_target(d, eps, delta, constants=CONSTANTS):
     """Blocked-kind target plus the i.i.d. model's extra log(d/(eps*delta))/eps^2."""
-    c_e = CONSTANTS.c_e_oseie if c_e is None else c_e
     L = _log_term(d / (eps * delta))
-    return osnap_sparsity_target(d, eps, delta, c_s) + c_e * L / eps**2
+    return osnap_sparsity_target(d, eps, delta, constants) + constants.c_e_oseie * L / eps**2
 
 
-def less_dimension_target(d, eps, delta, c_m=None):
+def less_dimension_target(d, eps, delta, constants=CONSTANTS):
     """Continuous m target C_m * ((d + Ld^2)/eps^2 + Ld^3/eps), Ld = ln(d/delta)."""
-    c_m = CONSTANTS.c_m_less if c_m is None else c_m
     Ld = _log_term(d / delta)
-    return c_m * ((d + Ld**2) / eps**2 + Ld**3 / eps)
+    return constants.c_m_less * ((d + Ld**2) / eps**2 + Ld**3 / eps)
 
 
-def less_sparsity_target(d, eps, delta, c_pm=None):
+def less_sparsity_target(d, eps, delta, constants=CONSTANTS):
     """Continuous p*m target C_pm * max(L^2.5/eps, L^3)."""
-    c_pm = CONSTANTS.c_pm_less if c_pm is None else c_pm
     L = _log_term(d / (eps * delta))
-    return c_pm * max(L**2.5 / eps, L**3)
+    return constants.c_pm_less * max(L**2.5 / eps, L**3)
 
 
-def sparsity_target(kind, d, eps, delta, m0, *, c_s=None, c_e=None, c_pm=None):
+def sparsity_target(kind, d, eps, delta, m0, constants=CONSTANTS):
     """Continuous per-column sparsity target of ``kind``; m0 for the dense kinds."""
     if kind in LESS_KINDS:
-        return less_sparsity_target(d, eps, delta, c_pm)
+        return less_sparsity_target(d, eps, delta, constants)
     if kind == "osnap":
-        return osnap_sparsity_target(d, eps, delta, c_s)
+        return osnap_sparsity_target(d, eps, delta, constants)
     if kind == "ose-ie":
-        return oseie_sparsity_target(d, eps, delta, c_s, c_e)
+        return oseie_sparsity_target(d, eps, delta, constants)
     return m0
 
 
@@ -392,44 +386,42 @@ def round_parameters(kind, m0, s_raw):
     return m0, s
 
 
-def check_dimensions(d, n, eps, delta):
-    """ParameterError unless eps and delta lie in (0, 1) and 1 <= d <= n."""
+def check_pin(name, pin):
+    """ParameterError unless the pin ``name`` is None or an integer >= 1."""
+    if pin is not None and (isinstance(pin, bool) or not isinstance(pin, numbers.Integral)
+                            or pin < 1):
+        raise ParameterError(f"{name} must be an integer >= 1, got {pin!r}")
+
+
+def default_parameters(d, n, eps, delta, kind, *, m=None, s=None, scores=None, seed=0,
+                       constants=CONSTANTS):
+    """Calibrated spec for a (eps, delta, d)-embedding of subspaces of R^n.
+
+    The oblivious kinds take m0 = ceil(C_m * (d + ln(1/delta)) / eps^2)
+    with C_m = ``constants.c_m_oblivious``, the less kinds
+    m0 = ceil(:func:`less_dimension_target`) and their ``scores`` (a spec
+    without them describes the sketch but cannot build it).  The sparsity
+    target is :func:`sparsity_target`.  ``constants`` (the calibrated
+    ``CONSTANTS`` by default) holds every C, one field per formula.
+    A pinned ``m`` replaces m0 and a pinned ``s`` the target; each must
+    pass :func:`check_pin`.  :func:`round_parameters` caps s at m0 (p = 1,
+    with a warning when the target of a sparse kind reaches it) and
+    rounds an osnap m up to a multiple of s; K comes from the final s.
+    """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ParameterError("eps and delta must lie in (0, 1)")
     if not 1 <= d <= n:
         raise ParameterError(f"need 1 <= d <= n, got d = {d}, n = {n}")
-
-
-def default_parameters(d, n, eps, delta, kind, *, m=None, s=None, scores=None, seed=0,
-                       c_m=None, c_s=None, c_e=None, c_pm=None):
-    """Calibrated spec for a (eps, delta, d)-embedding of subspaces of R^n.
-
-    The oblivious kinds take m0 = ceil(C_m * (d + ln(1/delta)) / eps^2),
-    the less kinds m0 = ceil(:func:`less_dimension_target`) and their
-    ``scores`` (a spec without them describes the sketch but cannot build
-    it).  The sparsity target is :func:`sparsity_target`.  A pinned ``m``
-    replaces m0 and a pinned ``s`` the target; each must be an integer
-    >= 1, or ParameterError.  :func:`round_parameters` caps s at m0 (p = 1, with a
-    warning when the target of a sparse kind reaches it) and rounds an
-    osnap m up to a multiple of s; K comes from the final s.  C_m is
-    ``c_m`` (the kind's constant when None); C_s, C_e and C_pm feed only
-    the kinds whose target uses them.
-    """
-    check_dimensions(d, n, eps, delta)
     if kind not in KINDS:
         raise ParameterError(f"unknown sketch kind {kind!r}")
-    for name, pin in (("m", m), ("s", s)):
-        if pin is not None and (isinstance(pin, bool) or not isinstance(pin, numbers.Integral)
-                                or pin < 1):
-            raise ParameterError(f"{name} must be an integer >= 1, got {pin!r}")
+    check_pin("m", m)
+    check_pin("s", s)
     if kind in LESS_KINDS:
-        m0 = less_dimension_target(d, eps, delta, c_m)
+        m0 = less_dimension_target(d, eps, delta, constants)
     else:
-        c_m = CONSTANTS.c_m_oblivious if c_m is None else c_m
-        m0 = c_m * (d + math.log(1.0 / delta)) / eps**2
+        m0 = constants.c_m_oblivious * (d + math.log(1.0 / delta)) / eps**2
     m0 = max(math.ceil(m0), 1) if m is None else m
-    s_raw = sparsity_target(kind, d, eps, delta, m0, c_s=c_s, c_e=c_e,
-                            c_pm=c_pm) if s is None else s
+    s_raw = sparsity_target(kind, d, eps, delta, m0, constants) if s is None else s
     m, s_int = round_parameters(kind, m0, s_raw)
     if s is None and s_int == m and kind not in DENSE_KINDS:
         warnings.warn(

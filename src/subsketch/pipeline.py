@@ -19,7 +19,7 @@ from .apply import apply as _apply
 from .errors import ParameterError
 from .leverage import _full_rank_r, approx_leverage
 from .less import build_less_ic
-from .oblivious import COLUMN_KINDS, LESS_KINDS, build, default_parameters
+from .oblivious import COLUMN_KINDS, LESS_KINDS, build, check_pin, default_parameters
 
 PIPELINE_KINDS = ("osnap", "ose-ie", "less-ic", "less-ie", "gaussian-dense")
 
@@ -43,10 +43,8 @@ class PipelineConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ParameterError(f"{name} must lie in (0, 1), got {v}")
-        for name in ("m", "pm"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ParameterError(f"{name} must be >= 1, got {v}")
+        check_pin("m", self.m)
+        check_pin("pm", self.pm)
         if self.kind not in PIPELINE_KINDS:
             raise ParameterError(f"unknown pipeline kind {self.kind!r}")
 

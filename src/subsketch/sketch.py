@@ -1,7 +1,7 @@
 """Sketch containers and the on-disk sketch format.
 
 A :class:`SparseSketch` stores the *unscaled* matrix S column-major
-(CSC-style arrays) together with the global scale 1/sqrt(p*m); the
+(CSC-style arrays); its spec fixes the global scale 1/sqrt(p*m), and the
 embedding matrix is ``scale * S``.  Row indices are 0-based and strictly
 increasing within each column.  :class:`DenseSketch` is the analogous
 holder for the dense baselines.
@@ -36,7 +36,7 @@ _SCORE_FIELDS = ("beta1", "beta2", "scores_sha256")
 
 
 class _Sketch:
-    """What both containers share: shape, energy target, materialize."""
+    """What both containers share: shape, energy target, scale, materialize."""
 
     @property
     def m(self):
@@ -50,6 +50,11 @@ class _Sketch:
     def pm(self):
         """Column energy target p*m of the unscaled matrix."""
         return float(self.spec.p) * self.spec.m
+
+    @property
+    def scale(self):
+        """Global scale 1/sqrt(p*m) of the embedding ``scale * S``."""
+        return 1.0 / math.sqrt(self.pm)
 
     def materialize(self, max_entries=50_000_000):
         """Dense scaled matrix; refuses to allocate above ``max_entries``."""
@@ -67,7 +72,6 @@ class SparseSketch(_Sketch):
     indptr: np.ndarray
     rows: np.ndarray
     values: np.ndarray
-    scale: float
     # the header fields of a loaded file that its spec does not hold: the
     # score fields, a family other than the kind's model, the degree_k of
     # a kind that does not hash; save writes them back in place
@@ -142,11 +146,10 @@ class SparseSketch(_Sketch):
 
 @dataclass
 class DenseSketch(_Sketch):
-    """Unscaled dense baseline matrix plus the global scale."""
+    """Unscaled dense baseline matrix; the scale comes from the spec."""
 
     spec: object
     matrix: np.ndarray
-    scale: float
 
     @property
     def nnz(self):
@@ -170,17 +173,13 @@ def scores_digest(z, beta1, beta2):
     return h.hexdigest()
 
 
-def sketch_from_dense(matrix, scale, spec):
-    """Rebuild the CSC arrays of a sketch from its scaled dense form."""
-    csc = scipy.sparse.csc_matrix(np.asarray(matrix) / scale)
+def sketch_from_dense(matrix, spec):
+    """Rebuild the CSC arrays of a ``spec`` sketch from its scaled dense form."""
+    csc = scipy.sparse.csc_matrix(np.asarray(matrix))
     csc.sort_indices()
-    return SparseSketch(
-        spec=spec,
-        indptr=csc.indptr.astype(np.int64),
-        rows=csc.indices.astype(np.int64),
-        values=csc.data.astype(np.float64),
-        scale=scale,
-    )
+    sketch = SparseSketch(spec=spec, indptr=csc.indptr, rows=csc.indices, values=csc.data)
+    sketch.values /= sketch.scale
+    return sketch
 
 
 def _header_spec(path, header):
@@ -262,5 +261,4 @@ def load_sketch(path):
     family = header.get("family", "kwise")
     if family != spec.family:
         extras["family"] = family
-    return SparseSketch(spec=spec, indptr=indptr, rows=rows, values=values,
-                        scale=header["scale"], extras=extras)
+    return SparseSketch(spec=spec, indptr=indptr, rows=rows, values=values, extras=extras)

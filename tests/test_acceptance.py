@@ -318,10 +318,10 @@ def test_criterion_09_sparsity_eps_trend():
     )
 
     n = 8192
-    osnap_rows = eps_sweep("osnap", d=d, delta=delta, eps_grid=eps_grid, n=n,
-                           trials=50, seed=909, sampler="coordinate")
-    oseie_rows = eps_sweep("ose-ie", d=d, delta=delta, eps_grid=eps_grid, n=n,
-                           trials=50, seed=909, sampler="coordinate")
+    osnap_rows = eps_sweep("osnap", d=d, delta=delta, n=n, trials=50, seed=909)
+    oseie_rows = eps_sweep("ose-ie", d=d, delta=delta, n=n, trials=50, seed=909)
+    for rows in (osnap_rows, oseie_rows):
+        assert tuple(r["eps"] for r in rows) == eps_grid
     sweeps_ok = all(r["failure_fraction"] <= delta for r in osnap_rows + oseie_rows)
 
     # dropping the extra term must hurt the i.i.d. model at the smallest eps

@@ -72,7 +72,7 @@ class TestOracleEquivalence:
         signs = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
         spec = SketchSpec.from_sparsity("osnap", m=m, n=n, s=1, seed=0)
         sk = SparseSketch(spec=spec, indptr=np.arange(n + 1),
-                          rows=np.arange(n), values=signs, scale=1.0)
+                          rows=np.arange(n), values=signs)
         A = np.random.default_rng(4).standard_normal((n, 3))
         np.testing.assert_allclose(apply(sk, A), signs[:, None] * A)
 
@@ -148,7 +148,7 @@ class TestMaterialize:
     def test_roundtrip_through_dense(self):
         rng = np.random.default_rng(11)
         sk = random_sketch("less-ic", rng, 24, 60, seed=9)
-        back = sketch_from_dense(sk.materialize(), sk.scale, sk.spec)
+        back = sketch_from_dense(sk.materialize(), sk.spec)
         assert np.array_equal(back.indptr, sk.indptr)
         assert np.array_equal(back.rows, sk.rows)
         np.testing.assert_allclose(back.values, sk.values, rtol=1e-12)

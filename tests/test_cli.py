@@ -446,20 +446,37 @@ class TestBenchCommand:
         assert rc == EXIT_OK
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("nnz,")
-        assert len(lines) == 5
+        assert [int(line.split(",")[1]) for line in lines[1:]] == [2048, 4096, 8192, 16384]
 
     def test_needs_mode(self):
         assert main(["bench"]) == EXIT_PARAMETER
 
     @pytest.mark.parametrize("argv", [
-        ["--sweep", "eps", "--d", "0"],  # used to raise ZeroDivisionError
+        ["--sweep", "eps", "--trials", "2", "--d", "0"],  # used to raise ZeroDivisionError
         ["--sweep", "nnz", "--n", "0"],  # used to run at n = 4096
         ["--calibrate", "--trials", "0"],  # used to run 100 trials
         ["--sweep", "nnz", "--d", "0"],  # used to exit 0 with rows of nnz 0
         ["--sweep", "nnz", "--d", "-3"],  # used to exit 1 on a scipy traceback
     ], ids=["eps-d-zero", "nnz-n-zero", "calibrate-trials-zero", "nnz-d-zero", "nnz-d-negative"])
     def test_explicit_zero_rejected(self, argv):
-        assert main(["bench", "--trials", "2", *argv]) == EXIT_PARAMETER
+        # nnz takes no --trials, so its cases pass none: each fails on its zero
+        assert main(["bench", *argv]) == EXIT_PARAMETER
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--sweep", "nnz", "--kind", "ose-ie", "--eps", "0.1", "--trials", "9"],
+         "--kind, --trials, --eps"),
+        (["--sweep", "eps", "--eps", "0.1"], "--eps"),
+        (["--calibrate", "--kind", "osnap"], "--kind"),
+        (["--calibrate", "--sweep", "eps"], "not both"),
+    ], ids=["nnz-kind-eps-trials", "eps-eps", "calibrate-kind", "calibrate-sweep"])
+    def test_unread_flag_rejected(self, monkeypatch, capsys, argv, named):
+        # each used to exit 0, running its mode as if the flag were absent
+        ran = []
+        for name in ("calibrate", "eps_sweep", "nnz_sweep"):
+            monkeypatch.setattr(f"subsketch.cli.{name}", lambda **kw: ran.append(kw))
+        assert main(["bench", *argv]) == EXIT_PARAMETER
+        assert ran == []
+        assert named in capsys.readouterr().err
 
     def test_nnz_sweep_negative_seed(self, tmp_path):
         # used to exit 1 on a scipy traceback: its matrices take seeds in [0, 2^32)

@@ -26,7 +26,7 @@ from subsketch.experiments import builder
 def identity_sketch(n):
     spec = SketchSpec.from_sparsity("osnap", m=n, n=n, s=1, seed=0)
     return SparseSketch(spec=spec, indptr=np.arange(n + 1),
-                        rows=np.arange(n), values=np.ones(n), scale=1.0)
+                        rows=np.arange(n), values=np.ones(n))
 
 
 def gaussian_builder(m, n, p=1.0):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsketch import (
+    CONSTANTS,
     LeverageScores,
     ParameterError,
     SketchSpec,
@@ -254,7 +256,8 @@ class TestLessDefaults:
     def test_small_delta_m_dominated_by_d_term(self):
         scores = uniform_scores(10**6, 1e-4)
         d = 64
-        spec = default_parameters(d, 10**6, 0.5, d**-2.0, "less-ic", scores=scores, c_m=1.0)
+        spec = default_parameters(d, 10**6, 0.5, d**-2.0, "less-ic", scores=scores,
+                                  constants=replace(CONSTANTS, c_m_less=1.0))
         Ld = math.log(d / d**-2.0)
         main = (d + Ld**2) / 0.25
         assert spec.m <= 2 * math.ceil(main + Ld**3 / 0.5)
@@ -264,7 +267,8 @@ class TestLessDefaults:
         scores = uniform_scores(256, 0.1)
         with pytest.warns(UserWarning, match="capping"):
             spec = default_parameters(2, 256, 0.04, 0.9, "less-ic", scores=scores,
-                                      c_m=0.0001, c_pm=64.0)
+                                      constants=replace(CONSTANTS, c_m_less=0.0001,
+                                                        c_pm_less=64.0))
         assert round(spec.p * spec.m) == spec.m
 
     def test_invalid_eps_delta(self):

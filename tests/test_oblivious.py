@@ -3,12 +3,14 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from subsketch import (
+    CONSTANTS,
     IndependentFamily,
     LeverageScores,
     ParameterError,
@@ -21,6 +23,7 @@ from subsketch import (
     independence_degree,
     osnap_sparsity_target,
 )
+from subsketch.oblivious import KINDS, LESS_KINDS
 
 
 def osnap_spec(m, n, s, seed=0, degree_k=8):
@@ -269,7 +272,8 @@ class TestDenseBaselines:
 class TestDefaultParameters:
     def test_example_arithmetic(self):
         # d=16, eps=0.5, delta=0.01, C_m=16: m0 = ceil(16*(16+ln 100)/0.25)
-        spec = default_parameters(16, 4096, 0.5, 0.01, "osnap", c_m=16)
+        spec = default_parameters(16, 4096, 0.5, 0.01, "osnap",
+                                  constants=replace(CONSTANTS, c_m_oblivious=16))
         m0 = math.ceil(16 * (16 + math.log(100)) / 0.25)
         assert spec.m >= m0
         assert spec.m % spec.s == 0
@@ -278,9 +282,24 @@ class TestDefaultParameters:
     def test_cap_rule_p_one(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            spec = default_parameters(4, 64, 0.02, 0.5, "osnap", c_m=0.001)
+            spec = default_parameters(4, 64, 0.02, 0.5, "osnap",
+                                      constants=replace(CONSTANTS, c_m_oblivious=0.001))
         assert spec.p == 1.0
         assert spec.s == spec.m
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_constants_default_to_the_calibrated_ones(self, kind):
+        args = (16, 4096, 0.5, 0.05, kind)
+        assert default_parameters(*args) == default_parameters(*args, constants=CONSTANTS)
+
+    @pytest.mark.parametrize("field", ["c_m_less", "c_m_oblivious"])
+    def test_each_dimension_constant_moves_only_its_kinds(self, field):
+        # one c_m keyword once set whichever of the two its kind read
+        doubled = replace(CONSTANTS, **{field: 2 * getattr(CONSTANTS, field)})
+        for kind in KINDS:
+            base = default_parameters(16, 4096, 0.5, 0.05, kind)
+            moved = default_parameters(16, 4096, 0.5, 0.05, kind, constants=doubled)
+            assert (moved.m != base.m) == ((kind in LESS_KINDS) == (field == "c_m_less"))
 
     def test_sparsity_grows_linearly_in_inverse_eps(self):
         s1 = osnap_sparsity_target(16, 0.5, 0.05)

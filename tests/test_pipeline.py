@@ -84,9 +84,10 @@ class TestFastSubspaceEmbed:
         assert report.pm == pytest.approx(64)
 
     @pytest.mark.parametrize("name", ["m", "pm"])
-    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True, "7"])
     def test_out_of_range_override_rejected(self, name, value):
-        # a zero override once fell back to the default without a word
+        # a zero override once fell back to the default without a word; a
+        # non-integer one constructed (or raised TypeError) until run time
         with pytest.raises(ParameterError, match=name):
             PipelineConfig(eps=0.5, delta=0.05, **{name: value})
 
