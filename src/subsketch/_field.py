@@ -179,21 +179,24 @@ def _horner(coeffs, x, out, work, starts):
 def _is_progression(x, d, same):
     """True when every ``_L``-point sub-block of x (the last may be shorter)
     is an arithmetic progression; ``d`` (uint64) and ``same`` (bool) are
-    buffers of at least x.size elements.
+    buffers of at least x.size elements.  The first sub-block is tested
+    on its own, so points out of progression from the start (a restricted
+    build's) are rejected after ``_L`` points, not a whole block.
 
     Differences wrap mod 2^64, but points lie below 2^32, so equal wrapped
     differences are equal integer differences.
     """
-    full = x.size // _L
-    for part in (x[:full * _L].reshape(full, _L), x[full * _L:].reshape(1, -1)):
-        rows, cols = part.shape
-        if rows and cols > 2:
-            diff = d[:rows * (cols - 1)].reshape(rows, cols - 1)
-            np.subtract(part[:, 1:], part[:, :-1], out=diff)
-            eq = same[:diff.size].reshape(diff.shape)
-            np.equal(diff, diff[:, :1], out=eq)
-            if not eq.all():
-                return False
+    for head in (x[:_L], x[_L:]):
+        full = head.size // _L
+        for part in (head[:full * _L].reshape(full, _L), head[full * _L:].reshape(1, -1)):
+            rows, cols = part.shape
+            if rows and cols > 2:
+                diff = d[:rows * (cols - 1)].reshape(rows, cols - 1)
+                np.subtract(part[:, 1:], part[:, :-1], out=diff)
+                eq = same[:diff.size].reshape(diff.shape)
+                np.equal(diff, diff[:, :1], out=eq)
+                if not eq.all():
+                    return False
     return True
 
 

@@ -22,7 +22,8 @@ def touched_rows(A):
     entry, explicit zeros and NaNs included; None for a dense ``A``."""
     if not scipy.sparse.issparse(A):
         return None
-    return np.flatnonzero(np.diff(A.tocsr().indptr))
+    indptr = A.tocsr().indptr
+    return np.flatnonzero(indptr[1:] != indptr[:-1])
 
 
 def apply(sketch, A):

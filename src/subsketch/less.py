@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 
 from .errors import ParameterError
-from .oblivious import _bernoulli_sketch, blocked_entries
+from .oblivious import _bernoulli_sketch, blocked_entries, check_columns
 from .sketch import SparseSketch
 
 
@@ -81,9 +81,17 @@ def build_less_ic(spec, columns=None):
     with block heights b_j (when every b_j is m/s, the ``osnap`` rows and
     signs), each scaled by sqrt(p * width).  With ``columns`` only those
     columns are hashed; they equal the full build's and every other
-    column is empty.
+    column is empty.  Heights and counts are computed on the built
+    columns and on the support of the scores only.  A column with
+    z_j = 0 has height m and a single block, so column j's first entry is
+
+        offset_j = j + sum over j' < j with z_j' != 0 of (s_j' - 1),
+
+    found with one pass over z; on a full build that is the running count
+    of blocks, which :func:`~subsketch.oblivious.blocked_entries` takes
+    from the column order.
     """
-    b = block_heights(spec)
+    z = _scores(spec, "less-ic").z
     if spec.p >= 1.0:
         raise ParameterError(
             "the independent-column construction requires p < 1; use a dense baseline for p = 1"
@@ -91,7 +99,16 @@ def build_less_ic(spec, columns=None):
     pm = spec.p * spec.m
     if pm < 1.0:
         raise ParameterError(f"need p*m >= 1, got {pm}")
-    indptr, rows, signs, width, columns = blocked_entries(spec, b, columns)
+    offsets = total = None
+    if columns is not None:
+        columns = check_columns(columns, spec.n)
+        support = np.flatnonzero(z != 0.0)  # a bool pass: faster than on floats
+        extra = np.zeros(support.size + 1, dtype=np.int64)  # blocks past the first, running
+        np.cumsum(-(-spec.m // _heights(spec, z[support])) - 1, out=extra[1:])
+        offsets = columns + extra[np.searchsorted(support, columns)]
+        total = spec.n + int(extra[-1])
+    heights = _heights(spec, z if columns is None else z[columns])
+    indptr, rows, signs, width = blocked_entries(spec, heights, columns, offsets, total)
     return SparseSketch(
         spec=spec,
         indptr=indptr,

@@ -30,11 +30,13 @@ class LeverageScores:
         self.z = np.asarray(self.z, dtype=np.float64)
         if self.z.ndim != 1:
             raise ParameterError("scores must be a 1-D vector")
-        if not (np.isfinite(self.z).all() and np.isfinite([self.beta1, self.beta2]).all()):
+        lo, hi = (self.z.min(), self.z.max()) if self.z.size else (0.0, 0.0)
+        if not np.isfinite([lo, hi, self.beta1, self.beta2]).all():
             raise ParameterError("scores, beta1 and beta2 must be finite")
-        if np.any(self.z < -1e-12) or np.any(self.z > 1.0 + 1e-12):
+        if lo < -1e-12 or hi > 1.0 + 1e-12:
             raise ParameterError("scores must lie in [0, 1]")
-        self.z = np.clip(self.z, 0.0, 1.0)
+        if lo < 0.0 or hi > 1.0:  # clip keeps -0.0, so in-range scores need no copy
+            self.z = np.clip(self.z, 0.0, 1.0)
         if self.beta1 < 1.0 or self.beta2 < 1.0:
             raise ParameterError("beta1 and beta2 must be >= 1")
 
@@ -119,15 +121,22 @@ def _sketch_r_factor(A, d, n, seed, attempt, columns):
 _SAFETY = 2.0  # inflation of the estimates, which the claimed beta1 carries
 
 
-def approx_leverage(A, gamma, *, seed=0):
+def approx_leverage(A, gamma, *, seed=0, columns=None):
     """Coarse scores with beta1 = O(n^gamma), beta2 = O(1).
 
     Sketch A, take R from a QR of the sketch, and estimate the row norms
     of A R^-1 with ceil(4/gamma) Gaussian test vectors; estimates are
-    inflated by 2 and clamped to [0, 1].  For a scipy.sparse A
-    the sketch hashes only the columns J of the rows A touches, and
-    A[J] R^-1 G is formed on J alone: every other score is exactly 0, as
-    the full product gives.  The claimed beta1 is
+    inflated by 2 and clamped to [0, 1].  For a scipy.sparse A the work
+    follows the rows J that A touches, past finding J, the sketch's n + 1
+    column pointers and one pass over the scores: the sketch hashes only
+    the columns J, and A[J] R^-1 G is formed and clamped on J alone;
+    every other score is exactly 0, as the full product gives.
+    ``columns`` hands J in, as :func:`~subsketch.apply.touched_rows`
+    finds it (any strictly increasing rows in [0, n) that hold every
+    stored entry, or nonzero of a dense A, give the same scores); when
+    None, J is found here.  Other ``columns`` raise ParameterError, as
+    in :func:`~subsketch.oblivious.build_osnap` and
+    :func:`~subsketch.apply.apply`.  The claimed beta1 is
     max(2 n^gamma, 4); beta2 is reported as measured, max(1, sum(z)/d).
     """
     if not 0.0 < gamma < 1.0:
@@ -135,7 +144,8 @@ def approx_leverage(A, gamma, *, seed=0):
     n, d = A.shape
     if n < d:
         raise ParameterError(f"need a tall matrix, got shape {n}x{d}")
-    columns = touched_rows(A)
+    if columns is None:
+        columns = touched_rows(A)
     R = None
     for attempt in range(3):
         R = _sketch_r_factor(A, d, n, seed, attempt, columns)
@@ -152,12 +162,11 @@ def approx_leverage(A, gamma, *, seed=0):
     G = rng.standard_normal((d, k)) / math.sqrt(k)
     W = scipy.linalg.solve_triangular(R, G, lower=False)
     J = slice(None) if columns is None else columns  # E_i = 0 exactly off J
-    E = np.asarray((A if columns is None else A.tocsr())[J] @ W)
-    est = np.zeros(n)
-    est[J] = np.einsum("ij,ij->i", E, E)
-    z = np.clip(_SAFETY * est, 0.0, 1.0)
+    E = np.asarray((A.tocsr() if scipy.sparse.issparse(A) else A)[J] @ W)
+    z = np.zeros(n)
+    z[J] = np.clip(_SAFETY * np.einsum("ij,ij->i", E, E), 0.0, 1.0)
     beta1 = max(_SAFETY * n**gamma, 4.0)
-    beta2 = max(1.0, float(z.sum()) / d)
+    beta2 = max(1.0, float(z.sum()) / d)  # summed over all n: the bytes of a full sum
     return LeverageScores(z=z, beta1=beta1, beta2=beta2)
 
 

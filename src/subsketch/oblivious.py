@@ -143,54 +143,54 @@ class SketchSpec:
         return cls(kind=kind, m=m, n=n, p=s / m, **kwargs)
 
 
-def blocked_entries(spec, heights, columns=None):
+def check_columns(columns, n):
+    """``columns`` as int64, or ParameterError unless they are strictly
+    increasing integers in [0, n)."""
+    bad = ParameterError(f"columns must be strictly increasing integers in [0, {n})")
+    cols = np.asarray(columns)
+    if cols.ndim != 1 or not (cols.size == 0 or np.issubdtype(cols.dtype, np.integer)):
+        raise bad
+    cols = cols.astype(np.int64)  # before diff: unsigned differences wrap
+    if cols.size and (np.any(np.diff(cols) <= 0) or cols[0] < 0 or cols[-1] >= n):
+        raise bad
+    return cols
+
+
+def blocked_entries(spec, heights, columns=None, offsets=None, total=None):
     """Hashed entries of a blocked one-hot sketch; the sampler of ``osnap``
     and ``less-ic``.
 
-    Column j is cut from the top into blocks of height heights[j] (a
-    scalar: the same for every column), the last one truncated at m, and
-    each block holds one entry.  Block gamma of column j is entry
-    t = offset_j + gamma, with offset the exclusive cumsum of the block
-    counts over all n columns; its sign comes from hash point 2t and its
-    row within the block from point 2t + 1, so a column's entries do not
-    depend on which other columns are built.  Only ``columns`` (all when
-    None) are laid out and hashed: past the n + 1 column pointers (and the
-    cumsum of per-column counts) the cost follows the built entries.
-    They must be strictly increasing integers in [0, n), or
-    ParameterError; so is a sketch of 2^31 or more entries, whose points
-    would leave the 32-bit hash domain.
-    Returns the n + 1 column pointers, the rows, the signs and the block
-    width of each built entry, and ``columns`` as int64 (or None).
+    The caller lays the sketch out.  It builds ``columns`` (all n when
+    None; else as returned by :func:`check_columns`), and built column i
+    is cut from the top into blocks of height heights[i] (a scalar: the
+    same for every column), the last one truncated at m; each block holds
+    one entry.  Block gamma of built column i is entry t = offsets[i] +
+    gamma of the ``total`` entries of the full sketch, which a restricted
+    build passes (for osnap s*j and n*s); a full build numbers its entries
+    in column order, so it needs neither, and its points form one
+    progression.  Entry t's sign comes from hash point 2t and its row
+    within the block from point 2t + 1, so a column's entries do not
+    depend on which other columns are built.  Past the n + 1 column
+    pointers the cost follows the built entries.  ParameterError for a
+    sketch of 2^31 or more entries, whose points would leave the 32-bit
+    hash domain.
+    Returns the n + 1 column pointers, and the rows, the signs and the
+    block width of each built entry.
     """
-    n = spec.n
-    if columns is None:
-        built = np.arange(n, dtype=np.int64)
-    else:
-        bad = ParameterError(f"columns must be strictly increasing integers in [0, {n})")
-        cols = np.asarray(columns)
-        if cols.ndim != 1 or not (cols.size == 0 or np.issubdtype(cols.dtype, np.integer)):
-            raise bad
-        columns = built = cols.astype(np.int64)  # before diff: unsigned differences wrap
-        if columns.size and (np.any(np.diff(columns) <= 0) or columns[0] < 0
-                             or columns[-1] >= n):
-            raise bad
-    counts = -(-spec.m // heights)
-    if np.ndim(heights) == 0:  # column j starts at entry counts * j
-        total, kept, start = n * counts, np.full(built.size, counts), built * counts
-    else:
-        ends = np.cumsum(counts)
-        total, kept, heights = int(ends[-1]), counts[built], heights[built]
-        start = ends[built] - kept
+    kept = -(-spec.m // heights)  # blocks of each built column
+    built = spec.n if columns is None else columns.size
+    ptr = np.zeros(built + 1, dtype=np.int64)  # the built columns' pointers
+    np.cumsum(np.broadcast_to(kept, (built,)), out=ptr[1:])
+    total = ptr[-1] if columns is None else total
     if total >= HASH_DOMAIN // 2:  # entry t hashes points 2t and 2t + 1
         raise ParameterError(f"a blocked sketch holds at most 2^31 - 1 entries, got {total}")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[built + 1] = kept
-    np.cumsum(indptr, out=indptr)
-    first = indptr[built]  # where each built column's entries begin
+    first = ptr[:-1]  # where each built column's entries begin
+    # a column not built repeats the pointer before it
+    indptr = ptr if columns is None else np.repeat(ptr, np.diff(columns, prepend=-1,
+                                                                append=spec.n))
     t = np.arange(indptr[-1], dtype=np.uint64)  # a full build's points stay in progression
-    if columns is not None:  # shift each column's run from first_j to offset_j
-        t += np.repeat((start - first).astype(np.uint64), kept)
-    del built, start  # n long on a full build; not held through the hashing
+    if columns is not None:  # shift each column's run from first_i to offsets_i
+        t += np.repeat((offsets - first).astype(np.uint64), kept)
     family = KWiseFamily(seed=spec.seed, degree_k=spec.degree_k)
     signs = family.rademacher(t * np.uint64(2))
     field = family.evaluate(t * np.uint64(2) + np.uint64(1))
@@ -200,19 +200,24 @@ def blocked_entries(spec, heights, columns=None):
     lo *= width  # 0-based block start
     width = np.minimum(lo + width, spec.m) - lo
     rows = lo + scale_to_range(field, width.view(np.uint64), M61).astype(np.int64)
-    return indptr, rows, signs, width, columns
+    return indptr, rows, signs, width
 
 
 def build_osnap(spec, columns=None):
     """Sample a blocked one-hot sketch: s blocks of height m/s per column.
 
-    The entries come from :func:`blocked_entries`.  With ``columns`` (a
-    strictly increasing index array) only those columns are hashed; they
-    equal the full build's and every other column is empty.
+    The entries come from :func:`blocked_entries`; column j's first is
+    entry s*j.  With ``columns`` (a strictly increasing index array) only
+    those columns are hashed; they equal the full build's and every other
+    column is empty.
     """
     if spec.kind != "osnap":
         raise ParameterError(f"build_osnap needs kind 'osnap', got {spec.kind!r}")
-    indptr, rows, signs, _, columns = blocked_entries(spec, spec.m // spec.s, columns)
+    offsets = total = None
+    if columns is not None:
+        columns = check_columns(columns, spec.n)
+        offsets, total = spec.s * columns, spec.n * spec.s
+    indptr, rows, signs, _ = blocked_entries(spec, spec.m // spec.s, columns, offsets, total)
     return SparseSketch(
         spec=spec,
         indptr=indptr,

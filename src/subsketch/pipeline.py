@@ -88,14 +88,14 @@ def _validate_distortion(R, A_tilde):
 def fast_subspace_embed(A, config):
     """Compute A_tilde = Pi A with the score-adapted pipeline.
 
-    For a scipy.sparse A, the cost beyond single passes over n follows
-    the rows J that A touches and the entries built: the leverage
-    estimate runs on J, the osnap and less-ic sketches are built and
-    applied on the columns J only, and ``nnz_sketch`` in the report still
-    counts the full sketch.  Returns (A_tilde, PipelineReport).
-    Stage names in the report:
-    ``leverage``, ``parameters``, ``build``, ``apply`` and optionally
-    ``validate``.
+    For a scipy.sparse A the cost follows the rows J that A touches and
+    the entries built, past finding J (once), the n + 1 column pointers
+    of each sketch and one pass over the scores: the leverage estimate
+    runs on J, the osnap and less-ic sketches are built and applied on
+    the columns J only, and ``nnz_sketch`` in the report still counts the
+    full sketch.  Returns (A_tilde, PipelineReport).  Stage names in the
+    report: ``leverage`` (finding J included), ``parameters``, ``build``,
+    ``apply`` and optionally ``validate``.
     """
     n, d = A.shape
     if n < d:
@@ -104,9 +104,12 @@ def fast_subspace_embed(A, config):
     t_total = time.perf_counter()
     scores = None
 
+    t0 = time.perf_counter()
+    # the rows a sparse A touches, found once for the leverage stage and the build
+    columns = touched_rows(A) if config.kind in COLUMN_KINDS + LESS_KINDS else None
     if config.kind in LESS_KINDS:
-        t0 = time.perf_counter()
-        scores = approx_leverage(A, config.gamma, seed=derive_seed(config.seed, 0x5C0))
+        scores = approx_leverage(A, config.gamma, seed=derive_seed(config.seed, 0x5C0),
+                                 columns=columns)
         timings["leverage"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -116,7 +119,8 @@ def fast_subspace_embed(A, config):
 
     t0 = time.perf_counter()
     # a sparse A needs only the sketch columns of the rows it touches
-    columns = touched_rows(A) if spec.kind in COLUMN_KINDS else None
+    if spec.kind not in COLUMN_KINDS:
+        columns = None
     # less-ic goes through this module's name for it, which per-layer
     # tracing wraps; every other kind through the registry
     sketch = (build_less_ic if spec.kind == "less-ic" else build)(spec, columns=columns)

@@ -143,3 +143,25 @@ class TestValidateScores:
         fields[field] = np.array([0.5, bad]) if field == "z" else bad
         with pytest.raises(ParameterError):
             LeverageScores(**fields)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -2e-12, 1.0 + 2e-12, -0.5, 1.5])
+    def test_out_of_range_or_non_finite_score_rejected(self, bad):
+        for where in (0, 2):  # the minimum or the maximum
+            z = np.array([0.5, 0.25, 0.75])
+            z[where] = bad
+            with pytest.raises(ParameterError):
+                LeverageScores(z=z, beta1=2.0, beta2=1.5)
+
+    # digests of the scores clipped to [0, 1] over the whole vector; -0.0 stays -0.0
+    @pytest.mark.parametrize("z, digest", [
+        ([-0.0, 0.25, 1.0], "377855b4037328a16a320c6ff417835d3228eb9bc45e1ddc4c6012fb135b29a8"),
+        ([-1e-12, -5e-13, 0.5], "c3e1f0fa8189621d4a59dbe982d2a6b05fb2adbf840c6cab75cc221e5c3ec10a"),
+        ([1.0 + 1e-12, 1.0 + 2e-16, 0.0],
+         "f1c0987a32cafc1ae04773ab8b307d3ea666de9a4ca1b6ef73fb5891ced48082"),
+        ([-0.0, -1e-13, 0.3, 1.0 + 1e-13],
+         "bb89f2731967d51551f9e3ae477c823337136ea79101a52dcc41fed0b5a56bf7"),
+    ])
+    def test_scores_within_slack_keep_their_digest(self, z, digest):
+        scores = LeverageScores(z=np.array(z), beta1=2.0, beta2=1.5)
+        assert scores.digest() == digest
+        assert scores.z.min() >= 0.0 and scores.z.max() <= 1.0

@@ -82,6 +82,35 @@ def test_restricted_build_equals_full_on_columns(kind, seed, J):
     assert via_registry.indptr.tobytes() == part.indptr.tobytes()
 
 
+RELATIONS = ("J in supp(z)", "supp(z) in J", "neither")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), draw=st.integers(0, 2**31),
+       relation=st.sampled_from(RELATIONS))
+def test_less_ic_restricted_build_with_zero_scores(seed, draw, relation):
+    # a zero score makes a single block of height m; so does a tiny one
+    rng = np.random.default_rng(draw)
+    z = (np.arange(N) % 9 + 1) / 10.0
+    z[rng.random(N) < 0.1] = 1e-9
+    zero = rng.random(N) < rng.uniform(0.1, 0.9)
+    zero[rng.integers(N // 2)] = True  # at least one zero and one nonzero score
+    zero[N // 2 + rng.integers(N // 2)] = False
+    z[zero] = 0.0
+    support, off = np.flatnonzero(~zero), np.flatnonzero(zero)
+    some = lambda idx: idx[rng.random(idx.size) < 0.5]  # noqa: E731
+    if relation == "J in supp(z)":
+        J = some(support)
+    elif relation == "supp(z) in J":
+        J = np.union1d(support, some(off))
+    else:
+        J = np.union1d(np.setdiff1d(some(support), support[:1]), off[:1])
+        assert not set(support) <= set(J) and not set(J) <= set(support)
+    spec = SketchSpec(kind="less-ic", m=32, p=0.25, scores=LeverageScores(z=z, beta1=2.0),
+                      degree_k=12, seed=seed)
+    assert_restricted_equals_full(build_less_ic(spec), build_less_ic(spec, columns=J), J)
+
+
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
 def test_all_columns_equals_full_product(kind):
     builder, make_spec = BUILDERS[kind]
@@ -173,6 +202,46 @@ def test_leverage_restricted_to_touched_rows():
     assert np.all(sparse.z[off] == 0.0) and np.all(sparse.z[~off] > 0.0)
 
 
+@pytest.mark.parametrize("fmt", ["csr", "coo"])
+def test_leverage_given_touched_rows_equals_leverage_finding_them(fmt):
+    A = _touched_input(seed=12).asformat(fmt)
+    J = touched_rows(A)
+    found = approx_leverage(A, 0.25, seed=6)
+    for columns in (J, np.union1d(J, [0, 1, 2, A.shape[0] - 1])):  # extra rows score 0
+        given_J = approx_leverage(A, 0.25, seed=6, columns=columns)
+        assert given_J.z.tobytes() == found.z.tobytes()
+        assert (given_J.beta1, given_J.beta2) == (found.beta1, found.beta2)
+    dense = approx_leverage(A.toarray(), 0.25, seed=6, columns=J)
+    np.testing.assert_allclose(dense.z, found.z, rtol=1e-10, atol=1e-14)
+
+
+def test_leverage_rejects_bad_columns():
+    A = _touched_input(seed=12)
+    J = touched_rows(A)
+    n = A.shape[0]
+    for bad in (J[1:], J[::-1], np.insert(J, 1, J[0]), np.append(J, n), np.insert(J, 0, -1),
+                J.astype(np.float64)):
+        with pytest.raises(ParameterError):
+            approx_leverage(A, 0.25, seed=6, columns=bad)
+        with pytest.raises(ParameterError):
+            approx_leverage(A.toarray(), 0.25, seed=6, columns=bad)
+
+
+@pytest.mark.parametrize("kind", ["osnap", "less-ic", "less-ie"])
+def test_pipeline_finds_touched_rows_once(kind, monkeypatch):
+    calls = []
+
+    def counting(A):
+        calls.append(A.shape)
+        return touched_rows(A)
+
+    for module in ("subsketch.pipeline", "subsketch.leverage"):
+        monkeypatch.setattr(f"{module}.touched_rows", counting)
+    config = PipelineConfig(eps=0.5, delta=0.05, seed=3, kind=kind)
+    fast_subspace_embed(_touched_input(seed=13), config)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
 @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
 def test_compact_product_is_the_full_product(kind, fmt):
@@ -196,17 +265,34 @@ def test_explicit_zero_outside_columns_rejected_in_any_format(kind, fmt):
         apply(part, A.asformat(fmt))
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def test_restricted_build_memory_does_not_scale_with_n():
     # only the n + 1 column pointers may grow with n
     n = 1 << 22
     spec = SketchSpec(kind="osnap", m=64, n=n, p=4 / 64, degree_k=8, seed=3)
     J = np.arange(0, n, n // 64)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        part = build_osnap(spec, columns=J)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    part, peak = _traced_peak(lambda: build_osnap(spec, columns=J))
     assert part.nnz == 4 * 64
+    assert peak < 2 * (n + 1) * 8, peak / ((n + 1) * 8)
+
+
+def test_restricted_less_ic_memory_does_not_scale_with_n():
+    # heights and counts on the built columns and the score support only
+    n = 1 << 22
+    J = np.arange(0, n, n // 100)[:100]
+    z = np.zeros(n)
+    z[J] = np.linspace(0.05, 1.0, J.size)
+    spec = SketchSpec(kind="less-ic", m=64, p=4 / 64, degree_k=8, seed=3,
+                      scores=LeverageScores(z=z, beta1=2.0))
+    part, peak = _traced_peak(lambda: build_less_ic(spec, columns=J))
+    assert part.nnz > J.size
     assert peak < 2 * (n + 1) * 8, peak / ((n + 1) * 8)
