@@ -17,13 +17,41 @@ from .errors import FormatError, ParameterError
 from .sketch import DenseSketch
 
 
+def as_matrix(A, *, tall, finite):
+    """The input gate: A as a float64 CSR matrix if scipy.sparse, else a
+    float64 ndarray, copied only to convert.  ParameterError for complex or
+    non-numeric data, an ndim other than 2 (1 passes for a dense A unless
+    ``tall``), unless n >= d >= 1 when ``tall``, and NaN or Inf when ``finite``."""
+    sparse = scipy.sparse.issparse(A)
+    try:
+        A = (A if A.format == "csr" else A.tocsr()) if sparse else np.asarray(A)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"input is not a numeric matrix: {exc}") from exc
+    if A.dtype.kind not in "biuf":
+        raise ParameterError(f"input matrix must hold real numbers, got dtype {A.dtype}")
+    if A.ndim not in ((2,) if tall or sparse else (1, 2)):
+        raise ParameterError(f"input must be a matrix, got {A.ndim} dimensions")
+    if tall and not A.shape[0] >= A.shape[1] >= 1:
+        raise ParameterError(f"need a tall matrix with n >= d >= 1, got shape {A.shape}")
+    if finite and not np.isfinite(A.data if sparse else A).all():
+        raise ParameterError("input matrix holds NaN or Inf entries")
+    return A.astype(np.float64, copy=False)
+
+
 def touched_rows(A):
     """Sorted indices of the rows of a scipy.sparse ``A`` that hold a stored
     entry, explicit zeros and NaNs included; None for a dense ``A``."""
     if not scipy.sparse.issparse(A):
         return None
-    indptr = A.tocsr().indptr
+    indptr = as_matrix(A, tall=False, finite=False).indptr
     return np.flatnonzero(indptr[1:] != indptr[:-1])
+
+
+def dense_touched(A):
+    """(J, A[J] as an ndarray) for a gated A: J the rows a CSR A touches
+    (every other row is exactly zero), every row of an ndarray."""
+    J = touched_rows(A)
+    return (slice(None), A) if J is None else (J, A[J].toarray())
 
 
 def apply(sketch, A):
@@ -31,17 +59,14 @@ def apply(sketch, A):
 
     A sketch built on columns J multiplies only S[:, J] by A[J], in
     O(|J| + nnz) for a scipy.sparse A, adding the full product's terms in
-    its order.  ParameterError if A holds NaN or Inf, or if such a sketch
-    meets a stored entry (a nonzero, for a dense A) in a row outside J.
+    its order.  A passes :func:`as_matrix`, NaN and Inf included;
+    ParameterError also unless A has n rows, or if such a sketch meets a
+    stored entry (a nonzero, for a dense A) in a row outside J.
     """
-    A_rows = A.shape[0]
-    if A_rows != sketch.n:
-        raise ParameterError(
-            f"dimension mismatch: sketch has n = {sketch.n} columns, "
-            f"input has {A_rows} rows"
-        )
-    if not np.isfinite(A.data if scipy.sparse.issparse(A) else A).all():
-        raise ParameterError("input matrix holds NaN or Inf entries")
+    A = as_matrix(A, tall=False, finite=True)
+    if A.shape[0] != sketch.n:
+        raise ParameterError(f"dimension mismatch: sketch has n = {sketch.n} columns, "
+                             f"input has {A.shape[0]} rows")
     if isinstance(sketch, DenseSketch):
         out = sketch.matrix @ A
     elif sketch.columns is None:
@@ -59,10 +84,9 @@ def _nnz(A):
 
 
 def _restricted_product(sketch, A):
-    """S[:, J] @ A[J] for a sketch built on columns J; ParameterError
-    unless A[J] holds every entry of A."""
+    """S[:, J] @ A[J] for a sketch built on columns J and a gated A;
+    ParameterError unless A[J] holds every entry of A."""
     J = sketch.columns
-    A = A.tocsr() if scipy.sparse.issparse(A) else A
     A_J = A[J]
     if _nnz(A_J) != _nnz(A):
         raise ParameterError("input touches a row outside the columns the sketch was built on")
@@ -82,9 +106,7 @@ def load_matrix(path):
         raise FormatError(f"{path}: failed to parse Matrix Market file: {exc}") from exc
     if np.iscomplexobj(M):
         raise FormatError(f"{path}: complex Matrix Market data is not supported")
-    if scipy.sparse.issparse(M):
-        return M.tocsr()
-    return np.asarray(M, dtype=np.float64)
+    return as_matrix(M, tall=False, finite=False)
 
 
 def save_matrix(path, M):

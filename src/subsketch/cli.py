@@ -86,8 +86,8 @@ def _build_parser():
     p.add_argument("matrix_file")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--gamma", type=float, default=0.25)
-    p.add_argument("--kind", default="less-ic", choices=PIPELINE_KINDS)
+    p.add_argument("--gamma", type=float, default=PipelineConfig.gamma)
+    p.add_argument("--kind", default=PipelineConfig.kind, choices=PIPELINE_KINDS)
     p.add_argument("--m", type=int, help="pin the embedding dimension")
     p.add_argument("--pm", type=int, help="pin the sparsity p*m")
     p.add_argument("--validate", action="store_true",

@@ -238,15 +238,11 @@ def diagonal_offdiagonal_split(sketch, U):
     diag = sum_j (sum_i S_ij^2 - p*m) u_j u_j^T and
     diag + offdiag + p*m*I = (SU)^T (SU) reproduced exactly.
     """
+    B = _apply(sketch, U) / sketch.scale  # ParameterError unless U has n rows
     U = np.asarray(U)
-    if U.shape[0] != sketch.n:
-        raise ParameterError(
-            f"dimension mismatch: sketch n = {sketch.n}, basis rows = {U.shape[0]}"
-        )
     pm = sketch.pm
     energy = sketch.column_energy()
     diag = U.T @ (U * (energy - pm)[:, None])
-    B = _apply(sketch, U) / sketch.scale
     total = B.T @ B - pm * np.eye(U.shape[1])
     off = total - diag
     norms = {

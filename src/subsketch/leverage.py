@@ -10,10 +10,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from ._field import derive_seed
-from .apply import touched_rows
+from .apply import as_matrix, dense_touched, touched_rows
 from .errors import ParameterError, RankDeficiencyError
 from .sketch import scores_digest
 
@@ -59,42 +58,37 @@ class LeverageScores:
         )
 
 
-def _dense(A):
-    if scipy.sparse.issparse(A):
-        return np.asarray(A.todense())
-    return np.asarray(A, dtype=np.float64)
-
-
 def exact_leverage(A):
     """Row norms squared of an orthonormal basis, via SVD.
 
-    Singular values below max(n, d) * eps * s_max count as zero; a
-    deficient matrix raises :class:`RankDeficiencyError` naming the
-    numerical rank, and NaN or Inf entries raise ParameterError.
+    For a scipy.sparse A the SVD runs on the rows J that A touches, and
+    every other score is exactly 0.  Singular values below
+    max(n, d) * eps * s_max count as zero; a deficient matrix raises
+    :class:`RankDeficiencyError` naming the numerical rank, and NaN or
+    Inf entries raise ParameterError.
     """
-    A = _dense(A)
+    A = as_matrix(A, tall=True, finite=True)
     n, d = A.shape
-    if n < d:
-        raise ParameterError(f"need a tall matrix, got shape {n}x{d}")
-    if not np.isfinite(A).all():
-        raise ParameterError("input matrix holds NaN or Inf entries")
-    U, svals, _ = np.linalg.svd(A, full_matrices=False)
+    J, X = dense_touched(A)
+    U, svals, _ = np.linalg.svd(X, full_matrices=False)
     tol = max(n, d) * np.finfo(np.float64).eps * (svals[0] if svals.size else 0.0)
     rank = int(np.sum(svals > tol))
     if rank < d:
         raise RankDeficiencyError(
             f"matrix is rank deficient: numerical rank {rank} < {d}", rank
         )
-    z = np.minimum(np.einsum("ij,ij->i", U, U), 1.0)
+    z = np.zeros(n)
+    z[J] = np.minimum(np.einsum("ij,ij->i", U, U), 1.0)
     return LeverageScores(z=z, beta1=1.0, beta2=1.0)
 
 
-def _full_rank_r(X):
-    """R of a QR factorization of X, or None when X is numerically rank
-    deficient: min |R_ii| <= max(shape) * eps * max |R_ii|."""
+def _full_rank_r(X, n):
+    """R of a QR of X, the nonzero rows of an n x d matrix, or None when
+    it is numerically rank deficient: min |R_ii| <= max(n, d) eps max |R_ii|."""
     R = np.linalg.qr(X, mode="r")
     diag = np.abs(np.diag(R))
-    if diag.min() <= max(X.shape) * np.finfo(np.float64).eps * diag.max():
+    d = X.shape[1]
+    if diag.size < d or diag.min() <= max(n, d) * np.finfo(np.float64).eps * diag.max():
         return None
     return R
 
@@ -115,7 +109,7 @@ def _sketch_r_factor(A, d, n, seed, attempt, columns):
         "osnap", m=rows, n=n, s=s0, degree_k=16,
         seed=derive_seed(seed, 0x1E7 + attempt),
     )
-    return _full_rank_r(_apply(build_osnap(spec, columns=columns), A))
+    return _full_rank_r(_apply(build_osnap(spec, columns=columns), A), rows)
 
 
 _SAFETY = 2.0  # inflation of the estimates, which the claimed beta1 carries
@@ -141,9 +135,8 @@ def approx_leverage(A, gamma, *, seed=0, columns=None):
     """
     if not 0.0 < gamma < 1.0:
         raise ParameterError(f"gamma must be in (0, 1), got {gamma}")
+    A = as_matrix(A, tall=True, finite=False)
     n, d = A.shape
-    if n < d:
-        raise ParameterError(f"need a tall matrix, got shape {n}x{d}")
     if columns is None:
         columns = touched_rows(A)
     R = None
@@ -151,18 +144,15 @@ def approx_leverage(A, gamma, *, seed=0, columns=None):
         R = _sketch_r_factor(A, d, n, seed, attempt, columns)
         if R is not None:
             break
-    if R is None:
-        raise RankDeficiencyError(
-            "sketch of A stayed rank deficient after 3 attempts "
-            "(is A full column rank?)",
-            int(np.linalg.matrix_rank(_dense(A))),
-        )
+    if R is None:  # a deficient A raises here, naming its numerical rank
+        exact_leverage(A)
+        raise RankDeficiencyError("sketch of A stayed rank deficient after 3 attempts", d)
     k = math.ceil(4.0 / gamma)
     rng = np.random.default_rng(derive_seed(seed, 0x7E57))
     G = rng.standard_normal((d, k)) / math.sqrt(k)
     W = scipy.linalg.solve_triangular(R, G, lower=False)
     J = slice(None) if columns is None else columns  # E_i = 0 exactly off J
-    E = np.asarray((A.tocsr() if scipy.sparse.issparse(A) else A)[J] @ W)
+    E = np.asarray(A[J] @ W)
     z = np.zeros(n)
     z[J] = np.clip(_SAFETY * np.einsum("ij,ij->i", E, E), 0.0, 1.0)
     beta1 = max(_SAFETY * n**gamma, 4.0)
@@ -188,7 +178,7 @@ class ScoreValidation:
 def validate_scores(A, scores):
     """Check both approximate-score inequalities against exact scores."""
     exact = exact_leverage(A)
-    d = A.shape[1]
+    d = np.shape(A)[1]
     slack = 1e-12
     gaps = scores.z - exact.z / scores.beta1
     lower_ok = bool(np.all(gaps >= -slack))

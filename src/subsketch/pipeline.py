@@ -11,10 +11,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from ._field import derive_seed
-from .apply import _nnz, touched_rows
+from .apply import _nnz, as_matrix, dense_touched, touched_rows
 from .apply import apply as _apply
 from .errors import ParameterError
 from .leverage import _full_rank_r, approx_leverage
@@ -71,8 +70,8 @@ class PipelineReport:
 
 
 def _r_factor(A):
-    """R of a QR factorization of A, which must have full column rank."""
-    R = _full_rank_r(A.toarray() if scipy.sparse.issparse(A) else np.asarray(A))
+    """R of a QR of a gated A (of A[J], for a CSR A), which must have full column rank."""
+    R = _full_rank_r(dense_touched(A)[1], A.shape[0])
     if R is None:
         raise ParameterError("input matrix is numerically rank deficient")
     return R
@@ -88,18 +87,19 @@ def _validate_distortion(R, A_tilde):
 def fast_subspace_embed(A, config):
     """Compute A_tilde = Pi A with the score-adapted pipeline.
 
-    For a scipy.sparse A the cost follows the rows J that A touches and
-    the entries built, past finding J (once), the n + 1 column pointers
-    of each sketch and one pass over the scores: the leverage estimate
-    runs on J, the osnap and less-ic sketches are built and applied on
-    the columns J only, and ``nnz_sketch`` in the report still counts the
+    A passes :func:`~subsketch.apply.as_matrix` once (a scipy.sparse A
+    becomes CSR) and must be tall.  For a scipy.sparse A the cost follows
+    the rows J that A touches and the entries built, past finding J
+    (once), the n + 1 column pointers of each sketch and one pass over
+    the scores: the leverage estimate runs on J, the osnap and less-ic
+    sketches are built and applied on the columns J only, the validate
+    stage factors A[J], and ``nnz_sketch`` in the report still counts the
     full sketch.  Returns (A_tilde, PipelineReport).  Stage names in the
     report: ``leverage`` (finding J included), ``parameters``, ``build``,
     ``apply`` and optionally ``validate``.
     """
+    A = as_matrix(A, tall=True, finite=False)
     n, d = A.shape
-    if n < d:
-        raise ParameterError(f"need a tall matrix, got shape {n}x{d}")
     timings = {}
     t_total = time.perf_counter()
     scores = None

@@ -33,6 +33,7 @@ from .errors import FormatError, ParameterError
 _MAGIC = b"SKCHv001"
 FORMAT_VERSION = 1
 _SCORE_FIELDS = ("beta1", "beta2", "scores_sha256")
+MATERIALIZE_CAP = 50_000_000  # entries of the largest dense matrix materialize makes
 
 
 class _Sketch:
@@ -56,12 +57,12 @@ class _Sketch:
         """Global scale 1/sqrt(p*m) of the embedding ``scale * S``."""
         return 1.0 / math.sqrt(self.pm)
 
-    def materialize(self, max_entries=50_000_000):
-        """Dense scaled matrix; refuses to allocate above ``max_entries``."""
-        if self.m * self.n > max_entries:
+    def materialize(self):
+        """Dense scaled matrix; refuses to allocate above ``MATERIALIZE_CAP``."""
+        if self.m * self.n > MATERIALIZE_CAP:
             raise ParameterError(
                 f"materializing {self.m}x{self.n} exceeds the "
-                f"{max_entries}-entry cap"
+                f"{MATERIALIZE_CAP}-entry cap"
             )
         return self.scale * self._unscaled()
 

@@ -13,12 +13,16 @@ from subsketch import (
     FormatError,
     LeverageScores,
     ParameterError,
+    PipelineConfig,
     SketchSpec,
     SparseSketch,
     apply,
+    approx_leverage,
     build_less_ic,
     build_ose_ie,
     build_osnap,
+    exact_leverage,
+    fast_subspace_embed,
     load_matrix,
     load_sketch,
     save_matrix,
@@ -133,6 +137,63 @@ class TestVectorApply:
         assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
 
 
+# the entry points that take a tall input matrix, each through the one gate
+TALL_ENTRY_POINTS = {
+    "fast_subspace_embed": lambda A: fast_subspace_embed(A, PipelineConfig(eps=0.5, delta=0.05))[0],
+    "approx_leverage": lambda A: approx_leverage(A, 0.5).z,
+    "exact_leverage": lambda A: exact_leverage(A).z,
+}
+TALL = np.vstack([np.eye(3), np.arange(51.0).reshape(17, 3) % 7])  # 20x3, full column rank
+
+BAD_TALL_INPUTS = {
+    "complex-dense": lambda: TALL * (1 + 1j),
+    "complex-sparse": lambda: scipy.sparse.csr_matrix(TALL * (1 + 1j)),
+    "one-dimensional": lambda: TALL[:, 0],
+    "d-zero": lambda: np.ones((20, 0)),
+    "sparse-n-by-zero": lambda: scipy.sparse.csr_matrix((20, 0)),
+    "strings": lambda: [["1", "2", "3"]] * 20,
+    "ragged-list": lambda: [[1.0, 2.0, 3.0]] * 19 + [[1.0]],
+}
+
+
+class TestInputGate:
+    """Every entry point reads a matrix through ``apply.as_matrix``: bad
+    input is a ParameterError, never a ValueError, AttributeError or a
+    complex result."""
+
+    @pytest.mark.parametrize("entry", sorted(TALL_ENTRY_POINTS))
+    @pytest.mark.parametrize("case", sorted(BAD_TALL_INPUTS))
+    def test_bad_input_is_parameter_error(self, entry, case):
+        with pytest.raises(ParameterError):
+            TALL_ENTRY_POINTS[entry](BAD_TALL_INPUTS[case]())
+
+    @pytest.mark.parametrize("entry", sorted(TALL_ENTRY_POINTS))
+    def test_plain_list_reads_as_an_array(self, entry):
+        got = TALL_ENTRY_POINTS[entry](TALL.tolist())
+        assert got.tobytes() == TALL_ENTRY_POINTS[entry](TALL).tobytes()
+
+    @pytest.mark.parametrize("entry", sorted(TALL_ENTRY_POINTS))
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    def test_sparse_input_reads_as_float64(self, entry, fmt):
+        # a float32 CSR once gave exact scores from a float32 SVD
+        A32 = scipy.sparse.csr_matrix(TALL / 7.0, dtype=np.float32)
+        got = TALL_ENTRY_POINTS[entry](A32.asformat(fmt))
+        want = TALL_ENTRY_POINTS[entry](A32.astype(np.float64))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_apply_rejects_complex_input(self, sparse):
+        sk = random_sketch("osnap", np.random.default_rng(3), 8, 20, seed=1)
+        A = TALL * (1 + 1j)
+        with pytest.raises(ParameterError, match="real"):
+            apply(sk, scipy.sparse.csr_matrix(A) if sparse else A)
+
+    def test_apply_reads_a_list(self):
+        sk = random_sketch("less-ic", np.random.default_rng(4), 8, 20, seed=2)
+        assert apply(sk, TALL.tolist()).tobytes() == apply(sk, TALL).tobytes()
+        assert apply(sk, TALL[:, 1].tolist()).tobytes() == apply(sk, TALL[:, 1]).tobytes()
+
+
 class TestMaterialize:
     def test_osnap_entry_count_and_magnitude(self):
         spec = SketchSpec.from_sparsity("osnap", m=4, n=3, s=2, seed=7)
@@ -154,10 +215,11 @@ class TestMaterialize:
         np.testing.assert_allclose(back.values, sk.values, rtol=1e-12)
 
     def test_memory_cap(self):
-        spec = SketchSpec.from_sparsity("osnap", m=1000, n=1000, s=1, seed=0)
+        # 8192^2 = 67M entries, above the 50M cap
+        spec = SketchSpec.from_sparsity("osnap", m=8192, n=8192, s=1, seed=0)
         sk = build_osnap(spec)
-        with pytest.raises(ParameterError):
-            sk.materialize(max_entries=10_000)
+        with pytest.raises(ParameterError, match="cap"):
+            sk.materialize()
 
 
 class TestMatrixMarketIO:

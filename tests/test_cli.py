@@ -22,6 +22,7 @@ from subsketch import (
     save_matrix,
 )
 from subsketch.cli import EXIT_IO, EXIT_OK, EXIT_PARAMETER, EXIT_VERIFY, main
+from subsketch.pipeline import PipelineConfig
 from subsketch.experiments import run_config
 
 
@@ -579,3 +580,31 @@ class TestPipelineCommand:
         assert rc == EXIT_OK
         report = json.loads(report_path.read_text())
         assert (report["m"], report["pm"]) == (1, 1.0)
+
+    @pytest.mark.parametrize("header", [
+        "%%MatrixMarket matrix array real general\n5 0\n",
+        "%%MatrixMarket matrix coordinate real general\n100 0 0\n",
+    ], ids=["array-5x0", "coordinate-100x0"])
+    def test_input_without_columns_exits_2_in_subprocess(self, tmp_path, header):
+        # both once died with a ValueError traceback (exit 1) in a zero-size reduction
+        path = tmp_path / "empty.mtx"
+        path.write_text(header)
+        out = tmp_path / "e.mtx"
+        proc = _run_cli(["pipeline", str(path), "--eps", "0.5", "--out", str(out)])
+        assert proc.returncode == EXIT_PARAMETER, proc.stderr
+        assert "Traceback" not in proc.stderr and "n >= d >= 1" in proc.stderr
+        assert not out.exists()
+
+    def test_omitted_flags_take_the_config_defaults(self, monkeypatch, tmp_path, matrix_file):
+        configs = []
+
+        def capture(A, config):
+            configs.append(config)
+            raise ss.ParameterError("captured")
+
+        monkeypatch.setattr("subsketch.cli.fast_subspace_embed", capture)
+        mpath, _ = matrix_file
+        out = str(tmp_path / "e.mtx")
+        assert main(["pipeline", str(mpath), "--eps", "0.5", "--out", out]) == EXIT_PARAMETER
+        assert configs == [PipelineConfig(eps=0.5, delta=0.05)]
+        assert (configs[0].gamma, configs[0].kind) == (PipelineConfig.gamma, PipelineConfig.kind)

@@ -45,6 +45,17 @@ class TestFastSubspaceEmbed:
         assert 1 - 0.5 <= report.distortion["s_min"]
         assert report.distortion["s_max"] <= 1 + 0.5
 
+    @pytest.mark.parametrize("kind, seed, band", [
+        # (s_min, s_max) as the validate stage gave them from a QR of all n rows
+        ("less-ic", 3, (0.6782710390031736, 1.3125691271792568)),
+        ("osnap", 6, (0.716166935869433, 1.29130396814395)),
+    ])
+    def test_validate_band_from_touched_rows(self, sparse_tall, kind, seed, band):
+        config = PipelineConfig(eps=0.5, delta=0.05, seed=seed, kind=kind, validate=True)
+        _, report = fast_subspace_embed(sparse_tall, config)
+        got = (report.distortion["s_min"], report.distortion["s_max"])
+        np.testing.assert_allclose(got, band, rtol=0, atol=1e-12)
+
     def test_stage_timings_sum_to_total(self, sparse_tall):
         config = PipelineConfig(eps=0.5, delta=0.05, seed=4, kind="less-ic")
         _, report = fast_subspace_embed(sparse_tall, config)

@@ -6,6 +6,7 @@ refuses an input that touches a row outside J.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,15 +18,19 @@ from subsketch import (
     LeverageScores,
     ParameterError,
     PipelineConfig,
+    RankDeficiencyError,
     SketchSpec,
     apply,
     approx_leverage,
     build,
     build_less_ic,
     build_osnap,
+    exact_leverage,
     fast_subspace_embed,
     touched_rows,
+    validate_scores,
 )
+from subsketch.pipeline import _r_factor
 
 N = 60
 
@@ -242,6 +247,40 @@ def test_pipeline_finds_touched_rows_once(kind, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("kind", ["osnap", "ose-ie", "less-ic", "less-ie", "gaussian-dense"])
+@pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+def test_sparse_input_converted_to_csr_once(kind, fmt, monkeypatch):
+    # the gate converts once; every later stage reads its CSR
+    A = _touched_input(seed=15).asformat(fmt)
+    calls = []
+    for cls in (scipy.sparse.csr_matrix, scipy.sparse.csc_matrix, scipy.sparse.coo_matrix):
+        def counting(self, *args, _orig=cls.tocsr, **kwargs):
+            calls.append(self.format)
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "tocsr", counting)
+    config = PipelineConfig(eps=0.5, delta=0.05, seed=3, kind=kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the less-ie clamp warning
+        fast_subspace_embed(A, config)
+    assert calls == ([] if fmt == "csr" else [fmt])
+
+
+def test_exact_scores_follow_touched_rows():
+    A = _touched_input(seed=14)
+    sparse = exact_leverage(A)
+    np.testing.assert_allclose(sparse.z, exact_leverage(A.toarray()).z, rtol=0, atol=1e-12)
+    off = np.ones(A.shape[0], dtype=bool)
+    off[touched_rows(A)] = False
+    assert off.sum() > A.shape[0] // 2
+    assert np.all(sparse.z[off] == 0.0) and np.all(sparse.z[~off] > 0.0)
+    scores = approx_leverage(A, 0.25, seed=2)
+    got, want = validate_scores(A, scores), validate_scores(A.toarray(), scores)
+    assert (got.passed, got.violating_indices) == (want.passed, want.violating_indices)
+    np.testing.assert_allclose([got.lower_margin, got.sum_margin],
+                               [want.lower_margin, want.sum_margin], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
 @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
 def test_compact_product_is_the_full_product(kind, fmt):
@@ -296,3 +335,34 @@ def test_restricted_less_ic_memory_does_not_scale_with_n():
     part, peak = _traced_peak(lambda: build_less_ic(spec, columns=J))
     assert part.nnz > J.size
     assert peak < 2 * (n + 1) * 8, peak / ((n + 1) * 8)
+
+
+@pytest.mark.parametrize("touched", [0, 1, 5])
+def test_fewer_touched_rows_than_columns_is_rank_deficient(touched):
+    # A[J] then has fewer rows than columns, so its QR has fewer than d pivots
+    d = 6
+    A = scipy.sparse.csr_matrix((np.ones(touched), (np.arange(touched) * 7, np.arange(touched))),
+                                shape=(100, d))
+    with pytest.raises(ParameterError, match="rank deficient"):
+        _r_factor(A)
+    with pytest.raises(RankDeficiencyError) as err:
+        exact_leverage(A)
+    assert err.value.numerical_rank == touched
+
+
+def test_checks_on_sparse_input_do_not_densify_n_rows():
+    # a QR or SVD of all n rows would hold n * d * 8 bytes; these hold A[J]
+    # plus one n-byte row mask, and exact_leverage its n scores
+    n, d = 1 << 22, 4
+    rng = np.random.default_rng(3)
+    J = np.arange(0, n, n // 64)
+    A = scipy.sparse.csr_matrix(
+        (rng.uniform(1, 2, J.size * d), (np.repeat(J, d), np.tile(np.arange(d), J.size))),
+        shape=(n, d),
+    )
+    R, peak = _traced_peak(lambda: _r_factor(A))
+    assert R.shape == (d, d)
+    assert peak < 2 * n, peak / n
+    scores, peak = _traced_peak(lambda: exact_leverage(A))
+    assert np.count_nonzero(scores.z) == J.size
+    assert peak < 8 * n + 2 * n, peak / n
