@@ -3,6 +3,10 @@
 The i-th leverage score of A is the squared norm of the i-th row of any
 orthonormal basis of A's column space.  Approximate scores here are
 one-sided overestimates: z_i >= l_i / beta1 with sum(z) <= beta2 * d.
+The claimed beta1 is the one the estimator proves (see
+:func:`approx_leverage`): a chi-square lower tail, union-bounded over
+the r nonzero rows of A, gives beta1 = O((r / delta_lev)^(gamma / 2)),
+where delta_lev = 0.01 is the chance that the claim fails.
 """
 
 import math
@@ -69,7 +73,7 @@ def exact_leverage(A):
     """
     A = as_matrix(A, tall=True, finite=True)
     n, d = A.shape
-    J, X = dense_touched(A)
+    J, X = dense_touched(A, touched_rows(A))
     U, svals, _ = np.linalg.svd(X, full_matrices=False)
     tol = max(n, d) * np.finfo(np.float64).eps * (svals[0] if svals.size else 0.0)
     rank = int(np.sum(svals > tol))
@@ -113,13 +117,32 @@ def _sketch_r_factor(A, d, n, seed, attempt, columns):
 
 
 _SAFETY = 2.0  # inflation of the estimates, which the claimed beta1 carries
+_EPS_LEV = 0.5  # the leverage sketch's assumed distortion: sigma_max(Pi U) <= 1 + _EPS_LEV
+_DELTA_LEV = 0.01  # chance that some nonzero row's estimate falls below the claim
+
+
+def _chi2_lower_level(k, c):
+    """The t in (0, 1) with (t e^(1-t))^(k/2) = c, for 0 < c < 1: by the
+    Chernoff bound, P(chi^2_k <= t k) <= c.  Bisection on
+    ln t + 1 - t = 2 ln(c) / k, whose left side rises on (0, 1); the
+    lower end is returned, so the bound holds at the t given."""
+    target = 2.0 * math.log(c) / k
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if math.log(mid) + 1.0 - mid < target:
+            lo = mid
+        else:
+            hi = mid
 
 
 def approx_leverage(A, gamma, *, seed=0, columns=None):
-    """Coarse scores with beta1 = O(n^gamma), beta2 = O(1).
+    """Coarse scores with beta1 = O((r / delta_lev)^(gamma / 2)), beta2 = O(1).
 
     Sketch A, take R from a QR of the sketch, and estimate the row norms
-    of A R^-1 with ceil(4/gamma) Gaussian test vectors; estimates are
+    of A R^-1 with k = ceil(4/gamma) Gaussian test vectors; estimates are
     inflated by 2 and clamped to [0, 1].  For a scipy.sparse A the work
     follows the rows J that A touches, past finding J, the sketch's n + 1
     column pointers and one pass over the scores: the sketch hashes only
@@ -130,8 +153,26 @@ def approx_leverage(A, gamma, *, seed=0, columns=None):
     stored entry, or nonzero of a dense A, give the same scores); when
     None, J is found here.  Other ``columns`` raise ParameterError, as
     in :func:`~subsketch.oblivious.build_osnap` and
-    :func:`~subsketch.apply.apply`.  The claimed beta1 is
-    max(2 n^gamma, 4); beta2 is reported as measured, max(1, sum(z)/d).
+    :func:`~subsketch.apply.apply`.
+
+    The claimed beta1 is the one this estimator proves.  Let
+    u_i = e_i^T A R^-1 and U an orthonormal basis of A's columns, so
+    l_i = |e_i^T U|^2, and let the leverage sketch Pi have
+    sigma_max(Pi U) <= 1 + eps_lev.  Since Pi A R^-1 is orthonormal,
+    A R^-1 = U M with sigma_min(M) = 1 / sigma_max(Pi U), so
+    l_i <= (1 + eps_lev)^2 |u_i|^2.  G has N(0, 1/k) entries, so
+    |u_i^T G|^2 = |u_i|^2 chi^2_k / k exactly, and the Chernoff bound
+    gives P(chi^2_k <= t k) <= (t e^(1-t))^(k/2) for t < 1.  A row with
+    l_i = 0 needs no bound; for full-rank A these are exactly the zero
+    rows, so a union bound runs over the r nonzero rows of A.  With t
+    solving (t e^(1-t))^(k/2) = delta_lev / r, with probability at least
+    1 - delta_lev every such row has z_i >= 2 t |u_i|^2 (or z_i = 1 >= l_i),
+    hence l_i / z_i <= beta1 = (1 + eps_lev)^2 / (2 t).  Here
+    eps_lev = 1/2 and delta_lev = 0.01; for small t, t ~ (delta_lev /
+    r)^(2/k) / e, so beta1 grows like (r / delta_lev)^(gamma / 2).  r is
+    counted from A, so a sparse A, its dense copy, A with stored zeros
+    and every admissible ``columns`` claim the same beta1.  beta2 is
+    reported as measured, max(1, sum(z)/d).
     """
     if not 0.0 < gamma < 1.0:
         raise ParameterError(f"gamma must be in (0, 1), got {gamma}")
@@ -152,10 +193,17 @@ def approx_leverage(A, gamma, *, seed=0, columns=None):
     G = rng.standard_normal((d, k)) / math.sqrt(k)
     W = scipy.linalg.solve_triangular(R, G, lower=False)
     J = slice(None) if columns is None else columns  # E_i = 0 exactly off J
-    E = np.asarray(A[J] @ W)
+    A_J = A[J]
+    E = np.asarray(A_J @ W)
+    norms = np.einsum("ij,ij->i", E, E)
     z = np.zeros(n)
-    z[J] = np.clip(_SAFETY * np.einsum("ij,ij->i", E, E), 0.0, 1.0)
-    beta1 = max(_SAFETY * n**gamma, 4.0)
+    z[J] = np.clip(_SAFETY * norms, 0.0, 1.0)
+    # r, the nonzero rows of A: a row with E_i != 0 is one (E_i = A_i W),
+    # so only the rows whose estimate is 0 are read again
+    zero = np.flatnonzero(norms == 0.0)
+    r = norms.size - zero.size + np.count_nonzero((A_J[zero] != 0).sum(axis=1))
+    t = _chi2_lower_level(k, _DELTA_LEV / r)
+    beta1 = (1.0 + _EPS_LEV) ** 2 / (_SAFETY * t)
     beta2 = max(1.0, float(z.sum()) / d)  # summed over all n: the bytes of a full sum
     return LeverageScores(z=z, beta1=beta1, beta2=beta2)
 

@@ -64,14 +64,16 @@ class PipelineReport:
     beta1: float = None
     beta2: float = None
     distortion: dict = None
+    beta1_measured: float = None  # with validate=True on the less kinds
 
     def to_dict(self):
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def _r_factor(A):
-    """R of a QR of a gated A (of A[J], for a CSR A), which must have full column rank."""
-    R = _full_rank_r(dense_touched(A)[1], A.shape[0])
+def _r_factor(A, J=None):
+    """R of a QR of a gated A (of A[J], for a CSR A), which must have full
+    column rank; J = ``touched_rows(A)``, found here when not given."""
+    R = _full_rank_r(dense_touched(A, touched_rows(A) if J is None else J)[1], A.shape[0])
     if R is None:
         raise ParameterError("input matrix is numerically rank deficient")
     return R
@@ -82,6 +84,16 @@ def _validate_distortion(R, A_tilde):
     Y = scipy.linalg.solve_triangular(R, A_tilde.T, lower=False, trans="T").T
     svals = np.linalg.svd(Y, compute_uv=False)
     return {"s_min": float(svals[-1]), "s_max": float(svals[0])}
+
+
+def _measured_beta1(R, A, J, z):
+    """max l_i / z_i over the rows with l_i > 0, where l_i = |A_i R^-1|^2
+    are the exact scores from the validate stage's R (A's touched rows J)."""
+    rows, X = dense_touched(A, J)
+    Y = scipy.linalg.solve_triangular(R, X.T, lower=False, trans="T").T
+    lev = np.einsum("ij,ij->i", Y, Y)
+    pos = lev > 0.0
+    return float(np.max(lev[pos] / z[rows][pos]))
 
 
 def fast_subspace_embed(A, config):
@@ -96,7 +108,8 @@ def fast_subspace_embed(A, config):
     stage factors A[J], and ``nnz_sketch`` in the report still counts the
     full sketch.  Returns (A_tilde, PipelineReport).  Stage names in the
     report: ``leverage`` (finding J included), ``parameters``, ``build``,
-    ``apply`` and optionally ``validate``.
+    ``apply`` and optionally ``validate``, which for the less kinds also
+    reports ``beta1_measured`` next to the claimed ``beta1``.
     """
     A = as_matrix(A, tall=True, finite=False)
     n, d = A.shape
@@ -105,11 +118,11 @@ def fast_subspace_embed(A, config):
     scores = None
 
     t0 = time.perf_counter()
-    # the rows a sparse A touches, found once for the leverage stage and the build
-    columns = touched_rows(A) if config.kind in COLUMN_KINDS + LESS_KINDS else None
+    # the rows a sparse A touches, found once for the leverage, build and validate stages
+    J = touched_rows(A)
     if config.kind in LESS_KINDS:
         scores = approx_leverage(A, config.gamma, seed=derive_seed(config.seed, 0x5C0),
-                                 columns=columns)
+                                 columns=J)
         timings["leverage"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -119,8 +132,7 @@ def fast_subspace_embed(A, config):
 
     t0 = time.perf_counter()
     # a sparse A needs only the sketch columns of the rows it touches
-    if spec.kind not in COLUMN_KINDS:
-        columns = None
+    columns = J if spec.kind in COLUMN_KINDS else None
     # less-ic goes through this module's name for it, which per-layer
     # tracing wraps; every other kind through the registry
     sketch = (build_less_ic if spec.kind == "less-ic" else build)(spec, columns=columns)
@@ -130,10 +142,13 @@ def fast_subspace_embed(A, config):
     A_tilde = _apply(sketch, A)
     timings["apply"] = time.perf_counter() - t0
 
-    distortion_info = None
+    distortion_info = beta1_measured = None
     if config.validate:
         t0 = time.perf_counter()
-        distortion_info = _validate_distortion(_r_factor(A), A_tilde)
+        R = _r_factor(A, J)
+        distortion_info = _validate_distortion(R, A_tilde)
+        if scores is not None:
+            beta1_measured = _measured_beta1(R, A, J, scores.z)
         timings["validate"] = time.perf_counter() - t0
 
     total = time.perf_counter() - t_total
@@ -152,6 +167,7 @@ def fast_subspace_embed(A, config):
         nnz_input=_nnz(A),
         nnz_sketch=nnz_sketch,
         distortion=distortion_info,
+        beta1_measured=beta1_measured,
     )
     if scores is not None:
         report.beta1 = scores.beta1

@@ -82,11 +82,11 @@ def _touched_input():
 
 PIPELINE_CASES = {
     # kind: (output digest, nnz of the full sketch)
-    "less-ic": ("c93ae4bb39750314df8787522f6f49f90b7d595de6b2298d5c8785c94eecfe99", 12447),
+    "less-ic": ("42707f152a3f9076c60f7f3eba9089aa6cfa5c306d3656ca4eda6c9dba6c7505", 10261),
     "osnap": ("e38d18d9f8cea1e7e368e2b77b74ec8a9e3bcef1860607072a3e600b9757afef", 40960),
     # the kinds built in full, pinned on the parameters they get by default
     "ose-ie": ("f7d3da1305611798651f5a2ac2f5d155d1e70d1955f7c32fa25cfe70b04c1967", 130729),
-    "less-ie": ("b8956a65f26d0dea45b0008bba55c541a7fbd8205c628a1e6c49b91e4ce8e76d", 3900),
+    "less-ie": ("8be73b501193e1132cd6c353295ef2e9ee9663a6429ba0b95276a06adff295b2", 2066),
     "gaussian-dense": ("c483fb86b82f059acd8202d6c0e8a60c651fe6d30a9865462fc1b192e7a2da95",
                        720896),
 }

@@ -1,7 +1,11 @@
 """Leverage scores: exact identities, approximation guarantees, validation."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from subsketch import (
     LeverageScores,
@@ -9,8 +13,10 @@ from subsketch import (
     RankDeficiencyError,
     approx_leverage,
     exact_leverage,
+    touched_rows,
     validate_scores,
 )
+from subsketch.leverage import _EPS_LEV, _chi2_lower_level, _sketch_r_factor
 
 
 class TestExactScores:
@@ -74,8 +80,6 @@ class TestApproxScores:
             assert report.passed, f"trial {trial}: {report}"
 
     def test_test_vector_count_scales_with_gamma(self):
-        import math
-
         assert math.ceil(4 / 0.25) == 2 * math.ceil(4 / 0.5)
 
     def test_halving_gamma_tightens_estimates(self):
@@ -165,3 +169,62 @@ class TestValidateScores:
         scores = LeverageScores(z=np.array(z), beta1=2.0, beta2=1.5)
         assert scores.digest() == digest
         assert scores.z.min() >= 0.0 and scores.z.max() <= 1.0
+
+
+def _claim_surface(name, seed, embed_shaped):
+    """Criterion 11's Gaussian 2000 x 20 input, or a reduced embed input."""
+    if name == "criterion-11":
+        return np.random.default_rng(seed).standard_normal((2000, 20))
+    return embed_shaped(name == "embed-dense", seed)
+
+
+CLAIM_SURFACES = ("criterion-11", "embed-sparse", "embed-dense")
+
+
+class TestBeta1Claim:
+    @pytest.mark.parametrize("k", [5, 16, 40, 80, 1000])
+    @pytest.mark.parametrize("c", [0.5, 1e-3, 0.01 / 3411, 1e-12])
+    def test_level_solves_its_equation(self, k, c):
+        t = _chi2_lower_level(k, c)
+        assert 0.0 < t < 1.0
+        assert abs((t * math.exp(1.0 - t)) ** (k / 2) / c - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("surface", CLAIM_SURFACES)
+    @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.25])
+    def test_claim_validates(self, surface, gamma, embed_shaped):
+        for seed in range(20):
+            A = _claim_surface(surface, seed, embed_shaped)
+            scores = approx_leverage(A, gamma, seed=seed)
+            report = validate_scores(A, scores)
+            assert report.passed, f"seed {seed}: {report}"
+
+    @pytest.mark.parametrize("surface", CLAIM_SURFACES)
+    def test_leverage_sketch_distortion_within_assumed(self, surface, embed_shaped):
+        # the claim assumes sigma_max(Pi U) <= 1 + eps_lev; Pi A = Q R and
+        # A[J] = Q' R_A give sigma(Pi U) = sigma(R R_A^-1)
+        for seed in range(50):
+            A = _claim_surface(surface, seed, embed_shaped)
+            n, d = A.shape
+            J = touched_rows(A)
+            R = _sketch_r_factor(A, d, n, seed, 0, J)
+            R_A = np.linalg.qr(A if J is None else A[J].toarray(), mode="r")
+            sigma = np.linalg.svd(scipy.linalg.solve_triangular(R_A.T, R.T, lower=True).T,
+                                  compute_uv=False)
+            assert sigma[0] <= 1.0 + _EPS_LEV, f"seed {seed}: {sigma[0]}"
+
+    def test_beta1_counts_nonzero_rows_of_A(self, embed_shaped):
+        A = embed_shaped(False, 7)
+        J = touched_rows(A)
+        # an explicit zero in a row A does not touch: one more touched row, no more nonzero rows
+        free = np.setdiff1d(np.arange(A.shape[0]), J)[0]
+        coo = A.tocoo()
+        stored_zeros = scipy.sparse.csr_matrix(
+            (np.append(coo.data, 0.0), (np.append(coo.row, free), np.append(coo.col, 0))),
+            shape=A.shape)
+        assert stored_zeros.nnz == A.nnz + 1
+        assert touched_rows(stored_zeros).size == J.size + 1
+        want = approx_leverage(A, 0.25, seed=1).beta1
+        assert approx_leverage(A.toarray(), 0.25, seed=1).beta1 == want
+        assert approx_leverage(stored_zeros, 0.25, seed=1).beta1 == want
+        extra = np.union1d(J, [0, A.shape[0] - 1])
+        assert approx_leverage(A, 0.25, seed=1, columns=extra).beta1 == want

@@ -1,5 +1,7 @@
 """End-to-end pipeline: stages, report accounting, distortion validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -7,6 +9,8 @@ import scipy.sparse
 from subsketch import (
     ParameterError,
     PipelineConfig,
+    approx_leverage,
+    exact_leverage,
     fast_subspace_embed,
 )
 
@@ -47,7 +51,7 @@ class TestFastSubspaceEmbed:
 
     @pytest.mark.parametrize("kind, seed, band", [
         # (s_min, s_max) as the validate stage gave them from a QR of all n rows
-        ("less-ic", 3, (0.6782710390031736, 1.3125691271792568)),
+        ("less-ic", 3, (0.6609053069402219, 1.309271916412668)),
         ("osnap", 6, (0.716166935869433, 1.29130396814395)),
     ])
     def test_validate_band_from_touched_rows(self, sparse_tall, kind, seed, band):
@@ -55,6 +59,36 @@ class TestFastSubspaceEmbed:
         _, report = fast_subspace_embed(sparse_tall, config)
         got = (report.distortion["s_min"], report.distortion["s_max"])
         np.testing.assert_allclose(got, band, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["less-ic", "less-ie"])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_measured_beta1_is_the_exact_ratio(self, kind, dense, embed_shaped, monkeypatch):
+        # max l_i / z_i over the rows with l_i > 0, from the validate stage's R
+        A = embed_shaped(dense, 4)
+        got = []
+
+        def keeping(*args, **kwargs):
+            got.append(approx_leverage(*args, **kwargs))
+            return got[-1]
+
+        monkeypatch.setattr("subsketch.pipeline.approx_leverage", keeping)
+        config = PipelineConfig(eps=0.5, delta=0.05, seed=2, kind=kind, validate=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the less-ie clamp warning
+            _, report = fast_subspace_embed(A, config)
+        exact = exact_leverage(A).z
+        pos = exact > 0
+        want = float(np.max(exact[pos] / got[0].z[pos]))
+        assert report.to_dict()["beta1_measured"] == pytest.approx(want, rel=1e-9, abs=0)
+        assert 1.0 <= report.beta1_measured <= report.beta1 == got[0].beta1
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_measured_beta1_only_for_validated_less_kinds(self, sparse_tall, validate):
+        for kind in ("osnap", "less-ic"):
+            config = PipelineConfig(eps=0.5, delta=0.05, seed=2, kind=kind, validate=validate)
+            _, report = fast_subspace_embed(sparse_tall, config)
+            has = validate and kind == "less-ic"
+            assert ("beta1_measured" in report.to_dict()) == has
 
     def test_stage_timings_sum_to_total(self, sparse_tall):
         config = PipelineConfig(eps=0.5, delta=0.05, seed=4, kind="less-ic")

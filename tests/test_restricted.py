@@ -5,6 +5,7 @@ byte, and be empty elsewhere; the restricted sketch is never saved and
 refuses an input that touches a row outside J.
 """
 
+import importlib
 import tracemalloc
 import warnings
 
@@ -244,6 +245,26 @@ def test_pipeline_finds_touched_rows_once(kind, monkeypatch):
         monkeypatch.setattr(f"{module}.touched_rows", counting)
     config = PipelineConfig(eps=0.5, delta=0.05, seed=3, kind=kind)
     fast_subspace_embed(_touched_input(seed=13), config)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["osnap", "ose-ie", "less-ic", "less-ie", "gaussian-dense"])
+def test_validate_stage_reuses_touched_rows(kind, monkeypatch):
+    # the validate stage factors A[J] for the J that the op found
+    calls = []
+
+    def counting(A):
+        calls.append(A.shape)
+        return touched_rows(A)
+
+    for module in ("pipeline", "leverage", "apply"):  # `subsketch.apply` names the function
+        monkeypatch.setattr(importlib.import_module(f"subsketch.{module}"), "touched_rows",
+                            counting)
+    config = PipelineConfig(eps=0.5, delta=0.05, seed=3, kind=kind, validate=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the less-ie clamp warning
+        _, report = fast_subspace_embed(_touched_input(seed=13), config)
+    assert report.distortion is not None
     assert len(calls) == 1
 
 
