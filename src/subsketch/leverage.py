@@ -6,7 +6,11 @@ one-sided overestimates: z_i >= l_i / beta1 with sum(z) <= beta2 * d.
 The claimed beta1 is the one the estimator proves (see
 :func:`approx_leverage`): a chi-square lower tail, union-bounded over
 the r nonzero rows of A, gives beta1 = O((r / delta_lev)^(gamma / 2)),
-where delta_lev = 0.01 is the chance that the claim fails.
+where delta_lev = 0.01 is the chance that the claim fails.  R comes
+from a QR of A's nonzero rows themselves when there are at most twice
+as many of them as the leverage sketch would have rows, and from a QR of
+that sketch otherwise; the identity has distortion 0, so the direct
+route's claim drops the sketch's factor (1 + eps_lev)^2.
 """
 
 import math
@@ -18,6 +22,7 @@ import scipy.linalg
 from ._field import derive_seed
 from .apply import as_matrix, dense_touched, touched_rows
 from .errors import ParameterError, RankDeficiencyError
+from .oblivious import check_columns
 from .sketch import scores_digest
 
 
@@ -97,6 +102,16 @@ def _full_rank_r(X, n):
     return R
 
 
+_S0 = 8  # the leverage sketch's entries per column
+_DIRECT = 2  # factor A's nonzero rows when they are at most this many times the sketch's rows
+
+
+def _sketch_rows(d, n):
+    """Rows of the leverage sketch: max(8 d ln n, 4d), a multiple of s0."""
+    rows = max(math.ceil(8 * d * math.log(max(n, 4))), 4 * d, _S0)
+    return math.ceil(rows / _S0) * _S0
+
+
 def _sketch_r_factor(A, d, n, seed, attempt, columns):
     """R from a QR of a blocked sketch of A; None when numerically singular.
 
@@ -106,14 +121,31 @@ def _sketch_r_factor(A, d, n, seed, attempt, columns):
     from .apply import apply as _apply
     from .oblivious import SketchSpec, build_osnap
 
-    s0 = 8
-    rows = max(math.ceil(8 * d * math.log(max(n, 4))), 4 * d, s0)
-    rows = math.ceil(rows / s0) * s0
+    rows = _sketch_rows(d, n)
     spec = SketchSpec.from_sparsity(
-        "osnap", m=rows, n=n, s=s0, degree_k=16,
+        "osnap", m=rows, n=n, s=_S0, degree_k=16,
         seed=derive_seed(seed, 0x1E7 + attempt),
     )
     return _full_rank_r(_apply(build_osnap(spec, columns=columns), A), rows)
+
+
+def _nonzero_rows(A, A_J, columns):
+    """Which rows of A_J = A[columns] (A, when None) are nonzero, for a
+    gated A; ParameterError if A stores an entry (a nonzero, for a dense
+    A) in a row outside ``columns``, as :func:`~subsketch.apply.apply`
+    does for a sketch built on them."""
+    if isinstance(A_J, np.ndarray):
+        mask = A.any(axis=1)  # NaN counts as nonzero
+        if columns is None:
+            return mask
+        if mask[columns].sum() != mask.sum():
+            raise ParameterError("input touches a row outside the given columns")
+        return mask[columns]
+    if A_J.nnz != A.nnz:
+        raise ParameterError("input touches a row outside the given columns")
+    # nonzeros before each row start: a row is nonzero if its count grows
+    before = np.concatenate(([0], np.cumsum(A_J.data != 0)))
+    return before[A_J.indptr[1:]] > before[A_J.indptr[:-1]]
 
 
 _SAFETY = 2.0  # inflation of the estimates, which the claimed beta1 carries
@@ -141,69 +173,94 @@ def _chi2_lower_level(k, c):
 def approx_leverage(A, gamma, *, seed=0, columns=None):
     """Coarse scores with beta1 = O((r / delta_lev)^(gamma / 2)), beta2 = O(1).
 
-    Sketch A, take R from a QR of the sketch, and estimate the row norms
-    of A R^-1 with k = ceil(4/gamma) Gaussian test vectors; estimates are
-    inflated by 2 and clamped to [0, 1].  For a scipy.sparse A the work
-    follows the rows J that A touches, past finding J, the sketch's n + 1
-    column pointers and one pass over the scores: the sketch hashes only
-    the columns J, and A[J] R^-1 G is formed and clamped on J alone;
-    every other score is exactly 0, as the full product gives.
-    ``columns`` hands J in, as :func:`~subsketch.apply.touched_rows`
-    finds it (any strictly increasing rows in [0, n) that hold every
-    stored entry, or nonzero of a dense A, give the same scores); when
-    None, J is found here.  Other ``columns`` raise ParameterError, as
-    in :func:`~subsketch.oblivious.build_osnap` and
-    :func:`~subsketch.apply.apply`.
+    Take R from a QR of A's r nonzero rows or of a sketch of A, and
+    estimate the row norms of A R^-1 with k = ceil(4/gamma) Gaussian test
+    vectors; estimates are inflated by 2 and clamped to [0, 1].  For a
+    scipy.sparse A the work follows the rows J that A touches, past
+    finding J, the sketch's n + 1 column pointers and one pass over the
+    scores: r is counted on A[J], the sketch hashes only the columns J,
+    and A[J] R^-1 G is formed and clamped on J alone; every other score
+    is exactly 0, as the full product gives.  ``columns`` hands J in, as
+    :func:`~subsketch.apply.touched_rows` finds it (any strictly
+    increasing rows in [0, n) that hold every stored entry, or nonzero of
+    a dense A, give the same scores); when None, J is found here.  Other
+    ``columns`` raise ParameterError, as in
+    :func:`~subsketch.oblivious.build_osnap` and
+    :func:`~subsketch.apply.apply`, and so do NaN or Inf entries.
+
+    The route.  r is counted first (one pass over a dense A; over the
+    stored entries of A[J] for a sparse one).  When r <= 2 rows, where
+    rows = max(8 d ln n, 4d) is the leverage sketch's height, R comes
+    from a QR of X, the nonzero rows of A as a dense r x d array (the
+    same bytes for a sparse A, its dense copy, A with stored zeros and
+    any admissible ``columns``): no sketch is built.  That QR costs
+    O(r d^2) = O(d^3 log n), the cost of the sketch route's QR of its
+    rows x d sketch, so the stage keeps its input-sparsity bound of
+    O(nnz(A) k + d^3 log n); past r = 2 rows the sketch is cheaper, and
+    R comes from a QR of an osnap sketch of A with rows rows and 8
+    entries per column, retried with fresh seeds while it is singular.
 
     The claimed beta1 is the one this estimator proves.  Let
     u_i = e_i^T A R^-1 and U an orthonormal basis of A's columns, so
-    l_i = |e_i^T U|^2, and let the leverage sketch Pi have
-    sigma_max(Pi U) <= 1 + eps_lev.  Since Pi A R^-1 is orthonormal,
-    A R^-1 = U M with sigma_min(M) = 1 / sigma_max(Pi U), so
-    l_i <= (1 + eps_lev)^2 |u_i|^2.  G has N(0, 1/k) entries, so
-    |u_i^T G|^2 = |u_i|^2 chi^2_k / k exactly, and the Chernoff bound
-    gives P(chi^2_k <= t k) <= (t e^(1-t))^(k/2) for t < 1.  A row with
+    l_i = |e_i^T U|^2, and let Pi, the sketch (the identity on the
+    direct route), have sigma_max(Pi U) <= 1 + eps_lev.  Since
+    Pi A R^-1 is orthonormal, A R^-1 = U M with
+    sigma_min(M) = 1 / sigma_max(Pi U), so l_i <= (1 + eps_lev)^2 |u_i|^2.
+    G has N(0, 1/k) entries, so |u_i^T G|^2 = |u_i|^2 chi^2_k / k
+    exactly, and the Chernoff bound gives
+    P(chi^2_k <= t k) <= (t e^(1-t))^(k/2) for t < 1.  A row with
     l_i = 0 needs no bound; for full-rank A these are exactly the zero
     rows, so a union bound runs over the r nonzero rows of A.  With t
     solving (t e^(1-t))^(k/2) = delta_lev / r, with probability at least
     1 - delta_lev every such row has z_i >= 2 t |u_i|^2 (or z_i = 1 >= l_i),
-    hence l_i / z_i <= beta1 = (1 + eps_lev)^2 / (2 t).  Here
-    eps_lev = 1/2 and delta_lev = 0.01; for small t, t ~ (delta_lev /
-    r)^(2/k) / e, so beta1 grows like (r / delta_lev)^(gamma / 2).  r is
-    counted from A, so a sparse A, its dense copy, A with stored zeros
-    and every admissible ``columns`` claim the same beta1.  beta2 is
-    reported as measured, max(1, sum(z)/d).
+    hence l_i / z_i <= beta1 = (1 + eps_lev)^2 / (2 t).  On the sketch
+    route eps_lev = 1/2, the sketch's assumed distortion.  On the direct
+    route Pi = I, so sigma(Pi U) = 1 and eps_lev = 0 (A R^-1 is
+    orthonormal up to rounding), and beta1 = 1 / (2 t), or 1 when that
+    is less (large k and small r; z_i >= l_i / beta1 is weaker for a
+    larger beta1, and 1 is the least a claim may state).  Here
+    delta_lev = 0.01; for small t, t ~ (delta_lev / r)^(2/k) / e, so
+    beta1 grows like (r / delta_lev)^(gamma / 2).  The route and r depend
+    on A's nonzero rows, d and n alone, so a sparse A, its dense copy, A
+    with stored zeros and every admissible ``columns`` claim the same
+    beta1.  beta2 is reported as measured, max(1, sum(z)/d).
     """
     if not 0.0 < gamma < 1.0:
         raise ParameterError(f"gamma must be in (0, 1), got {gamma}")
     A = as_matrix(A, tall=True, finite=False)
     n, d = A.shape
-    if columns is None:
-        columns = touched_rows(A)
-    R = None
-    for attempt in range(3):
-        R = _sketch_r_factor(A, d, n, seed, attempt, columns)
-        if R is not None:
-            break
+    columns = touched_rows(A) if columns is None else check_columns(columns, n)
+    J = slice(None) if columns is None else columns  # E_i = 0 exactly off J
+    A_J = A[J]
+    nonzero = _nonzero_rows(A, A_J, columns)
+    r = int(np.count_nonzero(nonzero))
+    direct = r <= _DIRECT * _sketch_rows(d, n)
+    if direct:
+        X = A_J if r == nonzero.size else A_J[nonzero]
+        X = X if isinstance(X, np.ndarray) else X.tocoo().toarray()  # a CSR toarray goes through tocsr
+        if not np.isfinite(X).all():
+            raise ParameterError("input matrix holds NaN or Inf entries")
+        R = _full_rank_r(X, n)
+    else:
+        for attempt in range(3):
+            R = _sketch_r_factor(A, d, n, seed, attempt, columns)
+            if R is not None:
+                break
     if R is None:  # a deficient A raises here, naming its numerical rank
         exact_leverage(A)
-        raise RankDeficiencyError("sketch of A stayed rank deficient after 3 attempts", d)
+        raise RankDeficiencyError(
+            "nonzero rows of A are numerically rank deficient" if direct
+            else "sketch of A stayed rank deficient after 3 attempts", d)
     k = math.ceil(4.0 / gamma)
     rng = np.random.default_rng(derive_seed(seed, 0x7E57))
     G = rng.standard_normal((d, k)) / math.sqrt(k)
     W = scipy.linalg.solve_triangular(R, G, lower=False)
-    J = slice(None) if columns is None else columns  # E_i = 0 exactly off J
-    A_J = A[J]
     E = np.asarray(A_J @ W)
-    norms = np.einsum("ij,ij->i", E, E)
     z = np.zeros(n)
-    z[J] = np.clip(_SAFETY * norms, 0.0, 1.0)
-    # r, the nonzero rows of A: a row with E_i != 0 is one (E_i = A_i W),
-    # so only the rows whose estimate is 0 are read again
-    zero = np.flatnonzero(norms == 0.0)
-    r = norms.size - zero.size + np.count_nonzero((A_J[zero] != 0).sum(axis=1))
+    z[J] = np.clip(_SAFETY * np.einsum("ij,ij->i", E, E), 0.0, 1.0)
     t = _chi2_lower_level(k, _DELTA_LEV / r)
-    beta1 = (1.0 + _EPS_LEV) ** 2 / (_SAFETY * t)
+    eps_lev = 0.0 if direct else _EPS_LEV
+    beta1 = max(1.0, (1.0 + eps_lev) ** 2 / (_SAFETY * t))
     beta2 = max(1.0, float(z.sum()) / d)  # summed over all n: the bytes of a full sum
     return LeverageScores(z=z, beta1=beta1, beta2=beta2)
 

@@ -24,6 +24,7 @@ from subsketch import (
 from subsketch.cli import EXIT_IO, EXIT_OK, EXIT_PARAMETER, EXIT_VERIFY, main
 from subsketch.pipeline import PipelineConfig
 from subsketch.experiments import run_config
+from subsketch.leverage import _DIRECT, _sketch_rows
 
 
 def _run_cli(argv):
@@ -241,6 +242,25 @@ class TestNonFiniteInput:
     def test_leverage(self, tmp_path, nan_matrix, mode):
         out = tmp_path / "z.json"
         rc = main(["leverage", str(nan_matrix), *mode, "--out", str(out)])
+        assert rc == EXIT_PARAMETER
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["direct", "sketch"])
+    def test_leverage_gamma_on_either_route(self, tmp_path, nan_matrix, route):
+        # the fixture's ~680 nonzero rows are factored directly; a dense
+        # 4096x8 input's 4096 rows go through the leverage sketch
+        path = nan_matrix
+        if route == "sketch":
+            A = np.random.default_rng(4).standard_normal((4096, 8))
+            A[100, 3] = np.nan
+            path = tmp_path / "dense.mtx"
+            save_matrix(path, A)
+        A = load_matrix(path)
+        n, d = A.shape
+        r = np.count_nonzero(np.diff(A.indptr)) if scipy.sparse.issparse(A) else n
+        assert (r <= _DIRECT * _sketch_rows(d, n)) == (route == "direct")
+        out = tmp_path / "z.json"
+        rc = main(["leverage", str(path), "--gamma", "0.5", "--out", str(out)])
         assert rc == EXIT_PARAMETER
         assert not out.exists()
 

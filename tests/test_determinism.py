@@ -82,11 +82,11 @@ def _touched_input():
 
 PIPELINE_CASES = {
     # kind: (output digest, nnz of the full sketch)
-    "less-ic": ("42707f152a3f9076c60f7f3eba9089aa6cfa5c306d3656ca4eda6c9dba6c7505", 10261),
+    "less-ic": ("a9ec17d8b92b646bc1321251ed2163a79bfa3db2b369d4dabc930d773789f393", 8999),
     "osnap": ("e38d18d9f8cea1e7e368e2b77b74ec8a9e3bcef1860607072a3e600b9757afef", 40960),
     # the kinds built in full, pinned on the parameters they get by default
     "ose-ie": ("f7d3da1305611798651f5a2ac2f5d155d1e70d1955f7c32fa25cfe70b04c1967", 130729),
-    "less-ie": ("8be73b501193e1132cd6c353295ef2e9ee9663a6429ba0b95276a06adff295b2", 2066),
+    "less-ie": ("3fb332f9dd2ee239e51057a2f92fa6e2ce86bd9867cd568012cc026268027a33", 942),
     "gaussian-dense": ("c483fb86b82f059acd8202d6c0e8a60c651fe6d30a9865462fc1b192e7a2da95",
                        720896),
 }

@@ -16,7 +16,16 @@ from subsketch import (
     touched_rows,
     validate_scores,
 )
-from subsketch.leverage import _EPS_LEV, _chi2_lower_level, _sketch_r_factor
+from subsketch import leverage, oblivious
+from subsketch.leverage import (
+    _DELTA_LEV,
+    _DIRECT,
+    _EPS_LEV,
+    _SAFETY,
+    _chi2_lower_level,
+    _sketch_r_factor,
+    _sketch_rows,
+)
 
 
 class TestExactScores:
@@ -172,13 +181,118 @@ class TestValidateScores:
 
 
 def _claim_surface(name, seed, embed_shaped):
-    """Criterion 11's Gaussian 2000 x 20 input, or a reduced embed input."""
+    """Criterion 11's Gaussian 2000 x 20 input, a reduced embed input, or a
+    Gaussian 2^14 x 16, whose nonzero rows are ~13 times the sketch's."""
     if name == "criterion-11":
         return np.random.default_rng(seed).standard_normal((2000, 20))
+    if name == "sketch-route":
+        return np.random.default_rng(seed).standard_normal((1 << 14, 16))
     return embed_shaped(name == "embed-dense", seed)
 
 
-CLAIM_SURFACES = ("criterion-11", "embed-sparse", "embed-dense")
+# the route each surface takes: r / rows is 1.6, 1.3, 1.9 and 13
+CLAIM_SURFACES = {"criterion-11": "direct", "embed-sparse": "direct", "embed-dense": "direct",
+                  "sketch-route": "sketch"}
+
+
+def _rows_input(r, seed, n=4096, d=8):
+    """A dense n x d input whose nonzero rows are r random Gaussian rows."""
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n, d))
+    A[np.sort(rng.choice(n, r, replace=False))] = rng.standard_normal((r, d))
+    return A
+
+
+# the most nonzero rows a 4096 x 8 input may have to be factored directly
+BOUNDARY = _DIRECT * _sketch_rows(8, 4096)
+
+
+@pytest.fixture
+def osnap_builds(monkeypatch):
+    """The m of every osnap sketch built; the leverage sketch is one."""
+    calls = []
+
+    def counting(spec, columns=None, _orig=oblivious.build_osnap):
+        calls.append(spec.m)
+        return _orig(spec, columns=columns)
+
+    monkeypatch.setattr(oblivious, "build_osnap", counting)
+    return calls
+
+
+class TestRoute:
+    @pytest.mark.parametrize("r, route", [(BOUNDARY // 4, "direct"), (BOUNDARY, "direct"),
+                                          (BOUNDARY + 1, "sketch"), (3000, "sketch")])
+    def test_route_and_claim_follow_nonzero_rows(self, r, route, osnap_builds):
+        A = _rows_input(r, seed=r)
+        sparse = scipy.sparse.csr_matrix(A)
+        J = touched_rows(sparse)
+        free = np.setdiff1d(np.arange(A.shape[0]), J)
+        coo = sparse.tocoo()
+        # an explicit zero in a zero row: one more touched row, no more nonzero rows
+        stored_zeros = scipy.sparse.csr_matrix(
+            (np.append(coo.data, 0.0), (np.append(coo.row, free[0]), np.append(coo.col, 0))),
+            shape=A.shape)
+        superset = np.union1d(J, free[::7])
+        inputs = [(A, None), (A, superset), (sparse, None), (sparse, superset),
+                  (sparse.tocsc(), None), (stored_zeros, None)]
+        claims = set()
+        for X, columns in inputs:
+            osnap_builds.clear()
+            claims.add(approx_leverage(X, 0.25, seed=1, columns=columns).beta1)
+            assert osnap_builds == ([] if route == "direct" else [_sketch_rows(8, 4096)])
+        t = _chi2_lower_level(16, _DELTA_LEV / r)
+        eps_lev = 0.0 if route == "direct" else _EPS_LEV
+        assert claims == {(1.0 + eps_lev) ** 2 / (_SAFETY * t)}
+
+    def test_direct_claim_is_at_least_one(self):
+        # 400 test vectors over 1072 rows: 1 / (2t) = 0.71, below what a claim may state
+        A = _rows_input(BOUNDARY, seed=2)
+        assert 1.0 / (_SAFETY * _chi2_lower_level(400, _DELTA_LEV / BOUNDARY)) < 1.0
+        scores = approx_leverage(A, 0.01, seed=2)
+        assert scores.beta1 == 1.0
+        assert validate_scores(A, scores).passed
+
+    @pytest.mark.parametrize("r", [BOUNDARY, BOUNDARY + 1])
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected_on_both_routes(self, r, fmt, bad):
+        A = _rows_input(r, seed=3)
+        row = np.flatnonzero(A.any(axis=1))[r // 2]
+        A[row] = 0.0
+        A[row, 1] = bad  # alone in its row, which is nonzero all the same
+        with pytest.raises(ParameterError, match="NaN or Inf"):
+            approx_leverage(A if fmt == "dense" else scipy.sparse.csr_matrix(A), 0.5)
+
+    def test_rank_deficient_nonzero_rows_name_their_rank(self, osnap_builds):
+        A = _rows_input(BOUNDARY, seed=4)
+        A[:, 3] = A[:, 0] - A[:, 1]
+        with pytest.raises(RankDeficiencyError) as err:
+            approx_leverage(A, 0.5)
+        assert err.value.numerical_rank == 7
+        assert osnap_builds == []
+
+    def test_direct_route_factors_the_same_nonzero_rows(self, monkeypatch):
+        A = _rows_input(BOUNDARY, seed=5)
+        sparse = scipy.sparse.csr_matrix(A)
+        J = touched_rows(sparse)
+        free = np.setdiff1d(np.arange(A.shape[0]), J)
+        coo = sparse.tocoo()
+        # stored zeros in a zero row and in a nonzero one
+        stored_zeros = scipy.sparse.csr_matrix(
+            (np.append(coo.data, [0.0, 0.0]),
+             (np.append(coo.row, [free[0], J[0]]), np.append(coo.col, [0, 0]))), shape=A.shape)
+        seen = []
+
+        def recording(X, n, _orig=leverage._full_rank_r):
+            seen.append(X.tobytes())
+            return _orig(X, n)
+
+        monkeypatch.setattr(leverage, "_full_rank_r", recording)
+        for X, columns in [(A, None), (sparse, None), (stored_zeros, None),
+                           (sparse, np.union1d(J, free[::5])), (A, J)]:
+            approx_leverage(X, 0.5, columns=columns)
+        assert seen == [A[A.any(axis=1)].tobytes()] * 5
 
 
 class TestBeta1Claim:
@@ -197,6 +311,12 @@ class TestBeta1Claim:
             scores = approx_leverage(A, gamma, seed=seed)
             report = validate_scores(A, scores)
             assert report.passed, f"seed {seed}: {report}"
+
+    @pytest.mark.parametrize("surface", CLAIM_SURFACES)
+    def test_claim_surfaces_take_their_routes(self, surface, embed_shaped, osnap_builds):
+        A = _claim_surface(surface, 0, embed_shaped)
+        approx_leverage(A, 0.25, seed=0)
+        assert len(osnap_builds) == (CLAIM_SURFACES[surface] == "sketch")
 
     @pytest.mark.parametrize("surface", CLAIM_SURFACES)
     def test_leverage_sketch_distortion_within_assumed(self, surface, embed_shaped):
