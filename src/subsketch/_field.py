@@ -1,15 +1,11 @@
-"""Exact prime-field arithmetic for the hashing layer.
+"""Exact arithmetic in GF(M61), M61 = 2^61 - 1, the one field of the hashing layer.
 
-The default field is GF(M61) with M61 = 2^61 - 1.  Hot paths run on numpy
-uint64 arrays.  The only other fields are those of a prime below 2^32,
-whose products fit in uint64 directly (the tiny fields of the enumeration
-tests).
-
-The hashing layer's inputs are 32-bit: the blocked samplers hash points
-2*t + tag for entry number t < 2^31 and scale onto block widths of at
-most m <= 2^32 (:mod:`subsketch.oblivious` rejects larger sketches).  So
-over M61 a point x is below 2^32 and a width w at most 2^32, and one
-reduction serves both Horner's rule and range scaling.  For u < 2^63 and w <= 2^32 with
+Hot paths run on numpy uint64 arrays.  The hashing layer's inputs are
+32-bit: the blocked samplers hash points 2*t + tag for entry number
+t < 2^31 and scale onto block widths of at most m <= 2^32
+(:mod:`subsketch.oblivious` rejects larger sketches).  So a point x is
+below 2^32 and a width w at most 2^32, and one reduction serves both
+Horner's rule and range scaling.  For u < 2^63 and w <= 2^32 with
 y = u*w / M61 < 3 * 2^32, :func:`_quotient` reads
 
     q = trunc(float(u) * fw),  fw = w * _SHRINK = w * (1 - 2^-45) / M61
@@ -68,44 +64,16 @@ import functools
 import numpy as np
 
 M61 = (1 << 61) - 1
-HASH_DOMAIN = 1 << 32  # over M61, points lie below it and range widths are at most it
+HASH_DOMAIN = 1 << 32  # points lie below it and range widths are at most it
 
 _U = np.uint64
 _M61 = _U(M61)
 _61 = _U(61)  # a shift count
 _SHRINK = (1.0 - 2.0**-45) / M61  # float(M61) == 2^61: exact
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 2^64."""
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 _CHUNK = 1 << 14  # points per block: the work buffers stay in the L2 cache
 _L = 1 << 10  # points per sub-block of the Newton route; K <= _L keeps its sums exact
-_K_NEWTON = 12  # fewest coefficients that take the Newton route (Horner is as fast below)
+_K_NEWTON = 10  # fewest coefficients that take the Newton route; below it Horner won on 2^14 points
 _ROWS = 16  # rows of the Newton table reduced per step
 _RENORM_SHIFT = np.array([[31], [30]], dtype=np.uint64)  # of the table rows' (lo, hi) limbs
 _RENORM_MASK = np.array([[(1 << 31) - 1], [(1 << 30) - 1]], dtype=np.uint64)
@@ -336,12 +304,11 @@ def _newton(coeffs, x, out, work, starts):
             out[s:s + size] = acc.reshape(-1)[:size]
 
 
-def poly_eval(coeffs, points, modulus):
-    """Evaluate sum_t coeffs[t] * x^t mod ``modulus`` at every x in ``points``.
+def poly_eval(coeffs, points):
+    """Evaluate sum_t coeffs[t] * x^t mod M61 at every x in ``points``.
 
-    ``modulus`` is M61 or a prime below 2^32; coeffs are field elements
-    (low-to-high degree) and points must be below min(modulus, 2^32)
-    (:meth:`subsketch.kwise.KWiseFamily.evaluate` checks).  Over M61 the points
+    coeffs are field elements (low-to-high degree) and points must be below
+    2^32 (:meth:`subsketch.kwise.KWiseFamily.evaluate` checks).  The points
     are evaluated in blocks of ``_CHUNK``.  With ``_K_NEWTON`` <= K <= ``_L``
     coefficients, a block whose ``_L``-point sub-blocks are all arithmetic
     progressions of at least K points takes :func:`_newton`; every other
@@ -349,13 +316,6 @@ def poly_eval(coeffs, points, modulus):
     """
     points = np.atleast_1d(np.asarray(points, dtype=np.uint64))
     coeffs = np.asarray(coeffs, dtype=np.uint64)
-    if modulus != M61:
-        # products of two elements < 2^32 fit exactly in uint64
-        acc = np.full(points.shape, coeffs[-1], dtype=np.uint64)
-        q = _U(modulus)
-        for c in coeffs[-2::-1]:
-            acc = (acc * points + c) % q
-        return acc
     flat = points.reshape(-1)
     n, k = flat.size, coeffs.size
     out = np.empty(n, dtype=np.uint64)
@@ -372,19 +332,16 @@ def poly_eval(coeffs, points, modulus):
     return out.reshape(points.shape)
 
 
-def scale_to_range(values, width, modulus):
-    """floor(values * width / modulus), exact; maps field elements onto [0, width).
+def scale_to_range(values, width):
+    """floor(values * width / M61), exact; maps field elements onto [0, width).
 
-    ``width`` may be a scalar or a per-value array, at most
-    min(modulus, 2^32).  ``modulus`` is M61 or a prime below 2^32.  Over
-    M61 the values are scaled in blocks of ``_CHUNK`` through one set of
-    work buffers, so a call allocates little beyond its output; each block
+    ``width`` may be a scalar or a per-value array, at most 2^32.  The
+    values are scaled in blocks of ``_CHUNK`` through one set of work
+    buffers, so a call allocates little beyond its output; each block
     takes :func:`_quotient` and one correction (see the module docstring).
     """
     values = np.atleast_1d(np.asarray(values, dtype=np.uint64))
     w = np.asarray(width, dtype=np.uint64)
-    if modulus != M61:
-        return (values * w) // _U(modulus)
     shape = np.broadcast_shapes(values.shape, w.shape)
     v = np.broadcast_to(values, shape).reshape(-1)
     out = np.empty(v.size, dtype=np.uint64)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._field import HASH_DOMAIN, M61, derive_seed, scale_to_range
+from ._field import HASH_DOMAIN, derive_seed, scale_to_range
 from .calibration import CONSTANTS
 from .errors import ParameterError
 from .kwise import KWiseFamily
@@ -199,7 +199,7 @@ def blocked_entries(spec, heights, columns=None, offsets=None, total=None):
     width = heights if np.ndim(heights) == 0 else np.repeat(heights, kept)
     lo *= width  # 0-based block start
     width = np.minimum(lo + width, spec.m) - lo
-    rows = lo + scale_to_range(field, width.view(np.uint64), M61).astype(np.int64)
+    rows = lo + scale_to_range(field, width.view(np.uint64)).astype(np.int64)
     return indptr, rows, signs, width
 
 

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  Every criterion checks
 its stated tolerance and its runtime budget.
 """
 
-import itertools
 import math
 import time
 
@@ -13,6 +12,7 @@ import pytest
 import scipy.sparse
 
 import subsketch as ss
+from subsketch._field import _K_NEWTON, _L, _newton_block, poly_eval
 from subsketch.experiments import builder as trial_builder
 from subsketch.experiments import eps_sweep
 
@@ -345,23 +345,35 @@ def test_criterion_09_sparsity_eps_trend():
     )
 
 
-def test_criterion_10_kwise_exact_independence():
+def test_criterion_10_kwise_exact_independence(monkeypatch, vandermonde_exact):
+    # the production evaluator maps the coefficients c to V*c at any K distinct
+    # points, V invertible mod M61: uniform c gives exactly uniform values
     _start()
-    pair_counts = np.zeros((5, 5), dtype=int)
-    for a, b in itertools.product(range(5), repeat=2):
-        fam = ss.KWiseFamily.from_coefficients([a, b], field_modulus=5)
-        v = fam.evaluate(np.array([0, 3], dtype=np.uint64))
-        pair_counts[int(v[0]), int(v[1])] += 1
-    pairs_ok = bool(np.all(pair_counts == 1))
+    newton = []
+    monkeypatch.setattr("subsketch._field._newton_block",
+                        lambda *args: newton.append(1) or _newton_block(*args))
+    rng = np.random.default_rng(110)
+    top = (1 << 32) - 1
+    n = 2 * _L + 100
+    progression = (top - (1 << 20) * np.arange(n, dtype=object)).astype(np.uint64)
+    exact, routes = True, True
+    for k in (2, 3, 16, 56, 64):
+        scattered = np.unique(rng.integers(0, top, 4 * k, dtype=np.uint64))[:k - 1]
+        scattered = rng.permutation(np.append(scattered, np.uint64(top)))
+        exact &= vandermonde_exact(scattered, range(k), seed=k)
+        routes &= not newton  # scattered points take Horner
+        at = sorted(rng.choice(n, k, replace=False).tolist())
+        exact &= vandermonde_exact(progression, at, seed=k)
+        routes &= bool(newton) == (k >= _K_NEWTON)  # a progression takes Newton
+        newton.clear()
 
-    triple_counts = np.zeros((5, 5, 5), dtype=int)
-    for coeffs in itertools.product(range(5), repeat=3):
-        fam = ss.KWiseFamily.from_coefficients(coeffs, field_modulus=5)
-        v = fam.evaluate(np.array([1, 2, 4], dtype=np.uint64))
-        triple_counts[int(v[0]), int(v[1]), int(v[2])] += 1
-    triples_ok = bool(np.all(triple_counts == 1))
-    _verdict(10, pairs_ok and triples_ok, 5.0,
-             "all 25 pairs and 125 triples exactly uniform on F5")
+    # negative control: a family that drops its top coefficient must fail
+    monkeypatch.setattr(ss.kwise, "poly_eval",
+                        lambda coeffs, points: poly_eval(np.asarray(coeffs)[:-1], points))
+    control = not vandermonde_exact(progression, range(0, n, n // 16))
+    _verdict(10, exact and routes and control, 5.0,
+             "V*c exact and det V != 0 mod M61 for K in {2, 3, 16, 56, 64} on "
+             "Horner and Newton routes; a dropped top coefficient is caught")
 
 
 def test_criterion_11_leverage_scores():

@@ -1,4 +1,5 @@
-"""Hashing layer: exact field arithmetic, enumeration oracles, stream stats."""
+"""Hashing layer: exact GF(M61) arithmetic against Python ints, exact K-wise
+independence of the production evaluator, stream statistics."""
 
 import itertools
 import math
@@ -26,7 +27,6 @@ from subsketch._field import (
     _narrow_step,
     _newton_block,
     _newton_table,
-    is_prime,
     poly_eval,
     scale_to_range,
 )
@@ -45,7 +45,7 @@ def _horner(coeffs, points):
 
 
 def _assert_matches_horner(coeffs, points):
-    got = poly_eval(np.asarray(coeffs, dtype=np.uint64), points, M61)
+    got = poly_eval(np.asarray(coeffs, dtype=np.uint64), points)
     assert got.dtype == np.uint64 and got.shape == np.shape(points)
     assert (got.astype(object) == _horner(coeffs, points)).all()
 
@@ -59,7 +59,7 @@ class TestFieldArithmetic:
         coeffs[-1] = M61 - 1  # the largest element leads every Horner chain
         edges = [0, 1, 2, 1 << 31, TOP - 1, TOP]
         pts = edges + [int(x) for x in rng.integers(0, TOP + 1, 500, dtype=np.uint64)]
-        got = poly_eval(np.array(coeffs, dtype=np.uint64), np.array(pts, dtype=np.uint64), M61)
+        got = poly_eval(np.array(coeffs, dtype=np.uint64), np.array(pts, dtype=np.uint64))
         for x, v in zip(pts, got.tolist()):
             want = 0
             for c in reversed(coeffs):
@@ -122,7 +122,7 @@ class TestFieldArithmetic:
 
     def test_poly_eval_constant_polynomial(self):
         points = np.arange(2 * _CHUNK + 3, dtype=np.uint64).reshape(-1, 1)
-        got = poly_eval(np.array([M61 - 1], dtype=np.uint64), points, M61)
+        got = poly_eval(np.array([M61 - 1], dtype=np.uint64), points)
         assert got.shape == points.shape and (got == M61 - 1).all()
 
     def test_evaluate_peak_memory_is_its_output(self):
@@ -140,7 +140,7 @@ class TestFieldArithmetic:
         rng = np.random.default_rng(9)
         v = rng.integers(0, M61, 3000, dtype=np.uint64)
         w = rng.integers(1, (1 << 32) + 1, 3000, dtype=np.uint64)
-        got = scale_to_range(v, w, M61)
+        got = scale_to_range(v, w)
         for i in range(0, 3000, 97):
             assert int(got[i]) == int(v[i]) * int(w[i]) // M61
 
@@ -151,7 +151,7 @@ class TestFieldArithmetic:
         w = rng.integers(1, (1 << 32) + 1, n, dtype=np.uint64)
         v[:4], w[:4] = M61 - 1, [1 << 32, TOP, 1, 2]
         for width in (w, 540):
-            got = scale_to_range(v, width, M61)
+            got = scale_to_range(v, width)
             want = v.astype(object) * np.asarray(width, dtype=np.uint64).astype(object) // M61
             assert got.dtype == np.uint64 and (got.astype(object) == want).all()
 
@@ -161,7 +161,7 @@ class TestFieldArithmetic:
         w = rng.integers(1, 541, 1 << 20, dtype=np.uint64)
         tracemalloc.start()
         try:
-            out = scale_to_range(v, w, M61)
+            out = scale_to_range(v, w)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -176,9 +176,9 @@ class TestFieldArithmetic:
               TOP, 1 << 32]
         v = np.array([r * pow(w, -1, M61) % M61 for w in ws], dtype=np.uint64)
         want = [a * w // M61 for a, w in zip(v.tolist(), ws)]
-        assert scale_to_range(v, np.array(ws, dtype=np.uint64), M61).tolist() == want
+        assert scale_to_range(v, np.array(ws, dtype=np.uint64)).tolist() == want
         for i in (0, 1, 2, 539, -2, -1):
-            assert scale_to_range(v, ws[i], M61)[i] == want[i]
+            assert scale_to_range(v, ws[i])[i] == want[i]
 
     def test_narrow_step_next_to_a_multiple_of_m61(self):
         # acc*x = j*M61 + M61 - 1 for every x: the float quotient must not reach j + 1
@@ -189,10 +189,6 @@ class TestFieldArithmetic:
         _narrow_step(acc, acc.view(np.int64), np.uint64(0), x, x * _SHRINK, f, q, q.view(np.int64))
         assert all(got in (M61 - 1, 2 * M61 - 1) for got in acc.tolist())
 
-    def test_is_prime(self):
-        assert is_prime(2) and is_prime(5) and is_prime(M61)
-        assert not is_prime(1) and not is_prime(2**61) and not is_prime(561)
-
 
 @settings(max_examples=100, deadline=None)
 @given(pairs=st.lists(st.tuples(st.integers(0, M61 - 1), st.integers(1, 1 << 32)),
@@ -200,10 +196,10 @@ class TestFieldArithmetic:
 def test_scale_to_range_matches_python_ints(pairs):
     v = np.array([a for a, _ in pairs], dtype=np.uint64)
     w = np.array([b for _, b in pairs], dtype=np.uint64)
-    got = scale_to_range(v, w, M61)
+    got = scale_to_range(v, w)
     assert got.tolist() == [a * b // M61 for a, b in pairs]
     width = pairs[0][1]
-    assert scale_to_range(v, width, M61).tolist() == [a * width // M61 for a, _ in pairs]
+    assert scale_to_range(v, width).tolist() == [a * width // M61 for a, _ in pairs]
 
 
 class TestHashDomain:
@@ -325,7 +321,7 @@ class TestNewtonRoute:
         coeffs = np.random.default_rng(23).integers(0, M61, 56, dtype=np.uint64)
         n = _CHUNK + _L + 100  # the second block ends in a 100-point sub-block
         points = np.arange(n, dtype=np.uint64) * np.uint64(2)
-        progression = poly_eval(coeffs, points, M61)
+        progression = poly_eval(coeffs, points)
         assert len(calls) == 2
         if perturb == "shuffle":
             order = np.random.default_rng(24).permutation(n)
@@ -333,11 +329,11 @@ class TestNewtonRoute:
             order = np.arange(n)
             i = 5 * _L + 700 if perturb == "swap-inside" else n - 40
             order[[i, i + 1]] = order[[i + 1, i]]
-        got = poly_eval(coeffs, points[order], M61)
+        got = poly_eval(coeffs, points[order])
         assert len(calls) == 2 + newton_blocks
         assert np.array_equal(got, progression[order])
 
-    @pytest.mark.parametrize("k", [1, 2, _K_NEWTON, 33, 64])
+    @pytest.mark.parametrize("k", [1, 2, 12, 33, 64])
     def test_binomial_table(self, k):
         table = _newton_table(k)
         assert table.shape == (3 * k, _L) and not table.flags.writeable
@@ -363,17 +359,19 @@ class TestNewtonRoute:
 
 class TestFamilyConstruction:
     def test_constant_polynomial_k1(self):
-        fam = KWiseFamily(seed=0, degree_k=1, field_modulus=5)
-        vals = fam.evaluate(np.arange(5, dtype=np.uint64))
+        fam = KWiseFamily(seed=0, degree_k=1)
+        vals = fam.evaluate(np.array([0, 1, 2, 1 << 31, TOP], dtype=np.uint64))
         assert len(set(vals.tolist())) == 1
 
     def test_affine_determined_by_two_points(self):
-        # a*x + b mod 5 is pinned by its values at 0 and 1
-        fam = KWiseFamily(seed=7, degree_k=2, field_modulus=5)
-        v = fam.evaluate(np.arange(5, dtype=np.uint64)).astype(int)
-        b, a = v[0], (v[1] - v[0]) % 5
-        for x in range(5):
-            assert v[x] == (a * x + b) % 5
+        # a*x + b mod M61 is pinned by its values at 0 and 1
+        fam = KWiseFamily(seed=7, degree_k=2)
+        points = [0, 1, 2, 3, 1 << 31, TOP]
+        v = [int(x) for x in fam.evaluate(np.array(points, dtype=np.uint64))]
+        b, a = v[0], (v[1] - v[0]) % M61
+        assert (b, a) == fam.coefficients
+        for x, got in zip(points, v):
+            assert got == (a * x + b) % M61
 
     def test_reproducible_from_seed(self):
         f1 = KWiseFamily(seed=123, degree_k=6)
@@ -386,60 +384,99 @@ class TestFamilyConstruction:
         with pytest.raises(ParameterError):
             KWiseFamily(seed=0, degree_k=0)
         with pytest.raises(ParameterError):
-            KWiseFamily(seed=0, degree_k=2, field_modulus=9)  # not prime
-        with pytest.raises(ParameterError):
-            KWiseFamily(seed=0, degree_k=2, field_modulus=1)
+            KWiseFamily.from_coefficients([1, M61])  # not a field element
 
-    def test_prime_above_2_32_rejected(self):
-        # only M61 and primes below 2^32 have an exact uint64 evaluator
-        assert is_prime(4294967311)
-        with pytest.raises(ParameterError):
-            KWiseFamily(seed=0, degree_k=2, field_modulus=4294967311)
+    @pytest.mark.parametrize("make", [
+        lambda: KWiseFamily(seed=0, degree_k=2, field_modulus=5),
+        lambda: KWiseFamily.from_coefficients([1, 2], field_modulus=5),
+    ], ids=["family", "from_coefficients"])
+    def test_field_modulus_is_not_an_argument(self, make):
+        # GF(M61) is the only field; the small-prime fields are gone
+        with pytest.raises(TypeError):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: KWiseFamily(seed=0, degree_k=2.5),
+        lambda: KWiseFamily(seed=0, degree_k=2.0),
+        lambda: KWiseFamily(seed=0, degree_k=True),
+        lambda: KWiseFamily(seed=1.5, degree_k=2),
+        lambda: KWiseFamily(seed=False, degree_k=2),
+        lambda: KWiseFamily(seed="3", degree_k=2),
+        lambda: KWiseFamily.from_coefficients([1.7, 2]),
+        lambda: KWiseFamily.from_coefficients([1, True]),
+        lambda: IndependentFamily(seed=1.5).evaluate(3),
+        lambda: IndependentFamily(seed=True).evaluate(3),
+    ], ids=["k-2.5", "k-2.0", "k-true", "seed-1.5", "seed-false", "seed-str",
+            "coefficient-1.7", "coefficient-true", "independent-seed-1.5",
+            "independent-seed-true"])
+    def test_non_integers_rejected(self, make):
+        # degree_k=2.5 used to build 3 coefficients, True to count as 1,
+        # 1.7 to truncate to 1, and seed=1.5 to raise TypeError
+        with pytest.raises(ParameterError, match="integers"):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        fam = KWiseFamily(seed=np.uint64(123), degree_k=np.int32(6))
+        assert fam == KWiseFamily(seed=123, degree_k=6)
+        assert type(fam.seed) is int and type(fam.degree_k) is int
+        coeffs = np.array(fam.coefficients, dtype=np.uint64)
+        assert KWiseFamily.from_coefficients(coeffs) == KWiseFamily.from_coefficients(
+            list(fam.coefficients))
+        pts = np.arange(100, dtype=np.uint64)
+        assert np.array_equal(IndependentFamily(seed=np.int64(9)).evaluate(pts),
+                              IndependentFamily(seed=9).evaluate(pts))
 
     def test_index_out_of_range(self):
-        fam = KWiseFamily(seed=0, degree_k=2, field_modulus=5)
+        fam = KWiseFamily(seed=0, degree_k=2)
         with pytest.raises(ParameterError):
-            fam.rademacher(5)[0]
+            fam.rademacher(TOP + 1)[0]
+
+
+def _drop_top_coefficient(coeffs, points):
+    return poly_eval(np.asarray(coeffs)[:-1], points)
+
+
+def _flip_low_bit(coeffs, points):
+    return poly_eval(coeffs, points) ^ np.uint64(1)
 
 
 class TestExactKWiseIndependence:
-    """Brute-force enumeration over all polynomials on tiny fields."""
+    """The production evaluator is a bijection from coefficients to values at
+    any K distinct points in the 32-bit domain (see ``vandermonde_exact``)."""
 
-    def test_pairs_uniform_over_f5(self):
-        counts = np.zeros((5, 5), dtype=int)
-        for a in range(5):
-            for b in range(5):
-                fam = KWiseFamily.from_coefficients([a, b], field_modulus=5)
-                v = fam.evaluate(np.array([0, 3], dtype=np.uint64))
-                counts[int(v[0]), int(v[1])] += 1
-        assert np.all(counts == 1)
+    @pytest.mark.parametrize("k", [2, 3, 16, 56, 64])
+    def test_scattered_points_take_horner(self, monkeypatch, vandermonde_exact, k):
+        calls = _count_newton_blocks(monkeypatch)
+        rng = np.random.default_rng(40 + k)
+        points = np.unique(rng.integers(0, TOP, 4 * k, dtype=np.uint64))[:k - 1]
+        points = rng.permutation(np.append(points, np.uint64(TOP)))
+        assert vandermonde_exact(points, range(k), seed=k)
+        assert not calls
 
-    @pytest.mark.parametrize("points", [(0, 1, 2), (0, 2, 4), (1, 3, 4)])
-    def test_triples_uniform_over_f5(self, points):
-        counts = np.zeros((5, 5, 5), dtype=int)
-        for coeffs in itertools.product(range(5), repeat=3):
-            fam = KWiseFamily.from_coefficients(coeffs, field_modulus=5)
-            v = fam.evaluate(np.array(points, dtype=np.uint64))
-            counts[int(v[0]), int(v[1]), int(v[2])] += 1
-        assert np.all(counts == 1)
+    @pytest.mark.parametrize("k", [2, 3, 16, 56, 64])
+    def test_progression_takes_newton_from_k_newton(self, monkeypatch, vandermonde_exact, k):
+        calls = _count_newton_blocks(monkeypatch)
+        rng = np.random.default_rng(50 + k)
+        n = 2 * _L + 100
+        points = (TOP - (1 << 20) * np.arange(n, dtype=object)).astype(np.uint64)
+        at = sorted(rng.choice(n, k, replace=False).tolist())
+        assert vandermonde_exact(points, at, seed=k)
+        assert bool(calls) == (k >= _K_NEWTON)
 
-    def test_uniform_range_pairs_full_width(self):
-        # width == field size: the mapped pair law stays exactly uniform
-        counts = np.zeros((5, 5), dtype=int)
-        for a in range(5):
-            for b in range(5):
-                fam = KWiseFamily.from_coefficients([a, b], field_modulus=5)
-                u = fam.uniform_range(np.array([1, 4], dtype=np.uint64), 0, 4)
-                counts[u[0], u[1]] += 1
-        assert np.all(counts == 1)
+    @pytest.mark.parametrize("broken", [_drop_top_coefficient, _flip_low_bit],
+                             ids=["drop-top-coefficient", "flip-low-bit"])
+    @pytest.mark.parametrize("progression", [False, True], ids=["scattered", "progression"])
+    def test_broken_evaluator_rejected(self, monkeypatch, vandermonde_exact, broken, progression):
+        # negative control: the check is not vacuous
+        monkeypatch.setattr("subsketch.kwise.poly_eval", broken)
+        points = np.arange(3 * _L, dtype=np.uint64) * np.uint64(5)
+        if not progression:
+            points = np.random.default_rng(60).permutation(points)
+        assert not vandermonde_exact(points, range(0, 3 * _L, 3 * _L // 16))
 
-    def test_sign_fraction_at_odd_modulus(self):
-        # 5 constant polynomials: +1 on odd field elements {1, 3}
-        plus = sum(
-            KWiseFamily.from_coefficients([c], field_modulus=5).rademacher(2)[0] == 1
-            for c in range(5)
-        )
-        assert plus / 5 in (2 / 5, 3 / 5)
+    def test_repeated_point_rejected(self, vandermonde_exact):
+        # V is singular when two of the K points coincide
+        assert not vandermonde_exact(np.array([7, 9, 7], dtype=np.uint64), range(3))
 
 
 class TestStreamStatistics:
