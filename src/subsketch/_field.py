@@ -63,6 +63,8 @@ import functools
 
 import numpy as np
 
+from .errors import as_int
+
 M61 = (1 << 61) - 1
 HASH_DOMAIN = 1 << 32  # points lie below it and range widths are at most it
 
@@ -392,5 +394,6 @@ def splitmix_stream(seed, indices):
 
 
 def derive_seed(seed, salt):
-    """Derive a decorrelated 64-bit child seed from (seed, salt)."""
-    return int(splitmix_stream(seed, np.uint64(salt & 0xFFFFFFFFFFFFFFFF))[()])
+    """Derive a decorrelated 64-bit child seed from (seed, salt); ParameterError
+    unless the seed is an integer (the one check of every derived seed)."""
+    return int(splitmix_stream(as_int("seed", seed), np.uint64(salt & 0xFFFFFFFFFFFFFFFF))[()])

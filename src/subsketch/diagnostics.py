@@ -13,7 +13,7 @@ import numpy as np
 
 from ._field import derive_seed
 from .apply import apply as _apply
-from .errors import ParameterError
+from .errors import ParameterError, as_int, as_real
 
 _ORTHO_TOL = 1e-10
 
@@ -42,12 +42,9 @@ class MomentProbe:
     std_error: float
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ParameterError("q must be >= 1")
-        if not math.isfinite(self.estimate):
-            raise ParameterError("estimate overflowed; use a smaller q")
-        if self.std_error < 0:
-            raise ParameterError("std_error must be >= 0")
+        self.q, self.trials = as_int("q", self.q, 1), as_int("trials", self.trials, 1)
+        self.estimate = as_real("estimate", self.estimate, "(-inf, inf)")
+        self.std_error = as_real("std_error", self.std_error, "[0, inf)")
 
     def root(self):
         """estimate ** (1 / (2q)) for band comparisons."""
@@ -95,6 +92,7 @@ def orthonormality_defect(U):
 
 def distortion(sketch, U, eps_target=0.0):
     """Singular-value band of the sketched orthonormal basis."""
+    eps_target = as_real("eps_target", eps_target, "[0, inf)")
     defect = orthonormality_defect(U)
     if defect > _ORTHO_TOL:
         raise ParameterError(
@@ -148,11 +146,6 @@ SAMPLERS = {
 }
 
 
-def _check_trials(trials):
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-
-
 def embedding_trial(builder, sampler, trials, eps, seed):
     """Failure fraction of ``trials`` fresh (sketch, basis) draws.
 
@@ -160,7 +153,7 @@ def embedding_trial(builder, sampler, trials, eps, seed):
     U; oblivious ones ignore it); ``sampler(rng)`` returns a basis.
     Distortion of a trial is max(s_max - 1, 1 - s_min).
     """
-    _check_trials(trials)
+    trials, eps = as_int("trials", trials, 1), as_real("eps", eps, "[0, inf)")
     distortions = np.empty(trials)
     failures = 0
     for i in range(trials):
@@ -178,36 +171,32 @@ def embedding_trial(builder, sampler, trials, eps, seed):
     )
 
 
-def _moment_samples(values, q):
-    """tr(E^2q) per sample from eigenvalues, guarding overflow."""
-    with np.errstate(over="ignore"):
-        powered = values ** (2 * q)
-        sample = powered.sum() / values.size
-    if not np.isfinite(sample):
-        raise ParameterError(
-            f"trace power 2q = {2 * q} overflowed; use a smaller q"
-        )
-    return sample
+def _moment_probe(q, trials, sample):
+    """Monte-Carlo E[tr(E^2q)] over the symmetric matrices E = sample(i),
+    i < trials; tr is normalized by the dimension and the power taken
+    through the eigenvalues, guarding overflow.  q lies in [1, 32]."""
+    q, trials = as_int("q", q, 1), as_int("trials", trials, 1)
+    if q > 32:
+        raise ParameterError(f"q must be in [1, 32], got {q}")
+    samples = np.empty(trials)
+    for i in range(trials):
+        w = np.linalg.eigvalsh(sample(i))
+        with np.errstate(over="ignore"):
+            samples[i] = (w ** (2 * q)).sum() / w.size
+        if not np.isfinite(samples[i]):
+            raise ParameterError(f"trace power 2q = {2 * q} overflowed; use a smaller q")
+    return MomentProbe.from_samples(q, samples)
 
 
 def trace_moment(builder, U, q, trials, seed):
-    """Monte-Carlo E[tr((X^T X - I)^(2q))] with X the scaled sketch of U.
-
-    tr is the trace normalized by the basis dimension; powers are taken
-    through a symmetric eigendecomposition.
-    """
-    if not 1 <= q <= 32:
-        raise ParameterError(f"q must be in [1, 32], got {q}")
-    _check_trials(trials)
+    """Monte-Carlo E[tr((X^T X - I)^(2q))] with X the scaled sketch of U."""
     d = U.shape[1]
-    samples = np.empty(trials)
-    for i in range(trials):
-        sketch = builder(derive_seed(seed, i), U)
-        X = _apply(sketch, U)
-        E = X.T @ X - np.eye(d)
-        w = np.linalg.eigvalsh(E)
-        samples[i] = _moment_samples(w, q)
-    return MomentProbe.from_samples(q, samples)
+
+    def sample(i):
+        X = _apply(builder(derive_seed(seed, i), U), U)
+        return X.T @ X - np.eye(d)
+
+    return _moment_probe(q, trials, sample)
 
 
 def decoupled_gamma_moment(builder, U, q, trials, seed):
@@ -216,19 +205,15 @@ def decoupled_gamma_moment(builder, U, q, trials, seed):
     M and N are the *unscaled* products S1 U and S2 U of two independent
     sketches.
     """
-    if not 1 <= q <= 32:
-        raise ParameterError(f"q must be in [1, 32], got {q}")
-    _check_trials(trials)
-    samples = np.empty(trials)
-    for i in range(trials):
+
+    def sample(i):
         sk1 = builder(derive_seed(seed, 2 * i), U)
         sk2 = builder(derive_seed(seed, 2 * i + 1), U)
         M = _apply(sk1, U) / sk1.scale
         N = _apply(sk2, U) / sk2.scale
-        gamma = M.T @ N + N.T @ M
-        w = np.linalg.eigvalsh(gamma)
-        samples[i] = _moment_samples(w, q)
-    return MomentProbe.from_samples(q, samples)
+        return M.T @ N + N.T @ M
+
+    return _moment_probe(q, trials, sample)
 
 
 def diagonal_offdiagonal_split(sketch, U):
@@ -259,10 +244,9 @@ def gaussian_reference(m, d, t):
     [1 - sqrt(d/m) - t/sqrt(m), 1 + sqrt(d/m) + t/sqrt(m)] and the bound
     is max(0, 1 - 2 exp(-t^2 / 2)).
     """
+    m, d, t = as_int("m", m, 1), as_int("d", d, 1), as_real("t", t, "[0, inf)")
     if m <= d:
         raise ParameterError(f"need m > d, got m = {m}, d = {d}")
-    if t < 0:
-        raise ParameterError("t must be >= 0")
     half = math.sqrt(d / m) + t / math.sqrt(m)
     bound = max(0.0, 1.0 - 2.0 * math.exp(-(t**2) / 2.0))
     return (1.0 - half, 1.0 + half), bound

@@ -17,7 +17,9 @@ A JSON experiment config (schema_version 1) selects one driver:
 ``embedding`` reports a failure fraction and distortion quantiles and
 passes when the fraction is at or below ``target`` (default: delta; a
 target outside [0, 1] is a ParameterError).
-Moment probes report (estimate, std_error) and always pass.
+Moment probes report (estimate, std_error) and always pass.  A key the
+experiment does not read (``target`` on a moment probe, ``q`` on
+``embedding``, a misspelt key) is a ParameterError.
 
 Score-adapted kinds rebuild their sketch per trial from the exact
 leverage scores of the sampled basis.  The sweeps take exactly the values
@@ -34,7 +36,7 @@ import scipy.sparse
 
 from .apply import apply as _apply
 from .calibration import CONSTANTS, REFERENCE
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, as_int, as_real
 from .kwise import derive_seed
 from .leverage import approx_leverage, exact_leverage
 from .oblivious import LESS_KINDS, SketchSpec, build, default_parameters, sparsity_target
@@ -60,6 +62,10 @@ def builder(spec):
 
 
 _TYPES = {int: numbers.Integral, float: numbers.Real, str: str}  # numpy scalars pass too
+# the keys every experiment reads, and the one each reads besides; no other key is allowed
+_KEYS = ("schema_version", "experiment", "kind", "d", "n", "m", "s", "eps", "delta", "trials",
+         "sampler", "seed")
+_OWN_KEY = {"embedding": "target", "trace_moment": "q", "gamma_moment": "q"}
 
 
 def _get(cfg, key, cast, default=None):
@@ -77,7 +83,8 @@ def run_config(cfg):
     """Dispatch one experiment config; returns (report_dict, passed).
 
     A non-object config or a field of the wrong type raises FormatError;
-    a bad or missing value (an unknown sampler, say) raises ParameterError.
+    a bad or missing value (an unknown sampler, say) or a key the
+    experiment does not read raises ParameterError.
     """
     if not isinstance(cfg, dict):
         raise FormatError(f"an experiment config is a JSON object, got {type(cfg).__name__}")
@@ -86,6 +93,11 @@ def run_config(cfg):
             f"unsupported schema_version {cfg.get('schema_version')!r}"
         )
     experiment = _get(cfg, "experiment", str)
+    if experiment not in _OWN_KEY:
+        raise ParameterError(f"unknown experiment {experiment!r}")
+    unread = [k for k in cfg if k not in _KEYS and k != _OWN_KEY[experiment]]
+    if unread:
+        raise ParameterError(f"the {experiment} experiment does not read {', '.join(unread)}")
     missing = [k for k in ("kind", "d", "n") if cfg.get(k) is None]
     if missing:
         raise ParameterError(f"experiment config is missing keys: {missing}")
@@ -106,9 +118,7 @@ def run_config(cfg):
     if experiment == "embedding":
         if cfg.get("eps") is None or cfg.get("delta") is None:
             raise ParameterError("embedding experiments need eps and delta")
-        target = _get(cfg, "target", float, delta)
-        if not 0.0 <= target <= 1.0:
-            raise ParameterError(f"target must lie in [0, 1], got {target}")
+        target = as_real("target", _get(cfg, "target", float, delta), "[0, 1]")
         sampler = lambda rng: SAMPLERS[sampler_name](n, d, rng)  # noqa: E731
         summary = embedding_trial(build_trial, sampler, trials, eps, seed)
         report = {
@@ -120,21 +130,18 @@ def run_config(cfg):
         }
         return report, summary.failure_fraction <= target
 
-    if experiment in ("trace_moment", "gamma_moment"):
-        q = _get(cfg, "q", int, 1)
-        rng = np.random.default_rng(derive_seed(seed, 0xBA5E))
-        U = SAMPLERS[sampler_name](n, d, rng)
-        probe_fn = trace_moment if experiment == "trace_moment" else decoupled_gamma_moment
-        probe = probe_fn(build_trial, U, q, trials, seed)
-        report = {
-            "experiment": experiment,
-            "kind": kind,
-            "config": dims | {"d": d, "n": n, "q": q},
-            "result": probe.to_dict(),
-        }
-        return report, True
-
-    raise ParameterError(f"unknown experiment {experiment!r}")
+    q = _get(cfg, "q", int, 1)
+    rng = np.random.default_rng(derive_seed(seed, 0xBA5E))
+    U = SAMPLERS[sampler_name](n, d, rng)
+    probe_fn = trace_moment if experiment == "trace_moment" else decoupled_gamma_moment
+    probe = probe_fn(build_trial, U, q, trials, seed)
+    report = {
+        "experiment": experiment,
+        "kind": kind,
+        "config": dims | {"d": d, "n": n, "q": q},
+        "result": probe.to_dict(),
+    }
+    return report, True
 
 
 def _eps_grid_m(d, eps, constants=CONSTANTS):
@@ -188,8 +195,7 @@ def nnz_sweep(d, n, seed):
     fixed (m, s), so per-column work is constant and time should scale
     linearly with nnz.  ParameterError unless d >= 1.
     """
-    if d < 1:
-        raise ParameterError(f"need d >= 1, got d = {d}")
+    d = as_int("d", d, 1)
     rows = []
     for f in _NNZ_FACTORS:
         sketch = build(SketchSpec.from_sparsity("osnap", m=_NNZ_M, n=n * f, s=_NNZ_S, seed=seed))
@@ -265,10 +271,8 @@ def calibrate(trials=None, seed=None):
     searched fields replaced.  trials and seed default to REFERENCE's;
     trials below 1 raise ParameterError.
     """
-    trials = REFERENCE["trials"] if trials is None else trials
+    trials = as_int("trials", REFERENCE["trials"] if trials is None else trials, 1)
     seed = REFERENCE["seed"] if seed is None else seed
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
     d, n, delta = REFERENCE["d"], REFERENCE["n"], REFERENCE["delta"]
     eps, *grid = REFERENCE["eps_grid"]  # the anchor eps, then the grid's others
     grid_n = 8192  # the eps sweep's n

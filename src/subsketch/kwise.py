@@ -29,7 +29,6 @@ Callers that need several mutually independent streams from one family
 with a tag bit: point = 2*index + tag.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +41,7 @@ from ._field import (
     scale_to_range,
     splitmix_stream,
 )
-from .errors import ParameterError
+from .errors import ParameterError, as_int
 
 __all__ = [
     "M61",
@@ -50,13 +49,6 @@ __all__ = [
     "IndependentFamily",
     "derive_seed",
 ]
-
-
-def _as_int(name, value):
-    """``value`` as an int; ParameterError for a bool or a non-integer (numpy integers pass)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ParameterError(f"{name} takes integers only, got {value!r}")
-    return int(value)
 
 
 def _check_points(points, bound):
@@ -79,7 +71,7 @@ class _SignRangeMixin:
 
     def uniform_range(self, points, lo, hi):
         """Integers uniform (up to bias <= (hi-lo+1)/M61) on [lo, hi]."""
-        lo, hi = (_as_int("range bound", b) for b in (lo, hi))
+        lo, hi = (as_int("range bound", b) for b in (lo, hi))
         if hi < lo:
             raise ParameterError(f"empty range [{lo}, {hi}]")
         width = hi - lo + 1
@@ -98,15 +90,13 @@ class KWiseFamily(_SignRangeMixin):
     coefficients: tuple = field(default=None)
 
     def __post_init__(self):
-        for name in ("seed", "degree_k"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
-        if self.degree_k < 1:
-            raise ParameterError("degree_k must be >= 1")
+        object.__setattr__(self, "seed", as_int("seed", self.seed))
+        object.__setattr__(self, "degree_k", as_int("degree_k", self.degree_k, 1))
         if self.coefficients is None:
             raw = splitmix_stream(self.seed, np.arange(self.degree_k, dtype=np.uint64))
             coeffs = tuple(int(c) % M61 for c in raw)
         else:
-            coeffs = tuple(_as_int("coefficients", c) for c in self.coefficients)
+            coeffs = tuple(as_int("coefficients", c) for c in self.coefficients)
             if len(coeffs) != self.degree_k:
                 raise ParameterError("need exactly degree_k coefficients")
             if any(c < 0 or c >= M61 for c in coeffs):
@@ -139,7 +129,7 @@ class IndependentFamily(_SignRangeMixin):
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _as_int("seed", self.seed))
+        object.__setattr__(self, "seed", as_int("seed", self.seed))
 
     def evaluate(self, points):
         points = _check_points(points, 1 << 62)

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from ._field import derive_seed
 from .apply import as_matrix, dense_touched, touched_rows
-from .errors import ParameterError, RankDeficiencyError
+from .errors import ParameterError, RankDeficiencyError, as_real
 from .oblivious import check_columns
 from .sketch import scores_digest
 
@@ -39,14 +39,14 @@ class LeverageScores:
         if self.z.ndim != 1:
             raise ParameterError("scores must be a 1-D vector")
         lo, hi = (self.z.min(), self.z.max()) if self.z.size else (0.0, 0.0)
-        if not np.isfinite([lo, hi, self.beta1, self.beta2]).all():
-            raise ParameterError("scores, beta1 and beta2 must be finite")
+        if not np.isfinite([lo, hi]).all():
+            raise ParameterError("scores must be finite")
         if lo < -1e-12 or hi > 1.0 + 1e-12:
             raise ParameterError("scores must lie in [0, 1]")
         if lo < 0.0 or hi > 1.0:  # clip keeps -0.0, so in-range scores need no copy
             self.z = np.clip(self.z, 0.0, 1.0)
-        if self.beta1 < 1.0 or self.beta2 < 1.0:
-            raise ParameterError("beta1 and beta2 must be >= 1")
+        self.beta1 = as_real("beta1", self.beta1, "[1, inf)")
+        self.beta2 = as_real("beta2", self.beta2, "[1, inf)")
 
     @property
     def n(self):
@@ -225,8 +225,7 @@ def approx_leverage(A, gamma, *, seed=0, columns=None):
     with stored zeros and every admissible ``columns`` claim the same
     beta1.  beta2 is reported as measured, max(1, sum(z)/d).
     """
-    if not 0.0 < gamma < 1.0:
-        raise ParameterError(f"gamma must be in (0, 1), got {gamma}")
+    gamma = as_real("gamma", gamma, "(0, 1)")
     A = as_matrix(A, tall=True, finite=False)
     n, d = A.shape
     columns = touched_rows(A) if columns is None else check_columns(columns, n)

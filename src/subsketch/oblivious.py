@@ -24,7 +24,6 @@ regardless of execution environment.
 
 import importlib
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from ._field import HASH_DOMAIN, derive_seed, scale_to_range
 from .calibration import CONSTANTS
-from .errors import ParameterError
+from .errors import ParameterError, as_int, as_real
 from .kwise import KWiseFamily
 from .sketch import DenseSketch, SparseSketch
 
@@ -95,21 +94,11 @@ class SketchSpec:
             raise ParameterError(f"{self.kind} does not hash with K; degree_k is for "
                                  f"{' and '.join(COLUMN_KINDS)}")
         for name in ("m", "n", "seed") + (("degree_k",) if self.degree_k is not None else ()):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.m < 1 or self.n < 1:
-            raise ParameterError("m and n must be >= 1")
+            object.__setattr__(self, name, as_int(name, getattr(self, name),
+                                                 None if name == "seed" else 1))
         if self.m > HASH_DOMAIN:  # every block width is at most m
             raise ParameterError(f"m must be at most 2^32, got {self.m}")
-        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
-            raise ParameterError(f"p must be a real number, got {self.p!r}")
-        object.__setattr__(self, "p", float(self.p))
-        if not 0.0 < self.p <= 1.0:
-            raise ParameterError(f"p must be in (0, 1], got {self.p}")
-        if self.degree_k is not None and self.degree_k < 1:
-            raise ParameterError("degree_k must be >= 1")
+        object.__setattr__(self, "p", as_real("p", self.p, "(0, 1]"))
         if self.kind == "less-ic" and self.p >= 1.0:
             warnings.warn(
                 "p = 1 spec: builders reject it; use a dense baseline instead",
@@ -391,13 +380,6 @@ def round_parameters(kind, m0, s_raw):
     return m0, s
 
 
-def check_pin(name, pin):
-    """ParameterError unless the pin ``name`` is None or an integer >= 1."""
-    if pin is not None and (isinstance(pin, bool) or not isinstance(pin, numbers.Integral)
-                            or pin < 1):
-        raise ParameterError(f"{name} must be an integer >= 1, got {pin!r}")
-
-
 def default_parameters(d, n, eps, delta, kind, *, m=None, s=None, scores=None, seed=0,
                        constants=CONSTANTS):
     """Calibrated spec for a (eps, delta, d)-embedding of subspaces of R^n.
@@ -409,18 +391,17 @@ def default_parameters(d, n, eps, delta, kind, *, m=None, s=None, scores=None, s
     target is :func:`sparsity_target`.  ``constants`` (the calibrated
     ``CONSTANTS`` by default) holds every C, one field per formula.
     A pinned ``m`` replaces m0 and a pinned ``s`` the target; each must
-    pass :func:`check_pin`.  :func:`round_parameters` caps s at m0 (p = 1,
+    be an integer >= 1.  :func:`round_parameters` caps s at m0 (p = 1,
     with a warning when the target of a sparse kind reaches it) and
     rounds an osnap m up to a multiple of s; K comes from the final s.
     """
-    if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
-        raise ParameterError("eps and delta must lie in (0, 1)")
-    if not 1 <= d <= n:
-        raise ParameterError(f"need 1 <= d <= n, got d = {d}, n = {n}")
+    eps, delta = as_real("eps", eps, "(0, 1)"), as_real("delta", delta, "(0, 1)")
+    d = as_int("d", d, 1)
+    n = as_int("n", n, d)
     if kind not in KINDS:
         raise ParameterError(f"unknown sketch kind {kind!r}")
-    check_pin("m", m)
-    check_pin("s", s)
+    m = None if m is None else as_int("m", m, 1)
+    s = None if s is None else as_int("s", s, 1)
     if kind in LESS_KINDS:
         m0 = less_dimension_target(d, eps, delta, constants)
     else:

@@ -15,10 +15,10 @@ import scipy.linalg
 from ._field import derive_seed
 from .apply import _nnz, as_matrix, dense_touched, touched_rows
 from .apply import apply as _apply
-from .errors import ParameterError
-from .leverage import _full_rank_r, approx_leverage
+from .errors import ParameterError, RankDeficiencyError, as_int, as_real
+from .leverage import _full_rank_r, approx_leverage, exact_leverage
 from .less import build_less_ic
-from .oblivious import COLUMN_KINDS, LESS_KINDS, build, check_pin, default_parameters
+from .oblivious import COLUMN_KINDS, LESS_KINDS, build, default_parameters
 
 PIPELINE_KINDS = ("osnap", "ose-ie", "less-ic", "less-ie", "gaussian-dense")
 
@@ -26,7 +26,8 @@ PIPELINE_KINDS = ("osnap", "ose-ie", "less-ic", "less-ie", "gaussian-dense")
 @dataclass(frozen=True)
 class PipelineConfig:
     """Pipeline settings; ``m`` and ``pm`` pin the embedding dimension and
-    the sparsity p*m that :func:`default_parameters` picks otherwise."""
+    the sparsity p*m that :func:`default_parameters` picks otherwise.
+    ``validate`` is a bool; the seed is checked where seeds derive from it."""
 
     eps: float
     delta: float
@@ -39,11 +40,12 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name in ("eps", "delta", "gamma"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ParameterError(f"{name} must lie in (0, 1), got {v}")
-        check_pin("m", self.m)
-        check_pin("pm", self.pm)
+            object.__setattr__(self, name, as_real(name, getattr(self, name), "(0, 1)"))
+        for name in ("m", "pm"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, as_int(name, getattr(self, name), 1))
+        if not isinstance(self.validate, (bool, np.bool_)):
+            raise ParameterError(f"validate must be a bool, got {self.validate!r}")
         if self.kind not in PIPELINE_KINDS:
             raise ParameterError(f"unknown pipeline kind {self.kind!r}")
 
@@ -71,11 +73,13 @@ class PipelineReport:
 
 
 def _r_factor(A, J=None):
-    """R of a QR of a gated A (of A[J], for a CSR A), which must have full
-    column rank; J = ``touched_rows(A)``, found here when not given."""
+    """R of a QR of a gated A (of A[J], for a CSR A); RankDeficiencyError
+    unless A has full column rank.  J = ``touched_rows(A)``, found here
+    when not given."""
     R = _full_rank_r(dense_touched(A, touched_rows(A) if J is None else J)[1], A.shape[0])
-    if R is None:
-        raise ParameterError("input matrix is numerically rank deficient")
+    if R is None:  # a deficient A raises here, naming its numerical rank
+        exact_leverage(A)
+        raise RankDeficiencyError("input matrix is numerically rank deficient", A.shape[1])
     return R
 
 

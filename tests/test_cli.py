@@ -1,9 +1,11 @@
 """CLI surface: command round trips, library equivalence, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -376,7 +378,7 @@ class TestVerifyCommand:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["verify", "--config", str(path)]) == EXIT_PARAMETER
-        assert "trials must be >= 1" in capsys.readouterr().err
+        assert "trials must be an integer >= 1" in capsys.readouterr().err
 
     def test_pinned_sparsity_sets_the_degree(self):
         # K once stayed that of the default s (16 here) when s was pinned
@@ -450,7 +452,46 @@ class TestVerifyCommand:
         assert report["result"]["estimate"] > 0
 
 
+    @pytest.mark.parametrize("extra, named", [
+        ({"trails": 2}, "trails"),  # ran the default 100 trials
+        ({"q": 2}, "q"),  # embedding experiments take no q
+        ({"experiment": "trace_moment", "m": 64, "target": 0.5}, "target"),
+    ], ids=["misspelt-trials", "embedding-q", "moment-target"])
+    def test_unread_key_rejected(self, extra, named):
+        # each key was dropped without a word
+        cfg = {"schema_version": 1, "experiment": "embedding", "kind": "osnap",
+               "d": 4, "n": 128, "eps": 0.5, "delta": 0.05, "trials": 2} | extra
+        with pytest.raises(ss.ParameterError, match=f"does not read {named}$"):
+            run_config(cfg)
+
+    @pytest.mark.parametrize("cfg, code, err", [
+        ({"trials": 2}, EXIT_OK, ""),
+        ({"trails": 2}, EXIT_PARAMETER, "does not read trails"),
+        ("{nope", EXIT_IO, "invalid JSON"),
+    ], ids=["ok", "misspelt-key", "invalid-json"])
+    def test_exit_codes_in_subprocess(self, tmp_path, cfg, code, err):
+        base = {"schema_version": 1, "experiment": "embedding", "kind": "gaussian-dense",
+                "d": 4, "n": 64, "eps": 0.9, "delta": 0.05}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base | cfg) if isinstance(cfg, dict) else cfg)
+        proc = _run_cli(["verify", "--config", str(path)])
+        assert proc.returncode == code, proc.stderr
+        assert err in proc.stderr and "Traceback" not in proc.stderr
+
+
 class TestBenchCommand:
+    def test_calibrate_selects_the_pinned_constants(self, tmp_path, capsys):
+        # the other calibrate tests fake it; this runs the search, the
+        # pipeline surface included, at 2 trials a point
+        out = tmp_path / "calibrate.csv"
+        assert main(["bench", "--calibrate", "--trials", "2", "--seed", "1",
+                     "--out", str(out)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert json.loads(printed[printed.index("{"):]) == asdict(ss.CONSTANTS)
+        with out.open(newline="") as fh:
+            kinds = {row["kind"] for row in csv.DictReader(fh)}
+        assert kinds == {"gaussian-dense", "osnap", "ose-ie", "less-ic", "less-ic-pipeline"}
+
     def test_s_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
         rc = main(["bench", "--sweep", "s", "--kind", "osnap", "--trials", "5",

@@ -160,7 +160,7 @@ def test_moment_probes_reject_zero_trials(probe):
     # zero trials used to end in "estimate overflowed" after a numpy warning
     U = np.eye(8)[:, :2]
     builder = lambda seed, UU: identity_sketch(8)  # noqa: E731
-    with pytest.raises(ParameterError, match="trials must be >= 1"):
+    with pytest.raises(ParameterError, match="trials must be an integer >= 1"):
         probe(builder, U, q=1, trials=0, seed=0)
 
 

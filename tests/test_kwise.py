@@ -412,7 +412,7 @@ class TestFamilyConstruction:
     def test_non_integers_rejected(self, make):
         # degree_k=2.5 used to build 3 coefficients, True to count as 1,
         # 1.7 to truncate to 1, and seed=1.5 to raise TypeError
-        with pytest.raises(ParameterError, match="integers"):
+        with pytest.raises(ParameterError, match="must be an integer"):
             make()
 
     def test_numpy_integers_accepted(self):
@@ -516,7 +516,7 @@ class TestStreamStatistics:
     def test_non_integer_bounds_rejected(self, lo, hi):
         # (0.5, 9.9) once drew silently on [0, 9]
         fam = KWiseFamily(seed=5, degree_k=4)
-        with pytest.raises(ParameterError, match="integers"):
+        with pytest.raises(ParameterError, match="must be an integer"):
             fam.uniform_range(np.arange(10, dtype=np.uint64), lo, hi)
 
     def test_numpy_integer_bounds_accepted(self):

@@ -265,7 +265,9 @@ class TestLessDefaults:
 
     def test_pm_capped_at_m(self):
         scores = uniform_scores(256, 0.1)
-        with pytest.warns(UserWarning, match="capping"):
+        # the capped less-ic spec has p = 1, which the spec warns about too
+        with pytest.warns(UserWarning, match="capping"), \
+                pytest.warns(UserWarning, match="p = 1 spec"):
             spec = default_parameters(2, 256, 0.04, 0.9, "less-ic", scores=scores,
                                       constants=replace(CONSTANTS, c_m_less=0.0001,
                                                         c_pm_less=64.0))

@@ -152,6 +152,18 @@ class TestFastSubspaceEmbed:
         with pytest.raises(RankDeficiencyError):
             fast_subspace_embed(A, config)
 
+    @pytest.mark.parametrize("kind", ["less-ic", "osnap", "gaussian-dense"])
+    def test_validate_names_the_rank(self, kind):
+        # the oblivious kinds used to raise a plain ParameterError without a rank
+        from subsketch import RankDeficiencyError
+
+        B = np.random.default_rng(3).standard_normal((500, 3))
+        A = np.hstack([B, B[:, :1] + B[:, 1:2]])  # rank 3, d = 4
+        config = PipelineConfig(eps=0.5, delta=0.05, seed=9, kind=kind, validate=True)
+        with pytest.raises(RankDeficiencyError) as err:
+            fast_subspace_embed(A, config)
+        assert err.value.numerical_rank == 3
+
     def test_wide_input_rejected(self):
         config = PipelineConfig(eps=0.5, delta=0.05, kind="less-ic")
         with pytest.raises(ParameterError):
