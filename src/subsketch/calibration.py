@@ -12,10 +12,10 @@ pin the result here.  The procedure (reproducible via
   subspaces) and along REFERENCE's eps grid (the eps sweep's) with
   m = C_m d/eps^2 on coordinate subspaces, the regime where small-eps
   failures of the i.i.d.-entry model appear;
-* score-adapted constants are measured at the anchor and on a
-  pipeline-shaped surface (sparse 1e5 x 32 input, coarse scores at
-  gamma = 0.25), which exercises the single-nonzero-per-column regime
-  the anchor never reaches;
+* score-adapted constants are measured at the anchor and on a pipeline
+  surface: ``fast_subspace_embed(validate=True)`` itself on a sparse
+  1e5 x 32 input (coarse scores at gamma = 0.25), which exercises the
+  single-nonzero-per-column regime the anchor never reaches;
 * the pass threshold is a failure fraction of delta/2 at every surface,
   a two-fold margin over the delta the acceptance experiments assert.
 
@@ -27,7 +27,7 @@ anchor point has m >= n or a sparsity capped at m is skipped.  Every point
 takes its spec from :func:`subsketch.oblivious.default_parameters` with
 ``constants=`` the candidate: anchor points its defaults, eps-grid points
 (the eps sweep's rule) a pinned m = ceil(C_m d/eps^2), and the pipeline
-surface the approximate scores.
+surface its m and pm, pinned in the run's PipelineConfig.
 
 :func:`subsketch.experiments.calibrate` reruns the sweep and reports the
 selected constants; the pinned values below are its output for the seed

@@ -90,6 +90,14 @@ def orthonormality_defect(U):
     return float(np.linalg.norm(G, 2))
 
 
+def singular_values(X):
+    """All d singular values of an m x d embedded basis X = Pi U, in
+    descending order, with d - m zeros when m < d (Pi U then has a
+    kernel); the one source of every distortion band."""
+    svals = np.linalg.svd(X, compute_uv=False)
+    return np.concatenate((svals, np.zeros(X.shape[1] - svals.size)))
+
+
 def distortion(sketch, U, eps_target=0.0):
     """Singular-value band of the sketched orthonormal basis."""
     eps_target = as_real("eps_target", eps_target, "[0, inf)")
@@ -98,8 +106,7 @@ def distortion(sketch, U, eps_target=0.0):
         raise ParameterError(
             f"basis is not orthonormal: ||U^T U - I|| = {defect:.3e} > {_ORTHO_TOL:.0e}"
         )
-    X = _apply(sketch, U)
-    svals = np.linalg.svd(X, compute_uv=False)
+    svals = singular_values(_apply(sketch, U))
     s_min = float(svals[-1])
     s_max = float(svals[0])
     opnorm_err = float(np.max(np.abs(svals**2 - 1.0)))

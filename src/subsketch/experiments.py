@@ -38,10 +38,10 @@ from .apply import apply as _apply
 from .calibration import CONSTANTS, REFERENCE
 from .errors import FormatError, ParameterError, as_int, as_real
 from .kwise import derive_seed
-from .leverage import approx_leverage, exact_leverage
+from .leverage import exact_leverage
 from .oblivious import LESS_KINDS, SketchSpec, build, default_parameters, sparsity_target
 from .diagnostics import SAMPLERS, decoupled_gamma_moment, embedding_trial, trace_moment
-from .pipeline import _r_factor, _validate_distortion
+from .pipeline import PipelineConfig, fast_subspace_embed
 
 SCHEMA_VERSION = 1
 
@@ -235,9 +235,9 @@ _PIPELINE_RUNS = 25
 
 
 def _pipeline_failures(constants, eps, delta, seed):
-    """(spec, failure fraction) of less-ic with ``constants`` through the
-    pipeline's stages on a sparse 1e5 x 32 input with scores at gamma =
-    0.25; None when the sparsity reaches m."""
+    """(spec, failure fraction) of less-ic at the m and pm of ``constants``
+    over ``fast_subspace_embed(validate=True)`` runs on a sparse 1e5 x 32
+    input, scores at gamma = 0.25; None when the sparsity reaches m."""
     n, d = 100_000, 32
     spec = default_parameters(d, n, eps, delta, "less-ic", constants=constants)
     if spec.s >= spec.m:
@@ -248,14 +248,11 @@ def _pipeline_failures(constants, eps, delta, seed):
         (rng.uniform(1.0, 2.0, d), (np.arange(d), np.arange(d))), shape=(n, d)
     )
     A = (A + lift).tocsr()
-    R = _r_factor(A)
     good = 0
     for run in range(_PIPELINE_RUNS):
-        scores = approx_leverage(A, 0.25, seed=derive_seed(seed, run))
-        spec = default_parameters(d, n, eps, delta, "less-ic", scores=scores,
-                                  seed=derive_seed(seed, 7000 + run), constants=constants)
-        band = _validate_distortion(R, _apply(build(spec), A))
-        good += 1 - eps <= band["s_min"] and band["s_max"] <= 1 + eps
+        _, report = fast_subspace_embed(A, PipelineConfig(
+            eps, delta, seed=derive_seed(seed, 7000 + run), m=spec.m, pm=spec.s, validate=True))
+        good += 1 - eps <= report.distortion["s_min"] and report.distortion["s_max"] <= 1 + eps
     return spec, 1.0 - good / _PIPELINE_RUNS
 
 

@@ -1,7 +1,8 @@
 """Exact and coarse approximate leverage scores of a tall matrix.
 
 The i-th leverage score of A is the squared norm of the i-th row of any
-orthonormal basis of A's column space.  Approximate scores here are
+orthonormal basis of A's column space; every exact check reads the one
+from :func:`exact_basis`, an SVD of the rows A touches.  Approximate scores are
 one-sided overestimates: z_i >= l_i / beta1 with sum(z) <= beta2 * d.
 The claimed beta1 is the one the estimator proves (see
 :func:`approx_leverage`): a chi-square lower tail, union-bounded over
@@ -21,7 +22,7 @@ import scipy.linalg
 
 from ._field import derive_seed
 from .apply import as_matrix, dense_touched, touched_rows
-from .errors import ParameterError, RankDeficiencyError, as_real
+from .errors import FormatError, ParameterError, RankDeficiencyError, as_real
 from .oblivious import check_columns
 from .sketch import scores_digest
 
@@ -35,9 +36,11 @@ class LeverageScores:
     beta2: float = 1.0
 
     def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=np.float64)
-        if self.z.ndim != 1:
-            raise ParameterError("scores must be a 1-D vector")
+        self.z = np.asarray(self.z)
+        if self.z.dtype.kind not in "iuf" or self.z.ndim != 1:  # a bool or a string is no score
+            raise ParameterError("scores must be a 1-D vector of real numbers, got a "
+                                 f"{self.z.ndim}-D {self.z.dtype} array")
+        self.z = self.z.astype(np.float64, copy=False)
         lo, hi = (self.z.min(), self.z.max()) if self.z.size else (0.0, 0.0)
         if not np.isfinite([lo, hi]).all():
             raise ParameterError("scores must be finite")
@@ -60,33 +63,38 @@ class LeverageScores:
 
     @classmethod
     def from_dict(cls, payload):
-        return cls(
-            z=np.asarray(payload["z"], dtype=np.float64),
-            beta1=float(payload["beta1"]),
-            beta2=float(payload["beta2"]),
-        )
+        """The scores of a :meth:`to_dict` JSON object; FormatError unless
+        z is a list and every value in it, beta1 and beta2 a JSON number."""
+        z, beta1, beta2 = payload["z"], payload["beta1"], payload["beta2"]
+        if not isinstance(z, list) or not set(map(type, [*z, beta1, beta2])) <= {int, float}:
+            raise FormatError("scores JSON: z must be a list of numbers, beta1 and beta2 numbers")
+        return cls(z=z, beta1=beta1, beta2=beta2)
 
 
-def exact_leverage(A):
-    """Row norms squared of an orthonormal basis, via SVD.
-
-    For a scipy.sparse A the SVD runs on the rows J that A touches, and
-    every other score is exactly 0.  Singular values below
-    max(n, d) * eps * s_max count as zero; a deficient matrix raises
-    :class:`RankDeficiencyError` naming the numerical rank, and NaN or
-    Inf entries raise ParameterError.
-    """
+def exact_basis(A, J=None):
+    """(J, U, svals, Vt), the thin SVD of A[J] for J the rows a sparse A
+    touches (found when None; a full slice for a dense A), after the input
+    gate with NaN and Inf rejected.  Singular values at or below
+    max(n, d) * eps * s_max count as zero, and a deficient A raises
+    :class:`RankDeficiencyError` naming its numerical rank."""
     A = as_matrix(A, tall=True, finite=True)
     n, d = A.shape
-    J, X = dense_touched(A, touched_rows(A))
-    U, svals, _ = np.linalg.svd(X, full_matrices=False)
+    J, X = dense_touched(A, touched_rows(A) if J is None else J)
+    U, svals, Vt = np.linalg.svd(X, full_matrices=False)
     tol = max(n, d) * np.finfo(np.float64).eps * (svals[0] if svals.size else 0.0)
     rank = int(np.sum(svals > tol))
     if rank < d:
         raise RankDeficiencyError(
             f"matrix is rank deficient: numerical rank {rank} < {d}", rank
         )
-    z = np.zeros(n)
+    return J, U, svals, Vt
+
+
+def exact_leverage(A):
+    """Row norms squared of the U of :func:`exact_basis`, clamped at 1;
+    for a scipy.sparse A every row off J scores exactly 0."""
+    J, U, _, _ = exact_basis(A)
+    z = np.zeros(np.shape(A)[0])
     z[J] = np.minimum(np.einsum("ij,ij->i", U, U), 1.0)
     return LeverageScores(z=z, beta1=1.0, beta2=1.0)
 
@@ -246,7 +254,7 @@ def approx_leverage(A, gamma, *, seed=0, columns=None):
             if R is not None:
                 break
     if R is None:  # a deficient A raises here, naming its numerical rank
-        exact_leverage(A)
+        exact_basis(A, columns)
         raise RankDeficiencyError(
             "nonzero rows of A are numerically rank deficient" if direct
             else "sketch of A stayed rank deficient after 3 attempts", d)

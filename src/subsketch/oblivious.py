@@ -326,32 +326,42 @@ def _log_term(x):
     return math.log(max(x, math.e))
 
 
+def _gate(d, eps, delta):
+    """A formula's d (an integer >= 1), eps and delta (in (0, 1)) through the scalar gate."""
+    return as_int("d", d, 1), as_real("eps", eps, "(0, 1)"), as_real("delta", delta, "(0, 1)")
+
+
 def osnap_sparsity_target(d, eps, delta, constants=CONSTANTS):
     """Continuous sparsity target C_s * (log^2(d/(eps*delta))/eps + log^3)."""
+    d, eps, delta = _gate(d, eps, delta)
     L = _log_term(d / (eps * delta))
     return constants.c_s_osnap * (L**2 / eps + L**3)
 
 
 def oseie_sparsity_target(d, eps, delta, constants=CONSTANTS):
     """Blocked-kind target plus the i.i.d. model's extra log(d/(eps*delta))/eps^2."""
+    d, eps, delta = _gate(d, eps, delta)
     L = _log_term(d / (eps * delta))
     return osnap_sparsity_target(d, eps, delta, constants) + constants.c_e_oseie * L / eps**2
 
 
 def less_dimension_target(d, eps, delta, constants=CONSTANTS):
     """Continuous m target C_m * ((d + Ld^2)/eps^2 + Ld^3/eps), Ld = ln(d/delta)."""
+    d, eps, delta = _gate(d, eps, delta)
     Ld = _log_term(d / delta)
     return constants.c_m_less * ((d + Ld**2) / eps**2 + Ld**3 / eps)
 
 
 def less_sparsity_target(d, eps, delta, constants=CONSTANTS):
     """Continuous p*m target C_pm * max(L^2.5/eps, L^3)."""
+    d, eps, delta = _gate(d, eps, delta)
     L = _log_term(d / (eps * delta))
     return constants.c_pm_less * max(L**2.5 / eps, L**3)
 
 
 def sparsity_target(kind, d, eps, delta, m0, constants=CONSTANTS):
     """Continuous per-column sparsity target of ``kind``; m0 for the dense kinds."""
+    d, eps, delta = _gate(d, eps, delta)
     if kind in LESS_KINDS:
         return less_sparsity_target(d, eps, delta, constants)
     if kind == "osnap":
@@ -363,7 +373,8 @@ def sparsity_target(kind, d, eps, delta, m0, constants=CONSTANTS):
 
 def independence_degree(d, eps, delta, pm):
     """Independence degree 8 * ceil(log(max(d/(eps*delta), p*m)))."""
-    return 8 * math.ceil(_log_term(max(d / (eps * delta), pm)))
+    d, eps, delta = _gate(d, eps, delta)
+    return 8 * math.ceil(_log_term(max(d / (eps * delta), as_int("pm", pm, 1))))
 
 
 def round_parameters(kind, m0, s_raw):
@@ -395,8 +406,7 @@ def default_parameters(d, n, eps, delta, kind, *, m=None, s=None, scores=None, s
     with a warning when the target of a sparse kind reaches it) and
     rounds an osnap m up to a multiple of s; K comes from the final s.
     """
-    eps, delta = as_real("eps", eps, "(0, 1)"), as_real("delta", delta, "(0, 1)")
-    d = as_int("d", d, 1)
+    d, eps, delta = _gate(d, eps, delta)
     n = as_int("n", n, d)
     if kind not in KINDS:
         raise ParameterError(f"unknown sketch kind {kind!r}")

@@ -3,20 +3,22 @@
 ``fast_subspace_embed`` chains coarse leverage-score approximation,
 score-adapted parameter selection, sketch construction and application,
 and reports per-stage timings plus nonzero accounting.  Oblivious kinds
-skip the leverage stage.
+skip the leverage stage.  The validate stage reads A's exact basis from
+:func:`~subsketch.leverage.exact_basis` and its band from
+:func:`~subsketch.diagnostics.singular_values`, as ``distortion`` does.
 """
 
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._field import derive_seed
-from .apply import _nnz, as_matrix, dense_touched, touched_rows
+from .apply import _nnz, as_matrix, touched_rows
 from .apply import apply as _apply
-from .errors import ParameterError, RankDeficiencyError, as_int, as_real
-from .leverage import _full_rank_r, approx_leverage, exact_leverage
+from .diagnostics import singular_values
+from .errors import ParameterError, as_int, as_real
+from .leverage import approx_leverage, exact_basis
 from .less import build_less_ic
 from .oblivious import COLUMN_KINDS, LESS_KINDS, build, default_parameters
 
@@ -72,34 +74,6 @@ class PipelineReport:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def _r_factor(A, J=None):
-    """R of a QR of a gated A (of A[J], for a CSR A); RankDeficiencyError
-    unless A has full column rank.  J = ``touched_rows(A)``, found here
-    when not given."""
-    R = _full_rank_r(dense_touched(A, touched_rows(A) if J is None else J)[1], A.shape[0])
-    if R is None:  # a deficient A raises here, naming its numerical rank
-        exact_leverage(A)
-        raise RankDeficiencyError("input matrix is numerically rank deficient", A.shape[1])
-    return R
-
-
-def _validate_distortion(R, A_tilde):
-    """Singular-value band of A_tilde against the orthonormal basis A R^-1."""
-    Y = scipy.linalg.solve_triangular(R, A_tilde.T, lower=False, trans="T").T
-    svals = np.linalg.svd(Y, compute_uv=False)
-    return {"s_min": float(svals[-1]), "s_max": float(svals[0])}
-
-
-def _measured_beta1(R, A, J, z):
-    """max l_i / z_i over the rows with l_i > 0, where l_i = |A_i R^-1|^2
-    are the exact scores from the validate stage's R (A's touched rows J)."""
-    rows, X = dense_touched(A, J)
-    Y = scipy.linalg.solve_triangular(R, X.T, lower=False, trans="T").T
-    lev = np.einsum("ij,ij->i", Y, Y)
-    pos = lev > 0.0
-    return float(np.max(lev[pos] / z[rows][pos]))
-
-
 def fast_subspace_embed(A, config):
     """Compute A_tilde = Pi A with the score-adapted pipeline.
 
@@ -109,7 +83,7 @@ def fast_subspace_embed(A, config):
     (once), the n + 1 column pointers of each sketch and one pass over
     the scores: the leverage estimate runs on J, the osnap and less-ic
     sketches are built and applied on the columns J only, the validate
-    stage factors A[J], and ``nnz_sketch`` in the report still counts the
+    stage takes the SVD of A[J], and ``nnz_sketch`` in the report still counts the
     full sketch.  Returns (A_tilde, PipelineReport).  Stage names in the
     report: ``leverage`` (finding J included), ``parameters``, ``build``,
     ``apply`` and optionally ``validate``, which for the less kinds also
@@ -149,10 +123,12 @@ def fast_subspace_embed(A, config):
     distortion_info = beta1_measured = None
     if config.validate:
         t0 = time.perf_counter()
-        R = _r_factor(A, J)
-        distortion_info = _validate_distortion(R, A_tilde)
-        if scores is not None:
-            beta1_measured = _measured_beta1(R, A, J, scores.z)
+        J, U, svals, Vt = exact_basis(A, J)
+        band = singular_values(A_tilde @ (Vt.T / svals))  # A_tilde V svals^-1 = Pi U on J
+        distortion_info = {"s_min": float(band[-1]), "s_max": float(band[0])}
+        if scores is not None:  # z_i = 0 only on A's zero rows, where U holds SVD rounding
+            lev, z = np.einsum("ij,ij->i", U, U), scores.z[J]
+            beta1_measured = float(np.max(lev[z > 0] / z[z > 0]))
         timings["validate"] = time.perf_counter() - t0
 
     total = time.perf_counter() - t_total

@@ -128,7 +128,11 @@ class TestSketchCommand:
         "{not json",
         json.dumps({"beta1": 1.0, "beta2": 1.0, "z": ["x"] * 200}),
         json.dumps({"beta1": 1.0, "z": [0.5] * 200}),
-    ], ids=["malformed-json", "non-numeric-score", "missing-key"])
+        json.dumps({"beta1": True, "beta2": "3", "z": [True, "0.5"] * 100}),
+        json.dumps({"beta1": 1.0, "beta2": 1.0, "z": [True, 0.5] * 100}),
+        json.dumps({"beta1": 1.0, "beta2": "3", "z": [0.5] * 200}),
+    ], ids=["malformed-json", "non-numeric-score", "missing-key", "bool-and-str-fields",
+            "bool-score", "str-beta2"])
     def test_bad_scores_file_is_io_error(self, tmp_path, payload):
         scores = tmp_path / "scores.json"
         scores.write_text(payload)

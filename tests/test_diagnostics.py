@@ -20,7 +20,7 @@ from subsketch import (
     spiked_basis,
     trace_moment,
 )
-from subsketch.experiments import builder
+from subsketch.experiments import builder, run_config
 
 
 def identity_sketch(n):
@@ -67,6 +67,15 @@ class TestDistortion:
         with pytest.raises(ParameterError, match="orthonormal"):
             distortion(identity_sketch(10), U)
 
+    def test_fewer_rows_than_d_leave_a_kernel(self):
+        # an 8-row sketch maps some unit vector of a 16-dimensional subspace
+        # to 0; the band once read only its 8 nonzero singular values
+        U = haar_basis(2000, 16, np.random.default_rng(0))
+        rep = distortion(gaussian_builder(8, 2000)(1, U), U, eps_target=0.9)
+        assert rep.s_min == 0.0
+        assert rep.opnorm_err >= 1.0
+        assert not rep.passed
+
     def test_opnorm_consistency(self):
         rng = np.random.default_rng(1)
         U = haar_basis(256, 8, rng)
@@ -96,6 +105,14 @@ class TestEmbeddingTrial:
         sampler = lambda rng: haar_basis(512, d, rng)  # noqa: E731
         summary = embedding_trial(builder, sampler, trials=200, eps=0.5, seed=6)
         assert summary.failure_fraction <= 0.05
+
+    def test_fewer_rows_than_d_fail_every_trial(self):
+        # one of these 20 trials once passed with m = 8 < d = 16
+        cfg = {"schema_version": 1, "experiment": "embedding", "kind": "osnap", "d": 16,
+               "n": 512, "m": 8, "s": 2, "eps": 0.9, "delta": 0.05, "trials": 20, "seed": 1}
+        report, passed = run_config(cfg)
+        assert report["result"]["failures"] == 20
+        assert not passed
 
     def test_reproducible(self):
         builder = osnap_builder(32, 128, 4)

@@ -1,6 +1,14 @@
-"""Public surface: every name in ``subsketch.__all__`` exists, once."""
+"""Public surface: every name in ``subsketch.__all__`` exists, once, and
+every module uses what it imports."""
+
+import ast
+import pathlib
+
+import pytest
 
 import subsketch
+
+MODULES = sorted(pathlib.Path(subsketch.__file__).parent.glob("*.py"))
 
 
 def test_star_import_and_unique_exports():
@@ -8,3 +16,37 @@ def test_star_import_and_unique_exports():
     exec("from subsketch import *", namespace)  # a stale name raises AttributeError
     assert len(subsketch.__all__) == len(set(subsketch.__all__))
     assert set(subsketch.__all__) <= set(namespace)
+
+
+def _dotted(node):
+    """"a.b.c" for a chain of attributes on a name, else None."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(attrs)]) if isinstance(node, ast.Name) else None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_dead_imports(path):
+    # no linter is pinned here: a name imported but never read, nor listed
+    # in __all__, is dead; ``import a.b`` counts as read only through a.b
+    tree = ast.parse(path.read_text())
+    read = set()
+    for node in ast.walk(tree):
+        chain = _dotted(node) if isinstance(node, (ast.Name, ast.Attribute)) else None
+        parts = chain.split(".") if chain else []
+        read.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    dead = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name  # import a.b binds a, used as a.b
+                if name not in read and name not in exported:
+                    dead.append(f"line {node.lineno}: {name}")
+    assert not dead, f"{path.name} imports names it never uses: {dead}"

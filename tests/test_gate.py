@@ -28,10 +28,15 @@ from subsketch import (
     fast_subspace_embed,
     gaussian_reference,
     haar_basis,
+    independence_degree,
+    less_sparsity_target,
+    oseie_sparsity_target,
+    osnap_sparsity_target,
     trace_moment,
 )
 from subsketch.errors import as_int, as_real
 from subsketch.experiments import builder, calibrate, nnz_sweep
+from subsketch.oblivious import less_dimension_target, sparsity_target
 
 A = np.random.default_rng(0).standard_normal((64, 3))  # tall and of full rank
 U = np.eye(32)[:, :2]
@@ -108,6 +113,12 @@ BAD = {
 }
 
 
+# the formula helpers take d, eps and delta as default_parameters does; a
+# dense kind's sparsity_target reads none of them, so only its own gate checks them
+FORMULA = {"d": 2, "eps": 0.5, "delta": 0.25}
+FORMULA_ARGS = [("d", "count", 2), ("eps", "unit", 0.5), ("delta", "unit", 0.25)]
+
+
 def good(kind, base):
     """numpy scalars of the valid ``base``; a seed also takes any integer."""
     types = (np.int64, np.int32, np.uint16) if kind in ("count", "seed") else (
@@ -160,6 +171,14 @@ ENTRIES = [
     ("nnz_sweep", lambda **kw: nnz_sweep(**({"d": 2, "n": 4, "seed": 0} | kw)),
      [("d", "count", 2)]),
     ("calibrate", lambda **kw: calibrate(**kw), [("trials", "count", None)]),
+    ("independence_degree", lambda **kw: independence_degree(**(FORMULA | {"pm": 4} | kw)),
+     FORMULA_ARGS + [("pm", "count", 4)]),
+    ("osnap_sparsity_target", lambda **kw: osnap_sparsity_target(**(FORMULA | kw)), FORMULA_ARGS),
+    ("oseie_sparsity_target", lambda **kw: oseie_sparsity_target(**(FORMULA | kw)), FORMULA_ARGS),
+    ("less_dimension_target", lambda **kw: less_dimension_target(**(FORMULA | kw)), FORMULA_ARGS),
+    ("less_sparsity_target", lambda **kw: less_sparsity_target(**(FORMULA | kw)), FORMULA_ARGS),
+    ("sparsity_target", lambda **kw: sparsity_target(
+        **(FORMULA | {"kind": "gaussian-dense", "m0": 64} | kw)), FORMULA_ARGS),
 ]
 CASES = [(call, arg, kind, base) for _, call, args in ENTRIES for arg, kind, base in args]
 IDS = [f"{name}-{arg}" for name, _, args in ENTRIES for arg, _, _ in args]

@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.sparse
 
 from subsketch import (
+    FormatError,
     LeverageScores,
     ParameterError,
     RankDeficiencyError,
@@ -141,6 +142,33 @@ class TestValidateScores:
         back = LeverageScores.from_dict(scores.to_dict())
         np.testing.assert_array_equal(back.z, scores.z)
         assert back.digest() == scores.digest()
+
+    @pytest.mark.parametrize("payload", [
+        {"z": [True, "0.5"], "beta1": True, "beta2": "3"},
+        {"z": [True, 0.5], "beta1": 2.0, "beta2": 2.0},
+        {"z": ["0.5"], "beta1": 2.0, "beta2": 2.0},
+        {"z": [0.5], "beta1": True, "beta2": 2.0},
+        {"z": [0.5], "beta1": 2.0, "beta2": "3"},
+        {"z": 0.5, "beta1": 2.0, "beta2": 2.0},
+        {"z": [[0.5]], "beta1": 2.0, "beta2": 2.0},
+    ], ids=["all", "bool-score", "str-score", "bool-beta1", "str-beta2", "scalar-z", "nested-z"])
+    def test_wrong_typed_json_fields_are_format_errors(self, payload):
+        # float() and asarray once loaded these as z = [1, 0.5], beta1 = 1, beta2 = 3
+        with pytest.raises(FormatError):
+            LeverageScores.from_dict(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {"z": [1.5], "beta1": 2.0, "beta2": 2.0},
+        {"z": [0.5], "beta1": 0.5, "beta2": 2},
+    ], ids=["score-above-1", "beta1-below-1"])
+    def test_out_of_range_json_fields_stay_parameter_errors(self, payload):
+        with pytest.raises(ParameterError):
+            LeverageScores.from_dict(payload)
+
+    @pytest.mark.parametrize("z", [np.array([True, False]), np.array(["0.5"]), [None]])
+    def test_non_real_scores_rejected(self, z):
+        with pytest.raises(ParameterError, match="real numbers"):
+            LeverageScores(z=z)
 
     def test_score_bounds_enforced(self):
         with pytest.raises(ParameterError):

@@ -7,12 +7,14 @@ import pytest
 import scipy.sparse
 
 from subsketch import (
+    CONSTANTS,
     ParameterError,
     PipelineConfig,
     approx_leverage,
     exact_leverage,
     fast_subspace_embed,
 )
+from subsketch import experiments
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,13 @@ class TestFastSubspaceEmbed:
         _, report = fast_subspace_embed(sparse_tall, config)
         got = (report.distortion["s_min"], report.distortion["s_max"])
         np.testing.assert_allclose(got, band, rtol=0, atol=1e-12)
+
+    def test_validate_band_with_fewer_rows_than_d(self):
+        # an 8-row sketch of a rank-16 A has a kernel; the band once read 0.354
+        A = np.random.default_rng(1).standard_normal((2000, 16))
+        config = PipelineConfig(eps=0.5, delta=0.05, m=8, pm=2, kind="osnap", validate=True)
+        _, report = fast_subspace_embed(A, config)
+        assert report.distortion["s_min"] == 0.0
 
     @pytest.mark.parametrize("kind", ["less-ic", "less-ie"])
     @pytest.mark.parametrize("dense", [False, True])
@@ -192,3 +201,19 @@ def test_overrides_reach_the_built_sketch(sparse_tall, monkeypatch, kind):
     _, report = fast_subspace_embed(sparse_tall, config)
     assert len(built) == 1
     assert (built[0].m, built[0].spec.s, report.m) == (256, 32, 256)
+
+
+def test_calibration_surface_runs_the_pipeline(monkeypatch):
+    # the calibration's pipeline surface once hand-rolled the stages
+    calls = []
+
+    def counting(A, config):
+        calls.append(config)
+        return fast_subspace_embed(A, config)
+
+    monkeypatch.setattr(experiments, "fast_subspace_embed", counting)
+    monkeypatch.setattr(experiments, "_PIPELINE_RUNS", 3)
+    spec, frac = experiments._pipeline_failures(CONSTANTS, 0.5, 0.05, 1)
+    want = ("less-ic", spec.m, spec.s, True)
+    assert [(c.kind, c.m, c.pm, c.validate) for c in calls] == [want] * 3
+    assert frac == 0.0

@@ -31,7 +31,7 @@ from subsketch import (
     touched_rows,
     validate_scores,
 )
-from subsketch.pipeline import _r_factor
+from subsketch.leverage import exact_basis
 
 N = 60
 
@@ -365,7 +365,7 @@ def test_fewer_touched_rows_than_columns_is_rank_deficient(touched):
     A = scipy.sparse.csr_matrix((np.ones(touched), (np.arange(touched) * 7, np.arange(touched))),
                                 shape=(100, d))
     with pytest.raises(ParameterError, match="rank deficient"):
-        _r_factor(A)
+        exact_basis(A)
     with pytest.raises(RankDeficiencyError) as err:
         exact_leverage(A)
     assert err.value.numerical_rank == touched
@@ -381,7 +381,7 @@ def test_checks_on_sparse_input_do_not_densify_n_rows():
         (rng.uniform(1, 2, J.size * d), (np.repeat(J, d), np.tile(np.arange(d), J.size))),
         shape=(n, d),
     )
-    R, peak = _traced_peak(lambda: _r_factor(A))
+    R, peak = _traced_peak(lambda: exact_basis(A)[3])
     assert R.shape == (d, d)
     assert peak < 2 * n, peak / n
     scores, peak = _traced_peak(lambda: exact_leverage(A))
