@@ -34,7 +34,7 @@ again = ss.build_osnap(spec)
 print("\nrebuild with the same seed is bit-identical:",
       np.array_equal(dense, again.materialize()))
 
-# the same interface covers the i.i.d.-entry model and dense baselines
+# the same interface covers the i.i.d.-entry model and the dense baseline
 iid = ss.build_ose_ie(ss.SketchSpec(kind="ose-ie", m=12, n=8, p=0.25, seed=42))
 print(f"\ni.i.d.-entry sketch at the same p: nnz={iid.nnz} "
       f"(random, ~Binomial({12 * 8}, 0.25))")

@@ -1,7 +1,7 @@
 """subsketch: sparse subspace embeddings with K-wise independent randomness.
 
-Sketch constructions (blocked one-hot columns, i.i.d. entries, dense
-baselines, and leverage-score-adapted variants), exact and approximate
+Sketch constructions (blocked one-hot columns, i.i.d. entries, a dense
+Gaussian baseline, and leverage-score-adapted variants), exact and approximate
 leverage scores, input-sparsity-time application, and a diagnostics suite
 that measures distortion and checks exact moment identities.
 """
@@ -15,7 +15,7 @@ from .kwise import (
     KWiseFamily,
     derive_seed,
 )
-from .sketch import DenseSketch, SparseSketch, load_sketch, sketch_from_dense
+from .sketch import DenseSketch, SparseSketch, load_sketch
 from .oblivious import (
     SketchSpec,
     build,
@@ -36,7 +36,6 @@ from .leverage import (
     validate_scores,
 )
 from .less import (
-    block_heights,
     build_less_ic,
     build_less_ie,
     column_sparsities,
@@ -69,7 +68,6 @@ __all__ = [
     "SparseSketch",
     "DenseSketch",
     "load_sketch",
-    "sketch_from_dense",
     "build",
     "build_osnap",
     "build_ose_ie",
@@ -84,7 +82,6 @@ __all__ = [
     "exact_leverage",
     "approx_leverage",
     "validate_scores",
-    "block_heights",
     "column_sparsities",
     "subcolumn_layout",
     "build_less_ic",

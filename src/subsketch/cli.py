@@ -19,10 +19,10 @@ from . import __version__
 from .apply import apply as _apply
 from .apply import load_matrix, save_matrix
 from .errors import FormatError, ParameterError
-from .experiments import calibrate, eps_sweep, m_sweep, nnz_sweep, run_config, s_sweep
+from .experiments import calibrate, eps_sweep, nnz_sweep, run_config, s_sweep
 from .leverage import LeverageScores, approx_leverage, exact_leverage
-from .oblivious import LESS_KINDS, SketchSpec, build
-from .pipeline import PIPELINE_KINDS, PipelineConfig, fast_subspace_embed
+from .oblivious import KINDS, LESS_KINDS, SketchSpec, build
+from .pipeline import PipelineConfig, fast_subspace_embed
 from .sketch import load_sketch
 
 EXIT_OK = 0
@@ -42,8 +42,8 @@ def _build_parser():
     sub = root.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sketch", help="build a sketch and write a .skt file")
-    p.add_argument("--kind", required=True,
-                   choices=["osnap", "ose-ie", "less-ic", "less-ie"])
+    # a .skt file holds a sparse sketch
+    p.add_argument("--kind", required=True, choices=[k for k in KINDS if k != "gaussian-dense"])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int)
     g = p.add_mutually_exclusive_group(required=True)
@@ -71,7 +71,7 @@ def _build_parser():
     _add_common(p)
 
     p = sub.add_parser("bench", help="parameter sweeps and calibration, CSV out")
-    p.add_argument("--sweep", choices=["eps", "m", "s", "nnz"])
+    p.add_argument("--sweep", choices=["eps", "s", "nnz"])
     p.add_argument("--calibrate", action="store_true")
     # None when absent: _BENCH_FLAGS holds each mode's defaults
     p.add_argument("--kind")
@@ -87,7 +87,7 @@ def _build_parser():
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--gamma", type=float, default=PipelineConfig.gamma)
-    p.add_argument("--kind", default=PipelineConfig.kind, choices=PIPELINE_KINDS)
+    p.add_argument("--kind", default=PipelineConfig.kind, choices=KINDS)
     p.add_argument("--m", type=int, help="pin the embedding dimension")
     p.add_argument("--pm", type=int, help="pin the sparsity p*m")
     p.add_argument("--validate", action="store_true",
@@ -180,7 +180,6 @@ def _write_csv(path, rows):
 _SWEEP = dict(kind="osnap", d=16, delta=0.05, trials=50, seed=0)
 _BENCH_FLAGS = {
     "eps": _SWEEP | dict(n=8192),
-    "m": _SWEEP | dict(n=4096, eps=0.5),
     "s": _SWEEP | dict(n=4096, eps=0.5),
     "nnz": dict(d=16, n=4096, seed=0),
     "calibrate": dict(trials=None, seed=None),
@@ -204,7 +203,7 @@ def _cmd_bench(args):
         _write_csv(args.out, rows)
         print(json.dumps(asdict(constants), indent=2))
         return EXIT_OK
-    rows = {"eps": eps_sweep, "m": m_sweep, "s": s_sweep, "nnz": nnz_sweep}[mode](**v)
+    rows = {"eps": eps_sweep, "s": s_sweep, "nnz": nnz_sweep}[mode](**v)
     _write_csv(args.out, rows)
     if args.out:
         print(f"wrote {args.out} ({len(rows)} rows)")

@@ -22,8 +22,9 @@ experiment does not read (``target`` on a moment probe, ``q`` on
 ``embedding``, a misspelt key) is a ParameterError.
 
 Score-adapted kinds rebuild their sketch per trial from the exact
-leverage scores of the sampled basis.  The sweeps take exactly the values
-``subsketch bench`` states, without defaults; their grids are constants.
+leverage scores of the sampled basis.  The eps, s and nnz sweeps behind
+``subsketch bench --sweep`` take exactly the values it states, without
+defaults; their grids are constants.
 """
 
 import math
@@ -150,8 +151,7 @@ def _eps_grid_m(d, eps, constants=CONSTANTS):
     return math.ceil(constants.c_m_oblivious * d / eps**2)
 
 
-_EPS_SAMPLER, _M_SAMPLER, _S_SAMPLER = "coordinate", "haar", "coordinate"
-_M_FACTORS = (1, 2, 4)
+_SWEEP_SAMPLER = "coordinate"  # the eps and s sweeps' bases
 _S_GRID = (2, 4, 8, 16, 32)
 _NNZ_FACTORS = (1, 2, 4, 8)
 _NNZ_M, _NNZ_S, _NNZ_REPS = 256, 8, 5
@@ -174,17 +174,7 @@ def eps_sweep(kind, d, n, delta, trials, seed):
                 f"sweep point eps={eps} needs m={spec.m} >= n={n}; raise n"
             )
         rows.append(sweep_row(spec, d, eps, trials, derive_seed(seed, round(1 / eps)),
-                              _EPS_SAMPLER, s_target=sparsity_target(kind, d, eps, delta, m0)))
-    return rows
-
-
-def m_sweep(kind, d, n, eps, delta, trials, seed):
-    """Distortion quantiles as m doubles at fixed sparsity."""
-    spec0 = default_parameters(d, n, eps, delta, kind, seed=seed)
-    rows = []
-    for f in _M_FACTORS:
-        spec = default_parameters(d, n, eps, delta, kind, m=spec0.m * f, s=spec0.s, seed=seed)
-        rows.append(sweep_row(spec, d, eps, trials, derive_seed(seed, f), _M_SAMPLER))
+                              _SWEEP_SAMPLER, s_target=sparsity_target(kind, d, eps, delta, m0)))
     return rows
 
 
@@ -217,7 +207,7 @@ def s_sweep(kind, d, n, eps, delta, trials, seed):
     rows = []
     for s in _S_GRID:
         spec = default_parameters(d, n, eps, delta, kind, m=spec0.m, s=s, seed=seed)
-        rows.append(sweep_row(spec, d, eps, trials, derive_seed(seed, spec.s), _S_SAMPLER))
+        rows.append(sweep_row(spec, d, eps, trials, derive_seed(seed, spec.s), _SWEEP_SAMPLER))
     return rows
 
 

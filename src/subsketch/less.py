@@ -38,11 +38,6 @@ def _scores(spec, kind):
     return spec.scores
 
 
-def block_heights(spec):
-    """b_j per column; values above m behave identically to m."""
-    return _heights(spec, _scores(spec, "less-ic").z)
-
-
 def _heights(spec, z):
     """b_j for the scores ``z`` of some columns; the formula is elementwise."""
     denom = spec.scores.beta1 * spec.p * z
@@ -52,7 +47,7 @@ def _heights(spec, z):
 
 def column_sparsities(spec):
     """s_j = ceil(m / b_j) per column."""
-    return -(-spec.m // block_heights(spec))
+    return -(-spec.m // _heights(spec, _scores(spec, "less-ic").z))
 
 
 def subcolumn_layout(spec, j):

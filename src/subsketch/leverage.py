@@ -36,10 +36,12 @@ class LeverageScores:
     beta2: float = 1.0
 
     def __post_init__(self):
-        self.z = np.asarray(self.z)
-        if self.z.dtype.kind not in "iuf" or self.z.ndim != 1:  # a bool or a string is no score
-            raise ParameterError("scores must be a 1-D vector of real numbers, got a "
-                                 f"{self.z.ndim}-D {self.z.dtype} array")
+        raw, self.z = self.z, np.asarray(self.z)
+        # a bool or a string is no score; numpy reads [True, 0.5] as float64
+        if (self.z.dtype.kind not in "iuf" or self.z.ndim != 1 or self.z is not raw
+                and any(isinstance(v, (bool, np.bool_)) for v in raw)):
+            raise ParameterError("scores must be a 1-D vector of real numbers, not bools "
+                                 f"or strings; got a {self.z.ndim}-D array")
         self.z = self.z.astype(np.float64, copy=False)
         lo, hi = (self.z.min(), self.z.max()) if self.z.size else (0.0, 0.0)
         if not np.isfinite([lo, hi]).all():

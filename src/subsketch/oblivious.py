@@ -8,8 +8,8 @@ Kinds:
   domain-separated sub-streams of one K-wise hash family.
 * ``ose-ie`` -- every entry is independently nonzero with probability p
   and carries an independent sign, drawn by geometric gaps.
-* ``gaussian-dense`` / ``rademacher-dense`` -- dense comparison models
-  with matching entry variance p.
+* ``gaussian-dense`` -- the dense Gaussian comparison model with
+  matching entry variance p.
 * ``less-ic`` / ``less-ie`` -- the leverage-score-adapted kinds built in
   :mod:`subsketch.less`; their spec carries the scores.
 
@@ -41,13 +41,11 @@ _BUILDERS = {
     "osnap": ("oblivious", "build_osnap"),
     "ose-ie": ("oblivious", "build_ose_ie"),
     "gaussian-dense": ("oblivious", "build_dense_baseline"),
-    "rademacher-dense": ("oblivious", "build_dense_baseline"),
     "less-ic": ("less", "build_less_ic"),
     "less-ie": ("less", "build_less_ie"),
 }
 KINDS = tuple(_BUILDERS)
 LESS_KINDS = ("less-ic", "less-ie")
-DENSE_KINDS = ("gaussian-dense", "rademacher-dense")
 # kinds whose column j hashes only its own points, so a build can skip columns
 COLUMN_KINDS = ("osnap", "less-ic")
 
@@ -293,19 +291,14 @@ def build_ose_ie(spec):
 
 
 def build_dense_baseline(spec):
-    """Dense Gaussian or Rademacher comparison matrix with entry variance p,
-    drawn row by row from :func:`_generator`."""
-    if spec.kind not in DENSE_KINDS:
+    """Dense Gaussian comparison matrix with entry variance p, drawn row by
+    row from :func:`_generator`."""
+    if spec.kind != "gaussian-dense":
         raise ParameterError(
-            f"build_dense_baseline needs a dense kind, got {spec.kind!r}"
+            f"build_dense_baseline needs kind 'gaussian-dense', got {spec.kind!r}"
         )
-    rng = _generator(spec)
-    m, n, p = spec.m, spec.n, spec.p
-    if spec.kind == "gaussian-dense":
-        entries = rng.standard_normal((m, n))
-    else:
-        entries = rng.integers(0, 2, size=(m, n)).astype(np.float64) * 2.0 - 1.0
-    return DenseSketch(spec=spec, matrix=entries * math.sqrt(p))
+    entries = _generator(spec).standard_normal((spec.m, spec.n))
+    return DenseSketch(spec=spec, matrix=entries * math.sqrt(spec.p))
 
 
 def build(spec, columns=None):
@@ -419,7 +412,7 @@ def default_parameters(d, n, eps, delta, kind, *, m=None, s=None, scores=None, s
     m0 = max(math.ceil(m0), 1) if m is None else m
     s_raw = sparsity_target(kind, d, eps, delta, m0, constants) if s is None else s
     m, s_int = round_parameters(kind, m0, s_raw)
-    if s is None and s_int == m and kind not in DENSE_KINDS:
+    if s is None and s_int == m and kind != "gaussian-dense":
         warnings.warn(
             f"required sparsity {math.ceil(s_raw)} reaches m = {m0}; capping at p = 1",
             stacklevel=2,

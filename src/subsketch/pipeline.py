@@ -20,9 +20,7 @@ from .diagnostics import singular_values
 from .errors import ParameterError, as_int, as_real
 from .leverage import approx_leverage, exact_basis
 from .less import build_less_ic
-from .oblivious import COLUMN_KINDS, LESS_KINDS, build, default_parameters
-
-PIPELINE_KINDS = ("osnap", "ose-ie", "less-ic", "less-ie", "gaussian-dense")
+from .oblivious import COLUMN_KINDS, KINDS, LESS_KINDS, build, default_parameters
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class PipelineConfig:
                 object.__setattr__(self, name, as_int(name, getattr(self, name), 1))
         if not isinstance(self.validate, (bool, np.bool_)):
             raise ParameterError(f"validate must be a bool, got {self.validate!r}")
-        if self.kind not in PIPELINE_KINDS:
+        if self.kind not in KINDS:
             raise ParameterError(f"unknown pipeline kind {self.kind!r}")
 
 

@@ -4,7 +4,7 @@ A :class:`SparseSketch` stores the *unscaled* matrix S column-major
 (CSC-style arrays); its spec fixes the global scale 1/sqrt(p*m), and the
 embedding matrix is ``scale * S``.  Row indices are 0-based and strictly
 increasing within each column.  :class:`DenseSketch` is the analogous
-holder for the dense baselines.
+holder for the dense Gaussian baseline.
 
 File format (``.skt``), version 1, little-endian throughout:
 
@@ -172,15 +172,6 @@ def scores_digest(z, beta1, beta2):
     h.update(np.float64(beta1).tobytes())
     h.update(np.float64(beta2).tobytes())
     return h.hexdigest()
-
-
-def sketch_from_dense(matrix, spec):
-    """Rebuild the CSC arrays of a ``spec`` sketch from its scaled dense form."""
-    csc = scipy.sparse.csc_matrix(np.asarray(matrix))
-    csc.sort_indices()
-    sketch = SparseSketch(spec=spec, indptr=csc.indptr, rows=csc.indices, values=csc.data)
-    sketch.values /= sketch.scale
-    return sketch
 
 
 def _header_spec(path, header):

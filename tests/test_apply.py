@@ -26,7 +26,6 @@ from subsketch import (
     load_matrix,
     load_sketch,
     save_matrix,
-    sketch_from_dense,
 )
 
 
@@ -205,14 +204,6 @@ class TestMaterialize:
         spec = SketchSpec.from_sparsity("osnap", m=64, n=20, s=8, seed=8)
         dense = build_osnap(spec).materialize()
         np.testing.assert_allclose(np.linalg.norm(dense, axis=0), 1.0, rtol=1e-12)
-
-    def test_roundtrip_through_dense(self):
-        rng = np.random.default_rng(11)
-        sk = random_sketch("less-ic", rng, 24, 60, seed=9)
-        back = sketch_from_dense(sk.materialize(), sk.spec)
-        assert np.array_equal(back.indptr, sk.indptr)
-        assert np.array_equal(back.rows, sk.rows)
-        np.testing.assert_allclose(back.values, sk.values, rtol=1e-12)
 
     def test_memory_cap(self):
         # 8192^2 = 67M entries, above the 50M cap

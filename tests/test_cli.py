@@ -345,8 +345,9 @@ class TestVerifyCommand:
         # an unknown sampler is a bad value for every experiment: exit 2
         ({"experiment": "trace_moment", "m": 64, "s": 16, "q": 1, "sampler": "nope"},
          EXIT_PARAMETER),
+        ({"kind": "rademacher-dense"}, EXIT_PARAMETER),  # the kind was deleted
     ], ids=["d-string", "sampler-list", "trials-float", "d-bool", "top-level-array",
-            "moment-unknown-sampler"])
+            "moment-unknown-sampler", "deleted-kind"])
     def test_malformed_config_gives_typed_exit(self, tmp_path, cfg, code):
         base = {"schema_version": 1, "experiment": "embedding", "kind": "osnap",
                 "d": 4, "n": 128, "eps": 0.5, "delta": 0.05, "trials": 2}
@@ -516,6 +517,11 @@ class TestBenchCommand:
 
     def test_needs_mode(self):
         assert main(["bench"]) == EXIT_PARAMETER
+
+    def test_m_sweep_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sweep", "m"])
+        assert exc.value.code == EXIT_PARAMETER
 
     @pytest.mark.parametrize("argv", [
         ["--sweep", "eps", "--trials", "2", "--d", "0"],  # used to raise ZeroDivisionError

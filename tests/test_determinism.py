@@ -2,13 +2,13 @@
 
 The digests below pin the bytes of each kind's output at small shapes:
 the saved ``.skt`` file for the sparse kinds, and the matrix plus scale
-for the dense baselines.  A change to any of them changes the sketches
+for the dense Gaussian baseline.  A change to any of them changes the sketches
 every existing seed produces, so it has to be a deliberate, documented
 format or sampling change.  The ``less-ie`` sketch itself is left out:
 its sampler changed when these digests were recorded, and that draw
 change is documented rather than pinned.  Every kind outside the hashing
 osnap and less-ic draws from one seeded numpy generator and has no K: the
-dense baselines were re-recorded when they moved onto that generator, and
+gaussian-dense pin was re-recorded when it moved onto that generator, and
 ``ose-ie-independent`` when its header stopped writing a K (its payload
 kept its bytes).
 
@@ -20,10 +20,18 @@ ose-ie, less-ie and gaussian-dense pipeline digests, the ``bench --sweep``
 CSVs and the ``run_config`` reports pin the parameters each kind gets by
 default, end to end; the ose-ie and less-ie reports were re-recorded when
 they stopped reporting a K.
+
+The thread-count test runs the leverage estimate and the pipeline of
+every kind at 1 and 2 BLAS threads, in fresh processes, and compares
+their bytes.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,10 +57,6 @@ CASES = {
     "gaussian-dense": (
         dict(kind="gaussian-dense", m=16, n=20, p=1.0, seed=15),
         "5300a4e7c2bdb6597a2b341ade2817ff36aeeabd9ef1e55b3b9144ba61a3f912",
-    ),
-    "rademacher-dense": (
-        dict(kind="rademacher-dense", m=16, n=20, p=0.5, seed=16),
-        "8f28e1062639c79bce6063eee34cedd7312ef350605366388c9939790de09067",
     ),
 }
 
@@ -110,8 +114,6 @@ SWEEP_CASES = {
                   "0cc7f8081b0d65cc479beb4841d890325162f72a076351b06e53426752993e04"),
     "eps-ose-ie": (["--sweep", "eps", "--kind", "ose-ie"],
                    "947612d0d5751265fb16ab947a511e028e95cc467c3615ced2460f060ee9b5c6"),
-    "m-osnap": (["--sweep", "m"],
-                "a134ad427cfa39ed2445243e24cb78b3d3402551b716640615c4a648f00a0d55"),
     "s-osnap": (["--sweep", "s"],
                 "7575a01f829307f056c26fafcfd166ecb203a4dca19dc655e8bdb0e4c057edcd"),
 }
@@ -154,3 +156,64 @@ def test_golden_config_report(case):
     report, _ = ss.experiments.run_config(_config(*case))
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == CONFIG_CASES[case]
+
+
+# prints the digests the thread-count test compares, as one JSON object
+_THREAD_SCRIPT = """
+import hashlib, json
+import numpy as np
+import scipy.sparse
+import subsketch as ss
+from subsketch.oblivious import KINDS
+
+def digest(out):
+    out = np.ascontiguousarray(out, dtype=np.float64)
+    return hashlib.sha256(repr(out.shape).encode() + out.tobytes()).hexdigest()
+
+def embed(A, kind):
+    return digest(ss.fast_subspace_embed(A, ss.PipelineConfig(eps=0.5, delta=0.05, seed=5,
+                                                              kind=kind))[0])
+
+A = np.random.default_rng(3).standard_normal((2**14, 64))
+found = {"approx_leverage": ss.approx_leverage(A, 0.25, seed=5).digest(),
+         "exact_leverage": ss.exact_leverage(A).digest()}
+found |= {kind: embed(A, kind) for kind in KINDS}
+rng = np.random.default_rng(4)
+n, d = 2**16, 32
+S = scipy.sparse.random(n, d, density=2000 / (n * d), random_state=rng, format="csr")
+S = S + scipy.sparse.csr_matrix((rng.uniform(1, 2, d), (np.arange(d), np.arange(d))),
+                                shape=(n, d))
+found["less-ic-sparse"] = embed(S.tocsr(), "less-ic")
+print(json.dumps(found))
+"""
+
+
+@pytest.fixture(scope="module")
+def thread_digests():
+    """The script's digests at 1 and 2 BLAS threads (never more: the
+    contract needs only two counts, and a small host has few cores)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    found = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+                                else [])))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        found[threads] = json.loads(proc.stdout)
+    return found
+
+
+def test_bytes_do_not_depend_on_the_thread_count(thread_digests):
+    one, two = ({k: v for k, v in thread_digests[t].items() if k != "exact_leverage"}
+                for t in ("1", "2"))
+    assert set(one) == {"approx_leverage", "less-ic-sparse", *ss.oblivious.KINDS}
+    assert one == two
+
+
+@pytest.mark.xfail(strict=True, reason="the SVD of a dense A rounds differently at "
+                   "2 BLAS threads; this shows the thread count reached BLAS")
+def test_exact_leverage_bytes_do_not_depend_on_the_thread_count(thread_digests):
+    assert thread_digests["1"]["exact_leverage"] == thread_digests["2"]["exact_leverage"]

@@ -77,6 +77,16 @@ def test_defect_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: SketchSpec(kind="rademacher-dense", m=16, n=10, p=0.25),
+    lambda: PipelineConfig(eps=0.5, delta=0.05, kind="rademacher-dense"),
+], ids=["spec", "pipeline"])
+def test_rademacher_dense_is_no_kind(call):
+    # the one dense baseline is the Gaussian, the paper's universality reference
+    with pytest.raises(ParameterError, match="unknown .*kind 'rademacher-dense'"):
+        call()
+
+
 def test_gate_returns_python_scalars():
     assert type(as_int("k", np.uint16(3), 1)) is int
     assert as_real("p", np.float32(1.0), "(0, 1]") == 1.0

@@ -199,8 +199,7 @@ class TestBuildLessIe:
         # the kind fixes the model: K-wise hashing only for the blocked kinds
         scores = uniform_scores(4, 0.5)
         want = {"osnap": "kwise", "less-ic": "kwise", "ose-ie": "independent",
-                "less-ie": "independent", "gaussian-dense": "independent",
-                "rademacher-dense": "independent"}
+                "less-ie": "independent", "gaussian-dense": "independent"}
         assert set(want) == set(KINDS)
         for kind, family in want.items():
             fields = dict(scores=scores) if kind in LESS_KINDS else dict(n=4)

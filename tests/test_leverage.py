@@ -165,7 +165,9 @@ class TestValidateScores:
         with pytest.raises(ParameterError):
             LeverageScores.from_dict(payload)
 
-    @pytest.mark.parametrize("z", [np.array([True, False]), np.array(["0.5"]), [None]])
+    # numpy reads the last three as float64: [True, 0.5] used to give z = [1.0, 0.5]
+    @pytest.mark.parametrize("z", [np.array([True, False]), np.array(["0.5"]), [None],
+                                   [True, 0.5], [0.5, np.True_], (1, False)])
     def test_non_real_scores_rejected(self, z):
         with pytest.raises(ParameterError, match="real numbers"):
             LeverageScores(z=z)

@@ -91,7 +91,6 @@ RANDOMNESS = {
     "ose-ie": (False, True),
     "less-ie": (False, True),
     "gaussian-dense": (False, False),
-    "rademacher-dense": (False, False),
 }
 SCORES = LeverageScores(z=np.linspace(0.05, 1.0, 64))
 
@@ -262,11 +261,6 @@ class TestDenseBaselines:
         assert entries.size == 10_000
         assert abs(entries.mean()) <= 4 / math.sqrt(entries.size)
         assert abs(entries.var() - 1.0) <= 4 * math.sqrt(2.0 / entries.size)
-
-    def test_rademacher_magnitude(self):
-        spec = SketchSpec(kind="rademacher-dense", m=16, n=10, p=0.25, seed=3)
-        sk = build_dense_baseline(spec)
-        np.testing.assert_allclose(np.abs(sk.matrix), 0.5)
 
 
 class TestDefaultParameters:

@@ -141,7 +141,6 @@ def test_bad_columns_rejected(kind, J):
     dict(kind="ose-ie", m=16, n=N, p=0.25),
     dict(kind="less-ie", m=16, p=0.25, scores=LeverageScores(z=np.full(N, 0.1))),
     dict(kind="gaussian-dense", m=8, n=N, p=1.0),
-    dict(kind="rademacher-dense", m=8, n=N, p=0.5),
 ])
 def test_registry_rejects_columns_for_other_kinds(fields):
     with pytest.raises(ParameterError):
