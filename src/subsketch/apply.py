@@ -47,13 +47,6 @@ def touched_rows(A):
     return np.flatnonzero(indptr[1:] != indptr[:-1])
 
 
-def dense_touched(A, J):
-    """(J, A[J] as an ndarray) for a gated A and J = ``touched_rows(A)``:
-    the rows a CSR A touches (every other row is exactly zero), every
-    row (J a full slice) of an ndarray, for which J is None."""
-    return (slice(None), A) if J is None else (J, A[J].toarray())
-
-
 def apply(sketch, A):
     """(scale * S) @ A as a dense (m x d) array (length m for a vector A).
 

@@ -2,8 +2,8 @@
 
 The i-th leverage score of A is the squared norm of the i-th row of any
 orthonormal basis of A's column space; every exact check reads the one
-from :func:`exact_basis`, an SVD of the rows A touches.  Approximate scores are
-one-sided overestimates: z_i >= l_i / beta1 with sum(z) <= beta2 * d.
+from :func:`exact_basis`, an SVD of A's nonzero rows.  Approximate scores
+are one-sided overestimates: z_i >= l_i / beta1 with sum(z) <= beta2 * d.
 The claimed beta1 is the one the estimator proves (see
 :func:`approx_leverage`): a chi-square lower tail, union-bounded over
 the r nonzero rows of A, gives beta1 = O((r / delta_lev)^(gamma / 2)),
@@ -21,9 +21,8 @@ import numpy as np
 import scipy.linalg
 
 from ._field import derive_seed
-from .apply import as_matrix, dense_touched, touched_rows
+from .apply import as_matrix, touched_rows
 from .errors import FormatError, ParameterError, RankDeficiencyError, as_real
-from .oblivious import check_columns
 from .sketch import scores_digest
 
 
@@ -73,31 +72,53 @@ class LeverageScores:
         return cls(z=z, beta1=beta1, beta2=beta2)
 
 
-def exact_basis(A, J=None):
-    """(J, U, svals, Vt), the thin SVD of A[J] for J the rows a sparse A
-    touches (found when None; a full slice for a dense A), after the input
-    gate with NaN and Inf rejected.  Singular values at or below
+def _nonzero_rows(A):
+    """(J, I) for a gated A: J = :func:`~subsketch.apply.touched_rows` (the
+    rows a sparse A stores an entry in, None for a dense A), and I the rows
+    of A that hold a nonzero as ascending indices into A.  NaN counts as
+    nonzero and a stored zero does not, so a sparse A, its dense copy and A
+    with stored zeros give the same I.  The one place that decides which
+    rows of A count."""
+    J = touched_rows(A)
+    if J is None:
+        return None, np.flatnonzero(A.any(axis=1))
+    # nonzeros before each row start: a row is nonzero if its count grows
+    before = np.concatenate(([0], np.cumsum(A.data != 0)))
+    return J, J[before[A.indptr[J + 1]] > before[A.indptr[J]]]
+
+
+def _dense_rows(A, I):
+    """A[I] as an ndarray for a gated A; a dense A itself when I is every row."""
+    if isinstance(A, np.ndarray):
+        return A if I.size == A.shape[0] else A[I]
+    return A[I].tocoo().toarray()  # a CSR toarray goes through tocsr
+
+
+def exact_basis(A):
+    """(I, U, svals, Vt), the thin SVD of A[I] for I the nonzero rows of A
+    (indices into A, see :func:`_nonzero_rows`), after the input gate
+    with NaN and Inf rejected.  Singular values at or below
     max(n, d) * eps * s_max count as zero, and a deficient A raises
     :class:`RankDeficiencyError` naming its numerical rank."""
     A = as_matrix(A, tall=True, finite=True)
     n, d = A.shape
-    J, X = dense_touched(A, touched_rows(A) if J is None else J)
-    U, svals, Vt = np.linalg.svd(X, full_matrices=False)
+    _, I = _nonzero_rows(A)
+    U, svals, Vt = np.linalg.svd(_dense_rows(A, I), full_matrices=False)
     tol = max(n, d) * np.finfo(np.float64).eps * (svals[0] if svals.size else 0.0)
     rank = int(np.sum(svals > tol))
     if rank < d:
         raise RankDeficiencyError(
             f"matrix is rank deficient: numerical rank {rank} < {d}", rank
         )
-    return J, U, svals, Vt
+    return I, U, svals, Vt
 
 
 def exact_leverage(A):
     """Row norms squared of the U of :func:`exact_basis`, clamped at 1;
-    for a scipy.sparse A every row off J scores exactly 0."""
-    J, U, _, _ = exact_basis(A)
+    every zero row of A scores exactly 0, whatever its storage."""
+    I, U, _, _ = exact_basis(A)
     z = np.zeros(np.shape(A)[0])
-    z[J] = np.minimum(np.einsum("ij,ij->i", U, U), 1.0)
+    z[I] = np.minimum(np.einsum("ij,ij->i", U, U), 1.0)
     return LeverageScores(z=z, beta1=1.0, beta2=1.0)
 
 
@@ -122,7 +143,7 @@ def _sketch_rows(d, n):
     return math.ceil(rows / _S0) * _S0
 
 
-def _sketch_r_factor(A, d, n, seed, attempt, columns):
+def _sketch_r_factor(A, d, n, seed, columns):
     """R from a QR of a blocked sketch of A; None when numerically singular.
 
     ``columns``, the rows a sparse A touches (None for a dense A),
@@ -133,29 +154,9 @@ def _sketch_r_factor(A, d, n, seed, attempt, columns):
 
     rows = _sketch_rows(d, n)
     spec = SketchSpec.from_sparsity(
-        "osnap", m=rows, n=n, s=_S0, degree_k=16,
-        seed=derive_seed(seed, 0x1E7 + attempt),
+        "osnap", m=rows, n=n, s=_S0, degree_k=16, seed=derive_seed(seed, 0x1E7),
     )
     return _full_rank_r(_apply(build_osnap(spec, columns=columns), A), rows)
-
-
-def _nonzero_rows(A, A_J, columns):
-    """Which rows of A_J = A[columns] (A, when None) are nonzero, for a
-    gated A; ParameterError if A stores an entry (a nonzero, for a dense
-    A) in a row outside ``columns``, as :func:`~subsketch.apply.apply`
-    does for a sketch built on them."""
-    if isinstance(A_J, np.ndarray):
-        mask = A.any(axis=1)  # NaN counts as nonzero
-        if columns is None:
-            return mask
-        if mask[columns].sum() != mask.sum():
-            raise ParameterError("input touches a row outside the given columns")
-        return mask[columns]
-    if A_J.nnz != A.nnz:
-        raise ParameterError("input touches a row outside the given columns")
-    # nonzeros before each row start: a row is nonzero if its count grows
-    before = np.concatenate(([0], np.cumsum(A_J.data != 0)))
-    return before[A_J.indptr[1:]] > before[A_J.indptr[:-1]]
 
 
 _SAFETY = 2.0  # inflation of the estimates, which the claimed beta1 carries
@@ -180,7 +181,7 @@ def _chi2_lower_level(k, c):
             hi = mid
 
 
-def approx_leverage(A, gamma, *, seed=0, columns=None):
+def approx_leverage(A, gamma, *, seed=0):
     """Coarse scores with beta1 = O((r / delta_lev)^(gamma / 2)), beta2 = O(1).
 
     Take R from a QR of A's r nonzero rows or of a sketch of A, and
@@ -188,27 +189,22 @@ def approx_leverage(A, gamma, *, seed=0, columns=None):
     vectors; estimates are inflated by 2 and clamped to [0, 1].  For a
     scipy.sparse A the work follows the rows J that A touches, past
     finding J, the sketch's n + 1 column pointers and one pass over the
-    scores: r is counted on A[J], the sketch hashes only the columns J,
-    and A[J] R^-1 G is formed and clamped on J alone; every other score
-    is exactly 0, as the full product gives.  ``columns`` hands J in, as
-    :func:`~subsketch.apply.touched_rows` finds it (any strictly
-    increasing rows in [0, n) that hold every stored entry, or nonzero of
-    a dense A, give the same scores); when None, J is found here.  Other
-    ``columns`` raise ParameterError, as in
-    :func:`~subsketch.oblivious.build_osnap` and
-    :func:`~subsketch.apply.apply`, and so do NaN or Inf entries.
+    scores: the sketch hashes only the columns J, and A[J] R^-1 G is
+    formed and clamped on J alone; every other score is exactly 0, as
+    the full product gives.  NaN or Inf entries raise ParameterError.
 
     The route.  r is counted first (one pass over a dense A; over the
-    stored entries of A[J] for a sparse one).  When r <= 2 rows, where
+    stored entries of a sparse one).  When r <= 2 rows, where
     rows = max(8 d ln n, 4d) is the leverage sketch's height, R comes
     from a QR of X, the nonzero rows of A as a dense r x d array (the
-    same bytes for a sparse A, its dense copy, A with stored zeros and
-    any admissible ``columns``): no sketch is built.  That QR costs
+    same bytes for a sparse A, its dense copy and A with stored zeros):
+    no sketch is built.  That QR costs
     O(r d^2) = O(d^3 log n), the cost of the sketch route's QR of its
     rows x d sketch, so the stage keeps its input-sparsity bound of
     O(nnz(A) k + d^3 log n); past r = 2 rows the sketch is cheaper, and
-    R comes from a QR of an osnap sketch of A with rows rows and 8
-    entries per column, retried with fresh seeds while it is singular.
+    R comes from a QR of one osnap sketch of A with rows rows and 8
+    entries per column.  A singular R raises RankDeficiencyError naming
+    A's numerical rank (d when only the sketch is singular).
 
     The claimed beta1 is the one this estimator proves.  Let
     u_i = e_i^T A R^-1 and U an orthonormal basis of A's columns, so
@@ -231,40 +227,34 @@ def approx_leverage(A, gamma, *, seed=0, columns=None):
     larger beta1, and 1 is the least a claim may state).  Here
     delta_lev = 0.01; for small t, t ~ (delta_lev / r)^(2/k) / e, so
     beta1 grows like (r / delta_lev)^(gamma / 2).  The route and r depend
-    on A's nonzero rows, d and n alone, so a sparse A, its dense copy, A
-    with stored zeros and every admissible ``columns`` claim the same
-    beta1.  beta2 is reported as measured, max(1, sum(z)/d).
+    on A's nonzero rows, d and n alone, so a sparse A, its dense copy
+    and A with stored zeros claim the same beta1.  beta2 is reported as measured, max(1, sum(z)/d).
     """
     gamma = as_real("gamma", gamma, "(0, 1)")
     A = as_matrix(A, tall=True, finite=False)
     n, d = A.shape
-    columns = touched_rows(A) if columns is None else check_columns(columns, n)
-    J = slice(None) if columns is None else columns  # E_i = 0 exactly off J
-    A_J = A[J]
-    nonzero = _nonzero_rows(A, A_J, columns)
-    r = int(np.count_nonzero(nonzero))
+    J, I = _nonzero_rows(A)
+    r = I.size
     direct = r <= _DIRECT * _sketch_rows(d, n)
     if direct:
-        X = A_J if r == nonzero.size else A_J[nonzero]
-        X = X if isinstance(X, np.ndarray) else X.tocoo().toarray()  # a CSR toarray goes through tocsr
+        X = _dense_rows(A, I)
         if not np.isfinite(X).all():
             raise ParameterError("input matrix holds NaN or Inf entries")
         R = _full_rank_r(X, n)
     else:
-        for attempt in range(3):
-            R = _sketch_r_factor(A, d, n, seed, attempt, columns)
-            if R is not None:
-                break
+        R = _sketch_r_factor(A, d, n, seed, J)
     if R is None:  # a deficient A raises here, naming its numerical rank
-        exact_basis(A, columns)
+        exact_basis(A)
         raise RankDeficiencyError(
             "nonzero rows of A are numerically rank deficient" if direct
-            else "sketch of A stayed rank deficient after 3 attempts", d)
+            else "the leverage sketch of A is numerically singular", d)
     k = math.ceil(4.0 / gamma)
     rng = np.random.default_rng(derive_seed(seed, 0x7E57))
     G = rng.standard_normal((d, k)) / math.sqrt(k)
     W = scipy.linalg.solve_triangular(R, G, lower=False)
-    E = np.asarray(A_J @ W)
+    if J is None:
+        J = slice(None)  # E_i = 0 exactly off the rows a sparse A touches
+    E = np.asarray(A[J] @ W)
     z = np.zeros(n)
     z[J] = np.clip(_SAFETY * np.einsum("ij,ij->i", E, E), 0.0, 1.0)
     t = _chi2_lower_level(k, _DELTA_LEV / r)

@@ -3,7 +3,9 @@
 ``fast_subspace_embed`` chains coarse leverage-score approximation,
 score-adapted parameter selection, sketch construction and application,
 and reports per-stage timings plus nonzero accounting.  Oblivious kinds
-skip the leverage stage.  The validate stage reads A's exact basis from
+skip the leverage stage.  The pipeline finds the rows a sparse A touches
+for the build alone; which rows of A are nonzero, the leverage module
+decides.  The validate stage reads A's exact basis on those rows from
 :func:`~subsketch.leverage.exact_basis` and its band from
 :func:`~subsketch.diagnostics.singular_values`, as ``distortion`` does.
 """
@@ -78,14 +80,15 @@ def fast_subspace_embed(A, config):
     A passes :func:`~subsketch.apply.as_matrix` once (a scipy.sparse A
     becomes CSR) and must be tall.  For a scipy.sparse A the cost follows
     the rows J that A touches and the entries built, past finding J
-    (once), the n + 1 column pointers of each sketch and one pass over
-    the scores: the leverage estimate runs on J, the osnap and less-ic
-    sketches are built and applied on the columns J only, the validate
-    stage takes the SVD of A[J], and ``nnz_sketch`` in the report still counts the
-    full sketch.  Returns (A_tilde, PipelineReport).  Stage names in the
-    report: ``leverage`` (finding J included), ``parameters``, ``build``,
-    ``apply`` and optionally ``validate``, which for the less kinds also
-    reports ``beta1_measured`` next to the claimed ``beta1``.
+    (once per stage that reads it), the n + 1 column pointers of each
+    sketch and one pass over the scores: the leverage estimate runs on J,
+    the osnap and less-ic sketches are built and applied on the columns J
+    only, the validate stage takes the SVD of A's nonzero rows, and
+    ``nnz_sketch`` in the report still counts the full sketch.  Returns
+    (A_tilde, PipelineReport).  Stage names in the report: ``leverage``,
+    ``parameters``, ``build`` (finding J included), ``apply`` and
+    optionally ``validate``, which for the less kinds also reports
+    ``beta1_measured`` next to the claimed ``beta1``.
     """
     A = as_matrix(A, tall=True, finite=False)
     n, d = A.shape
@@ -93,12 +96,9 @@ def fast_subspace_embed(A, config):
     t_total = time.perf_counter()
     scores = None
 
-    t0 = time.perf_counter()
-    # the rows a sparse A touches, found once for the leverage, build and validate stages
-    J = touched_rows(A)
     if config.kind in LESS_KINDS:
-        scores = approx_leverage(A, config.gamma, seed=derive_seed(config.seed, 0x5C0),
-                                 columns=J)
+        t0 = time.perf_counter()
+        scores = approx_leverage(A, config.gamma, seed=derive_seed(config.seed, 0x5C0))
         timings["leverage"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -108,7 +108,7 @@ def fast_subspace_embed(A, config):
 
     t0 = time.perf_counter()
     # a sparse A needs only the sketch columns of the rows it touches
-    columns = J if spec.kind in COLUMN_KINDS else None
+    columns = touched_rows(A) if spec.kind in COLUMN_KINDS else None
     # less-ic goes through this module's name for it, which per-layer
     # tracing wraps; every other kind through the registry
     sketch = (build_less_ic if spec.kind == "less-ic" else build)(spec, columns=columns)
@@ -121,12 +121,11 @@ def fast_subspace_embed(A, config):
     distortion_info = beta1_measured = None
     if config.validate:
         t0 = time.perf_counter()
-        J, U, svals, Vt = exact_basis(A, J)
-        band = singular_values(A_tilde @ (Vt.T / svals))  # A_tilde V svals^-1 = Pi U on J
+        I, U, svals, Vt = exact_basis(A)
+        band = singular_values(A_tilde @ (Vt.T / svals))  # A_tilde V svals^-1 = Pi U on I
         distortion_info = {"s_min": float(band[-1]), "s_max": float(band[0])}
-        if scores is not None:  # z_i = 0 only on A's zero rows, where U holds SVD rounding
-            lev, z = np.einsum("ij,ij->i", U, U), scores.z[J]
-            beta1_measured = float(np.max(lev[z > 0] / z[z > 0]))
+        if scores is not None:
+            beta1_measured = float(np.max(np.einsum("ij,ij->i", U, U) / scores.z[I]))
         timings["validate"] = time.perf_counter() - t0
 
     total = time.perf_counter() - t_total

@@ -5,7 +5,6 @@ byte, and be empty elsewhere; the restricted sketch is never saved and
 refuses an input that touches a row outside J.
 """
 
-import importlib
 import tracemalloc
 import warnings
 
@@ -207,66 +206,6 @@ def test_leverage_restricted_to_touched_rows():
     assert np.all(sparse.z[off] == 0.0) and np.all(sparse.z[~off] > 0.0)
 
 
-@pytest.mark.parametrize("fmt", ["csr", "coo"])
-def test_leverage_given_touched_rows_equals_leverage_finding_them(fmt):
-    A = _touched_input(seed=12).asformat(fmt)
-    J = touched_rows(A)
-    found = approx_leverage(A, 0.25, seed=6)
-    for columns in (J, np.union1d(J, [0, 1, 2, A.shape[0] - 1])):  # extra rows score 0
-        given_J = approx_leverage(A, 0.25, seed=6, columns=columns)
-        assert given_J.z.tobytes() == found.z.tobytes()
-        assert (given_J.beta1, given_J.beta2) == (found.beta1, found.beta2)
-    dense = approx_leverage(A.toarray(), 0.25, seed=6, columns=J)
-    np.testing.assert_allclose(dense.z, found.z, rtol=1e-10, atol=1e-14)
-
-
-def test_leverage_rejects_bad_columns():
-    A = _touched_input(seed=12)
-    J = touched_rows(A)
-    n = A.shape[0]
-    for bad in (J[1:], J[::-1], np.insert(J, 1, J[0]), np.append(J, n), np.insert(J, 0, -1),
-                J.astype(np.float64)):
-        with pytest.raises(ParameterError):
-            approx_leverage(A, 0.25, seed=6, columns=bad)
-        with pytest.raises(ParameterError):
-            approx_leverage(A.toarray(), 0.25, seed=6, columns=bad)
-
-
-@pytest.mark.parametrize("kind", ["osnap", "less-ic", "less-ie"])
-def test_pipeline_finds_touched_rows_once(kind, monkeypatch):
-    calls = []
-
-    def counting(A):
-        calls.append(A.shape)
-        return touched_rows(A)
-
-    for module in ("subsketch.pipeline", "subsketch.leverage"):
-        monkeypatch.setattr(f"{module}.touched_rows", counting)
-    config = PipelineConfig(eps=0.5, delta=0.05, seed=3, kind=kind)
-    fast_subspace_embed(_touched_input(seed=13), config)
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("kind", ["osnap", "ose-ie", "less-ic", "less-ie", "gaussian-dense"])
-def test_validate_stage_reuses_touched_rows(kind, monkeypatch):
-    # the validate stage factors A[J] for the J that the op found
-    calls = []
-
-    def counting(A):
-        calls.append(A.shape)
-        return touched_rows(A)
-
-    for module in ("pipeline", "leverage", "apply"):  # `subsketch.apply` names the function
-        monkeypatch.setattr(importlib.import_module(f"subsketch.{module}"), "touched_rows",
-                            counting)
-    config = PipelineConfig(eps=0.5, delta=0.05, seed=3, kind=kind, validate=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the less-ie clamp warning
-        _, report = fast_subspace_embed(_touched_input(seed=13), config)
-    assert report.distortion is not None
-    assert len(calls) == 1
-
-
 @pytest.mark.parametrize("kind", ["osnap", "ose-ie", "less-ic", "less-ie", "gaussian-dense"])
 @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
 def test_sparse_input_converted_to_csr_once(kind, fmt, monkeypatch):
@@ -299,6 +238,32 @@ def test_exact_scores_follow_touched_rows():
     assert (got.passed, got.violating_indices) == (want.passed, want.violating_indices)
     np.testing.assert_allclose([got.lower_margin, got.sum_margin],
                                [want.lower_margin, want.sum_margin], rtol=0, atol=1e-12)
+
+
+def test_every_storage_gives_the_same_exact_scores():
+    # a dense A, its CSR, CSC and COO copies and CSR with stored zeros in
+    # zero rows: one exact reference, in which every zero row scores 0
+    rng = np.random.default_rng(21)
+    A = rng.standard_normal((4096, 32))
+    A[rng.random(4096) < 0.3] = 0.0
+    zero = np.flatnonzero(~A.any(axis=1))
+    csr = scipy.sparse.csr_matrix(A)
+    coo = csr.tocoo()
+    stored_zeros = scipy.sparse.csr_matrix(
+        (np.append(coo.data, np.zeros(8)),
+         (np.append(coo.row, zero[:8]), np.append(coo.col, np.arange(8)))), shape=A.shape)
+    assert stored_zeros.nnz == csr.nnz + 8
+    forms = [A, csr, csr.tocsc(), coo, stored_zeros]
+    exact = [exact_leverage(X) for X in forms]
+    assert len({e.digest() for e in exact}) == 1
+    assert np.all(exact[0].z[zero] == 0.0)
+    scores = approx_leverage(csr, 0.25, seed=2)
+    checks = [validate_scores(X, scores) for X in forms]
+    assert len({(c.lower_margin, c.sum_margin, tuple(c.violating_indices)) for c in checks}) == 1
+    # the approximate scores of a dense and a sparse A differ in their last bits
+    config = PipelineConfig(eps=0.5, delta=0.05, seed=3, validate=True)
+    dense, sparse = (fast_subspace_embed(X, config)[1].beta1_measured for X in (A, csr))
+    assert sparse == pytest.approx(dense, rel=1e-9)
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
