@@ -19,9 +19,12 @@ from .sketch import DenseSketch
 
 def as_matrix(A, *, tall, finite):
     """The input gate: A as a float64 CSR matrix if scipy.sparse, else a
-    float64 ndarray, copied only to convert.  ParameterError for complex or
-    non-numeric data, an ndim other than 2 (1 passes for a dense A unless
-    ``tall``), unless n >= d >= 1 when ``tall``, and NaN or Inf when ``finite``."""
+    float64 ndarray, copied only to convert.  A non-canonical CSR (unsorted
+    column indices or duplicate entries) is canonicalized on a copy, its
+    duplicates summed; the caller's matrix is never changed.
+    ParameterError for complex or non-numeric data, an ndim other than 2
+    (1 passes for a dense A unless ``tall``), unless n >= d >= 1 when
+    ``tall``, and NaN or Inf when ``finite``."""
     sparse = scipy.sparse.issparse(A)
     try:
         A = (A if A.format == "csr" else A.tocsr()) if sparse else np.asarray(A)
@@ -35,7 +38,11 @@ def as_matrix(A, *, tall, finite):
         raise ParameterError(f"need a tall matrix with n >= d >= 1, got shape {A.shape}")
     if finite and not np.isfinite(A.data if sparse else A).all():
         raise ParameterError("input matrix holds NaN or Inf entries")
-    return A.astype(np.float64, copy=False)
+    A = A.astype(np.float64, copy=False)
+    if sparse and not A.has_canonical_format:  # scipy caches the flag on A
+        A = A.copy()
+        A.sum_duplicates()
+    return A
 
 
 def touched_rows(A):
@@ -83,9 +90,8 @@ def _restricted_product(sketch, A):
     A_J = A[J]
     if _nnz(A_J) != _nnz(A):
         raise ParameterError("input touches a row outside the columns the sketch was built on")
-    # the columns outside J are empty, so column J[k] ends where J[k + 1] begins
-    indptr = np.append(sketch.indptr[J], sketch.nnz)
-    S_J = scipy.sparse.csc_matrix((sketch.values, sketch.rows, indptr), shape=(sketch.m, J.size))
+    S_J = scipy.sparse.csc_matrix((sketch.values, sketch.rows, sketch.built_indptr),
+                                  shape=(sketch.m, J.size))
     return S_J @ A_J
 
 

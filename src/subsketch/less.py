@@ -59,7 +59,7 @@ def subcolumn_layout(spec, j):
     """
     if not 0 <= j < spec.n:
         raise ParameterError(f"column index {j} out of range [0, {spec.n})")
-    b = int(_heights(spec, _scores(spec, "less-ic").z[j:j + 1])[0])
+    b = int(_heights(spec, _scores(spec, "less-ic").at([j]))[0])
     s_j = -(-spec.m // b)
     out = []
     for gamma in range(1, s_j + 1):
@@ -77,16 +77,20 @@ def build_less_ic(spec, columns=None):
     signs), each scaled by sqrt(p * width).  With ``columns`` only those
     columns are hashed; they equal the full build's and every other
     column is empty.  Heights and counts are computed on the built
-    columns and on the support of the scores only.  A column with
-    z_j = 0 has height m and a single block, so column j's first entry is
+    columns and on the support of the scores only, read from the rows
+    the scores are held on.  A column with z_j = 0 has height m and a
+    single block, so column j's first entry is
 
-        offset_j = j + sum over j' < j with z_j' != 0 of (s_j' - 1),
+        offset_j = j + sum over j' < j with z_j' != 0 of (s_j' - 1);
 
-    found with one pass over z; on a full build that is the running count
-    of blocks, which :func:`~subsketch.oblivious.blocked_entries` takes
-    from the column order.
+    on a full build that is the running count of blocks, which
+    :func:`~subsketch.oblivious.blocked_entries` takes from the column
+    order.  A restricted build on scores held on some rows (as
+    :func:`~subsketch.leverage.approx_leverage` gives them for a
+    scipy.sparse A) costs O(|J| + |rows| + entries built), with no pass
+    over n.
     """
-    z = _scores(spec, "less-ic").z
+    scores = _scores(spec, "less-ic")
     if spec.p >= 1.0:
         raise ParameterError(
             "the independent-column construction requires p < 1; use a dense baseline for p = 1"
@@ -95,18 +99,21 @@ def build_less_ic(spec, columns=None):
     if pm < 1.0:
         raise ParameterError(f"need p*m >= 1, got {pm}")
     offsets = total = None
-    if columns is not None:
+    if columns is None:
+        heights = _heights(spec, scores.z)
+    else:
         columns = check_columns(columns, spec.n)
-        support = np.flatnonzero(z != 0.0)  # a bool pass: faster than on floats
+        live = scores.z_rows != 0.0  # a bool pass: faster than on floats
+        support = np.flatnonzero(live) if scores.rows is None else scores.rows[live]
         extra = np.zeros(support.size + 1, dtype=np.int64)  # blocks past the first, running
-        np.cumsum(-(-spec.m // _heights(spec, z[support])) - 1, out=extra[1:])
+        np.cumsum(-(-spec.m // _heights(spec, scores.z_rows[live])) - 1, out=extra[1:])
         offsets = columns + extra[np.searchsorted(support, columns)]
         total = spec.n + int(extra[-1])
-    heights = _heights(spec, z if columns is None else z[columns])
-    indptr, rows, signs, width = blocked_entries(spec, heights, columns, offsets, total)
+        heights = _heights(spec, scores.at(columns))
+    ptr, rows, signs, width = blocked_entries(spec, heights, columns, offsets, total)
     return SparseSketch(
         spec=spec,
-        indptr=indptr,
+        indptr=ptr,
         rows=rows,
         values=signs * np.sqrt(spec.p * width),
         columns=columns,
@@ -122,7 +129,8 @@ def build_less_ie(spec):
     with per-column keep probabilities, in O(nnz + n).
     """
     scores = _scores(spec, "less-ie")
-    prob = scores.beta1 * scores.z * spec.p
+    z = scores.z
+    prob = scores.beta1 * z * spec.p
     clamped = int(np.sum(prob > 1.0))
     if clamped:
         warnings.warn(
@@ -130,5 +138,5 @@ def build_less_ie(spec):
             stacklevel=2,
         )
         prob = np.minimum(prob, 1.0)
-    mag = 1.0 / np.sqrt(scores.beta1 * np.maximum(scores.z, 1e-300))
+    mag = 1.0 / np.sqrt(scores.beta1 * np.maximum(z, 1e-300))
     return _bernoulli_sketch(spec, prob, mag)

@@ -26,35 +26,69 @@ from .errors import FormatError, ParameterError, RankDeficiencyError, as_real
 from .sketch import scores_digest
 
 
-@dataclass
 class LeverageScores:
-    """Scores z in [0, 1]^n with the claimed (beta1, beta2) guarantees."""
+    """Scores z in [0, 1]^n with the claimed (beta1, beta2) guarantees.
 
-    z: np.ndarray
-    beta1: float = 1.0
-    beta2: float = 1.0
+    One representation: n, the rows that may score nonzero (``rows``,
+    sorted indices; None for every row) and z on those rows (``z_rows``);
+    every other score is 0.  The constructor takes the full vector z; the
+    leverage functions give a scipy.sparse A's scores on the rows J it
+    touches (:func:`exact_leverage` on its nonzero rows), checked and
+    clipped in O(|J|), so an op on them costs O(|J| + nnz(A) + entries
+    built) past :func:`~subsketch.apply.touched_rows`.  Reading :attr:`z`
+    builds the full vector; :meth:`at` reads some of it.
+    """
 
-    def __post_init__(self):
-        raw, self.z = self.z, np.asarray(self.z)
+    def __init__(self, z, beta1=1.0, beta2=1.0):
+        raw, z = z, np.asarray(z)
         # a bool or a string is no score; numpy reads [True, 0.5] as float64
-        if (self.z.dtype.kind not in "iuf" or self.z.ndim != 1 or self.z is not raw
+        if (z.dtype.kind not in "iuf" or z.ndim != 1 or z is not raw
                 and any(isinstance(v, (bool, np.bool_)) for v in raw)):
             raise ParameterError("scores must be a 1-D vector of real numbers, not bools "
-                                 f"or strings; got a {self.z.ndim}-D array")
-        self.z = self.z.astype(np.float64, copy=False)
-        lo, hi = (self.z.min(), self.z.max()) if self.z.size else (0.0, 0.0)
+                                 f"or strings; got a {z.ndim}-D array")
+        self._set(z.size, None, z, beta1, beta2)
+
+    @classmethod
+    def _on_rows(cls, n, rows, z_rows, beta1=1.0, beta2=1.0):
+        """The scores that are ``z_rows`` on the sorted ``rows`` (None: every
+        row) and 0 elsewhere; checked like the full vector, in O(|rows|)."""
+        scores = cls.__new__(cls)
+        scores._set(n, rows, z_rows, beta1, beta2)
+        return scores
+
+    def _set(self, n, rows, z_rows, beta1, beta2):
+        z_rows = np.asarray(z_rows).astype(np.float64, copy=False)
+        lo, hi = (z_rows.min(), z_rows.max()) if z_rows.size else (0.0, 0.0)
         if not np.isfinite([lo, hi]).all():
             raise ParameterError("scores must be finite")
         if lo < -1e-12 or hi > 1.0 + 1e-12:
             raise ParameterError("scores must lie in [0, 1]")
         if lo < 0.0 or hi > 1.0:  # clip keeps -0.0, so in-range scores need no copy
-            self.z = np.clip(self.z, 0.0, 1.0)
-        self.beta1 = as_real("beta1", self.beta1, "[1, inf)")
-        self.beta2 = as_real("beta2", self.beta2, "[1, inf)")
+            z_rows = np.clip(z_rows, 0.0, 1.0)
+        self.n, self.rows, self.z_rows = n, rows, z_rows
+        self.beta1 = as_real("beta1", beta1, "[1, inf)")
+        self.beta2 = as_real("beta2", beta2, "[1, inf)")
 
     @property
-    def n(self):
-        return self.z.size
+    def z(self):
+        """The full length-n vector (built on each read unless ``rows`` is None)."""
+        if self.rows is None:
+            return self.z_rows
+        z = np.zeros(self.n)
+        z[self.rows] = self.z_rows
+        return z
+
+    def at(self, idx):
+        """z at the integer indices ``idx``, in O(|idx| log |rows|)."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if self.rows is None:
+            return self.z_rows[idx]
+        out = np.zeros(idx.shape)
+        pos = np.searchsorted(self.rows, idx)
+        hit = pos < self.rows.size
+        hit[hit] = self.rows[pos[hit]] == idx[hit]
+        out[hit] = self.z_rows[pos[hit]]
+        return out
 
     def digest(self):
         return scores_digest(self.z, self.beta1, self.beta2)
@@ -114,12 +148,12 @@ def exact_basis(A):
 
 
 def exact_leverage(A):
-    """Row norms squared of the U of :func:`exact_basis`, clamped at 1;
-    every zero row of A scores exactly 0, whatever its storage."""
+    """Row norms squared of the U of :func:`exact_basis`, clamped at 1,
+    held on A's nonzero rows I; every zero row of A scores exactly 0,
+    whatever its storage."""
     I, U, _, _ = exact_basis(A)
-    z = np.zeros(np.shape(A)[0])
-    z[I] = np.minimum(np.einsum("ij,ij->i", U, U), 1.0)
-    return LeverageScores(z=z, beta1=1.0, beta2=1.0)
+    z = np.minimum(np.einsum("ij,ij->i", U, U), 1.0)
+    return LeverageScores._on_rows(np.shape(A)[0], I, z)
 
 
 def _full_rank_r(X, n):
@@ -187,11 +221,12 @@ def approx_leverage(A, gamma, *, seed=0):
     Take R from a QR of A's r nonzero rows or of a sketch of A, and
     estimate the row norms of A R^-1 with k = ceil(4/gamma) Gaussian test
     vectors; estimates are inflated by 2 and clamped to [0, 1].  For a
-    scipy.sparse A the work follows the rows J that A touches, past
-    finding J, the sketch's n + 1 column pointers and one pass over the
-    scores: the sketch hashes only the columns J, and A[J] R^-1 G is
-    formed and clamped on J alone; every other score is exactly 0, as
-    the full product gives.  NaN or Inf entries raise ParameterError.
+    scipy.sparse A the cost is O(|J| + nnz(A) + entries built) past
+    :func:`~subsketch.apply.touched_rows`, which finds the rows J that A
+    touches: the sketch hashes only the columns J, A[J] R^-1 G is formed,
+    checked, clamped and summed on J alone, and the scores are returned
+    on J; every other score is exactly 0, as the full product gives.
+    NaN or Inf entries raise ParameterError.
 
     The route.  r is counted first (one pass over a dense A; over the
     stored entries of a sparse one).  When r <= 2 rows, where
@@ -228,7 +263,9 @@ def approx_leverage(A, gamma, *, seed=0):
     delta_lev = 0.01; for small t, t ~ (delta_lev / r)^(2/k) / e, so
     beta1 grows like (r / delta_lev)^(gamma / 2).  The route and r depend
     on A's nonzero rows, d and n alone, so a sparse A, its dense copy
-    and A with stored zeros claim the same beta1.  beta2 is reported as measured, max(1, sum(z)/d).
+    and A with stored zeros claim the same beta1.  beta2 is reported as
+    measured, max(1, sum(z)/d), the sum taken over the rows the scores
+    are held on (J for a sparse A, every row for a dense one).
     """
     gamma = as_real("gamma", gamma, "(0, 1)")
     A = as_matrix(A, tall=True, finite=False)
@@ -252,16 +289,13 @@ def approx_leverage(A, gamma, *, seed=0):
     rng = np.random.default_rng(derive_seed(seed, 0x7E57))
     G = rng.standard_normal((d, k)) / math.sqrt(k)
     W = scipy.linalg.solve_triangular(R, G, lower=False)
-    if J is None:
-        J = slice(None)  # E_i = 0 exactly off the rows a sparse A touches
-    E = np.asarray(A[J] @ W)
-    z = np.zeros(n)
-    z[J] = np.clip(_SAFETY * np.einsum("ij,ij->i", E, E), 0.0, 1.0)
+    E = np.asarray((A if J is None else A[J]) @ W)  # E_i = 0 exactly off J
+    z = np.clip(_SAFETY * np.einsum("ij,ij->i", E, E), 0.0, 1.0)
     t = _chi2_lower_level(k, _DELTA_LEV / r)
     eps_lev = 0.0 if direct else _EPS_LEV
     beta1 = max(1.0, (1.0 + eps_lev) ** 2 / (_SAFETY * t))
-    beta2 = max(1.0, float(z.sum()) / d)  # summed over all n: the bytes of a full sum
-    return LeverageScores(z=z, beta1=beta1, beta2=beta2)
+    beta2 = max(1.0, float(z.sum()) / d)
+    return LeverageScores._on_rows(n, J, z, beta1, beta2)
 
 
 @dataclass

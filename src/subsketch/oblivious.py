@@ -157,12 +157,14 @@ def blocked_entries(spec, heights, columns=None, offsets=None, total=None):
     in column order, so it needs neither, and its points form one
     progression.  Entry t's sign comes from hash point 2t and its row
     within the block from point 2t + 1, so a column's entries do not
-    depend on which other columns are built.  Past the n + 1 column
-    pointers the cost follows the built entries.  ParameterError for a
-    sketch of 2^31 or more entries, whose points would leave the 32-bit
-    hash domain.
-    Returns the n + 1 column pointers, and the rows, the signs and the
-    block width of each built entry.
+    depend on which other columns are built.  The cost is
+    O(built columns + built entries), so a build on the rows J a
+    scipy.sparse A touches costs O(|J| + entries built) and makes no
+    array of length n.  ParameterError for a sketch of 2^31 or more entries,
+    whose points would leave the 32-bit hash domain.
+    Returns the built columns' pointers (n + 1 on a full build, |J| + 1
+    for ``columns`` J), and the rows, the signs and the block width of
+    each built entry.
     """
     kept = -(-spec.m // heights)  # blocks of each built column
     built = spec.n if columns is None else columns.size
@@ -172,22 +174,19 @@ def blocked_entries(spec, heights, columns=None, offsets=None, total=None):
     if total >= HASH_DOMAIN // 2:  # entry t hashes points 2t and 2t + 1
         raise ParameterError(f"a blocked sketch holds at most 2^31 - 1 entries, got {total}")
     first = ptr[:-1]  # where each built column's entries begin
-    # a column not built repeats the pointer before it
-    indptr = ptr if columns is None else np.repeat(ptr, np.diff(columns, prepend=-1,
-                                                                append=spec.n))
-    t = np.arange(indptr[-1], dtype=np.uint64)  # a full build's points stay in progression
+    t = np.arange(ptr[-1], dtype=np.uint64)  # a full build's points stay in progression
     if columns is not None:  # shift each column's run from first_i to offsets_i
         t += np.repeat((offsets - first).astype(np.uint64), kept)
     family = KWiseFamily(seed=spec.seed, degree_k=spec.degree_k)
     signs = family.rademacher(t * np.uint64(2))
     field = family.evaluate(t * np.uint64(2) + np.uint64(1))
     # laid out after the hashing, so these arrays do not add to its peak memory
-    lo = np.arange(indptr[-1], dtype=np.int64) - np.repeat(first, kept)  # block gamma
+    lo = np.arange(ptr[-1], dtype=np.int64) - np.repeat(first, kept)  # block gamma
     width = heights if np.ndim(heights) == 0 else np.repeat(heights, kept)
     lo *= width  # 0-based block start
     width = np.minimum(lo + width, spec.m) - lo
     rows = lo + scale_to_range(field, width.view(np.uint64)).astype(np.int64)
-    return indptr, rows, signs, width
+    return ptr, rows, signs, width
 
 
 def build_osnap(spec, columns=None):
@@ -204,10 +203,10 @@ def build_osnap(spec, columns=None):
     if columns is not None:
         columns = check_columns(columns, spec.n)
         offsets, total = spec.s * columns, spec.n * spec.s
-    indptr, rows, signs, _ = blocked_entries(spec, spec.m // spec.s, columns, offsets, total)
+    ptr, rows, signs, _ = blocked_entries(spec, spec.m // spec.s, columns, offsets, total)
     return SparseSketch(
         spec=spec,
-        indptr=indptr,
+        indptr=ptr,
         rows=rows,
         values=signs,
         columns=columns,

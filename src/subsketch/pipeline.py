@@ -3,9 +3,10 @@
 ``fast_subspace_embed`` chains coarse leverage-score approximation,
 score-adapted parameter selection, sketch construction and application,
 and reports per-stage timings plus nonzero accounting.  Oblivious kinds
-skip the leverage stage.  The pipeline finds the rows a sparse A touches
-for the build alone; which rows of A are nonzero, the leverage module
-decides.  The validate stage reads A's exact basis on those rows from
+skip the leverage stage.  The build of a sparse A reads the rows J it
+touches from the leverage scores, which are held on J, or finds them
+itself for an oblivious kind; which rows of A are nonzero, the leverage
+module decides.  The validate stage reads A's exact basis on those rows from
 :func:`~subsketch.leverage.exact_basis` and its band from
 :func:`~subsketch.diagnostics.singular_values`, as ``distortion`` does.
 """
@@ -78,17 +79,19 @@ def fast_subspace_embed(A, config):
     """Compute A_tilde = Pi A with the score-adapted pipeline.
 
     A passes :func:`~subsketch.apply.as_matrix` once (a scipy.sparse A
-    becomes CSR) and must be tall.  For a scipy.sparse A the cost follows
-    the rows J that A touches and the entries built, past finding J
-    (once per stage that reads it), the n + 1 column pointers of each
-    sketch and one pass over the scores: the leverage estimate runs on J,
-    the osnap and less-ic sketches are built and applied on the columns J
-    only, the validate stage takes the SVD of A's nonzero rows, and
-    ``nnz_sketch`` in the report still counts the full sketch.  Returns
+    becomes CSR) and must be tall.  For a scipy.sparse A the cost is
+    O(|J| + nnz(A) + entries built) past
+    :func:`~subsketch.apply.touched_rows`, which finds the rows J that A
+    touches (once, and once more to validate) and is the op's only pass
+    over n: the leverage scores are estimated and held on J, the osnap and
+    less-ic sketches are built and applied on the columns J only and keep
+    |J| + 1 column pointers, the validate stage takes the SVD of A's
+    nonzero rows and reads the scores on them, and ``nnz_sketch`` in the
+    report still counts the full sketch.  Returns
     (A_tilde, PipelineReport).  Stage names in the report: ``leverage``,
-    ``parameters``, ``build`` (finding J included), ``apply`` and
-    optionally ``validate``, which for the less kinds also reports
-    ``beta1_measured`` next to the claimed ``beta1``.
+    ``parameters``, ``build`` (finding J included for an oblivious
+    kind), ``apply`` and optionally ``validate``, which for the less
+    kinds also reports ``beta1_measured`` next to the claimed ``beta1``.
     """
     A = as_matrix(A, tall=True, finite=False)
     n, d = A.shape
@@ -107,8 +110,11 @@ def fast_subspace_embed(A, config):
     timings["parameters"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # a sparse A needs only the sketch columns of the rows it touches
-    columns = touched_rows(A) if spec.kind in COLUMN_KINDS else None
+    # a sparse A needs only the sketch columns of the rows J it touches,
+    # which approx_leverage found and holds its scores on
+    columns = None
+    if spec.kind in COLUMN_KINDS:
+        columns = touched_rows(A) if scores is None else scores.rows
     # less-ic goes through this module's name for it, which per-layer
     # tracing wraps; every other kind through the registry
     sketch = (build_less_ic if spec.kind == "less-ic" else build)(spec, columns=columns)
@@ -125,7 +131,7 @@ def fast_subspace_embed(A, config):
         band = singular_values(A_tilde @ (Vt.T / svals))  # A_tilde V svals^-1 = Pi U on I
         distortion_info = {"s_min": float(band[-1]), "s_max": float(band[0])}
         if scores is not None:
-            beta1_measured = float(np.max(np.einsum("ij,ij->i", U, U) / scores.z[I]))
+            beta1_measured = float(np.max(np.einsum("ij,ij->i", U, U) / scores.at(I)))
         timings["validate"] = time.perf_counter() - t0
 
     total = time.perf_counter() - t_total

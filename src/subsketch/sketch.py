@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -67,25 +67,39 @@ class _Sketch:
         return self.scale * self._unscaled()
 
 
-@dataclass
 class SparseSketch(_Sketch):
-    spec: object
-    indptr: np.ndarray
-    rows: np.ndarray
-    values: np.ndarray
-    # the header fields of a loaded file that its spec does not hold: the
-    # score fields, a family other than the kind's model, the degree_k of
-    # a kind that does not hash; save writes them back in place
-    extras: dict = field(default_factory=dict)
-    # sorted indices of the built columns when the build skipped the rest
-    # (empty here, unlike the full sketch); None for a full sketch
-    columns: np.ndarray = None
+    """The unscaled sparse S of ``spec``, column-major.
 
-    def __post_init__(self):
-        self.indptr = np.asarray(self.indptr, dtype=np.int64)
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
+    ``indptr`` holds the pointers of the built columns: all n + 1 for a
+    full sketch; for a sketch built on the sorted ``columns`` J only
+    (every other column empty), the |J| + 1 pointers of J, kept as
+    ``built_indptr``, so building, holding and applying it on a
+    scipy.sparse A costs O(|J| + nnz(A) + entries built) past
+    :func:`~subsketch.apply.touched_rows`.  Its n + 1 :attr:`indptr` is
+    computed when first read (:meth:`tocsc`, :meth:`materialize` and
+    :meth:`column_energy` read it) and kept.  ``extras`` holds
+    the header fields of a loaded file that its spec does not hold: the
+    score fields, a family other than the kind's model, the degree_k of a
+    kind that does not hash; save writes them back in place.
+    """
+
+    def __init__(self, spec, indptr, rows, values, extras=None, columns=None):
+        self.spec = spec
+        self.built_indptr = np.asarray(indptr, dtype=np.int64)
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.values = np.asarray(values, dtype=np.float64)
+        self.extras = {} if extras is None else extras
+        self.columns = columns
+        self._indptr = self.built_indptr if columns is None else None
         self._csc = None
+
+    @property
+    def indptr(self):
+        """The n + 1 column pointers; a column not built repeats the one before it."""
+        if self._indptr is None:
+            self._indptr = np.repeat(self.built_indptr,
+                                     np.diff(self.columns, prepend=-1, append=self.n))
+        return self._indptr
 
     @property
     def nnz(self):

@@ -351,3 +351,82 @@ def test_checks_on_sparse_input_do_not_densify_n_rows():
     scores, peak = _traced_peak(lambda: exact_leverage(A))
     assert np.count_nonzero(scores.z) == J.size
     assert peak < 8 * n + 2 * n, peak / n
+
+
+def _with_duplicates(seed=0):
+    # row 3 is a zero row; it gets two stored entries at (3, 0) summing to 0
+    A = np.random.default_rng(seed).standard_normal((400, 8))
+    A[::3] = 0.0
+    csr = scipy.sparse.csr_matrix(A)
+    at = csr.indptr[3]
+    data = np.insert(csr.data, at, [1.0, -1.0])
+    indices = np.insert(csr.indices, at, [0, 0])
+    indptr = csr.indptr + np.where(np.arange(401) > 3, 2, 0)
+    return A, scipy.sparse.csr_matrix((data, indices, indptr), shape=A.shape)
+
+
+def test_duplicate_entries_sum_on_a_copy():
+    A, dup = _with_duplicates()
+    assert not dup.has_canonical_format and dup.nnz == np.count_nonzero(A) + 2
+    kept = [x.copy() for x in (dup.data, dup.indices, dup.indptr)]
+    exact = exact_leverage(dup)
+    assert exact.digest() == exact_leverage(A).digest()
+    assert exact.z[3] == 0.0
+    got, want = approx_leverage(dup, 0.25, seed=1), approx_leverage(A, 0.25, seed=1)
+    assert got.beta1 == want.beta1
+    assert got.z[3] == 0.0
+    # the caller's matrix keeps its entries
+    for before, after in zip(kept, (dup.data, dup.indices, dup.indptr)):
+        assert before.tobytes() == after.tobytes()
+
+
+def _forms(scores):
+    # the same scores held on their rows and as a full vector
+    return scores, LeverageScores(z=scores.z, beta1=scores.beta1, beta2=scores.beta2)
+
+
+@pytest.mark.parametrize("estimate", ["approx", "exact"])
+def test_scores_on_rows_equal_the_full_vector(estimate):
+    A = _touched_input(seed=17)
+    held = approx_leverage(A, 0.25, seed=5) if estimate == "approx" else exact_leverage(A)
+    assert held.rows is not None and held.rows.size < A.shape[0] // 2
+    held, full = _forms(held)
+    assert full.rows is None
+    assert held.n == full.n == A.shape[0]
+    assert held.digest() == full.digest()
+    assert held.to_dict() == full.to_dict()
+    back = LeverageScores.from_dict(held.to_dict())
+    assert back.digest() == held.digest() and back.n == held.n
+    idx = np.array([0, 1, *held.rows[:5], A.shape[0] - 1])
+    assert held.at(idx).tobytes() == full.at(idx).tobytes() == full.z[idx].tobytes()
+    J = touched_rows(A)
+    for builder_spec in (dict(m=64, p=4 / 64), dict(m=40, p=0.25)):
+        parts = [build_less_ic(SketchSpec(kind="less-ic", degree_k=12, seed=9, scores=s,
+                                          **builder_spec), columns=J) for s in (held, full)]
+        for attr in ("rows", "values", "indptr", "built_indptr"):
+            assert getattr(parts[0], attr).tobytes() == getattr(parts[1], attr).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 1.5])
+def test_scores_on_rows_are_checked(bad):
+    rows = np.array([2, 5, 7])
+    good = LeverageScores._on_rows(10, rows, np.array([0.5, 1.0 + 1e-13, -1e-13]))
+    assert good.z_rows.tobytes() == np.array([0.5, 1.0, 0.0]).tobytes()
+    assert good.z[[2, 5, 7]].tolist() == [0.5, 1.0, 0.0] and good.z.sum() == 1.5
+    with pytest.raises(ParameterError):
+        LeverageScores._on_rows(10, rows, np.array([0.5, bad, 0.25]))
+
+
+@pytest.mark.parametrize("validate", [False, True])
+def test_embed_memory_follows_touched_rows(validate):
+    # embed-sparse's ~3.4k touched rows at n = 2^22: past touched_rows'
+    # n-byte row mask no array of length n, float or pointer, is made
+    n, d = 1 << 22, 32
+    rng = np.random.default_rng(1)
+    A = scipy.sparse.random(n, d, density=3400 / (n * d), random_state=rng, format="csr")
+    A = (A + scipy.sparse.csr_matrix(
+        (rng.uniform(1, 2, d), (np.arange(d), np.arange(d))), shape=(n, d))).tocsr()
+    config = PipelineConfig(eps=0.5, delta=0.05, seed=3, kind="less-ic", validate=validate)
+    (out, report), peak = _traced_peak(lambda: fast_subspace_embed(A, config))
+    assert out.shape == (report.m, d) and (report.distortion is not None) == validate
+    assert peak < 2 * n, peak / n
