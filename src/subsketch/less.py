@@ -117,6 +117,7 @@ def build_less_ic(spec, columns=None):
         rows=rows,
         values=signs * np.sqrt(spec.p * width),
         columns=columns,
+        full_nnz=total,
     )
 
 

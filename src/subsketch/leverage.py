@@ -1,8 +1,9 @@
 """Exact and coarse approximate leverage scores of a tall matrix.
 
 The i-th leverage score of A is the squared norm of the i-th row of any
-orthonormal basis of A's column space; every exact check reads the one
-from :func:`exact_basis`, an SVD of A's nonzero rows.  Approximate scores
+orthonormal basis of A's column space, such as A R^-1 for the R that
+:func:`_r_factor`, this module's one factorization and rank test, takes
+of A's nonzero rows; every exact check reads those.  Approximate scores
 are one-sided overestimates: z_i >= l_i / beta1 with sum(z) <= beta2 * d.
 The claimed beta1 is the one the estimator proves (see
 :func:`approx_leverage`): a chi-square lower tail, union-bounded over
@@ -128,43 +129,38 @@ def _dense_rows(A, I):
     return A[I].tocoo().toarray()  # a CSR toarray goes through tocsr
 
 
-def exact_basis(A):
-    """(I, U, svals, Vt), the thin SVD of A[I] for I the nonzero rows of A
-    (indices into A, see :func:`_nonzero_rows`), after the input gate
-    with NaN and Inf rejected.  Singular values at or below
-    max(n, d) * eps * s_max count as zero, and a deficient A raises
-    :class:`RankDeficiencyError` naming its numerical rank."""
-    A = as_matrix(A, tall=True, finite=True)
-    n, d = A.shape
-    _, I = _nonzero_rows(A)
-    U, svals, Vt = np.linalg.svd(_dense_rows(A, I), full_matrices=False)
+def _r_factor(X, n):
+    """R of a QR of X, the dense nonzero rows of an n x d matrix or a sketch
+    with n rows; RankDeficiencyError when fewer than d singular values of R
+    exceed max(n, d) * eps * s_max, with their count as the numerical rank."""
+    R = np.linalg.qr(X, mode="r")
+    svals = np.linalg.svd(R, compute_uv=False)
+    d = X.shape[1]
     tol = max(n, d) * np.finfo(np.float64).eps * (svals[0] if svals.size else 0.0)
     rank = int(np.sum(svals > tol))
     if rank < d:
         raise RankDeficiencyError(
             f"matrix is rank deficient: numerical rank {rank} < {d}", rank
         )
-    return I, U, svals, Vt
+    return R
+
+
+def _exact_rows(A):
+    """(I, R, l) of A, NaN and Inf rejected: its nonzero rows I, the R of
+    A[I] and the exact scores l_i = |A_i R^-1|^2 on I, unclamped."""
+    A = as_matrix(A, tall=True, finite=True)
+    _, I = _nonzero_rows(A)
+    X = _dense_rows(A, I)
+    R = _r_factor(X, A.shape[0])
+    Q = scipy.linalg.solve_triangular(R, X.T, trans="T").T  # X R^-1, orthonormal columns
+    return I, R, np.einsum("ij,ij->i", Q, Q)
 
 
 def exact_leverage(A):
-    """Row norms squared of the U of :func:`exact_basis`, clamped at 1,
-    held on A's nonzero rows I; every zero row of A scores exactly 0,
-    whatever its storage."""
-    I, U, _, _ = exact_basis(A)
-    z = np.minimum(np.einsum("ij,ij->i", U, U), 1.0)
-    return LeverageScores._on_rows(np.shape(A)[0], I, z)
-
-
-def _full_rank_r(X, n):
-    """R of a QR of X, the nonzero rows of an n x d matrix, or None when
-    it is numerically rank deficient: min |R_ii| <= max(n, d) eps max |R_ii|."""
-    R = np.linalg.qr(X, mode="r")
-    diag = np.abs(np.diag(R))
-    d = X.shape[1]
-    if diag.size < d or diag.min() <= max(n, d) * np.finfo(np.float64).eps * diag.max():
-        return None
-    return R
+    """The exact scores of :func:`_exact_rows` clamped at 1, held on A's
+    nonzero rows; every zero row of A scores exactly 0, whatever its storage."""
+    I, _, l = _exact_rows(A)
+    return LeverageScores._on_rows(np.shape(A)[0], I, np.minimum(l, 1.0))
 
 
 _S0 = 8  # the leverage sketch's entries per column
@@ -178,7 +174,7 @@ def _sketch_rows(d, n):
 
 
 def _sketch_r_factor(A, d, n, seed, columns):
-    """R from a QR of a blocked sketch of A; None when numerically singular.
+    """R from :func:`_r_factor` of a blocked sketch of A.
 
     ``columns``, the rows a sparse A touches (None for a dense A),
     restricts the build to them.
@@ -190,7 +186,7 @@ def _sketch_r_factor(A, d, n, seed, columns):
     spec = SketchSpec.from_sparsity(
         "osnap", m=rows, n=n, s=_S0, degree_k=16, seed=derive_seed(seed, 0x1E7),
     )
-    return _full_rank_r(_apply(build_osnap(spec, columns=columns), A), rows)
+    return _r_factor(_apply(build_osnap(spec, columns=columns), A), rows)
 
 
 _SAFETY = 2.0  # inflation of the estimates, which the claimed beta1 carries
@@ -277,14 +273,14 @@ def approx_leverage(A, gamma, *, seed=0):
         X = _dense_rows(A, I)
         if not np.isfinite(X).all():
             raise ParameterError("input matrix holds NaN or Inf entries")
-        R = _full_rank_r(X, n)
+        R = _r_factor(X, n)
     else:
-        R = _sketch_r_factor(A, d, n, seed, J)
-    if R is None:  # a deficient A raises here, naming its numerical rank
-        exact_basis(A)
-        raise RankDeficiencyError(
-            "nonzero rows of A are numerically rank deficient" if direct
-            else "the leverage sketch of A is numerically singular", d)
+        try:
+            R = _sketch_r_factor(A, d, n, seed, J)
+        except RankDeficiencyError:  # a deficient A raises here, naming its rank
+            _r_factor(_dense_rows(A, I), n)
+            raise RankDeficiencyError("the leverage sketch of A is numerically singular",
+                                      d) from None
     k = math.ceil(4.0 / gamma)
     rng = np.random.default_rng(derive_seed(seed, 0x7E57))
     G = rng.standard_normal((d, k)) / math.sqrt(k)

@@ -210,6 +210,7 @@ def build_osnap(spec, columns=None):
         rows=rows,
         values=signs,
         columns=columns,
+        full_nnz=total,
     )
 
 

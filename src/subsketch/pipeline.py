@@ -6,8 +6,8 @@ and reports per-stage timings plus nonzero accounting.  Oblivious kinds
 skip the leverage stage.  The build of a sparse A reads the rows J it
 touches from the leverage scores, which are held on J, or finds them
 itself for an oblivious kind; which rows of A are nonzero, the leverage
-module decides.  The validate stage reads A's exact basis on those rows from
-:func:`~subsketch.leverage.exact_basis` and its band from
+module decides.  The validate stage reads R and the exact scores on those
+rows from the leverage module, and the band of A_tilde R^-1 from
 :func:`~subsketch.diagnostics.singular_values`, as ``distortion`` does.
 """
 
@@ -15,13 +15,14 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.linalg
 
 from ._field import derive_seed
 from .apply import _nnz, as_matrix, touched_rows
 from .apply import apply as _apply
 from .diagnostics import singular_values
 from .errors import ParameterError, as_int, as_real
-from .leverage import approx_leverage, exact_basis
+from .leverage import _exact_rows, approx_leverage
 from .less import build_less_ic
 from .oblivious import COLUMN_KINDS, KINDS, LESS_KINDS, build, default_parameters
 
@@ -85,9 +86,9 @@ def fast_subspace_embed(A, config):
     touches (once, and once more to validate) and is the op's only pass
     over n: the leverage scores are estimated and held on J, the osnap and
     less-ic sketches are built and applied on the columns J only and keep
-    |J| + 1 column pointers, the validate stage takes the SVD of A's
-    nonzero rows and reads the scores on them, and ``nnz_sketch`` in the
-    report still counts the full sketch.  Returns
+    |J| + 1 column pointers, the validate stage factors A's nonzero rows
+    with one QR and reads the scores on them, and ``nnz_sketch`` in the
+    report still counts the full sketch, as the builder gives it.  Returns
     (A_tilde, PipelineReport).  Stage names in the report: ``leverage``,
     ``parameters``, ``build`` (finding J included for an oblivious
     kind), ``apply`` and optionally ``validate``, which for the less
@@ -127,18 +128,16 @@ def fast_subspace_embed(A, config):
     distortion_info = beta1_measured = None
     if config.validate:
         t0 = time.perf_counter()
-        I, U, svals, Vt = exact_basis(A)
-        band = singular_values(A_tilde @ (Vt.T / svals))  # A_tilde V svals^-1 = Pi U on I
+        I, R, exact = _exact_rows(A)
+        # A R^-1 is an orthonormal basis of A's columns, so Pi A R^-1 has Pi U's band
+        band = singular_values(scipy.linalg.solve_triangular(R, A_tilde.T, trans="T").T)
         distortion_info = {"s_min": float(band[-1]), "s_max": float(band[0])}
         if scores is not None:
-            beta1_measured = float(np.max(np.einsum("ij,ij->i", U, U) / scores.at(I)))
+            beta1_measured = float(np.max(exact / scores.at(I)))
         timings["validate"] = time.perf_counter() - t0
 
     total = time.perf_counter() - t_total
-    nnz_sketch = sketch.nnz
-    if columns is not None:  # count the full sketch without hashing it
-        # a less-ic column off J has score 0, so it is a single block of height m
-        nnz_sketch = spec.n * spec.s if spec.kind == "osnap" else sketch.nnz + n - columns.size
+    nnz_sketch = sketch.nnz if columns is None else sketch.full_nnz
     report = PipelineReport(
         kind=config.kind,
         m=spec.m,

@@ -77,19 +77,21 @@ class SparseSketch(_Sketch):
     scipy.sparse A costs O(|J| + nnz(A) + entries built) past
     :func:`~subsketch.apply.touched_rows`.  Its n + 1 :attr:`indptr` is
     computed when first read (:meth:`tocsc`, :meth:`materialize` and
-    :meth:`column_energy` read it) and kept.  ``extras`` holds
-    the header fields of a loaded file that its spec does not hold: the
-    score fields, a family other than the kind's model, the degree_k of a
-    kind that does not hash; save writes them back in place.
+    :meth:`column_energy` read it) and kept; ``full_nnz``, from its
+    builder, counts the full sketch's entries.  ``extras`` holds the
+    header fields of a loaded file that its spec does not hold: the score
+    fields, a family other than the kind's model, the degree_k of a kind
+    that does not hash; save writes them back in place.
     """
 
-    def __init__(self, spec, indptr, rows, values, extras=None, columns=None):
+    def __init__(self, spec, indptr, rows, values, extras=None, columns=None, full_nnz=None):
         self.spec = spec
         self.built_indptr = np.asarray(indptr, dtype=np.int64)
         self.rows = np.asarray(rows, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
         self.extras = {} if extras is None else extras
         self.columns = columns
+        self.full_nnz = self.nnz if full_nnz is None else full_nnz
         self._indptr = self.built_indptr if columns is None else None
         self._csc = None
 

@@ -61,13 +61,17 @@ class TestExactScores:
             z = exact_leverage(A @ C).z
             np.testing.assert_allclose(z, base, rtol=1e-8, atol=1e-10)
 
-    def test_rank_deficiency_names_rank(self):
-        rng = np.random.default_rng(3)
-        B = rng.standard_normal((50, 3))
+    @pytest.mark.parametrize("caller", ["exact_leverage", "approx-direct", "approx-sketch"])
+    def test_rank_deficiency_names_rank(self, caller, osnap_builds):
+        # one rank test for every caller; the sketch route's input is a taller copy
+        n = 5000 if caller == "approx-sketch" else 50
+        B = np.random.default_rng(3).standard_normal((n, 3))
         A = np.hstack([B, B[:, :1] + B[:, 1:2]])  # rank 3, d = 4
+        assert (n > _DIRECT * _sketch_rows(4, n)) == (caller == "approx-sketch")
         with pytest.raises(RankDeficiencyError) as err:
-            exact_leverage(A)
+            exact_leverage(A) if caller == "exact_leverage" else approx_leverage(A, 0.5)
         assert err.value.numerical_rank == 3
+        assert len(osnap_builds) == (caller == "approx-sketch")
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ParameterError):
@@ -320,11 +324,11 @@ class TestRoute:
              (np.append(coo.row, [free[0], J[0]]), np.append(coo.col, [0, 0]))), shape=A.shape)
         seen = []
 
-        def recording(X, n, _orig=leverage._full_rank_r):
+        def recording(X, n, _orig=leverage._r_factor):
             seen.append(X.tobytes())
             return _orig(X, n)
 
-        monkeypatch.setattr(leverage, "_full_rank_r", recording)
+        monkeypatch.setattr(leverage, "_r_factor", recording)
         for X in (A, sparse, stored_zeros):
             approx_leverage(X, 0.5)
         assert seen == [A[A.any(axis=1)].tobytes()] * 3

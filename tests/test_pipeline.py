@@ -13,6 +13,7 @@ from subsketch import (
     approx_leverage,
     exact_leverage,
     fast_subspace_embed,
+    validate_scores,
 )
 from subsketch import experiments
 
@@ -90,6 +91,29 @@ class TestFastSubspaceEmbed:
         want = float(np.max(exact[pos] / got[0].z[pos]))
         assert report.to_dict()["beta1_measured"] == pytest.approx(want, rel=1e-9, abs=0)
         assert 1.0 <= report.beta1_measured <= report.beta1 == got[0].beta1
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_no_svd_of_the_nonzero_rows(self, dense, embed_shaped, monkeypatch):
+        # A's rows are factored by one QR; an SVD sees only its R and the m x d band matrix
+        A = embed_shaped(dense, 5)
+        d = A.shape[1]
+        r = A.shape[0] if dense else np.count_nonzero(np.diff(A.indptr))  # nonzero rows
+        shapes = []
+
+        def recording(X, *args, _orig=np.linalg.svd, **kwargs):
+            shapes.append(np.shape(X))
+            return _orig(X, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        exact_leverage(A)
+        validate_scores(A, approx_leverage(A, 0.25))
+        assert set(shapes) == {(d, d)}
+        for kind in ("less-ic", "osnap"):
+            shapes.clear()
+            config = PipelineConfig(eps=0.5, delta=0.05, seed=1, kind=kind, validate=True)
+            _, report = fast_subspace_embed(A, config)
+            assert set(shapes) == {(d, d), (report.m, d)}
+            assert all(shape[0] != r for shape in shapes)
 
     @pytest.mark.parametrize("validate", [False, True])
     def test_measured_beta1_only_for_validated_less_kinds(self, sparse_tall, validate):
