@@ -156,9 +156,9 @@ class SparseSketch(_Sketch):
             fh.write(_MAGIC)
             fh.write(np.uint64(len(header)).tobytes())
             fh.write(header)
-            fh.write(self.indptr.astype("<i8").tobytes())
-            fh.write(self.rows.astype("<i8").tobytes())
-            fh.write(self.values.astype("<f8").tobytes())
+            # through the buffer protocol: an array already in file order is not copied
+            for array, dtype in ((self.indptr, "<i8"), (self.rows, "<i8"), (self.values, "<f8")):
+                fh.write(np.ascontiguousarray(array, dtype=dtype))
 
 
 @dataclass
@@ -253,13 +253,12 @@ def load_sketch(path):
     steps = np.diff(indptr)
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(steps < 0):
         raise FormatError(f"{path}: indptr must rise monotonically from 0 to nnz")
-    starts, ends = indptr[:-1][steps > 0], indptr[1:][steps > 0] - 1
+    starts = indptr[:-1][steps > 0]
     falls = rows[1:] <= rows[:-1]
     falls[starts[1:] - 1] = False  # column boundaries
     if falls.any():
         raise FormatError(f"{path}: rows not strictly increasing within a column")
-    # rows increase within a column, so its first and last rows bound it
-    if nnz and (rows[starts].min() < 0 or rows[ends].max() >= spec.m):
+    if nnz and (rows.min() < 0 or rows.max() >= spec.m):
         raise FormatError(f"{path}: row index outside [0, {spec.m})")
     if not np.isfinite(values).all():
         raise FormatError(f"{path}: non-finite value")

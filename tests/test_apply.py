@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,23 @@ class TestSketchFileFormat:
         # a loaded sketch has no scores but writes the same header back
         back.save(tmp_path / "again.skt")
         assert (tmp_path / "again.skt").read_bytes() == path.read_bytes()
+
+    def test_save_copies_no_array(self, tmp_path):
+        # each array once went through astype(...).tobytes(): two full copies
+        sk = build_osnap(SketchSpec.from_sparsity("osnap", m=64, n=2**18, s=4, seed=3))
+        assert sk.nnz >= 10**6
+        path = tmp_path / "s.skt"
+        tracemalloc.start()
+        try:
+            sk.save(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        header, indptr, rows, values = _skt_parts(path)
+        assert header["nnz"] == sk.nnz
+        assert indptr.tobytes() + rows.tobytes() + values.tobytes() == (
+            sk.indptr.tobytes() + sk.rows.tobytes() + sk.values.tobytes())
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.skt"

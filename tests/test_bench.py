@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -19,7 +21,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # re-records its pin on purpose
 DIGEST_OP0 = {
     "embed-sparse": "208638e3bfa83b9060614c262fe92ae9af0c99b5753ef389eae3e246794b5a85",
+    "embed-dense": "79baedb3765561a1fd74147ab94e70b6a612f4b413efa0dac0bb40dd7e44371b",
     "verify-trials": "d18f97f117ea5139426f8f756a754179974fcff6744e60713562ed084548b65e",
+    "apply-reuse": "700113cc5a34e5d56006dab3fb8ff4bcd930c7aa09ba0ae66800efc70406edc3",
 }
 
 
@@ -55,3 +59,17 @@ def test_verify_trials_passes_the_bigint_oracle():
     assert result["correct"], proc.stderr
     assert result["failed"] == 0
     assert info["info"]["digest_op0"] == DIGEST_OP0["verify-trials"]
+
+
+@pytest.mark.parametrize("workload", ["embed-dense", "apply-reuse"])
+def test_untraced_digest_op0(workload):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=170,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *_, info, result = map(json.loads, proc.stdout.strip().splitlines())
+    assert result["correct"], proc.stderr
+    assert result["failed"] == 0
+    assert info["info"]["digest_op0"] == DIGEST_OP0[workload]

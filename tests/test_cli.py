@@ -224,6 +224,27 @@ class TestApplyCommand:
         assert rc == EXIT_IO
 
 
+class TestMatrixMarketOverflow:
+    @pytest.mark.parametrize("command", ["pipeline", "apply", "leverage"])
+    def test_integer_out_of_range_exits_3_in_subprocess(self, tmp_path, command):
+        # scipy.io.mmread raises OverflowError on it; each command once exited 1
+        # on that traceback
+        path = tmp_path / "big.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate integer general\n"
+                        "3 2 1\n1 1 99999999999999999999999\n")
+        skt = tmp_path / "s.skt"
+        main(["sketch", "--kind", "osnap", "--m", "4", "--n", "3", "--s", "1",
+              "--out", str(skt)])
+        out = tmp_path / "o.mtx"
+        argv = {"pipeline": ["pipeline", str(path), "--eps", "0.5"],
+                "apply": ["apply", str(skt), str(path)],
+                "leverage": ["leverage", str(path), "--exact"]}[command]
+        proc = _run_cli([*argv, "--out", str(out)])
+        assert proc.returncode == EXIT_IO, proc.stderr
+        assert "Traceback" not in proc.stderr and str(path) in proc.stderr
+        assert not out.exists()
+
+
 class TestNonFiniteInput:
     """One NaN in a 2000x8 CSR input: a typed error (exit 2), no output."""
 

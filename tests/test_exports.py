@@ -2,8 +2,12 @@
 read outside the tests, and every module uses what it imports."""
 
 import ast
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -86,3 +90,38 @@ def test_every_export_is_read_outside_the_tests():
     unread = [name for name in subsketch.__all__
               if name not in read and not re.search(rf"\b{re.escape(name)}\b", readme)]
     assert not unread, f"public names read only by the tests: {unread}"
+
+
+_IMPORT_SCRIPT = """
+import importlib, json, sys
+import numpy as np, scipy.linalg, scipy.sparse
+import subsketch
+for name in json.loads(sys.argv[1]):
+    importlib.import_module("subsketch." + name)
+assert "scipy.io" not in sys.modules, "importing subsketch loaded scipy.io"
+from subsketch import load_matrix, save_matrix
+dense = np.arange(6.0).reshape(3, 2)
+sparse = scipy.sparse.random(30, 4, density=0.2, random_state=1, format="csr")
+for M in (dense, sparse):
+    save_matrix(sys.argv[2], M)
+    back = load_matrix(sys.argv[2])
+    assert scipy.sparse.issparse(back) == scipy.sparse.issparse(M)
+    assert (back != M).nnz == 0 if scipy.sparse.issparse(M) else (back == M).all()
+"""
+
+
+def test_scipy_io_loads_only_with_matrix_market_io(tmp_path):
+    # the benchmark worker imports these modules as its timed set-up, after
+    # what its oracle preloads (numpy, json, scipy.linalg); scipy.io costs
+    # ~12 ms there, so only load_matrix and save_matrix import it
+    worker = ast.parse((ROOT / "bench" / "worker.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in worker.body
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "LAYER_MODULES")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SCRIPT, json.dumps(layers), str(tmp_path / "M.mtx")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
