@@ -60,9 +60,9 @@ def touched_rows(A):
 def apply(sketch, A):
     """(scale * S) @ A as a dense (m x d) array (length m for a vector A).
 
-    A sketch built on columns J multiplies only S[:, J] by A[J], in
-    O(|J| + nnz) for a scipy.sparse A, adding the full product's terms in
-    its order.  A passes :func:`as_matrix`, NaN and Inf included;
+    A sketch built on columns J multiplies only S[:, J] by A[J], a view
+    that copies none of a scipy.sparse A, adding the full product's terms
+    in its order.  A passes :func:`as_matrix`, NaN and Inf included;
     ParameterError also unless A has n rows, or if such a sketch meets a
     stored entry (a nonzero, for a dense A) in a row outside J.
     """
@@ -74,28 +74,28 @@ def apply(sketch, A):
         out = sketch.matrix @ A
     elif sketch.columns is None:
         out = sketch.tocsc() @ A
-    else:
-        out = _restricted_product(sketch, A)
+    else:  # S[:, J] @ A[J] for a sketch built on columns J
+        S_J = scipy.sparse.csc_matrix((sketch.values, sketch.rows, sketch.built_indptr),
+                                      shape=(sketch.m, sketch.columns.size))
+        out = S_J @ _take_rows(A, sketch.columns)
     if scipy.sparse.issparse(out):
         out = out.toarray()
     return sketch.scale * np.asarray(out)
 
 
-def _nnz(A):
-    """Stored entries of a scipy.sparse A, nonzeros of a dense one."""
-    return int(A.nnz) if scipy.sparse.issparse(A) else int(np.count_nonzero(A))
-
-
-def _restricted_product(sketch, A):
-    """S[:, J] @ A[J] for a sketch built on columns J and a gated A;
-    ParameterError unless A[J] holds every entry of A."""
-    J = sketch.columns
-    A_J = A[J]
-    if _nnz(A_J) != _nnz(A):
-        raise ParameterError("input touches a row outside the columns the sketch was built on")
-    S_J = scipy.sparse.csc_matrix((sketch.values, sketch.rows, sketch.built_indptr),
-                                  shape=(sketch.m, J.size))
-    return S_J @ A_J
+def _take_rows(A, J):
+    """A[J] for a gated A and sorted rows J, the one place that takes rows of
+    A: for a CSR A, a CSR sharing A's data and indices (nothing may write
+    into them) whose pointers A.indptr[J] and nnz, in A's index dtype, show
+    in O(|J|) that each row of J ends where the next starts.  ParameterError
+    if A stores an entry (a nonzero, for a dense A) in a row outside J."""
+    if scipy.sparse.issparse(A):
+        indptr = np.append(A.indptr[J], A.indptr[-1])
+        if indptr[0] == 0 and np.array_equal(indptr[1:], A.indptr[J + 1]):
+            return scipy.sparse.csr_matrix((A.data, A.indices, indptr), shape=(J.size, A.shape[1]))
+    elif np.count_nonzero(A_J := A[J]) == np.count_nonzero(A):
+        return A_J
+    raise ParameterError("input touches a row outside the columns the sketch was built on")
 
 
 def load_matrix(path):

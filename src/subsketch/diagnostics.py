@@ -122,6 +122,7 @@ def distortion(sketch, U, eps_target=0.0):
 
 def haar_basis(n, d, rng):
     """Haar-random n x d orthonormal basis (QR of a Gaussian, sign-fixed)."""
+    n, d = as_int("n", n, as_int("d", d, 1)), int(d)  # ParameterError unless n >= d >= 1
     G = rng.standard_normal((n, d))
     Q, R = np.linalg.qr(G)
     return Q * np.sign(np.diag(R))
@@ -129,6 +130,7 @@ def haar_basis(n, d, rng):
 
 def coordinate_basis(n, d, rng):
     """Random d-dimensional coordinate subspace of R^n."""
+    n, d = as_int("n", n, as_int("d", d, 1)), int(d)
     idx = rng.choice(n, size=d, replace=False)
     U = np.zeros((n, d))
     U[np.sort(idx), np.arange(d)] = 1.0
@@ -137,6 +139,7 @@ def coordinate_basis(n, d, rng):
 
 def spiked_basis(n, d, rng):
     """One coordinate direction completed with a Haar-random complement."""
+    n, d = as_int("n", n, as_int("d", d, 1)), int(d)
     spike = int(rng.integers(n))
     G = np.zeros((n, d))
     G[spike, 0] = 1.0

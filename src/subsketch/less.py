@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, as_int
 from .oblivious import _bernoulli_sketch, blocked_entries, check_columns
 from .sketch import SparseSketch
 
@@ -57,6 +57,7 @@ def subcolumn_layout(spec, j):
     [1, m] with the last block truncated at m.  alpha = sqrt(p * width).
     Only column j's height is computed, so a call costs O(s_j), not O(n).
     """
+    j = as_int("j", j)
     if not 0 <= j < spec.n:
         raise ParameterError(f"column index {j} out of range [0, {spec.n})")
     b = int(_heights(spec, _scores(spec, "less-ic").at([j]))[0])

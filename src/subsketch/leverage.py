@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from ._field import derive_seed
-from .apply import as_matrix, touched_rows
+from .apply import _take_rows, as_matrix, touched_rows
 from .errors import FormatError, ParameterError, RankDeficiencyError, as_real
 from .sketch import scores_digest
 
@@ -107,26 +107,26 @@ class LeverageScores:
         return cls(z=z, beta1=beta1, beta2=beta2)
 
 
-def _nonzero_rows(A):
-    """(J, I) for a gated A: J = :func:`~subsketch.apply.touched_rows` (the
-    rows a sparse A stores an entry in, None for a dense A), and I the rows
-    of A that hold a nonzero as ascending indices into A.  NaN counts as
-    nonzero and a stored zero does not, so a sparse A, its dense copy and A
-    with stored zeros give the same I.  The one place that decides which
-    rows of A count."""
-    J = touched_rows(A)
+def _nonzero_rows(A, J=None):
+    """(J, A_J, I) for a gated A: J = :func:`~subsketch.apply.touched_rows`
+    unless given (None for a dense A), A_J = A[J] by ``apply._take_rows``
+    (A itself if dense), and I the rows of A that hold a nonzero as
+    ascending indices into A.  NaN counts as nonzero and a stored zero does
+    not, so a sparse A, its dense copy and A with stored zeros give the
+    same I.  The one place that decides which rows of A count."""
+    J = touched_rows(A) if J is None else J
     if J is None:
-        return None, np.flatnonzero(A.any(axis=1))
+        return None, A, np.flatnonzero(A.any(axis=1))
+    A_J = _take_rows(A, J)
     # nonzeros before each row start: a row is nonzero if its count grows
-    before = np.concatenate(([0], np.cumsum(A.data != 0)))
-    return J, J[before[A.indptr[J + 1]] > before[A.indptr[J]]]
+    before = np.concatenate(([0], np.cumsum(A_J.data != 0)))
+    return J, A_J, J[before[A_J.indptr[1:]] > before[A_J.indptr[:-1]]]
 
 
-def _dense_rows(A, I):
-    """A[I] as an ndarray for a gated A; a dense A itself when I is every row."""
-    if isinstance(A, np.ndarray):
-        return A if I.size == A.shape[0] else A[I]
-    return A[I].tocoo().toarray()  # a CSR toarray goes through tocsr
+def _dense_rows(J, A_J, I):
+    """A[I] as an ndarray, from :func:`_nonzero_rows`; a dense A itself when I is every row."""
+    X = A_J if J is None else A_J.tocoo().toarray()  # a CSR toarray goes through tocsr
+    return X if I.size == X.shape[0] else X[I if J is None else np.searchsorted(J, I)]
 
 
 def _r_factor(X, n):
@@ -145,12 +145,12 @@ def _r_factor(X, n):
     return R
 
 
-def _exact_rows(A):
-    """(I, R, l) of A, NaN and Inf rejected: its nonzero rows I, the R of
-    A[I] and the exact scores l_i = |A_i R^-1|^2 on I, unclamped."""
+def _exact_rows(A, touched=None):
+    """(I, R, l) of A, NaN and Inf rejected: its nonzero rows I (among J, if
+    ``touched`` holds it), the R of A[I] and l_i = |A_i R^-1|^2 on I, unclamped."""
     A = as_matrix(A, tall=True, finite=True)
-    _, I = _nonzero_rows(A)
-    X = _dense_rows(A, I)
+    J, A_J, I = _nonzero_rows(A, touched)
+    X = _dense_rows(J, A_J, I)
     R = _r_factor(X, A.shape[0])
     Q = scipy.linalg.solve_triangular(R, X.T, trans="T").T  # X R^-1, orthonormal columns
     return I, R, np.einsum("ij,ij->i", Q, Q)
@@ -219,10 +219,10 @@ def approx_leverage(A, gamma, *, seed=0):
     vectors; estimates are inflated by 2 and clamped to [0, 1].  For a
     scipy.sparse A the cost is O(|J| + nnz(A) + entries built) past
     :func:`~subsketch.apply.touched_rows`, which finds the rows J that A
-    touches: the sketch hashes only the columns J, A[J] R^-1 G is formed,
-    checked, clamped and summed on J alone, and the scores are returned
-    on J; every other score is exactly 0, as the full product gives.
-    NaN or Inf entries raise ParameterError.
+    touches: both routes read A[J] through one view that copies none of A,
+    the sketch hashes only the columns J, A[J] R^-1 G is formed, checked,
+    clamped and summed on J, and the scores are held on J, every other
+    one exactly 0 as the full product gives.  NaN or Inf raise ParameterError.
 
     The route.  r is counted first (one pass over a dense A; over the
     stored entries of a sparse one).  When r <= 2 rows, where
@@ -266,11 +266,11 @@ def approx_leverage(A, gamma, *, seed=0):
     gamma = as_real("gamma", gamma, "(0, 1)")
     A = as_matrix(A, tall=True, finite=False)
     n, d = A.shape
-    J, I = _nonzero_rows(A)
+    J, A_J, I = _nonzero_rows(A)
     r = I.size
     direct = r <= _DIRECT * _sketch_rows(d, n)
     if direct:
-        X = _dense_rows(A, I)
+        X = _dense_rows(J, A_J, I)
         if not np.isfinite(X).all():
             raise ParameterError("input matrix holds NaN or Inf entries")
         R = _r_factor(X, n)
@@ -278,14 +278,14 @@ def approx_leverage(A, gamma, *, seed=0):
         try:
             R = _sketch_r_factor(A, d, n, seed, J)
         except RankDeficiencyError:  # a deficient A raises here, naming its rank
-            _r_factor(_dense_rows(A, I), n)
+            _r_factor(_dense_rows(J, A_J, I), n)
             raise RankDeficiencyError("the leverage sketch of A is numerically singular",
                                       d) from None
     k = math.ceil(4.0 / gamma)
     rng = np.random.default_rng(derive_seed(seed, 0x7E57))
     G = rng.standard_normal((d, k)) / math.sqrt(k)
     W = scipy.linalg.solve_triangular(R, G, lower=False)
-    E = np.asarray((A if J is None else A[J]) @ W)  # E_i = 0 exactly off J
+    E = np.asarray(A_J @ W)  # E_i = 0 exactly off J
     z = np.clip(_SAFETY * np.einsum("ij,ij->i", E, E), 0.0, 1.0)
     t = _chi2_lower_level(k, _DELTA_LEV / r)
     eps_lev = 0.0 if direct else _EPS_LEV

@@ -3,11 +3,11 @@
 ``fast_subspace_embed`` chains coarse leverage-score approximation,
 score-adapted parameter selection, sketch construction and application,
 and reports per-stage timings plus nonzero accounting.  Oblivious kinds
-skip the leverage stage.  The build of a sparse A reads the rows J it
-touches from the leverage scores, which are held on J, or finds them
-itself for an oblivious kind; which rows of A are nonzero, the leverage
-module decides.  The validate stage reads R and the exact scores on those
-rows from the leverage module, and the band of A_tilde R^-1 from
+skip the leverage stage.  An op finds the rows J a sparse A touches
+once (the scores are held on J; other kinds find J here), and the build
+and the validate stage read it; the leverage module decides which rows
+are nonzero.  The validate stage reads R and the exact scores on those
+rows from it, and the band of A_tilde R^-1 from
 :func:`~subsketch.diagnostics.singular_values`, as ``distortion`` does.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from ._field import derive_seed
-from .apply import _nnz, as_matrix, touched_rows
+from .apply import as_matrix, touched_rows
 from .apply import apply as _apply
 from .diagnostics import singular_values
 from .errors import ParameterError, as_int, as_real
@@ -83,12 +83,13 @@ def fast_subspace_embed(A, config):
     becomes CSR) and must be tall.  For a scipy.sparse A the cost is
     O(|J| + nnz(A) + entries built) past
     :func:`~subsketch.apply.touched_rows`, which finds the rows J that A
-    touches (once, and once more to validate) and is the op's only pass
+    touches once per op, validated or not, and is the op's only pass
     over n: the leverage scores are estimated and held on J, the osnap and
     less-ic sketches are built and applied on the columns J only and keep
     |J| + 1 column pointers, the validate stage factors A's nonzero rows
-    with one QR and reads the scores on them, and ``nnz_sketch`` in the
-    report still counts the full sketch, as the builder gives it.  Returns
+    with one QR and reads the scores on them, every stage reads A[J] as a
+    view that copies none of A, ``nnz_input`` counts A's nonzeros in any
+    storage and ``nnz_sketch`` the full sketch, as the builder gives it.  Returns
     (A_tilde, PipelineReport).  Stage names in the report: ``leverage``,
     ``parameters``, ``build`` (finding J included for an oblivious
     kind), ``apply`` and optionally ``validate``, which for the less
@@ -112,10 +113,9 @@ def fast_subspace_embed(A, config):
 
     t0 = time.perf_counter()
     # a sparse A needs only the sketch columns of the rows J it touches,
-    # which approx_leverage found and holds its scores on
-    columns = None
-    if spec.kind in COLUMN_KINDS:
-        columns = touched_rows(A) if scores is None else scores.rows
+    # which approx_leverage found and holds its scores on; validate reads J too
+    J = touched_rows(A) if scores is None else scores.rows
+    columns = J if spec.kind in COLUMN_KINDS else None
     # less-ic goes through this module's name for it, which per-layer
     # tracing wraps; every other kind through the registry
     sketch = (build_less_ic if spec.kind == "less-ic" else build)(spec, columns=columns)
@@ -128,7 +128,7 @@ def fast_subspace_embed(A, config):
     distortion_info = beta1_measured = None
     if config.validate:
         t0 = time.perf_counter()
-        I, R, exact = _exact_rows(A)
+        I, R, exact = _exact_rows(A, touched=J)
         # A R^-1 is an orthonormal basis of A's columns, so Pi A R^-1 has Pi U's band
         band = singular_values(scipy.linalg.solve_triangular(R, A_tilde.T, trans="T").T)
         distortion_info = {"s_min": float(band[-1]), "s_max": float(band[0])}
@@ -146,7 +146,7 @@ def fast_subspace_embed(A, config):
         pm=float(spec.p) * spec.m,
         timings=timings,
         total_seconds=total,
-        nnz_input=_nnz(A),
+        nnz_input=int(np.count_nonzero(A if J is None else A.data)),
         nnz_sketch=nnz_sketch,
         distortion=distortion_info,
         beta1_measured=beta1_measured,

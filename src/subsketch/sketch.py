@@ -73,8 +73,8 @@ class SparseSketch(_Sketch):
     ``indptr`` holds the pointers of the built columns: all n + 1 for a
     full sketch; for a sketch built on the sorted ``columns`` J only
     (every other column empty), the |J| + 1 pointers of J, kept as
-    ``built_indptr``, so building, holding and applying it on a
-    scipy.sparse A costs O(|J| + nnz(A) + entries built) past
+    ``built_indptr``, so building, holding and applying it to a zero-copy
+    view of a scipy.sparse A's rows J costs O(|J| + nnz(A) + entries built) past
     :func:`~subsketch.apply.touched_rows`.  Its n + 1 :attr:`indptr` is
     computed when first read (:meth:`tocsc`, :meth:`materialize` and
     :meth:`column_energy` read it) and kept; ``full_nnz``, from its

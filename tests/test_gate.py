@@ -21,6 +21,7 @@ from subsketch import (
     PipelineConfig,
     SketchSpec,
     approx_leverage,
+    coordinate_basis,
     decoupled_gamma_moment,
     default_parameters,
     derive_seed,
@@ -32,6 +33,8 @@ from subsketch import (
     less_sparsity_target,
     oseie_sparsity_target,
     osnap_sparsity_target,
+    spiked_basis,
+    subcolumn_layout,
     trace_moment,
 )
 from subsketch.errors import as_int, as_real
@@ -41,6 +44,7 @@ from subsketch.oblivious import less_dimension_target, sparsity_target
 A = np.random.default_rng(0).standard_normal((64, 3))  # tall and of full rank
 U = np.eye(32)[:, :2]
 BUILD = builder(SketchSpec.from_sparsity("osnap", m=8, n=32, s=2))
+LESS = SketchSpec(kind="less-ic", m=8, p=0.25, scores=LeverageScores(z=np.full(64, 0.5)))
 
 
 def sampler(rng):
@@ -68,6 +72,7 @@ DEFECTS = {
     "scores-beta1-true": lambda: LeverageScores(z=[0.5], beta1=True),
     "scores-beta1-str": lambda: LeverageScores(z=[0.5], beta1="2"),
     "gaussian-reference-m-5.5": lambda: gaussian_reference(5.5, 2, 1.0),
+    "haar-basis-d-above-n": lambda: haar_basis(4, 8, np.random.default_rng(0)),
 }
 
 
@@ -120,6 +125,8 @@ BAD = {
     "nonneg": st.one_of(_ANY_BAD, st.floats(max_value=0, exclude_max=True),
                         st.integers(max_value=-1)),
     "real": _ANY_BAD,
+    "index": st.one_of(_ANY_BAD, _FLOATS, st.integers(max_value=-1),  # into 64 columns
+                       st.integers(min_value=64)),
 }
 
 
@@ -127,6 +134,12 @@ BAD = {
 # dense kind's sparsity_target reads none of them, so only its own gate checks them
 FORMULA = {"d": 2, "eps": 0.5, "delta": 0.25}
 FORMULA_ARGS = [("d", "count", 2), ("eps", "unit", 0.5), ("delta", "unit", 0.25)]
+BASIS_ARGS = [("n", "count", 8), ("d", "count", 2)]  # a basis sampler needs n >= d >= 1
+
+
+def sample(sampler):
+    """``sampler`` called with keywords, n = 8 and d = 2 unless given."""
+    return lambda **kw: sampler(**({"n": 8, "d": 2} | kw), rng=np.random.default_rng(0))
 
 
 def good(kind, base):
@@ -189,6 +202,12 @@ ENTRIES = [
     ("less_sparsity_target", lambda **kw: less_sparsity_target(**(FORMULA | kw)), FORMULA_ARGS),
     ("sparsity_target", lambda **kw: sparsity_target(
         **(FORMULA | {"kind": "gaussian-dense", "m0": 64} | kw)), FORMULA_ARGS),
+    # j indexes LESS's 64 columns; bad values only, as good() draws counts
+    # and reals, not indices
+    ("subcolumn_layout", lambda **kw: subcolumn_layout(LESS, **kw), [("j", "index", None)]),
+    ("haar_basis", sample(haar_basis), BASIS_ARGS),
+    ("coordinate_basis", sample(coordinate_basis), BASIS_ARGS),
+    ("spiked_basis", sample(spiked_basis), BASIS_ARGS),
 ]
 CASES = [(call, arg, kind, base) for _, call, args in ENTRIES for arg, kind, base in args]
 IDS = [f"{name}-{arg}" for name, _, args in ENTRIES for arg, _, _ in args]

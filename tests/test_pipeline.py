@@ -241,3 +241,24 @@ def test_calibration_surface_runs_the_pipeline(monkeypatch):
     want = ("less-ic", spec.m, spec.s, True)
     assert [(c.kind, c.m, c.pm, c.validate) for c in calls] == [want] * 3
     assert frac == 0.0
+
+
+@pytest.mark.parametrize("kind", ["less-ic", "osnap"])
+def test_report_counts_nonzeros_in_every_storage(kind):
+    # a dense A, its CSR, CSC and COO copies and CSR with two stored zeros
+    # embed to the same bytes; the report counts nonzeros, not stored entries
+    A = np.random.default_rng(0).standard_normal((400, 8))
+    A[::3] = 0.0
+    csr = scipy.sparse.csr_matrix(A)
+    coo = csr.tocoo()
+    stored_zeros = scipy.sparse.csr_matrix(
+        (np.append(coo.data, [0.0, 0.0]),
+         (np.append(coo.row, [3, 3]), np.append(coo.col, [0, 1]))), shape=A.shape)
+    assert stored_zeros.nnz == np.count_nonzero(A) + 2 == 2130
+    config = PipelineConfig(eps=0.5, delta=0.05, seed=3, kind=kind)
+    runs = [fast_subspace_embed(X, config) for X in (A, csr, csr.tocsc(), coo, stored_zeros)]
+    # beta2 is left out: a dense and a sparse A's scores may differ in their last bits
+    fields = [(r.nnz_input, r.nnz_sketch, r.m, r.pm, r.sublinear_term_dominates, out.tobytes())
+              for out, r in runs]
+    assert fields == [fields[0]] * 5
+    assert fields[0][0] == 2128

@@ -5,6 +5,7 @@ byte, and be empty elsewhere; the restricted sketch is never saved and
 refuses an input that touches a row outside J.
 """
 
+import sys
 import tracemalloc
 import warnings
 
@@ -30,6 +31,7 @@ from subsketch import (
     touched_rows,
     validate_scores,
 )
+from subsketch import leverage, pipeline
 from subsketch.leverage import _exact_rows, _r_factor
 
 N = 60
@@ -430,3 +432,83 @@ def test_embed_memory_follows_touched_rows(validate):
     (out, report), peak = _traced_peak(lambda: fast_subspace_embed(A, config))
     assert out.shape == (report.m, d) and (report.distortion is not None) == validate
     assert peak < 2 * n, peak / n
+
+
+def _support_input(touched, stored_zero=False, n=6000, d=6, seed=19):
+    # ~``touched`` random entries plus a diagonal; ``stored_zero`` adds an
+    # explicit zero in an untouched row, so J holds a row that is not nonzero
+    A = _touched_input(n, d, seed).tocoo()
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(0, n, touched), rng.integers(0, d, touched)
+    A = scipy.sparse.csr_matrix((np.append(A.data, rng.uniform(1, 2, touched)),
+                                 (np.append(A.row, rows), np.append(A.col, cols))), shape=(n, d))
+    if stored_zero:
+        free = np.setdiff1d(np.arange(n), touched_rows(A))[0]
+        coo = A.tocoo()
+        A = scipy.sparse.csr_matrix((np.append(coo.data, 0.0), (np.append(coo.row, free),
+                                                                 np.append(coo.col, 0))),
+                                    shape=(n, d))
+    return A
+
+
+def _count_passes(monkeypatch):
+    # touched_rows under every module name it is called by, and scipy's
+    # fancy row slice of a compressed matrix
+    calls = {"touched_rows": 0, "fancy": []}
+
+    def touched(A, _orig=touched_rows):
+        calls["touched_rows"] += 1
+        return _orig(A)
+
+    def fancy(self, idx, _orig=scipy.sparse._compressed._cs_matrix._major_index_fancy):
+        calls["fancy"].append(self.shape)
+        return _orig(self, idx)
+
+    for module in (sys.modules["subsketch.apply"], leverage, pipeline):
+        monkeypatch.setattr(module, "touched_rows", touched)
+    monkeypatch.setattr(scipy.sparse._compressed._cs_matrix, "_major_index_fancy", fancy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["osnap", "less-ic"])
+@pytest.mark.parametrize("validate", [False, True])
+@pytest.mark.parametrize("touched, stored_zero", [(150, False), (3000, False), (150, True)],
+                         ids=["direct", "sketch", "stored-zero"])
+def test_one_support_per_op(kind, validate, touched, stored_zero, monkeypatch):
+    # an op finds J once and reads A's rows through one view: no fancy
+    # slice of A, on either leverage route, validated or not
+    A = _support_input(touched, stored_zero)
+    J = touched_rows(A)
+    assert (J.size > 2 * leverage._sketch_rows(6, 6000)) == (touched == 3000)
+    calls = _count_passes(monkeypatch)
+    config = PipelineConfig(eps=0.5, delta=0.05, seed=3, kind=kind, validate=validate)
+    out, report = fast_subspace_embed(A, config)
+    assert calls == {"touched_rows": 1, "fancy": []}
+    want, _ = fast_subspace_embed(A.toarray(), config)
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+
+
+def _read_only(A):
+    for array in (A.data, A.indices, A.indptr):
+        array.flags.writeable = False
+    return A, [array.copy() for array in (A.data, A.indices, A.indptr)]
+
+
+@pytest.mark.parametrize("touched", [150, 3000], ids=["direct", "sketch"])
+def test_nothing_writes_into_the_callers_arrays(touched):
+    # A[J] shares A's data and indices: every stage reads them, none writes
+    A, before = _read_only(_support_input(touched))
+    assert A.has_canonical_format
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the less-ie clamp warning
+        for kind in ("osnap", "ose-ie", "less-ic", "less-ie", "gaussian-dense"):
+            for validate in (False, True):
+                fast_subspace_embed(A, PipelineConfig(eps=0.5, delta=0.05, seed=3, kind=kind,
+                                                      validate=validate))
+    approx_leverage(A, 0.25, seed=1)
+    exact_leverage(A)
+    part = build_osnap(SketchSpec(kind="osnap", m=24, n=A.shape[0], p=0.25, degree_k=8, seed=2),
+                       columns=touched_rows(A))
+    assert np.array_equal(apply(part, A), apply(part, A.toarray()))
+    for old, new in zip(before, (A.data, A.indices, A.indptr)):
+        assert old.tobytes() == new.tobytes() and not new.flags.writeable
