@@ -2,17 +2,13 @@
 
 The i-th leverage score of A is the squared norm of the i-th row of any
 orthonormal basis of A's column space, such as A R^-1 for the R that
-:func:`_r_factor`, this module's one factorization and rank test, takes
-of A's nonzero rows; every exact check reads those.  Approximate scores
-are one-sided overestimates: z_i >= l_i / beta1 with sum(z) <= beta2 * d.
-The claimed beta1 is the one the estimator proves (see
-:func:`approx_leverage`): a chi-square lower tail, union-bounded over
-the r nonzero rows of A, gives beta1 = O((r / delta_lev)^(gamma / 2)),
-where delta_lev = 0.01 is the chance that the claim fails.  R comes
-from a QR of A's nonzero rows themselves when there are at most twice
-as many of them as the leverage sketch would have rows, and from a QR of
-that sketch otherwise; the identity has distortion 0, so the direct
-route's claim drops the sketch's factor (1 + eps_lev)^2.
+:func:`_certified_r`, this module's one factorization, takes of A's
+nonzero rows: the Cholesky factor of their Gram with a rounding
+certificate eps_lev, or a Householder QR of them when that fails.  The
+exact checks and the estimate read it.  Approximate scores are one-sided
+overestimates: z_i >= l_i / beta1 with sum(z) <= beta2 * d, and the
+claimed beta1 = (1 + eps_lev)^2 O((r / delta_lev)^(gamma / 2)) is the one
+:func:`approx_leverage` proves, delta_lev = 1e-3 the chance that it fails.
 """
 
 import math
@@ -123,37 +119,100 @@ def _nonzero_rows(A, J=None):
     return J, A_J, J[before[A_J.indptr[1:]] > before[A_J.indptr[:-1]]]
 
 
-def _dense_rows(J, A_J, I):
-    """A[I] as an ndarray, from :func:`_nonzero_rows`; a dense A itself when I is every row."""
-    X = A_J if J is None else A_J.tocoo().toarray()  # a CSR toarray goes through tocsr
-    return X if I.size == X.shape[0] else X[I if J is None else np.searchsorted(J, I)]
+_BLOCK = 1 << 14  # rows of A[I] per block: fixed, so the Gram's order of summation is too
+
+
+def _row_blocks(J, A_J, I):
+    """A[I], from :func:`_nonzero_rows`, as ndarrays of 2^14 rows (views of
+    a dense A where rows run on); a sparse A is densified one block at a
+    time, so its dense copy and A with stored zeros give the same blocks."""
+    P = I if J is None else np.searchsorted(J, I)
+    for lo in range(0, P.size, _BLOCK):
+        p = P[lo:lo + _BLOCK]
+        a, b = int(p[0]), int(p[-1]) + 1
+        # a CSR's toarray goes through tocsr, which an op makes once, at the gate
+        X = A_J[a:b] if J is None else A_J[a:b].tocoo().toarray()
+        yield X if b - a == p.size else X[p - a]
+
+
+def _row_norms2(J, A_J, I, f):
+    """|f(X)_i|^2 for each row of X = A[I], f applied to each of :func:`_row_blocks`."""
+    return np.concatenate([np.einsum("ij,ij->i", Y, Y) for Y in map(f, _row_blocks(J, A_J, I))])
+
+
+def _numerical_rank(svals, n, d):
+    """How many singular values of R, of an n x d X, exceed max(n, d) * eps * s_max."""
+    return int(np.sum(svals > max(n, d) * np.finfo(np.float64).eps * svals[:1].sum()))
 
 
 def _r_factor(X, n):
-    """R of a QR of X, the dense nonzero rows of an n x d matrix or a sketch
-    with n rows; RankDeficiencyError when fewer than d singular values of R
-    exceed max(n, d) * eps * s_max, with their count as the numerical rank."""
-    R = np.linalg.qr(X, mode="r")
-    svals = np.linalg.svd(R, compute_uv=False)
-    d = X.shape[1]
-    tol = max(n, d) * np.finfo(np.float64).eps * (svals[0] if svals.size else 0.0)
-    rank = int(np.sum(svals > tol))
+    """R of a Householder QR of X, the dense nonzero rows of an n x d
+    matrix, its rows signed to a positive diagonal; RankDeficiencyError
+    when :func:`_numerical_rank` of R is below d, naming it."""
+    R, d = np.linalg.qr(X, mode="r"), X.shape[1]
+    rank = _numerical_rank(np.linalg.svd(R, compute_uv=False), n, d)
     if rank < d:
-        raise RankDeficiencyError(
-            f"matrix is rank deficient: numerical rank {rank} < {d}", rank
-        )
+        raise RankDeficiencyError(f"matrix is rank deficient: numerical rank {rank} < {d}", rank)
+    return R * np.sign(np.diag(R))[:, None]
+
+
+def _cholesky(G):
+    """Upper R with R^T R = G by one matrix-vector product per row (LAPACK's
+    blocked dpotrf rounds by the BLAS thread count past d = 64); None
+    unless every pivot is positive and finite."""
+    R = np.zeros_like(G)
+    for j in range(G.shape[0]):
+        row = G[j, j:] - R[:j, j] @ R[:j, j:]
+        if not 0.0 < row[0] < np.inf:
+            return None
+        R[j, j:] = row / math.sqrt(row[0])
     return R
+
+
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
+_ETA_MAX = 5.0 / 64.0  # the CholeskyQR bound's hypothesis, in terms of eta
+
+
+def _certified_r(J, A_J, I, n):
+    """(R, eps_lev) for X = A[I], the r nonzero rows of an n x d A from
+    :func:`_nonzero_rows`: R upper triangular with a positive diagonal and
+    sigma_min(X R^-1) >= 1 / (1 + eps_lev), in O(r d^2 + d^3).
+
+    R is the Cholesky factor of X^T X, summed over :func:`_row_blocks`,
+    so its bytes depend neither on A's storage nor on the BLAS thread
+    count.  With u the unit roundoff, kappa = kappa(R) from the singular
+    values the rank test reads and eta = 5 u kappa^2 (r d + d (d + 1)),
+    the CholeskyQR bound (Yamamoto et al., ETNA 2015) gives
+    |(X R^-1)^T X R^-1 - I| <= eta when eta <= 5/64, its hypothesis, so
+    eps_lev = (1 - eta)^(-1/2) - 1 <= 0.042.  If a pivot is not positive,
+    R fails the rank test or eta > 5/64, R is :func:`_r_factor` of X
+    (which names a deficient A's rank), a backward-stable QR whose
+    O(u kappa) rounding is not counted: eps_lev = 0.
+    """
+    r, d = I.size, A_J.shape[1]
+    G = np.zeros((d, d))
+    for X in _row_blocks(J, A_J, I):
+        G += X.T @ X
+    R = _cholesky(G)
+    if R is not None:
+        svals = np.linalg.svd(R, compute_uv=False)
+        if _numerical_rank(svals, n, d) == d:
+            eta = 5.0 * _U * (r * d + d * (d + 1)) * (svals[0] / svals[-1]) ** 2
+            if eta <= _ETA_MAX:
+                return R, 1.0 / math.sqrt(1.0 - eta) - 1.0
+    return _r_factor(np.concatenate([np.empty((0, d)), *_row_blocks(J, A_J, I)]), n), 0.0
 
 
 def _exact_rows(A, touched=None):
     """(I, R, l) of A, NaN and Inf rejected: its nonzero rows I (among J, if
-    ``touched`` holds it), the R of A[I] and l_i = |A_i R^-1|^2 on I, unclamped."""
+    ``touched`` holds it), the R of :func:`_certified_r` and
+    l_i = |A_i R^-1|^2 on I, unclamped."""
     A = as_matrix(A, tall=True, finite=True)
     J, A_J, I = _nonzero_rows(A, touched)
-    X = _dense_rows(J, A_J, I)
-    R = _r_factor(X, A.shape[0])
-    Q = scipy.linalg.solve_triangular(R, X.T, trans="T").T  # X R^-1, orthonormal columns
-    return I, R, np.einsum("ij,ij->i", Q, Q)
+    R, _ = _certified_r(J, A_J, I, A.shape[0])
+    # the rows of X R^-1, which has orthonormal columns
+    l = _row_norms2(J, A_J, I, lambda X: scipy.linalg.solve_triangular(R, X.T, trans="T").T)
+    return I, R, l
 
 
 def exact_leverage(A):
@@ -163,35 +222,8 @@ def exact_leverage(A):
     return LeverageScores._on_rows(np.shape(A)[0], I, np.minimum(l, 1.0))
 
 
-_S0 = 8  # the leverage sketch's entries per column
-_DIRECT = 2  # factor A's nonzero rows when they are at most this many times the sketch's rows
-
-
-def _sketch_rows(d, n):
-    """Rows of the leverage sketch: max(8 d ln n, 4d), a multiple of s0."""
-    rows = max(math.ceil(8 * d * math.log(max(n, 4))), 4 * d, _S0)
-    return math.ceil(rows / _S0) * _S0
-
-
-def _sketch_r_factor(A, d, n, seed, columns):
-    """R from :func:`_r_factor` of a blocked sketch of A.
-
-    ``columns``, the rows a sparse A touches (None for a dense A),
-    restricts the build to them.
-    """
-    from .apply import apply as _apply
-    from .oblivious import SketchSpec, build_osnap
-
-    rows = _sketch_rows(d, n)
-    spec = SketchSpec.from_sparsity(
-        "osnap", m=rows, n=n, s=_S0, degree_k=16, seed=derive_seed(seed, 0x1E7),
-    )
-    return _r_factor(_apply(build_osnap(spec, columns=columns), A), rows)
-
-
 _SAFETY = 2.0  # inflation of the estimates, which the claimed beta1 carries
-_EPS_LEV = 0.5  # the leverage sketch's assumed distortion: sigma_max(Pi U) <= 1 + _EPS_LEV
-_DELTA_LEV = 0.01  # chance that some nonzero row's estimate falls below the claim
+_DELTA_LEV = 1e-3  # chance that some nonzero row's estimate falls below the claim
 
 
 def _chi2_lower_level(k, c):
@@ -214,83 +246,51 @@ def _chi2_lower_level(k, c):
 def approx_leverage(A, gamma, *, seed=0):
     """Coarse scores with beta1 = O((r / delta_lev)^(gamma / 2)), beta2 = O(1).
 
-    Take R from a QR of A's r nonzero rows or of a sketch of A, and
-    estimate the row norms of A R^-1 with k = ceil(4/gamma) Gaussian test
-    vectors; estimates are inflated by 2 and clamped to [0, 1].  For a
-    scipy.sparse A the cost is O(|J| + nnz(A) + entries built) past
-    :func:`~subsketch.apply.touched_rows`, which finds the rows J that A
-    touches: both routes read A[J] through one view that copies none of A,
-    the sketch hashes only the columns J, A[J] R^-1 G is formed, checked,
-    clamped and summed on J, and the scores are held on J, every other
-    one exactly 0 as the full product gives.  NaN or Inf raise ParameterError.
-
-    The route.  r is counted first (one pass over a dense A; over the
-    stored entries of a sparse one).  When r <= 2 rows, where
-    rows = max(8 d ln n, 4d) is the leverage sketch's height, R comes
-    from a QR of X, the nonzero rows of A as a dense r x d array (the
-    same bytes for a sparse A, its dense copy and A with stored zeros):
-    no sketch is built.  That QR costs
-    O(r d^2) = O(d^3 log n), the cost of the sketch route's QR of its
-    rows x d sketch, so the stage keeps its input-sparsity bound of
-    O(nnz(A) k + d^3 log n); past r = 2 rows the sketch is cheaper, and
-    R comes from a QR of one osnap sketch of A with rows rows and 8
-    entries per column.  A singular R raises RankDeficiencyError naming
-    A's numerical rank (d when only the sketch is singular).
+    Take R and its certificate eps_lev from :func:`_certified_r` (no
+    sketch is built) and estimate the row norms of A R^-1 with
+    k = ceil(4/gamma) Gaussian test vectors; estimates are inflated by 2
+    and clamped to [0, 1].  Past one pass over a dense A, or over the rows
+    J a scipy.sparse A touches (:func:`~subsketch.apply.touched_rows`,
+    read through one view that copies none of A), the cost is
+    O(r d (d + k) + d^3): the Gram and A[I] R^-1 G read the same dense
+    blocks of A's r nonzero rows I, so a sparse A, its dense copy and A
+    with stored zeros give the same scores, byte for byte.  That is not
+    input-sparsity time: r d (d + k) exceeds nnz(A) k when rows hold few
+    nonzeros.  The scores are held on J (every row, for a dense A), 0
+    exactly off I.  NaN or Inf raise ParameterError; a rank-deficient A
+    raises RankDeficiencyError naming its numerical rank.
 
     The claimed beta1 is the one this estimator proves.  Let
     u_i = e_i^T A R^-1 and U an orthonormal basis of A's columns, so
-    l_i = |e_i^T U|^2, and let Pi, the sketch (the identity on the
-    direct route), have sigma_max(Pi U) <= 1 + eps_lev.  Since
-    Pi A R^-1 is orthonormal, A R^-1 = U M with
-    sigma_min(M) = 1 / sigma_max(Pi U), so l_i <= (1 + eps_lev)^2 |u_i|^2.
-    G has N(0, 1/k) entries, so |u_i^T G|^2 = |u_i|^2 chi^2_k / k
-    exactly, and the Chernoff bound gives
-    P(chi^2_k <= t k) <= (t e^(1-t))^(k/2) for t < 1.  A row with
-    l_i = 0 needs no bound; for full-rank A these are exactly the zero
-    rows, so a union bound runs over the r nonzero rows of A.  With t
+    l_i = |e_i^T U|^2.  A R^-1 = U M with sigma_min(M) >= 1 / (1 + eps_lev)
+    by the certificate, so l_i <= (1 + eps_lev)^2 |u_i|^2.  G has
+    N(0, 1/k) entries, so |u_i^T G|^2 = |u_i|^2 chi^2_k / k exactly, and
+    the Chernoff bound gives P(chi^2_k <= t k) <= (t e^(1-t))^(k/2) for
+    t < 1.  A row with l_i = 0 needs no bound; for full-rank A these are
+    the zero rows, so a union bound runs over the r nonzero rows.  With t
     solving (t e^(1-t))^(k/2) = delta_lev / r, with probability at least
     1 - delta_lev every such row has z_i >= 2 t |u_i|^2 (or z_i = 1 >= l_i),
-    hence l_i / z_i <= beta1 = (1 + eps_lev)^2 / (2 t).  On the sketch
-    route eps_lev = 1/2, the sketch's assumed distortion.  On the direct
-    route Pi = I, so sigma(Pi U) = 1 and eps_lev = 0 (A R^-1 is
-    orthonormal up to rounding), and beta1 = 1 / (2 t), or 1 when that
-    is less (large k and small r; z_i >= l_i / beta1 is weaker for a
-    larger beta1, and 1 is the least a claim may state).  Here
-    delta_lev = 0.01; for small t, t ~ (delta_lev / r)^(2/k) / e, so
-    beta1 grows like (r / delta_lev)^(gamma / 2).  The route and r depend
-    on A's nonzero rows, d and n alone, so a sparse A, its dense copy
-    and A with stored zeros claim the same beta1.  beta2 is reported as
-    measured, max(1, sum(z)/d), the sum taken over the rows the scores
-    are held on (J for a sparse A, every row for a dense one).
+    hence l_i / z_i <= beta1 = (1 + eps_lev)^2 / (2 t), or 1 when that is
+    less (1 is the least a claim may state).  Here delta_lev = 1e-3; for
+    small t, t ~ (delta_lev / r)^(2/k) / e, so beta1 grows like
+    (r / delta_lev)^(gamma / 2).  beta2 is reported as measured,
+    max(1, sum(z)/d).
     """
     gamma = as_real("gamma", gamma, "(0, 1)")
-    A = as_matrix(A, tall=True, finite=False)
+    A = as_matrix(A, tall=True, finite=True)
     n, d = A.shape
     J, A_J, I = _nonzero_rows(A)
-    r = I.size
-    direct = r <= _DIRECT * _sketch_rows(d, n)
-    if direct:
-        X = _dense_rows(J, A_J, I)
-        if not np.isfinite(X).all():
-            raise ParameterError("input matrix holds NaN or Inf entries")
-        R = _r_factor(X, n)
-    else:
-        try:
-            R = _sketch_r_factor(A, d, n, seed, J)
-        except RankDeficiencyError:  # a deficient A raises here, naming its rank
-            _r_factor(_dense_rows(J, A_J, I), n)
-            raise RankDeficiencyError("the leverage sketch of A is numerically singular",
-                                      d) from None
+    R, eps_lev = _certified_r(J, A_J, I, n)
     k = math.ceil(4.0 / gamma)
     rng = np.random.default_rng(derive_seed(seed, 0x7E57))
     G = rng.standard_normal((d, k)) / math.sqrt(k)
     W = scipy.linalg.solve_triangular(R, G, lower=False)
-    E = np.asarray(A_J @ W)  # E_i = 0 exactly off J
-    z = np.clip(_SAFETY * np.einsum("ij,ij->i", E, E), 0.0, 1.0)
-    t = _chi2_lower_level(k, _DELTA_LEV / r)
-    eps_lev = 0.0 if direct else _EPS_LEV
+    z_I = np.clip(_SAFETY * _row_norms2(J, A_J, I, lambda X: X @ W), 0.0, 1.0)
+    z = np.zeros(A_J.shape[0])  # z_i = 0 exactly off I, as the full product gives
+    z[I if J is None else np.searchsorted(J, I)] = z_I
+    t = _chi2_lower_level(k, _DELTA_LEV / I.size)
     beta1 = max(1.0, (1.0 + eps_lev) ** 2 / (_SAFETY * t))
-    beta2 = max(1.0, float(z.sum()) / d)
+    beta2 = max(1.0, float(z_I.sum()) / d)
     return LeverageScores._on_rows(n, J, z, beta1, beta2)
 
 

@@ -20,8 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # seed-1 op-0 output digests; a change that moves a workload's bytes
 # re-records its pin on purpose
 DIGEST_OP0 = {
-    "embed-sparse": "208638e3bfa83b9060614c262fe92ae9af0c99b5753ef389eae3e246794b5a85",
-    "embed-dense": "79baedb3765561a1fd74147ab94e70b6a612f4b413efa0dac0bb40dd7e44371b",
+    "embed-sparse": "70fe365194ae0f4e93cdf5e8aa4143f5153082b1131ebc4d71731b21df414126",
+    "embed-dense": "b1e80c62938489f7c3bb9dbcf92c5574d1adb918b23e510551b3d624d71f0f8f",
     "verify-trials": "d18f97f117ea5139426f8f756a754179974fcff6744e60713562ed084548b65e",
     "apply-reuse": "700113cc5a34e5d56006dab3fb8ff4bcd930c7aa09ba0ae66800efc70406edc3",
 }

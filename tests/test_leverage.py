@@ -18,14 +18,13 @@ from subsketch import (
     validate_scores,
 )
 from subsketch import leverage, oblivious
+from subsketch.apply import as_matrix
 from subsketch.leverage import (
     _DELTA_LEV,
-    _DIRECT,
-    _EPS_LEV,
     _SAFETY,
+    _certified_r,
     _chi2_lower_level,
-    _sketch_r_factor,
-    _sketch_rows,
+    _nonzero_rows,
 )
 
 
@@ -63,15 +62,14 @@ class TestExactScores:
 
     @pytest.mark.parametrize("caller", ["exact_leverage", "approx-direct", "approx-sketch"])
     def test_rank_deficiency_names_rank(self, caller, osnap_builds):
-        # one rank test for every caller; the sketch route's input is a taller copy
+        # one rank test for every caller; approx-sketch's input is a taller copy
         n = 5000 if caller == "approx-sketch" else 50
         B = np.random.default_rng(3).standard_normal((n, 3))
         A = np.hstack([B, B[:, :1] + B[:, 1:2]])  # rank 3, d = 4
-        assert (n > _DIRECT * _sketch_rows(4, n)) == (caller == "approx-sketch")
         with pytest.raises(RankDeficiencyError) as err:
             exact_leverage(A) if caller == "exact_leverage" else approx_leverage(A, 0.5)
         assert err.value.numerical_rank == 3
-        assert len(osnap_builds) == (caller == "approx-sketch")
+        assert osnap_builds == []
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ParameterError):
@@ -215,18 +213,31 @@ class TestValidateScores:
 
 
 def _claim_surface(name, seed, embed_shaped):
-    """Criterion 11's Gaussian 2000 x 20 input, a reduced embed input, or a
-    Gaussian 2^14 x 16, whose nonzero rows are ~13 times the sketch's."""
+    """Criterion 11's Gaussian 2000 x 20 input, a reduced embed input, a
+    Gaussian 2^14 x 16 (r / d = 1024, the tallest), or a kappa-<k> input:
+    criterion 11's with its columns scaled from 1 down to 1/k, log-spaced,
+    so kappa(A) is about k."""
+    rng = np.random.default_rng(seed)
     if name == "criterion-11":
-        return np.random.default_rng(seed).standard_normal((2000, 20))
+        return rng.standard_normal((2000, 20))
     if name == "sketch-route":
-        return np.random.default_rng(seed).standard_normal((1 << 14, 16))
+        return rng.standard_normal((1 << 14, 16))
+    if name.startswith("kappa-"):
+        return rng.standard_normal((2000, 20)) * np.logspace(0, -math.log10(float(name[6:])), 20)
     return embed_shaped(name == "embed-dense", seed)
 
 
-# the route each surface takes: r / rows is 1.6, 1.3, 1.9 and 13
-CLAIM_SURFACES = {"criterion-11": "direct", "embed-sparse": "direct", "embed-dense": "direct",
-                  "sketch-route": "sketch"}
+# where each surface's R comes from: the Gram's Cholesky, or the QR when
+# its certificate eta = 5 u kappa^2 (r d + d (d + 1)) exceeds 5/64
+CLAIM_SURFACES = {"criterion-11": "gram", "embed-sparse": "gram", "embed-dense": "gram",
+                  "sketch-route": "gram", "kappa-1e4": "gram", "kappa-1e8": "qr",
+                  "kappa-1e12": "qr"}
+
+
+def _certified(A):
+    """(R, eps_lev) of :func:`_certified_r` for A."""
+    A = as_matrix(A, tall=True, finite=True)
+    return _certified_r(*_nonzero_rows(A), A.shape[0])
 
 
 def _rows_input(r, seed, n=4096, d=8):
@@ -237,13 +248,12 @@ def _rows_input(r, seed, n=4096, d=8):
     return A
 
 
-# the most nonzero rows a 4096 x 8 input may have to be factored directly
-BOUNDARY = _DIRECT * _sketch_rows(8, 4096)
+ROWS = 1072  # nonzero rows of a 4096 x 8 input: k = 400 gives a claim below 1 on them
 
 
 @pytest.fixture
 def osnap_builds(monkeypatch):
-    """The m of every osnap sketch built; the leverage sketch is one."""
+    """The m of every osnap sketch built."""
     calls = []
 
     def counting(spec, columns=None, _orig=oblivious.build_osnap):
@@ -254,37 +264,52 @@ def osnap_builds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def qr_fallbacks(monkeypatch):
+    """The shape of every X that :func:`leverage._r_factor` factors."""
+    calls = []
+
+    def counting(X, n, _orig=leverage._r_factor):
+        calls.append(X.shape)
+        return _orig(X, n)
+
+    monkeypatch.setattr(leverage, "_r_factor", counting)
+    return calls
+
+
+def _storages(A):
+    """A dense A as itself, CSR, CSC, COO and CSR with stored zeros in a
+    zero row (one more touched row, no more nonzero rows) and a nonzero one."""
+    sparse = scipy.sparse.csr_matrix(A)
+    rows = [np.flatnonzero(~A.any(axis=1))[0], np.flatnonzero(A.any(axis=1))[0]]
+    coo = sparse.tocoo()
+    stored_zeros = scipy.sparse.csr_matrix(
+        (np.append(coo.data, [0.0, 0.0]), (np.append(coo.row, rows), np.append(coo.col, [0, 0]))),
+        shape=A.shape)
+    return A, sparse, sparse.tocsc(), coo, stored_zeros
+
+
 class TestRoute:
-    @pytest.mark.parametrize("r, route", [(BOUNDARY // 4, "direct"), (BOUNDARY, "direct"),
-                                          (BOUNDARY + 1, "sketch"), (3000, "sketch")])
-    def test_route_and_claim_follow_nonzero_rows(self, r, route, osnap_builds):
+    @pytest.mark.parametrize("r", [ROWS // 4, ROWS, ROWS + 1, 3000])
+    def test_route_and_claim_follow_nonzero_rows(self, r, osnap_builds, qr_fallbacks):
+        # every storage gives one R, one certificate and so one claim
         A = _rows_input(r, seed=r)
-        sparse = scipy.sparse.csr_matrix(A)
-        J = touched_rows(sparse)
-        free = np.setdiff1d(np.arange(A.shape[0]), J)
-        coo = sparse.tocoo()
-        # an explicit zero in a zero row: one more touched row, no more nonzero rows
-        stored_zeros = scipy.sparse.csr_matrix(
-            (np.append(coo.data, 0.0), (np.append(coo.row, free[0]), np.append(coo.col, 0))),
-            shape=A.shape)
-        claims = set()
-        for X in (A, sparse, sparse.tocsc(), stored_zeros):
-            osnap_builds.clear()
-            claims.add(approx_leverage(X, 0.25, seed=1).beta1)
-            assert osnap_builds == ([] if route == "direct" else [_sketch_rows(8, 4096)])
+        _, eps_lev = _certified(A)
+        assert 0.0 < eps_lev < 1e-9
+        claims = {approx_leverage(X, 0.25, seed=1).beta1 for X in _storages(A)}
         t = _chi2_lower_level(16, _DELTA_LEV / r)
-        eps_lev = 0.0 if route == "direct" else _EPS_LEV
         assert claims == {(1.0 + eps_lev) ** 2 / (_SAFETY * t)}
+        assert osnap_builds == [] and qr_fallbacks == []
 
     def test_direct_claim_is_at_least_one(self):
-        # 400 test vectors over 1072 rows: 1 / (2t) = 0.71, below what a claim may state
-        A = _rows_input(BOUNDARY, seed=2)
-        assert 1.0 / (_SAFETY * _chi2_lower_level(400, _DELTA_LEV / BOUNDARY)) < 1.0
+        # 400 test vectors over 1072 rows: 1 / (2t) = 0.74, below what a claim may state
+        A = _rows_input(ROWS, seed=2)
+        assert 1.0 / (_SAFETY * _chi2_lower_level(400, _DELTA_LEV / ROWS)) < 1.0
         scores = approx_leverage(A, 0.01, seed=2)
         assert scores.beta1 == 1.0
         assert validate_scores(A, scores).passed
 
-    @pytest.mark.parametrize("r", [BOUNDARY, BOUNDARY + 1])
+    @pytest.mark.parametrize("r", [ROWS, ROWS + 1])
     @pytest.mark.parametrize("fmt", ["dense", "csr"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_rejected_on_both_routes(self, r, fmt, bad):
@@ -296,42 +321,29 @@ class TestRoute:
             approx_leverage(A if fmt == "dense" else scipy.sparse.csr_matrix(A), 0.5)
 
     def test_rank_deficient_nonzero_rows_name_their_rank(self, osnap_builds):
-        A = _rows_input(BOUNDARY, seed=4)
+        A = _rows_input(ROWS, seed=4)
         A[:, 3] = A[:, 0] - A[:, 1]
-        with pytest.raises(RankDeficiencyError) as err:
-            approx_leverage(A, 0.5)
-        assert err.value.numerical_rank == 7
+        for X in _storages(A):
+            for scores_of in (exact_leverage, lambda B: approx_leverage(B, 0.5)):
+                with pytest.raises(RankDeficiencyError) as err:
+                    scores_of(X)
+                assert err.value.numerical_rank == 7
         assert osnap_builds == []
 
-    def test_singular_leverage_sketch_is_built_once(self, osnap_builds):
-        # a rank-7 A past the boundary: its one sketch is singular, and A's own rank is named
-        A = _rows_input(3000, seed=4)
-        A[:, 3] = A[:, 0] - A[:, 1]
-        with pytest.raises(RankDeficiencyError) as err:
-            approx_leverage(A, 0.5)
-        assert err.value.numerical_rank == 7
-        assert osnap_builds == [_sketch_rows(8, 4096)]
-
     def test_direct_route_factors_the_same_nonzero_rows(self, monkeypatch):
-        A = _rows_input(BOUNDARY, seed=5)
-        sparse = scipy.sparse.csr_matrix(A)
-        J = touched_rows(sparse)
-        free = np.setdiff1d(np.arange(A.shape[0]), J)
-        coo = sparse.tocoo()
-        # stored zeros in a zero row and in a nonzero one
-        stored_zeros = scipy.sparse.csr_matrix(
-            (np.append(coo.data, [0.0, 0.0]),
-             (np.append(coo.row, [free[0], J[0]]), np.append(coo.col, [0, 0]))), shape=A.shape)
+        # every storage sums the same dense blocks into the Gram and gives the same scores
+        A = _rows_input(ROWS, seed=5)
         seen = []
 
-        def recording(X, n, _orig=leverage._r_factor):
-            seen.append(X.tobytes())
-            return _orig(X, n)
+        def recording(G, _orig=leverage._cholesky):
+            seen.append(G.tobytes())
+            return _orig(G)
 
-        monkeypatch.setattr(leverage, "_r_factor", recording)
-        for X in (A, sparse, stored_zeros):
-            approx_leverage(X, 0.5)
-        assert seen == [A[A.any(axis=1)].tobytes()] * 3
+        monkeypatch.setattr(leverage, "_cholesky", recording)
+        X = A[A.any(axis=1)]
+        digests = {approx_leverage(B, 0.5).digest() for B in _storages(A)}
+        assert seen == [(X.T @ X).tobytes()] * 5
+        assert len(digests) == 1
 
 
 class TestBeta1Claim:
@@ -352,24 +364,29 @@ class TestBeta1Claim:
             assert report.passed, f"seed {seed}: {report}"
 
     @pytest.mark.parametrize("surface", CLAIM_SURFACES)
-    def test_claim_surfaces_take_their_routes(self, surface, embed_shaped, osnap_builds):
+    def test_claim_surfaces_take_their_routes(self, surface, embed_shaped, osnap_builds,
+                                              qr_fallbacks):
         A = _claim_surface(surface, 0, embed_shaped)
         approx_leverage(A, 0.25, seed=0)
-        assert len(osnap_builds) == (CLAIM_SURFACES[surface] == "sketch")
+        assert osnap_builds == []
+        assert len(qr_fallbacks) == (CLAIM_SURFACES[surface] == "qr")
 
-    @pytest.mark.parametrize("surface", CLAIM_SURFACES)
+    @pytest.mark.parametrize("surface", [s for s, r in CLAIM_SURFACES.items() if r == "gram"])
     def test_leverage_sketch_distortion_within_assumed(self, surface, embed_shaped):
-        # the claim assumes sigma_max(Pi U) <= 1 + eps_lev; Pi A = Q R and
-        # A[J] = Q' R_A give sigma(Pi U) = sigma(R R_A^-1)
+        # the claim assumes sigma_min(A R^-1) >= 1 / (1 + eps_lev), and the bound
+        # gives sigma_max(A R^-1)^2 <= 1 + eta; a QR's A[J] = Q' R_A gives
+        # sigma(A R^-1) = sigma(R_A R^-1)
         for seed in range(50):
             A = _claim_surface(surface, seed, embed_shaped)
-            n, d = A.shape
             J = touched_rows(A)
-            R = _sketch_r_factor(A, d, n, seed, J)
+            R, eps_lev = _certified(A)
             R_A = np.linalg.qr(A if J is None else A[J].toarray(), mode="r")
-            sigma = np.linalg.svd(scipy.linalg.solve_triangular(R_A.T, R.T, lower=True).T,
+            sigma = np.linalg.svd(scipy.linalg.solve_triangular(R.T, R_A.T, lower=True).T,
                                   compute_uv=False)
-            assert sigma[0] <= 1.0 + _EPS_LEV, f"seed {seed}: {sigma[0]}"
+            eta = 1.0 - (1.0 + eps_lev) ** -2
+            assert 0.0 < eps_lev <= 0.042
+            assert 1.0 / (1.0 + eps_lev) <= sigma[-1] <= sigma[0] <= math.sqrt(1.0 + eta), \
+                f"seed {seed}: {sigma[[0, -1]]}, eps_lev {eps_lev}"
 
     def test_beta1_counts_nonzero_rows_of_A(self, embed_shaped):
         A = embed_shaped(False, 7)

@@ -476,10 +476,8 @@ def _count_passes(monkeypatch):
                          ids=["direct", "sketch", "stored-zero"])
 def test_one_support_per_op(kind, validate, touched, stored_zero, monkeypatch):
     # an op finds J once and reads A's rows through one view: no fancy
-    # slice of A, on either leverage route, validated or not
+    # slice of A, with few or many touched rows, validated or not
     A = _support_input(touched, stored_zero)
-    J = touched_rows(A)
-    assert (J.size > 2 * leverage._sketch_rows(6, 6000)) == (touched == 3000)
     calls = _count_passes(monkeypatch)
     config = PipelineConfig(eps=0.5, delta=0.05, seed=3, kind=kind, validate=validate)
     out, report = fast_subspace_embed(A, config)
