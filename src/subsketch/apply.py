@@ -66,7 +66,11 @@ def apply(sketch, A):
     ParameterError also unless A has n rows, or if such a sketch meets a
     stored entry (a nonzero, for a dense A) in a row outside J.
     """
-    A = as_matrix(A, tall=False, finite=True)
+    return _product(sketch, as_matrix(A, tall=False, finite=True))
+
+
+def _product(sketch, A):
+    """:func:`apply` of a sketch to an A that has passed :func:`as_matrix`."""
     if A.shape[0] != sketch.n:
         raise ParameterError(f"dimension mismatch: sketch has n = {sketch.n} columns, "
                              f"input has {A.shape[0]} rows")

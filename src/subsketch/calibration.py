@@ -14,8 +14,8 @@ pin the result here.  The procedure (reproducible via
   failures of the i.i.d.-entry model appear;
 * score-adapted constants are measured at the anchor and on a pipeline
   surface: ``fast_subspace_embed(validate=True)`` itself on a sparse
-  1e5 x 32 input (coarse scores at gamma = 0.25), which exercises the
-  single-nonzero-per-column regime the anchor never reaches;
+  1e5 x 32 input (scores from its leverage route, exact there), which
+  exercises the single-nonzero-per-column regime the anchor never reaches;
 * the pass threshold is a failure fraction of delta/2 at every surface,
   a two-fold margin over the delta the acceptance experiments assert.
 

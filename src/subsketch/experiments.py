@@ -227,7 +227,8 @@ _PIPELINE_RUNS = 25
 def _pipeline_failures(constants, eps, delta, seed):
     """(spec, failure fraction) of less-ic at the m and pm of ``constants``
     over ``fast_subspace_embed(validate=True)`` runs on a sparse 1e5 x 32
-    input, scores at gamma = 0.25; None when the sparsity reaches m."""
+    input, scores by the pipeline's leverage route (gamma = 0.25 if it
+    estimates); None when the sparsity reaches m."""
     n, d = 100_000, 32
     spec = default_parameters(d, n, eps, delta, "less-ic", constants=constants)
     if spec.s >= spec.m:
@@ -290,7 +291,7 @@ def calibrate(trials=None, seed=None):
             if found is None:
                 return False
             spec, frac = found
-            return passes(stage, "less-ic-pipeline", spec, eps, "approx-scores", frac)
+            return passes(stage, "less-ic-pipeline", spec, eps, "pipeline-scores", frac)
         for k, e in enumerate(grid):
             spec = default_parameters(d, grid_n, e, delta, kind,
                                       m=_eps_grid_m(d, e, constants), constants=constants)

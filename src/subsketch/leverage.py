@@ -4,8 +4,10 @@ The i-th leverage score of A is the squared norm of the i-th row of any
 orthonormal basis of A's column space, such as A R^-1 for the R that
 :func:`_certified_r`, this module's one factorization, takes of A's
 nonzero rows: the Cholesky factor of their Gram with a rounding
-certificate eps_lev, or a Householder QR of them when that fails.  The
-exact checks and the estimate read it.  Approximate scores are one-sided
+certificate eps_lev, or a Householder QR of them, certified by its
+backward error, when that fails.  The exact scores (one product with
+R^-1, whose rounding a factor rho bounds), the exact checks and the
+estimate read it.  Approximate scores are one-sided
 overestimates: z_i >= l_i / beta1 with sum(z) <= beta2 * d, and the
 claimed beta1 = (1 + eps_lev)^2 O((r / delta_lev)^(gamma / 2)) is the one
 :func:`approx_leverage` proves, delta_lev = 1e-3 the chance that it fails.
@@ -13,6 +15,7 @@ claimed beta1 = (1 + eps_lev)^2 O((r / delta_lev)^(gamma / 2)) is the one
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -104,19 +107,22 @@ class LeverageScores:
 
 
 def _nonzero_rows(A, J=None):
-    """(J, A_J, I) for a gated A: J = :func:`~subsketch.apply.touched_rows`
+    """(J, A_J, I, nnz) for a gated A: J = :func:`~subsketch.apply.touched_rows`
     unless given (None for a dense A), A_J = A[J] by ``apply._take_rows``
-    (A itself if dense), and I the rows of A that hold a nonzero as
-    ascending indices into A.  NaN counts as nonzero and a stored zero does
-    not, so a sparse A, its dense copy and A with stored zeros give the
-    same I.  The one place that decides which rows of A count."""
+    (A itself if dense), I the rows of A that hold a nonzero as ascending
+    indices into A, and nnz the nonzeros of A, all from one test of A's
+    entries against 0.  NaN counts as nonzero and a stored zero does not,
+    so a sparse A, its dense copy and A with stored zeros give the same I
+    and nnz.  The one place that decides which rows of A count."""
     J = touched_rows(A) if J is None else J
     if J is None:
-        return None, A, np.flatnonzero(A.any(axis=1))
+        per_row = (A != 0).sum(axis=1, dtype=np.int32)
+        return None, A, np.flatnonzero(per_row), int(per_row.sum())
     A_J = _take_rows(A, J)
     # nonzeros before each row start: a row is nonzero if its count grows
     before = np.concatenate(([0], np.cumsum(A_J.data != 0)))
-    return J, A_J, J[before[A_J.indptr[1:]] > before[A_J.indptr[:-1]]]
+    I = J[before[A_J.indptr[1:]] > before[A_J.indptr[:-1]]]
+    return J, A_J, I, int(before[A_J.indptr[-1]])
 
 
 _BLOCK = 1 << 14  # rows of A[I] per block: fixed, so the Gram's order of summation is too
@@ -135,9 +141,14 @@ def _row_blocks(J, A_J, I):
         yield X if b - a == p.size else X[p - a]
 
 
-def _row_norms2(J, A_J, I, f):
-    """|f(X)_i|^2 for each row of X = A[I], f applied to each of :func:`_row_blocks`."""
-    return np.concatenate([np.einsum("ij,ij->i", Y, Y) for Y in map(f, _row_blocks(J, A_J, I))])
+def _row_norms2(J, A_J, I, f, rows=_BLOCK):
+    """|f(X)_i|^2 for each row of X = A[I], f applied to ``rows`` rows of
+    each of :func:`_row_blocks` at a time (one f(X) is held at a time)."""
+    def norms2(Y):
+        return np.einsum("ij,ij->i", Y, Y)
+
+    return np.concatenate([norms2(f(X[lo:lo + rows])) for X in _row_blocks(J, A_J, I)
+                           for lo in range(0, len(X), rows)])
 
 
 def _numerical_rank(svals, n, d):
@@ -145,15 +156,44 @@ def _numerical_rank(svals, n, d):
     return int(np.sum(svals > max(n, d) * np.finfo(np.float64).eps * svals[:1].sum()))
 
 
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
+_ETA_MAX = 5.0 / 64.0  # the CholeskyQR bound's hypothesis, in terms of eta
+_C_QR = 8  # the small constant c of Householder QR's backward error gamma(c r d)
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u), which bounds the rounding of k floating
+    point operations (Higham, ASNA 2nd ed., Lemma 3.1)."""
+    return k * _U / (1.0 - k * _U)
+
+
 def _r_factor(X, n):
-    """R of a Householder QR of X, the dense nonzero rows of an n x d
-    matrix, its rows signed to a positive diagonal; RankDeficiencyError
-    when :func:`_numerical_rank` of R is below d, naming it."""
-    R, d = np.linalg.qr(X, mode="r"), X.shape[1]
+    """(R, eps_lev) of a Householder QR of X, the r dense nonzero rows of an
+    n x d matrix, R's rows signed to a positive diagonal; RankDeficiencyError
+    naming the rank when :func:`_numerical_rank` of R is below d, or when
+    the QR's rounding leaves R uncertified.
+
+    The QR is columnwise backward stable (Higham, ASNA 2nd ed., Thm. 19.4):
+    X + dX = Q R, Q with orthonormal columns and |dx_j| <= g |x_j|,
+    g = gamma(c r d) with c = 8.  With D the column norms of R,
+    X R^-1 = Q - (dX D^-1)(R D^-1)^-1, so sigma_min(X R^-1) >= 1 - theta,
+    theta = g sqrt(d) / ((1 - g) sigma_min(R D^-1)), and
+    eps_lev = theta / (1 - theta).  Column scaling does not move theta,
+    so columns scaled far apart keep it small.  theta >= 1 counts as rank
+    deficient, the rank being the number of singular values of R D^-1
+    above g sqrt(d) / (1 - g).
+    """
+    R, (r, d) = np.linalg.qr(X, mode="r"), X.shape
     rank = _numerical_rank(np.linalg.svd(R, compute_uv=False), n, d)
+    if rank == d:
+        scaled = np.linalg.svd(R / np.linalg.norm(R, axis=0), compute_uv=False)
+        g = _gamma(_C_QR * r * d)
+        level = g * math.sqrt(d) / (1.0 - g)
+        rank = int(np.sum(scaled > level))
     if rank < d:
         raise RankDeficiencyError(f"matrix is rank deficient: numerical rank {rank} < {d}", rank)
-    return R * np.sign(np.diag(R))[:, None]
+    theta = level / scaled[-1]
+    return R * np.sign(np.diag(R))[:, None], theta / (1.0 - theta)
 
 
 def _cholesky(G):
@@ -169,10 +209,6 @@ def _cholesky(G):
     return R
 
 
-_U = np.finfo(np.float64).eps / 2  # unit roundoff
-_ETA_MAX = 5.0 / 64.0  # the CholeskyQR bound's hypothesis, in terms of eta
-
-
 def _certified_r(J, A_J, I, n):
     """(R, eps_lev) for X = A[I], the r nonzero rows of an n x d A from
     :func:`_nonzero_rows`: R upper triangular with a positive diagonal and
@@ -185,9 +221,8 @@ def _certified_r(J, A_J, I, n):
     the CholeskyQR bound (Yamamoto et al., ETNA 2015) gives
     |(X R^-1)^T X R^-1 - I| <= eta when eta <= 5/64, its hypothesis, so
     eps_lev = (1 - eta)^(-1/2) - 1 <= 0.042.  If a pivot is not positive,
-    R fails the rank test or eta > 5/64, R is :func:`_r_factor` of X
-    (which names a deficient A's rank), a backward-stable QR whose
-    O(u kappa) rounding is not counted: eps_lev = 0.
+    R fails the rank test or eta > 5/64, R and eps_lev are those of
+    :func:`_r_factor` of X, which names a deficient A's rank.
     """
     r, d = I.size, A_J.shape[1]
     G = np.zeros((d, d))
@@ -200,26 +235,77 @@ def _certified_r(J, A_J, I, n):
             eta = 5.0 * _U * (r * d + d * (d + 1)) * (svals[0] / svals[-1]) ** 2
             if eta <= _ETA_MAX:
                 return R, 1.0 / math.sqrt(1.0 - eta) - 1.0
-    return _r_factor(np.concatenate([np.empty((0, d)), *_row_blocks(J, A_J, I)]), n), 0.0
+    return _r_factor(np.concatenate([np.empty((0, d)), *_row_blocks(J, A_J, I)]), n)
 
 
-def _exact_rows(A, touched=None):
-    """(I, R, l) of A, NaN and Inf rejected: its nonzero rows I (among J, if
-    ``touched`` holds it), the R of :func:`_certified_r` and
-    l_i = |A_i R^-1|^2 on I, unclamped."""
-    A = as_matrix(A, tall=True, finite=True)
-    J, A_J, I = _nonzero_rows(A, touched)
-    R, _ = _certified_r(J, A_J, I, A.shape[0])
-    # the rows of X R^-1, which has orthonormal columns
-    l = _row_norms2(J, A_J, I, lambda X: scipy.linalg.solve_triangular(R, X.T, trans="T").T)
-    return I, R, l
+class _Factored(NamedTuple):
+    """A gated n x d A's nonzero rows from :func:`_nonzero_rows` (J, A_J, I
+    and nnz), with the R and eps_lev that :func:`_certified_r` takes of them."""
+
+    J: np.ndarray
+    A_J: object
+    I: np.ndarray
+    nnz: int
+    n: int
+    R: np.ndarray
+    eps_lev: float
+
+
+def _factor(A, J=None):
+    """The :class:`_Factored` rows of a gated A (among J, if given)."""
+    J, A_J, I, nnz = _nonzero_rows(A, J)
+    return _Factored(J, A_J, I, nnz, A.shape[0], *_certified_r(J, A_J, I, A.shape[0]))
+
+
+def _exact_norms(f):
+    """(l, rho): l_i = |A_i R^-1|^2 on I from one product of each of
+    :func:`_row_blocks` with the computed R^-1, in O(r d^2 + d^3), and
+    rho >= 1 with l_i >= |A_i R^-1|^2 / rho for the exact R^-1.
+
+    Let Y be R^-1 from a triangular solve, F = R Y - I, D the column norms
+    of R and s = sqrt(d) |D Y|_F.  A row x = u R of A[I] has x Y = u (I + F);
+    the product's rounding is at most gamma_d |x| |Y| = gamma_d |x D^-1| |D Y|
+    componentwise, and |x D^-1| <= sqrt(d) |u|; the squared norm's is a
+    factor 1 - gamma_(d+1).  With |F|_2 <= |fl(F)|_F + gamma_(d+1) s,
+    rho = 1 / ((1 - gamma_(d+1)) (1 - omega)^2), omega = |fl(F)|_F +
+    2 gamma_(d+1) s, which either certificate of :func:`_certified_r`
+    keeps below 1/2.  Y, the products and their sums are a triangular
+    solve and gemms over fixed blocks, so the bytes do not depend on the
+    BLAS thread count.
+    """
+    d = f.R.shape[0]
+    Y = scipy.linalg.solve_triangular(f.R, np.eye(d))
+    s = math.sqrt(d) * np.linalg.norm(Y * np.linalg.norm(f.R, axis=0)[:, None])
+    g = _gamma(d + 1)
+    omega = np.linalg.norm(f.R @ Y - np.eye(d)) + 2.0 * g * s
+    # the product 2^16 floats at a time (a quarter of the estimate's
+    # 2^14 x 16), so its memory does not grow with d; no slower at d <= 256
+    l = _row_norms2(f.J, f.A_J, f.I, lambda X: X @ Y, rows=max(1, (1 << 16) // d))
+    return l, 1.0 / ((1.0 - g) * (1.0 - omega) ** 2)
+
+
+def _held(f, z_I, beta1):
+    """The scores z_I on I, 0 exactly elsewhere, held on J (every row of a
+    dense A), with the claimed beta1 and beta2 = max(1, sum(z) / d)."""
+    z = np.zeros(f.A_J.shape[0])
+    z[f.I if f.J is None else np.searchsorted(f.J, f.I)] = z_I
+    return LeverageScores._on_rows(f.n, f.J, z, beta1, max(1.0, float(z_I.sum()) / f.R.shape[0]))
+
+
+def _exact(f):
+    """(l, scores) of a :class:`_Factored` A: l from :func:`_exact_norms`
+    and the scores min(l, 1), which claim beta1 = (1 + eps_lev)^2 rho:
+    l_i <= (1 + eps_lev)^2 |A_i R^-1|^2 by the certificate."""
+    l, rho = _exact_norms(f)
+    return l, _held(f, np.minimum(l, 1.0), (1.0 + f.eps_lev) ** 2 * rho)
 
 
 def exact_leverage(A):
-    """The exact scores of :func:`_exact_rows` clamped at 1, held on A's
-    nonzero rows; every zero row of A scores exactly 0, whatever its storage."""
-    I, _, l = _exact_rows(A)
-    return LeverageScores._on_rows(np.shape(A)[0], I, np.minimum(l, 1.0))
+    """The exact scores of :func:`_exact_norms` clamped at 1, held on A's
+    nonzero rows; every zero row of A scores exactly 0, whatever its
+    storage.  NaN or Inf raise ParameterError."""
+    f = _factor(as_matrix(A, tall=True, finite=True))
+    return LeverageScores._on_rows(f.n, f.I, np.minimum(_exact_norms(f)[0], 1.0))
 
 
 _SAFETY = 2.0  # inflation of the estimates, which the claimed beta1 carries
@@ -241,6 +327,23 @@ def _chi2_lower_level(k, c):
             lo = mid
         else:
             hi = mid
+
+
+def _estimate_claim(gamma, r, eps_lev):
+    """(k, beta1) of the estimate over r nonzero rows: k = ceil(4/gamma)
+    test vectors and the beta1 that :func:`approx_leverage` proves."""
+    k = math.ceil(4.0 / gamma)
+    return k, max(1.0, (1.0 + eps_lev) ** 2 / (_SAFETY * _chi2_lower_level(k, _DELTA_LEV / r)))
+
+
+def _estimate(f, gamma, seed):
+    """:func:`approx_leverage` of a :class:`_Factored` A."""
+    k, beta1 = _estimate_claim(gamma, f.I.size, f.eps_lev)
+    rng = np.random.default_rng(derive_seed(seed, 0x7E57))
+    G = rng.standard_normal((f.R.shape[0], k)) / math.sqrt(k)
+    W = scipy.linalg.solve_triangular(f.R, G, lower=False)
+    return _held(f, np.clip(_SAFETY * _row_norms2(f.J, f.A_J, f.I, lambda X: X @ W), 0.0, 1.0),
+                 beta1)
 
 
 def approx_leverage(A, gamma, *, seed=0):
@@ -277,21 +380,7 @@ def approx_leverage(A, gamma, *, seed=0):
     max(1, sum(z)/d).
     """
     gamma = as_real("gamma", gamma, "(0, 1)")
-    A = as_matrix(A, tall=True, finite=True)
-    n, d = A.shape
-    J, A_J, I = _nonzero_rows(A)
-    R, eps_lev = _certified_r(J, A_J, I, n)
-    k = math.ceil(4.0 / gamma)
-    rng = np.random.default_rng(derive_seed(seed, 0x7E57))
-    G = rng.standard_normal((d, k)) / math.sqrt(k)
-    W = scipy.linalg.solve_triangular(R, G, lower=False)
-    z_I = np.clip(_SAFETY * _row_norms2(J, A_J, I, lambda X: X @ W), 0.0, 1.0)
-    z = np.zeros(A_J.shape[0])  # z_i = 0 exactly off I, as the full product gives
-    z[I if J is None else np.searchsorted(J, I)] = z_I
-    t = _chi2_lower_level(k, _DELTA_LEV / I.size)
-    beta1 = max(1.0, (1.0 + eps_lev) ** 2 / (_SAFETY * t))
-    beta2 = max(1.0, float(z_I.sum()) / d)
-    return LeverageScores._on_rows(n, J, z, beta1, beta2)
+    return _estimate(_factor(as_matrix(A, tall=True, finite=True)), gamma, seed)
 
 
 @dataclass

@@ -20,14 +20,18 @@ ose-ie, less-ie and gaussian-dense pipeline digests, the ``bench --sweep``
 CSVs and the ``run_config`` reports pin the parameters each kind gets by
 default, end to end; the ose-ie and less-ie reports were re-recorded when
 they stopped reporting a K, and the less-ie ones again when exact scores
-came from a QR's R instead of an SVD, and once more when R came from the
-Cholesky factor of a Gram (their last ulps moved each time).  The less-ic
-and less-ie pipeline digests moved when the leverage estimate's R came
-from that Gram for every input, with delta_lev = 1e-3: a larger claimed
-beta1 makes both sketches denser at the same m.
+came from a QR's R instead of an SVD, once more when R came from the
+Cholesky factor of a Gram, and again when the exact scores came from a
+product with R^-1 instead of a triangular solve (their last ulps moved
+each time).  The less-ic and less-ie pipeline digests moved when the
+leverage estimate's R came from that Gram for every input, with
+delta_lev = 1e-3 (a larger claimed beta1 makes both sketches denser at
+the same m), and again when the pipeline took exact scores on this input
+(beta1 ~ 1: sparser sketches).
 
 The thread-count test runs exact and estimated leverage scores, up to
-d = 256, and the pipeline of every kind at 1 and 2 BLAS threads, in
+d = 256, and the pipeline of every kind (the less kinds on both inputs
+take exact scores) at 1 and 2 BLAS threads, in
 fresh processes, and compares their bytes: R comes from a Gram summed
 over fixed blocks of rows and a Cholesky factorization by matrix-vector
 products, where LAPACK's Householder QR and blocked Cholesky round by
@@ -94,11 +98,11 @@ def _touched_input():
 
 PIPELINE_CASES = {
     # kind: (output digest, nnz of the full sketch)
-    "less-ic": ("34324adf737a1f9a08c044a1df999154e9659b1da369aabbc8ba0d81b087d5bb", 9405),
+    "less-ic": ("3eb3aa552b796526de423d4adb9a494618de1f973a3682628b4e0ccec1d2d680", 8203),
     "osnap": ("e38d18d9f8cea1e7e368e2b77b74ec8a9e3bcef1860607072a3e600b9757afef", 40960),
     # the kinds built in full, pinned on the parameters they get by default
     "ose-ie": ("f7d3da1305611798651f5a2ac2f5d155d1e70d1955f7c32fa25cfe70b04c1967", 130729),
-    "less-ie": ("01dd90eef7e69e8bb3e1d1f80626e9e06fb202405aec3ab28345df2292a19c16", 1274),
+    "less-ie": ("b98d02aa8f8ea608ac5021ff7b9ba995ffda5745d1a33317e980f4f593b17937", 96),
     "gaussian-dense": ("c483fb86b82f059acd8202d6c0e8a60c651fe6d30a9865462fc1b192e7a2da95",
                        720896),
 }
@@ -143,11 +147,11 @@ CONFIG_CASES = {
     ("embedding", "osnap"): "852099e5ff8397e3a04084e2bb338d63e88e88d7756049f843e7ec90995ea891",
     ("embedding", "ose-ie"): "7ed498732c6015085b23cebcf3afb6c2f60ede62ab7833a43e7e9f8af7b829d4",
     ("embedding", "less-ic"): "264e9db2ffb34f87d744bcffe53f850cd4e8ad97cf0f9242ae9b167492963aef",
-    ("embedding", "less-ie"): "ecb16918273a38d5ed7f834c2943783d8a9643abd3302b6826008954589b774b",
+    ("embedding", "less-ie"): "a35911d600418c29f68cb8bb74c769dc99d693a2fbac75cd216eff4fb5b3e2da",
     ("trace_moment", "osnap"): "c44a4da33db5ea485a6adcfc839df7a338aca2af3165b48d2a0f59a932b97aa8",
     ("trace_moment", "ose-ie"): "b084eeba3f00e3e67d63c15da5fae0ef401d258c1840819ca27cc82c130708a9",
     ("trace_moment", "less-ic"): "79af10915019eb51b20ed3f583a1e7da0e635e9f89c00d77ce1bd9732e3b54de",
-    ("trace_moment", "less-ie"): "8f7547378122f50dddb8028a8f56210365a78d8c74b73615136562dd1f2ba7a1",
+    ("trace_moment", "less-ie"): "0add940f38173acca357fc0623a7ff883a2de0c2d2931b08b68ac39d0b129d5f",
 }
 
 
@@ -190,6 +194,7 @@ found |= {kind: embed(A, kind) for kind in KINDS}
 for n, d in [(9000, 64), (2**16, 128), (2**14, 256)]:
     B = np.random.default_rng(3).standard_normal((n, d))
     found[f"approx_leverage-{n}x{d}"] = ss.approx_leverage(B, 0.25, seed=5).digest()
+    found[f"exact_leverage-{n}x{d}"] = ss.exact_leverage(B).digest()
 rng = np.random.default_rng(4)
 n, d = 2**16, 32
 S = scipy.sparse.random(n, d, density=2000 / (n * d), random_state=rng, format="csr")
@@ -220,7 +225,8 @@ def thread_digests():
 
 def test_bytes_do_not_depend_on_the_thread_count(thread_digests):
     one, two = thread_digests["1"], thread_digests["2"]
-    assert set(one) == {"approx_leverage", "exact_leverage", "approx_leverage-9000x64",
-                        "approx_leverage-65536x128", "approx_leverage-16384x256",
-                        "less-ic-sparse", *ss.oblivious.KINDS}
+    shapes = ("9000x64", "65536x128", "16384x256")
+    assert set(one) == {"approx_leverage", "exact_leverage", "less-ic-sparse",
+                        *(f"{f}-{shape}" for f in ("approx_leverage", "exact_leverage")
+                          for shape in shapes), *ss.oblivious.KINDS}
     assert one == two

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from subsketch import (
     FormatError,
@@ -22,9 +23,9 @@ from subsketch.apply import as_matrix
 from subsketch.leverage import (
     _DELTA_LEV,
     _SAFETY,
-    _certified_r,
     _chi2_lower_level,
-    _nonzero_rows,
+    _exact,
+    _factor,
 )
 
 
@@ -236,8 +237,8 @@ CLAIM_SURFACES = {"criterion-11": "gram", "embed-sparse": "gram", "embed-dense":
 
 def _certified(A):
     """(R, eps_lev) of :func:`_certified_r` for A."""
-    A = as_matrix(A, tall=True, finite=True)
-    return _certified_r(*_nonzero_rows(A), A.shape[0])
+    f = _factor(as_matrix(A, tall=True, finite=True))
+    return f.R, f.eps_lev
 
 
 def _rows_input(r, seed, n=4096, d=8):
@@ -387,6 +388,31 @@ class TestBeta1Claim:
             assert 0.0 < eps_lev <= 0.042
             assert 1.0 / (1.0 + eps_lev) <= sigma[-1] <= sigma[0] <= math.sqrt(1.0 + eta), \
                 f"seed {seed}: {sigma[[0, -1]]}, eps_lev {eps_lev}"
+
+    @pytest.mark.parametrize("surface", CLAIM_SURFACES)
+    def test_claims_hold_against_a_column_scaled_oracle(self, surface, embed_shaped):
+        # A D^-1, D the column norms of A, has A's scores and a small kappa, so
+        # its exact scores come from a Gram's R that the claims do not share
+        for seed in range(5):
+            A = _claim_surface(surface, seed, embed_shaped)
+            f = _factor(as_matrix(A, tall=True, finite=True))
+            norms = (scipy.sparse.linalg.norm(A, axis=0) if scipy.sparse.issparse(A)
+                     else np.linalg.norm(A, axis=0))
+            oracle = exact_leverage(A @ scipy.sparse.diags(1.0 / norms)).z
+            assert f.eps_lev > 0.0  # the QR fallback counts its rounding too
+            for scores in (_exact(f)[1], approx_leverage(A, 0.25, seed=seed)):
+                assert np.all(scores.z >= oracle / scores.beta1), f"seed {seed}"
+
+    def test_uncertified_qr_names_the_rank(self, qr_fallbacks):
+        # two columns 1e-12 apart pass the rank test on R, but the QR's backward
+        # error, g sqrt(d) / sigma_min(R D^-1) with g = gamma(8 r d), exceeds 1
+        rng = np.random.default_rng(8)
+        B = rng.standard_normal((2000, 3))
+        A = np.hstack([B, B[:, :1] + 1e-12 * B[:, 1:2]])
+        with pytest.raises(RankDeficiencyError) as err:
+            approx_leverage(A, 0.5)
+        assert err.value.numerical_rank == 3
+        assert len(qr_fallbacks) == 1
 
     def test_beta1_counts_nonzero_rows_of_A(self, embed_shaped):
         A = embed_shaped(False, 7)

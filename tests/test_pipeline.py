@@ -15,7 +15,7 @@ from subsketch import (
     fast_subspace_embed,
     validate_scores,
 )
-from subsketch import experiments
+from subsketch import experiments, pipeline
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +54,9 @@ class TestFastSubspaceEmbed:
 
     @pytest.mark.parametrize("kind, seed, band", [
         # (s_min, s_max) as the validate stage gave them from a QR of all n rows;
-        # less-ic's re-recorded when its claimed beta1 grew (a denser sketch)
-        ("less-ic", 3, (0.7064284801930478, 1.3178664437365948)),
+        # less-ic's re-recorded when its claimed beta1 grew (a denser sketch),
+        # and again when the op took exact scores (beta1 ~ 1, a sparser sketch)
+        ("less-ic", 3, (0.630097752951276, 1.3299712765790586)),
         ("osnap", 6, (0.716166935869433, 1.29130396814395)),
     ])
     def test_validate_band_from_touched_rows(self, sparse_tall, kind, seed, band):
@@ -74,15 +75,16 @@ class TestFastSubspaceEmbed:
     @pytest.mark.parametrize("kind", ["less-ic", "less-ie"])
     @pytest.mark.parametrize("dense", [False, True])
     def test_measured_beta1_is_the_exact_ratio(self, kind, dense, embed_shaped, monkeypatch):
-        # max l_i / z_i over the rows with l_i > 0, from the validate stage's R
+        # max l_i / z_i over the rows with l_i > 0, from the validate stage's R;
+        # the scores are taken where the sketch is built from them, on either route
         A = embed_shaped(dense, 4)
         got = []
+        for name in ("build", "build_less_ic"):
+            def keeping(spec, _orig=getattr(pipeline, name), **kwargs):
+                got.append(spec.scores)
+                return _orig(spec, **kwargs)
 
-        def keeping(*args, **kwargs):
-            got.append(approx_leverage(*args, **kwargs))
-            return got[-1]
-
-        monkeypatch.setattr("subsketch.pipeline.approx_leverage", keeping)
+            monkeypatch.setattr(pipeline, name, keeping)
         config = PipelineConfig(eps=0.5, delta=0.05, seed=2, kind=kind, validate=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the less-ie clamp warning
@@ -263,3 +265,50 @@ def test_report_counts_nonzeros_in_every_storage(kind):
               for out, r in runs]
     assert fields == [fields[0]] * 5
     assert fields[0][0] == 2128
+
+
+def _rule_input(name):
+    """The embed benchmark's inputs (dense 2^14 x 64; 2^18 x 32 with ~3.4k
+    random nonzeros plus a diagonal) and a taller dense 2^17 x 64."""
+    rng = np.random.default_rng(1)
+    if name == "embed-sparse":
+        n, d = 1 << 18, 32
+        A = scipy.sparse.random(n, d, density=3400 / (n * d), random_state=rng, format="csr")
+        return (A + scipy.sparse.csr_matrix(
+            (rng.uniform(1, 2, d), (np.arange(d), np.arange(d))), shape=(n, d))).tocsr()
+    return rng.standard_normal((1 << 14 if name == "embed-dense" else 1 << 17, 64))
+
+
+@pytest.mark.parametrize("name, route", [("embed-dense", "exact"), ("embed-sparse", "exact"),
+                                         ("dense-2^17x64", "estimate")])
+def test_rule_picks_the_route(name, route, monkeypatch):
+    # exact scores cost r d (d - k) more multiply-adds than the estimate; the
+    # entries the estimate's larger beta1 adds cost more on the embed inputs, and
+    # less than the product with R^-1 on the taller input, where most columns
+    # hold one entry on either route
+    calls = []
+    for attr in ("_exact", "approx_leverage"):
+        def counting(*args, _orig=getattr(pipeline, attr), _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, attr, counting)
+    _, report = fast_subspace_embed(_rule_input(name), PipelineConfig(eps=0.5, delta=0.05, seed=1))
+    assert calls == ["_exact" if route == "exact" else "approx_leverage"]
+    assert report.to_dict()["leverage_route"] == route
+
+
+@pytest.mark.parametrize("kind", ["less-ic", "less-ie"])
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("exact", [False, True], ids=["estimate", "exact"])
+def test_claims_hold_on_both_routes(kind, dense, exact, embed_shaped, monkeypatch):
+    monkeypatch.setattr(pipeline, "_exact_pays", lambda *args: exact)
+    config = PipelineConfig(eps=0.5, delta=0.05, seed=3, kind=kind, validate=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the less-ie clamp warning
+        _, report = fast_subspace_embed(embed_shaped(dense, 6), config)
+    assert report.leverage_route == ("exact" if exact else "estimate")
+    assert 1.0 <= report.beta1_measured <= report.beta1
+    assert report.nnz_sketch <= report.nnz_bound
+    # the exact route's claim is (1 + eps_lev)^2 times its rounding factor
+    assert (report.beta1 < 1.0 + 1e-8) == exact

@@ -32,7 +32,8 @@ from subsketch import (
     validate_scores,
 )
 from subsketch import leverage, pipeline
-from subsketch.leverage import _exact_rows, _r_factor
+from subsketch.apply import as_matrix
+from subsketch.leverage import _factor, _r_factor
 
 N = 60
 
@@ -347,7 +348,7 @@ def test_checks_on_sparse_input_do_not_densify_n_rows():
         (rng.uniform(1, 2, J.size * d), (np.repeat(J, d), np.tile(np.arange(d), J.size))),
         shape=(n, d),
     )
-    R, peak = _traced_peak(lambda: _exact_rows(A)[1])
+    R, peak = _traced_peak(lambda: _factor(as_matrix(A, tall=True, finite=True)).R)
     assert R.shape == (d, d)
     assert peak < 2 * n, peak / n
     scores, peak = _traced_peak(lambda: exact_leverage(A))
